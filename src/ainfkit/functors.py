@@ -141,7 +141,8 @@ def check_functor(f, arity_bound=None, samples=30, seed=0):
 
 def compose_functors(f, g, name=None):
     """Componentwise composite: blocks of f components feeding one of g."""
-    assert f.target is g.source, "functors do not compose"
+    if f.target is not g.source:
+        raise ValueError("functors do not compose")
 
     def omap(X):
         return g.obj_map(f.obj_map(X))

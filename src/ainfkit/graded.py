@@ -15,59 +15,80 @@ def is_prime(p):
 
 
 class Ring:
-    """Exact coefficients: 'QQ' rationals, 'Fp' prime field, 'ZZ' integers."""
+    """Exact coefficients: 'QQ' rationals, 'Fp' prime field, 'ZZ' integers.
+
+    Every scalar has one canonical form, which normalize produces and
+    every operation returns: a QQ value is an int when it is integral and
+    a reduced Fraction otherwise, an Fp value is an int in range(p), and
+    a ZZ value is an int.  Equal values therefore compare and hash equal
+    whatever form they came in.  zero and one are plain attributes, set
+    once (the ints 0 and 1 in every kind).
+    """
 
     def __init__(self, kind, p=None):
-        assert kind in ("QQ", "Fp", "ZZ"), kind
-        if kind == "Fp":
-            assert p is not None and is_prime(p), p
+        if kind not in ("QQ", "Fp", "ZZ"):
+            raise ValueError("unknown ring kind %r" % (kind,))
+        if kind == "Fp" and (p is None or not is_prime(p)):
+            raise ValueError("Fp needs a prime p, got %r" % (p,))
         self.kind = kind
         self.p = p if kind == "Fp" else None
+        self.zero = 0
+        self.one = 1
 
     def normalize(self, x):
-        if self.kind == "QQ":
-            return Fraction(x)
-        if self.kind == "Fp":
+        kind = self.kind
+        if kind == "Fp":
+            if type(x) is int:
+                return x % self.p
             if isinstance(x, Fraction):
-                assert x.denominator % self.p != 0
+                if x.denominator % self.p == 0:
+                    raise ZeroDivisionError("%s has no value mod %d" % (x, self.p))
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
             return int(x) % self.p
-        if isinstance(x, Fraction):
-            assert x.denominator == 1, x
-            return int(x)
+        if type(x) is int:
+            return x
+        if kind == "QQ":
+            if type(x) is not Fraction:
+                x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, Fraction) and x.denominator != 1:
+            raise ValueError("%s is not an integer" % (x,))
         return int(x)
 
-    @property
-    def zero(self):
-        return self.normalize(0)
-
-    @property
-    def one(self):
-        return self.normalize(1)
-
     def add(self, x, y):
-        return self.normalize(x + y)
+        s = x + y
+        if type(s) is int:
+            return s if self.p is None else s % self.p
+        return self.normalize(s)
 
     def sub(self, x, y):
-        return self.normalize(x - y)
+        s = x - y
+        if type(s) is int:
+            return s if self.p is None else s % self.p
+        return self.normalize(s)
 
     def mul(self, x, y):
-        return self.normalize(x * y)
+        s = x * y
+        if type(s) is int:
+            return s if self.p is None else s % self.p
+        return self.normalize(s)
 
     def neg(self, x):
         return self.normalize(-x)
 
     def is_zero(self, x):
-        return self.normalize(x) == self.zero
+        return self.normalize(x) == 0
 
     def inv(self, x):
         x = self.normalize(x)
-        assert x != self.zero, "division by zero"
+        if x == 0:
+            raise ZeroDivisionError("inverse of zero")
         if self.kind == "QQ":
-            return 1 / x
+            return self.normalize(Fraction(1) / x)
         if self.kind == "Fp":
             return pow(x, -1, self.p)
-        assert x in (1, -1), "non-unit integer"
+        if x not in (1, -1):
+            raise ValueError("%d is not a unit in ZZ" % x)
         return x
 
     @property
@@ -85,9 +106,9 @@ class Ring:
 
     def fmt(self, x):
         x = self.normalize(x)
-        if self.kind == "QQ" and x.denominator != 1:
+        if type(x) is Fraction:
             return "%d/%d" % (x.numerator, x.denominator)
-        return str(int(x))
+        return str(x)
 
     def random(self, rng, nonzero=False):
         while True:
@@ -121,7 +142,8 @@ class GradedModule:
         self.degrees = {}
         self.names = []
         for name, deg in basis:
-            assert name not in self.degrees, "duplicate basis name %r" % (name,)
+            if name in self.degrees:
+                raise ValueError("duplicate basis name %r" % (name,))
             self.degrees[name] = deg
             self.names.append(name)
         self.names = tuple(self.names)
@@ -130,14 +152,12 @@ class GradedModule:
         return self.degrees[name]
 
     def ensure(self, name, degree):
-        """Confirm a basis name carries the given degree.
-
-        On a fixed module a missing name is an error; the growing
-        variant registers it instead.
-        """
+        """Confirm a basis name carries the given degree."""
         have = self.degrees.get(name)
-        assert have is not None, "unknown basis name %r" % (name,)
-        assert have == degree, "degree clash at %r" % (name,)
+        if have is None:
+            raise ValueError("unknown basis name %r" % (name,))
+        if have != degree:
+            raise ValueError("degree clash at %r" % (name,))
         return name
 
     def basis_of_degree(self, d):
@@ -152,14 +172,18 @@ class GradedModule:
     def element(self, terms, degree=None):
         """Build an element from {name: coeff}; degree inferred when omitted."""
         clean = {}
+        normalize = self.ring.normalize
         for name, c in terms.items():
-            c = self.ring.normalize(c)
-            if c == self.ring.zero:
+            c = normalize(c)
+            if c == 0:
                 continue
-            assert name in self.degrees, "unknown basis name %r" % (name,)
+            have = self.degrees.get(name)
+            if have is None:
+                raise ValueError("unknown basis name %r" % (name,))
             if degree is None:
-                degree = self.degrees[name]
-            assert self.degrees[name] == degree, "inhomogeneous element"
+                degree = have
+            elif have != degree:
+                raise ValueError("inhomogeneous element")
             clean[name] = c
         return Element(self, clean, 0 if degree is None else degree)
 
@@ -173,31 +197,6 @@ class GradedModule:
 
     def __repr__(self):
         return "GradedModule(%d basis elements)" % len(self.names)
-
-
-class GrowingModule(GradedModule):
-    """Graded module whose basis is registered on demand.
-
-    Starts from a seed basis (usually empty) and admits new names
-    through ensure.  Everything else behaves like the fixed module, so
-    elements built before a growth step stay valid afterwards.
-    """
-
-    def __init__(self, ring, basis=()):
-        super().__init__(ring, basis)
-        self.names = list(self.names)
-
-    def ensure(self, name, degree):
-        have = self.degrees.get(name)
-        if have is None:
-            self.degrees[name] = degree
-            self.names.append(name)
-        else:
-            assert have == degree, "degree clash at %r" % (name,)
-        return name
-
-    def __repr__(self):
-        return "GrowingModule(%d basis elements so far)" % len(self.names)
 
 
 class Element:
@@ -218,17 +217,22 @@ class Element:
         return self.terms.get(name, self.module.ring.zero)
 
     def add(self, other):
-        if other.is_zero:
+        if not other.terms:
             return self
-        if self.is_zero:
+        if not self.terms:
             return other
-        assert self.module is other.module and self.degree == other.degree
-        ring = self.module.ring
+        if self.module is not other.module or self.degree != other.degree:
+            raise ValueError("sum of elements of different modules or degrees")
+        add = self.module.ring.add
         terms = dict(self.terms)
         for name, c in other.terms.items():
-            v = ring.add(terms.get(name, ring.zero), c)
-            if v == ring.zero:
-                terms.pop(name, None)
+            old = terms.get(name)
+            if old is None:
+                terms[name] = c
+                continue
+            v = add(old, c)
+            if v == 0:
+                del terms[name]
             else:
                 terms[name] = v
         return Element(self.module, terms, self.degree)
@@ -236,10 +240,13 @@ class Element:
     def scale(self, c):
         ring = self.module.ring
         c = ring.normalize(c)
-        if c == ring.zero:
+        if c == 0:
             return Element(self.module, {}, self.degree)
+        if c == 1:
+            return self
+        mul = ring.mul
         return Element(
-            self.module, {n: ring.mul(v, c) for n, v in self.terms.items()}, self.degree
+            self.module, {n: mul(v, c) for n, v in self.terms.items()}, self.degree
         )
 
     def neg(self):
@@ -260,7 +267,7 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((id(self.module), self.degree, tuple(sorted(self.terms.items(), key=repr))))
+        return hash((id(self.module), self.degree, frozenset(self.terms.items())))
 
     def items(self):
         return self.terms.items()
@@ -287,7 +294,8 @@ def koszul_sign(perm, degrees):
     there.  The sign is the product of (-1)^(d_i*d_j) over inverted pairs.
     """
     perm = list(perm)
-    assert sorted(perm) == list(range(len(degrees))), "not a permutation"
+    if sorted(perm) != list(range(len(degrees))):
+        raise ValueError("not a permutation: %r" % (perm,))
     parity = 0
     for j in range(len(perm)):
         for i in range(j):
@@ -305,12 +313,14 @@ class Complex:
         for name, el in d.items():
             if el.is_zero:
                 continue
-            assert el.degree == module.degrees[name] + 1, "differential degree"
+            if el.degree != module.degrees[name] + 1:
+                raise ValueError("differential has the wrong degree at %r" % (name,))
             self.d[name] = el
         if check:
             for name in module.names:
                 dd = self.apply_d(self.apply_d(module.basis_element(name)))
-                assert dd.is_zero, "d^2 != 0 at %r" % (name,)
+                if not dd.is_zero:
+                    raise ValueError("d^2 != 0 at %r" % (name,))
 
     @property
     def ring(self):
@@ -343,7 +353,8 @@ class ChainMap:
         for name, el in matrix.items():
             if el.is_zero:
                 continue
-            assert el.degree == smod.degrees[name] + degree, "map degree at %r" % (name,)
+            if el.degree != smod.degrees[name] + degree:
+                raise ValueError("map degree at %r" % (name,))
             self.matrix[name] = el
         self._smod, self._tmod = smod, tmod
 
@@ -356,7 +367,8 @@ class ChainMap:
 
     def is_chain(self):
         """Whether f d_target = (-1)^deg(f) d_source f holds on the basis."""
-        assert isinstance(self.source, Complex) and isinstance(self.target, Complex)
+        if not (isinstance(self.source, Complex) and isinstance(self.target, Complex)):
+            raise TypeError("is_chain needs complexes at both ends")
         sign = -1 if self.degree % 2 else 1
         for name in self._smod.names:
             x = self._smod.basis_element(name)
@@ -368,12 +380,14 @@ class ChainMap:
 
     def compose(self, other):
         """self then other (right-operator order)."""
-        assert _underlying(self.target) is _underlying(other.source)
+        if _underlying(self.target) is not _underlying(other.source):
+            raise ValueError("maps do not compose")
         matrix = {n: other(el) for n, el in self.matrix.items()}
         return ChainMap(self.source, other.target, self.degree + other.degree, matrix)
 
     def add(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError("sum of maps of different degrees")
         matrix = {}
         for n in set(self.matrix) | set(other.matrix):
             x = self._smod.basis_element(n)
@@ -400,7 +414,8 @@ def solve_linear(ring, rows, rhs):
 
     rows are {column: scalar} maps; rhs likewise.
     """
-    assert ring.is_field, "linear solve needs a field"
+    if not ring.is_field:
+        raise ValueError("linear solve needs a field, not %r" % (ring,))
     cols = set(rhs)
     for r in rows:
         cols.update(r)
@@ -446,7 +461,8 @@ def in_image(v, f):
     """Preimage of v under the chain map f, or None; exact solve over a field."""
     smod = f._smod
     ring = smod.ring
-    assert ring.is_field, "image membership needs a field"
+    if not ring.is_field:
+        raise ValueError("image membership needs a field, not %r" % (ring,))
     deg = v.degree - f.degree
     names = smod.basis_of_degree(deg)
     rows = [dict(f(smod.basis_element(n)).items()) for n in names]
@@ -462,10 +478,13 @@ def cone(alpha):
     Basis names are tagged 't:' (target copy) and 's:' (source copy, degree
     dropped by one).  The source copy of m maps to (alpha(m), -d(m)).
     """
-    assert alpha.degree == 0
     src, tgt = alpha.source, alpha.target
-    assert isinstance(src, Complex) and isinstance(tgt, Complex)
-    assert alpha.is_chain(), "cone input must be a chain map"
+    if alpha.degree != 0:
+        raise ValueError("cone input must have degree 0")
+    if not (isinstance(src, Complex) and isinstance(tgt, Complex)):
+        raise TypeError("cone input must be a map of complexes")
+    if not alpha.is_chain():
+        raise ValueError("cone input must be a chain map")
     ring = tgt.ring
     basis = [("t:%s" % n, tgt.module.degrees[n]) for n in tgt.module.names]
     basis += [("s:%s" % n, src.module.degrees[n] - 1) for n in src.module.names]
@@ -506,14 +525,19 @@ def split_semisplit(alpha, beta, phi, H):
     """
     C, A, B = alpha.source, alpha.target, beta.target
     ring = _underlying(C).ring
-    assert ring.is_field, "splitting construction needs a field"
-    assert alpha.is_chain() and beta.is_chain()
+    if not ring.is_field:
+        raise ValueError("splitting construction needs a field, not %r" % (ring,))
+    if not (alpha.is_chain() and beta.is_chain()):
+        raise ValueError("alpha and beta must be chain maps")
     cmod, amod, bmod = _underlying(C), _underlying(A), _underlying(B)
     for n in cmod.names:
         x = cmod.basis_element(n)
-        assert phi(alpha(x)) == x, "phi does not split alpha"
-        assert beta(alpha(x)).is_zero, "alpha beta != 0"
-    assert is_contracting_homotopy(C, H), "H is not a contracting homotopy"
+        if phi(alpha(x)) != x:
+            raise ValueError("phi does not split alpha")
+        if not beta(alpha(x)).is_zero:
+            raise ValueError("alpha beta != 0")
+    if not is_contracting_homotopy(C, H):
+        raise ValueError("H is not a contracting homotopy")
 
     # psi = (phi H)d = phi H d + d phi H : A -> C, a chain map with alpha psi = 1
     psi_matrix = {}
@@ -535,7 +559,8 @@ def split_semisplit(alpha, beta, phi, H):
             x = x.sub(alpha(phi(x)))  # project into ker(phi)
             rows.append(dict(beta(x).items()))
         sol = solve_linear(ring, rows, dict(v.items()))
-        assert sol is not None, "beta is not split surjective"
+        if sol is None:
+            raise ValueError("beta is not split surjective")
         acc = amod.zero(deg)
         for m, c in zip(names, sol):
             x = amod.basis_element(m)

@@ -7,7 +7,7 @@ The convention is the right-operator middle interchange
 block picks up the degrees of the input factors standing to its right.
 """
 
-from .graded import GradedModule
+from .graded import Element, GradedModule
 
 
 class BoundError(Exception):
@@ -109,7 +109,8 @@ class MultiOp:
 
     def __init__(self, source, target, arity, degree, table=None, rule=None,
                  lmap=None, rmap=None, name=None):
-        assert arity >= 1
+        if arity < 1:
+            raise ValueError("arity must be positive, got %r" % (arity,))
         self.source = source
         self.target = target
         self.arity = arity
@@ -119,6 +120,8 @@ class MultiOp:
         self.lmap = lmap or _ident
         self.rmap = rmap or _ident
         self.name = name
+        # insert(self, a, c) by (a, c); see insert
+        self.stages = {}
 
     def pair_map(self, objs):
         return (self.lmap(objs[0]), self.rmap(objs[-1]))
@@ -129,10 +132,12 @@ class MultiOp:
 
     def on_basis(self, objs, names):
         objs, names = tuple(objs), tuple(names)
-        assert len(names) == self.arity and len(objs) == self.arity + 1
         key = (objs, names)
-        if key in self.table:
-            return self.table[key]
+        out = self.table.get(key)
+        if out is not None:
+            return out
+        if len(names) != self.arity or len(objs) != self.arity + 1:
+            raise ValueError("%r takes %d arrows, got %r" % (self, self.arity, names))
         if self.rule is None:
             deg = sum(self.source.degree(objs[i], objs[i + 1], names[i])
                       for i in range(self.arity)) + self.degree
@@ -151,7 +156,8 @@ def combine_ops(weighted, name=None):
     ops = [op for op, _ in weighted]
     first = ops[0]
     for op in ops:
-        assert (op.arity, op.degree) == (first.arity, first.degree)
+        if (op.arity, op.degree) != (first.arity, first.degree):
+            raise ValueError("combined operations differ in arity or degree")
 
     def rule(objs, names):
         out = None
@@ -168,65 +174,83 @@ class Stage:
     """One tensor layer: identity slots, operations, and 0-ary insertions.
 
     blocks: sequence of ('id', k), ('op', MultiOp), ('el', Element, (U, V)).
+    The plan that apply_stage follows is worked out here, once: each
+    block's input segment, and the right ends of the odd-degree blocks,
+    whose Koszul signs depend on the input degrees.
     """
 
     def __init__(self, source, blocks):
         self.source = source
         self.blocks = tuple(blocks)
-        arity_in = 0
         arity_out = 0
         degree = 0
         target = None
+        plan = []
+        odd_ends = []
+        pos = 0
         for blk in self.blocks:
             if blk[0] == "id":
-                arity_in += blk[1]
-                arity_out += blk[1]
-            elif blk[0] == "op":
+                k = blk[1]
+                plan.append(("id", pos, pos + k, None))
+                pos += k
+                arity_out += k
+                continue
+            if blk[0] == "op":
                 op = blk[1]
-                arity_in += op.arity
-                arity_out += 1
-                degree += op.degree
-                assert target is None or target is op.target
+                if target is not None and target is not op.target:
+                    raise ValueError("operations of one stage must share a target")
                 target = op.target
+                end = pos + op.arity
+                plain = op.lmap is _ident and op.rmap is _ident
+                plan.append(("op", pos, end, (op, plain)))
+                blk_degree = op.degree
             else:
-                _, el, _pair = blk
-                arity_out += 1
-                degree += el.degree
-        self.arity_in = arity_in
+                _, el, pair = blk
+                end = pos
+                plan.append(("el", pos, end, (tuple(pair), list(el.items()))))
+                blk_degree = el.degree
+            if blk_degree % 2:
+                odd_ends.append(end)
+            pos = end
+            arity_out += 1
+            degree += blk_degree
+        self.arity_in = pos
         self.arity_out = arity_out
         self.degree = degree
         self.target = target if target is not None else source
+        self.plan = tuple(plan)
+        self.odd_ends = tuple(reversed(odd_ends))
+
+
+def _padded(source, blocks, a, c):
+    """The stage 1^a tensor blocks tensor 1^c."""
+    blocks = list(blocks)
+    if a:
+        blocks.insert(0, ("id", a))
+    if c:
+        blocks.append(("id", c))
+    return Stage(source, blocks)
 
 
 def insert(op, a, c):
-    """The stage 1^a tensor op tensor 1^c (op: MultiOp or Stage)."""
-    assert a >= 0 and c >= 0
+    """The stage 1^a tensor op tensor 1^c (op: MultiOp or Stage).
+
+    Stages of a MultiOp are built once and kept on it, so repeated
+    insertions of one operation share their plan.
+    """
+    if a < 0 or c < 0:
+        raise ValueError("negative identity width")
     if isinstance(op, Stage):
-        blocks = []
-        if a:
-            blocks.append(("id", a))
-        blocks.extend(op.blocks)
-        if c:
-            blocks.append(("id", c))
-        return Stage(op.source, blocks)
-    blocks = []
-    if a:
-        blocks.append(("id", a))
-    blocks.append(("op", op))
-    if c:
-        blocks.append(("id", c))
-    return Stage(op.source, blocks)
+        return _padded(op.source, op.blocks, a, c)
+    stage = op.stages.get((a, c))
+    if stage is None:
+        stage = op.stages[(a, c)] = _padded(op.source, [("op", op)], a, c)
+    return stage
 
 
 def unit_stage(source, el, pair, a, c):
     """The stage 1^a tensor x tensor 1^c for a fixed element x at `pair`."""
-    blocks = []
-    if a:
-        blocks.append(("id", a))
-    blocks.append(("el", el, pair))
-    if c:
-        blocks.append(("id", c))
-    return Stage(source, blocks)
+    return _padded(source, [("el", el, pair)], a, c)
 
 
 def apply_stage(stage, state):
@@ -234,66 +258,74 @@ def apply_stage(stage, state):
 
     Every operator block contributes the Koszul sign
     (-1)^(deg(block) * sum of degrees of the factors to its right).
+    Coefficients are taken and returned in the ring's canonical form.
     """
     quiver = stage.source
     ring = quiver.ring
+    p = ring.p
+    one = ring.one
+    mul, add = ring.mul, ring.add
+    homs = quiver.homs
+    plan = stage.plan
+    odd_ends = stage.odd_ends
+    arity_in = stage.arity_in
     out = {}
     for (objs, names), coeff in state.items():
-        assert len(names) == stage.arity_in, "stage arity mismatch"
-        degs = [quiver.degree(objs[i], objs[i + 1], names[i]) for i in range(len(names))]
-        # carve the input into per-block segments
-        segments = []
-        pos = 0
-        for blk in stage.blocks:
-            k = blk[1] if blk[0] == "id" else (blk[1].arity if blk[0] == "op" else 0)
-            segments.append((pos, pos + k))
-            pos += k
-        # options per block: list of (objs_piece, names_piece, coeff)
-        per_block = []
-        sign = 1
-        dead = False
-        for blk, (s, e) in zip(stage.blocks, segments):
-            if blk[0] == "id":
-                per_block.append([(tuple(objs[s:e + 1]), tuple(names[s:e]), ring.one)])
-                continue
-            if blk[0] == "op":
-                op = blk[1]
-                if op.degree % 2 and sum(degs[e:]) % 2:
-                    sign = -sign
-                el = op.on_basis(objs[s:e + 1], names[s:e])
-                pair = op.pair_map(objs[s:e + 1])
-            else:
-                _, el, pair = blk
-                if el.degree % 2 and sum(degs[e:]) % 2:
-                    sign = -sign
-            if el.is_zero:
-                dead = True
-                break
-            per_block.append([((pair[0], pair[1]), (n,), c) for n, c in el.items()])
-        if dead:
+        if len(names) != arity_in:
+            raise ValueError("stage arity mismatch")
+        if coeff == 0:
             continue
-        # cartesian product across blocks, checking object continuity
-        partial = [((), (), ring.mul(coeff, ring.normalize(sign)))]
-        for options in per_block:
-            nxt = []
-            for pobjs, pnames, pc in partial:
-                for oobjs, onames, oc in options:
-                    if pobjs and oobjs:
-                        assert pobjs[-1] == oobjs[0], "object chain mismatch"
-                        newobjs = pobjs + oobjs[1:]
-                    else:
-                        newobjs = pobjs or oobjs
-                    nxt.append((newobjs, pnames + onames, ring.mul(pc, oc)))
-            partial = nxt
-        for newobjs, newnames, c in partial:
-            if c == ring.zero:
-                continue
-            key = (newobjs, newnames)
-            v = ring.add(out.get(key, ring.zero), c)
-            if v == ring.zero:
-                out.pop(key, None)
+        if odd_ends:
+            # parity of the degrees to the right of each odd block
+            flip = parity = 0
+            j = arity_in
+            for e in odd_ends:
+                while j > e:
+                    j -= 1
+                    parity ^= homs[(objs[j], objs[j + 1])].degrees[names[j]] & 1
+                flip ^= parity
+            if flip:
+                coeff = -coeff if p is None else -coeff % p
+        newobjs = ()
+        partial = [((), coeff)]
+        for kind, s, e, data in plan:
+            if kind == "id":
+                piece = objs[s:e + 1]
+                idnames = names[s:e]
+                partial = [(pn + idnames, pc) for pn, pc in partial]
             else:
-                out[key] = v
+                if kind == "op":
+                    op, plain = data
+                    el = op.on_basis(objs[s:e + 1], names[s:e])
+                    if not el.terms:
+                        break
+                    piece = (objs[s], objs[e]) if plain else op.pair_map(objs[s:e + 1])
+                    options = el.terms.items()
+                else:
+                    piece, options = data
+                    if not options:  # a zero element kills every input
+                        break
+                partial = [(pn + (n,), pc if oc == one else
+                            oc if pc == one else mul(pc, oc))
+                           for pn, pc in partial for n, oc in options]
+            if newobjs:
+                if newobjs[-1] != piece[0]:
+                    raise ValueError("object chain mismatch")
+                newobjs += piece[1:]
+            else:
+                newobjs = piece
+        else:
+            for newnames, c in partial:
+                key = (newobjs, newnames)
+                old = out.get(key)
+                if old is None:
+                    out[key] = c
+                    continue
+                v = add(old, c)
+                if v == 0:
+                    del out[key]
+                else:
+                    out[key] = v
     return out
 
 
@@ -306,10 +338,13 @@ def run_stages(stages, state):
 def compose_multi(stages, name=None):
     """The composite operation of a chain of stages (final arity one)."""
     stages = list(stages)
-    assert stages
+    if not stages:
+        raise ValueError("a composite needs at least one stage")
     for prev, nxt in zip(stages, stages[1:]):
-        assert prev.arity_out == nxt.arity_in, "stage arities do not chain"
-    assert stages[-1].arity_out == 1
+        if prev.arity_out != nxt.arity_in:
+            raise ValueError("stage arities do not chain")
+    if stages[-1].arity_out != 1:
+        raise ValueError("a composite must end in arity one")
     source = stages[0].source
     target = stages[-1].target
     degree = sum(st.degree for st in stages)
@@ -335,24 +370,31 @@ def compose_multi(stages, name=None):
         state = run_stages(stages, {(tuple(objs), tuple(names)): source.ring.one})
         deg = sum(source.degree(objs[i], objs[i + 1], names[i])
                   for i in range(len(names))) + degree
-        U, V = lmap(objs[0]), rmap(objs[-1])
-        out = target.hom(U, V).zero(deg)
-        for (oobjs, onames), c in state.items():
-            assert oobjs == (U, V), "endpoint mismatch in composite"
-            out = out.add(target.hom(U, V).basis_element(onames[0], c))
-        return out
+        return state_element(target, state, (lmap(objs[0]), rmap(objs[-1])), deg)
 
     return MultiOp(source, target, arity, degree, rule=rule,
                    lmap=lmap, rmap=rmap, name=name)
 
 
 def state_element(quiver, state, pair, degree):
-    """Assemble a one-factor state into an Element of hom(pair)."""
-    out = quiver.hom(*pair).zero(degree)
+    """Assemble a one-factor state into an Element of hom(pair).
+
+    The state's keys are distinct and its coefficients canonical, so the
+    nonzero ones become the element's terms as they stand.
+    """
+    mod = quiver.hom(*pair)
+    degrees = mod.degrees
+    pair = tuple(pair)
+    terms = {}
     for (objs, names), c in state.items():
-        assert objs == pair, "state landed outside the expected hom"
-        out = out.add(quiver.hom(*pair).basis_element(names[0], c))
-    return out
+        if objs != pair:
+            raise ValueError("state landed outside the expected hom")
+        name = names[0]
+        if degrees[name] != degree:
+            raise ValueError("state term %r is not of degree %d" % (name, degree))
+        if c != 0:
+            terms[name] = c
+    return Element(mod, terms, degree)
 
 
 def expand_tensor(quiver, objs, factors):
@@ -371,19 +413,16 @@ def expand_tensor(quiver, objs, factors):
 def evaluate(op, objs, factors):
     """Apply a MultiOp to a tensor of homogeneous Elements (multilinear)."""
     objs = tuple(objs)
-    assert len(factors) == op.arity and len(objs) == op.arity + 1
+    if len(factors) != op.arity or len(objs) != op.arity + 1:
+        raise ValueError("%r takes %d factors" % (op, op.arity))
     for i, f in enumerate(factors):
-        assert f.module is quiver_hom_module(op.source, objs[i], objs[i + 1]) or f.is_zero, \
-            "factor %d not in the expected hom" % i
+        if not (f.is_zero or f.module is op.source.hom(objs[i], objs[i + 1])):
+            raise ValueError("factor %d not in the expected hom" % i)
     deg = sum(f.degree for f in factors) + op.degree
     out = op.out_module(objs).zero(deg)
     for (o, names), c in expand_tensor(op.source, objs, factors).items():
         out = out.add(op.on_basis(o, names).scale(c))
     return out
-
-
-def quiver_hom_module(quiver, X, Y):
-    return quiver.hom(X, Y)
 
 
 def all_basis_tensors(quiver, length, objs_filter=None):

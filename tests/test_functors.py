@@ -145,7 +145,7 @@ def test_strict_compose_is_strict():
 def test_compose_rejects_mismatch():
     A = path3()
     P = one_object_unit()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         compose_functors(identity_functor(A), identity_functor(P))
 
 

@@ -2,6 +2,9 @@ import random
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
 from ainfkit.graded import (
     ChainMap,
     Complex,
@@ -34,12 +37,57 @@ def test_ring_arithmetic():
 
 
 def test_ring_zz_rejects_nonunits():
-    try:
+    with pytest.raises(ValueError):
         ZZ.inv(2)
-    except AssertionError:
-        pass
-    else:
-        assert False
+
+
+def test_ring_rejects_bad_input():
+    with pytest.raises(ValueError):
+        Ring("RR")
+    with pytest.raises(ValueError):
+        Ring("Fp", 4)
+    with pytest.raises(ValueError):
+        Ring("Fp")
+    for ring in (QQ, F5, ZZ):
+        with pytest.raises(ZeroDivisionError):
+            ring.inv(0)
+
+
+def _canonical(x):
+    """Whether a QQ value is in canonical form: int iff integral."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@given(st.fractions(max_denominator=60), st.fractions(max_denominator=60))
+def test_qq_agrees_with_fraction_arithmetic(x, y):
+    for a, b in ((x, y), (QQ.normalize(x), QQ.normalize(y))):
+        cases = [(QQ.add(a, b), x + y), (QQ.sub(a, b), x - y),
+                 (QQ.mul(a, b), x * y), (QQ.neg(a), -x), (QQ.normalize(a), x)]
+        if x != 0:
+            cases.append((QQ.inv(a), 1 / x))
+        for got, want in cases:
+            assert got == want
+            assert _canonical(got)
+
+
+def test_scalar_forms():
+    half = QQ.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
+    assert QQ.fmt(3) == QQ.fmt(Fraction(3)) == "3"
+    assert type(QQ.normalize(Fraction(6, 3))) is int
+    assert QQ.zero == 0 and QQ.one == 1 and type(QQ.one) is int
+    assert F5.normalize(-3) == 2
+    assert F5.normalize(Fraction(1, 2)) == 3
+    with pytest.raises(ZeroDivisionError):
+        F5.normalize(Fraction(1, 5))
+    with pytest.raises(ValueError):
+        ZZ.normalize(Fraction(1, 2))
+    M = GradedModule(QQ, [("x", 0)])
+    a = M.basis_element("x", Fraction(2))
+    b = M.basis_element("x", 2)
+    assert a == b and hash(a) == hash(b)
+    assert M.element({"x": Fraction(4, 2)}) == b
 
 
 def test_shift_basics():
@@ -124,12 +172,8 @@ def two_step_complex(ring=QQ):
 
 def test_complex_rejects_bad_differential():
     M = GradedModule(QQ, [("a", 0), ("b", 1), ("c", 2)])
-    try:
+    with pytest.raises(ValueError, match="d\\^2"):
         Complex(M, {"a": M.basis_element("b"), "b": M.basis_element("c")})
-    except AssertionError:
-        pass
-    else:
-        assert False, "d^2 != 0 was not caught"
 
 
 def test_chain_map_flag():
@@ -200,12 +244,8 @@ def test_in_image_needs_field():
     M = GradedModule(ZZ, [("a", 0)])
     cx = Complex(M, {})
     f = ChainMap.identity(cx)
-    try:
+    with pytest.raises(ValueError):
         in_image(M.basis_element("a"), f)
-    except AssertionError:
-        pass
-    else:
-        assert False
 
 
 def test_cone_of_identity_contractible():

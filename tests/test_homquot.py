@@ -3,7 +3,7 @@ structure identities, the formal operation calculus, unit homotopies."""
 
 import pytest
 
-from ainfkit.category import check_stasheff, opposite
+from ainfkit.category import check_stasheff, opposite, stasheff_defect
 from ainfkit.freecat import LEAF
 from ainfkit.functors import check_functor, strict_functor
 from ainfkit.graded import Ring
@@ -37,6 +37,40 @@ def tree_pair(which, bobj, bound=3):
         D = homotopy_quotient(C, frozenset([bobj]), bound)
         _CACHE[key] = (C, E, D)
     return _CACHE[key]
+
+
+def within_bound_tensors(A, length):
+    """Every composable basis tensor of A of a length within its size bound.
+
+    Sizes are positive, so a prefix over the bound has no extension
+    within it and the walk stops there.
+    """
+    q = A.quiver
+
+    def walk(objs, names):
+        if len(names) == length:
+            yield objs, names
+            return
+        X = objs[-1]
+        for Y in q.objects:
+            for nm in q.hom(X, Y).names:
+                o, n = objs + (Y,), names + (nm,)
+                if A.within_bound(o, n):
+                    yield from walk(o, n)
+
+    for X in q.objects:
+        yield from walk((X,), ())
+
+
+def test_stasheff_exhaustive_within_bound():
+    _, _, D = tree_pair("path3", 1)
+    counts = []
+    for k in (1, 2, 3):
+        tensors = list(within_bound_tensors(D, k))
+        counts.append(len(tensors))
+        for objs, names in tensors:
+            assert stasheff_defect(D, k, objs, names).is_zero, names
+    assert counts == [335, 158, 57]
 
 
 def test_shape_census():

@@ -70,6 +70,30 @@ def test_insert_suffix_sign():
     assert out == {(("*",) * 3, ("z", "z")): QQ.one}
 
 
+def test_insert_reuses_stages():
+    q = loop_quiver()
+    t = op_t(q)
+    assert insert(t, 1, 2) is insert(t, 1, 2)
+    assert insert(t, 1, 2) is not insert(t, 2, 1)
+    assert insert(t, 0, 0) is not insert(op_t(q), 0, 0)
+
+
+def test_stage_cache_does_not_leak_into_copies():
+    # a copy with one table entry doubled is a new MultiOp with its own
+    # stages, even after the original's stage has been built and applied
+    q = loop_quiver()
+    t = op_t(q)
+    s = state_of(q, ("a", "a"))
+    before = apply_stage(insert(t, 1, 0), s)
+    table = dict(t.table)
+    key = (("*", "*"), ("a",))
+    table[key] = t.on_basis(*key).scale(2)
+    bad = MultiOp(q, q, 1, 1, table=table, name="t.bad")
+    assert apply_stage(insert(bad, 1, 0), s) == {(("*",) * 3, ("a", "z")): 2}
+    assert apply_stage(insert(t, 1, 0), s) == before
+    assert before == {(("*",) * 3, ("a", "z")): 1}
+
+
 def test_insert_nesting_is_concentric():
     q = loop_quiver()
     t = op_t(q)
