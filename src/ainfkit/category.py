@@ -10,7 +10,7 @@ separate bookkeeping.
 import random
 
 from .graded import (ChainMap, Complex, GradedModule, in_image, koszul_sign,
-                     shift, solve_linear)
+                     linear_combination, shift, solve_linear)
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      collect_tensors, evaluate, insert, run_stages,
                      state_element, unit_stage)
@@ -32,9 +32,13 @@ class AInfCategory:
         self.quiver = quiver
         self.ops = {}
         for n, op in ops.items():
-            assert 1 <= n <= max_arity, "operation outside declared arity range"
-            assert op.arity == n and op.degree == 1
-            assert op.source is quiver and op.target is quiver
+            if not 1 <= n <= max_arity:
+                raise ValueError("operation of arity %r outside declared arity range" % (n,))
+            if op.arity != n or op.degree != 1:
+                raise ValueError("operation at arity %r must have arity %r and degree 1"
+                                 % (n, n))
+            if op.source is not quiver or op.target is not quiver:
+                raise ValueError("operation at arity %r is not on this quiver" % (n,))
             self.ops[n] = op
         self.max_arity = max_arity
         self.units = dict(units) if units else {}
@@ -44,10 +48,12 @@ class AInfCategory:
         self.dg = None
         b1 = self.ops.get(1)
         for X, u in self.units.items():
-            assert u.degree == -1 and not u.is_zero, "unit must be a nonzero degree -1 element"
-            assert u.module is quiver.hom(X, X), "unit of %r not in its endomorphism module" % (X,)
-            if b1 is not None:
-                assert evaluate(b1, (X, X), (u,)).is_zero, "unit of %r is not a cycle" % (X,)
+            if u.degree != -1 or u.is_zero:
+                raise ValueError("unit must be a nonzero degree -1 element")
+            if u.module is not quiver.hom(X, X):
+                raise ValueError("unit of %r not in its endomorphism module" % (X,))
+            if b1 is not None and not evaluate(b1, (X, X), (u,)).is_zero:
+                raise ValueError("unit of %r is not a cycle" % (X,))
 
     def b(self, n):
         return self.ops.get(n)
@@ -195,22 +201,105 @@ class DGData:
 
     def d(self, X, Y, el):
         mat = self.m1.get((X, Y), {})
-        out = self.quiver.hom(X, Y).zero(el.degree + 1)
-        for n, c in el.items():
-            if n in mat:
-                out = out.add(mat[n].scale(c))
-        return out
+        return linear_combination(self.quiver.hom(X, Y), el.degree + 1,
+                                  ((mat[n], c) for n, c in el.items() if n in mat))
 
     def mul(self, X, Y, Z, x, y):
         table = self.m2.get((X, Y, Z), {})
-        ring = self.quiver.ring
-        out = self.quiver.hom(X, Z).zero(x.degree + y.degree)
-        for n1, c1 in x.items():
-            for n2, c2 in y.items():
-                val = table.get((n1, n2))
-                if val is not None:
-                    out = out.add(val.scale(ring.mul(c1, c2)))
-        return out
+        mul = self.quiver.ring.mul
+        scaled = [(table[(n1, n2)], mul(c1, c2))
+                  for n1, c1 in x.items() for n2, c2 in y.items()
+                  if (n1, n2) in table]
+        return linear_combination(self.quiver.hom(X, Z), x.degree + y.degree, scaled)
+
+    def check_leibniz_and_associativity(self):
+        """Raise ValueError naming a basis pair or triple that breaks a law.
+
+        Both laws are multilinear, so a pair or triple that no nonzero
+        structure constant reaches is zero on both sides.  The defects
+        are therefore summed from the nonzero entries of m1 and m2 alone,
+        one first argument at a time, into a sparse row keyed by the rest
+        of the tuple and the output basis name.  The cost is proportional
+        to the number of nonzero products along the way, not to the
+        number of basis tuples.
+        """
+        q = self.quiver
+        normalize = q.ring.normalize
+        m1 = self.m1
+        # (X, Y) -> [(Z, {n1: [(n2, n1*n2)]})], nonzero products only
+        by_first = {}
+        # (X, Z) -> [(Y, {m: [(n1, n2, c)]})]: n1*n2 has the term c*m
+        by_term = {}
+        for (X, Y, Z), table in self.m2.items():
+            rows, hits = {}, {}
+            for (n1, n2), val in table.items():
+                if val.is_zero:
+                    continue
+                rows.setdefault(n1, []).append((n2, val))
+                for m, c in val.items():
+                    hits.setdefault(m, []).append((n1, n2, c))
+            if rows:
+                by_first.setdefault((X, Y), []).append((Z, rows))
+                by_term.setdefault((X, Z), []).append((Y, hits))
+        # (X, Y) -> {m: [(n, c)]}: d(n) has the term c*m
+        d_by_term = {}
+        for pair, mat in m1.items():
+            cols = d_by_term[pair] = {}
+            for n, el in mat.items():
+                for m, c in el.items():
+                    cols.setdefault(m, []).append((n, c))
+
+        # Canonical scalars are Python ints and Fractions, so the rows
+        # sum exact products and the ring reduces each entry once, when
+        # it is tested.
+        def put(row, key, el, c):
+            for t, c2 in el.terms.items():
+                k = key + (t,)
+                row[k] = row.get(k, 0) + c * c2
+
+        def first_failure(row):
+            return next((k for k, v in row.items() if v and normalize(v) != 0), None)
+
+        for (X, Y), after in by_first.items():
+            dx_of = m1.get((X, Y), {})
+            for n1 in q.hom(X, Y).names:
+                # d(xy) - x.dy - (-1)^|y| dx.y, keyed by (Z, n2, t)
+                row = {}
+                for Z, rows in after:
+                    dxz = m1.get((X, Z), {})
+                    for n2, val in rows.get(n1, ()):
+                        for m, c in val.items():
+                            if m in dxz:
+                                put(row, (Z, n2), dxz[m], c)
+                    dyz = d_by_term.get((Y, Z), {})
+                    for m, val in rows.get(n1, ()):
+                        for n2, c in dyz.get(m, ()):
+                            put(row, (Z, n2), val, -c)
+                    if n1 in dx_of:
+                        degs = q.hom(Y, Z).degrees
+                        for m, c in dx_of[n1].items():
+                            for n2, val in rows.get(m, ()):
+                                put(row, (Z, n2), val, c if degs[n2] % 2 else -c)
+                bad = first_failure(row)
+                if bad is not None:
+                    raise ValueError("Leibniz rule fails on (%r, %r)" % (n1, bad[1]))
+                # (xy)z - x(yz), keyed by (Z, n2, W, n3, t)
+                row = {}
+                for Z, rows in after:
+                    for n2, val in rows.get(n1, ()):
+                        for W, rows2 in by_first.get((X, Z), ()):
+                            for m, c in val.items():
+                                for n3, val2 in rows2.get(m, ()):
+                                    put(row, (Z, n2, W, n3), val2, c)
+                for W, rows in after:
+                    for m, val in rows.get(n1, ()):
+                        for Z, hits in by_term.get((Y, W), ()):
+                            for n2, n3, c in hits.get(m, ()):
+                                put(row, (Z, n2, W, n3), val, -c)
+                bad = first_failure(row)
+                if bad is not None:
+                    raise ValueError("associativity fails on (%r, %r, %r)"
+                                     % (n1, bad[1], bad[3]))
 
 
 def dg_to_ainf(homs, m1, m2, units=None, name="A"):
@@ -220,15 +309,20 @@ def dg_to_ainf(homs, m1, m2, units=None, name="A"):
     differentials (degree +1) per pair, m2 the composition tables per
     object triple on basis pairs (degree 0).  The square-zero, Leibniz,
     associativity, and unit laws are all verified first; any failure
-    raises ValueError.  Composition is written left to right, so the
-    Leibniz rule checked here differentiates the second factor with no
-    sign and the first factor with the sign of the second.  On the shifted modules the arity-1 operation
-    keeps the same matrix and the arity-2 operation picks up the sign
-    of the unshifted degree of the second argument.  The unshifted data
-    stays available on the result as the attribute dg.
+    raises ValueError.  The Leibniz and associativity checks walk only
+    the nonzero structure constants, so validation costs time in
+    proportion to the nonzero products, not to the number of basis pairs
+    and triples.  Composition is written left to right, so the Leibniz
+    rule checked here differentiates the second factor with no sign and
+    the first factor with the sign of the second.  On the shifted
+    modules the arity-1 operation keeps the same matrix and the arity-2
+    operation picks up the sign of the unshifted degree of the second
+    argument.  The unshifted data stays available on the result as the
+    attribute dg.
     """
     mods = {pair: mod for pair, mod in homs.items() if mod.names}
-    assert mods, "no nonzero hom modules"
+    if not mods:
+        raise ValueError("no nonzero hom modules")
     ring = next(iter(mods.values())).ring
     objects = []
     for pair in mods:
@@ -241,52 +335,20 @@ def dg_to_ainf(homs, m1, m2, units=None, name="A"):
                 objects.append(X)
     plain = GradedQuiver(ring, objects, mods)
     dg = DGData(plain, m1, m2)
-
-    def d_el(pair, el):
-        return dg.d(pair[0], pair[1], el)
-
-    def mul(X, Y, Z, x, y):
-        return dg.mul(X, Y, Z, x, y)
-
     for pair, mat in m1.items():
         mod = mods[pair]
         for n, el in mat.items():
             if el.degree != mod.degrees[n] + 1 or el.module is not mod:
                 raise ValueError("differential entry at %r has wrong type" % (n,))
         for n in mod.names:
-            if not d_el(pair, d_el(pair, mod.basis_element(n))).is_zero:
+            if not dg.d(*pair, dg.d(*pair, mod.basis_element(n))).is_zero:
                 raise ValueError("differential does not square to zero at %r" % (n,))
     for (X, Y, Z), table in m2.items():
         for (n1, n2), val in table.items():
             want = mods[(X, Y)].degrees[n1] + mods[(Y, Z)].degrees[n2]
             if val.degree != want or val.module is not plain.hom(X, Z):
                 raise ValueError("composition entry (%r, %r) has wrong type" % (n1, n2))
-    for (X, Y) in mods:
-        for (Y2, Z) in mods:
-            if Y2 != Y:
-                continue
-            for n1 in mods[(X, Y)].names:
-                x = mods[(X, Y)].basis_element(n1)
-                for n2 in mods[(Y, Z)].names:
-                    y = mods[(Y, Z)].basis_element(n2)
-                    lhs = d_el((X, Z), mul(X, Y, Z, x, y))
-                    rhs = mul(X, Y, Z, x, d_el((Y, Z), y))
-                    if mods[(Y, Z)].degrees[n2] % 2:
-                        rhs = rhs.sub(mul(X, Y, Z, d_el((X, Y), x), y))
-                    else:
-                        rhs = rhs.add(mul(X, Y, Z, d_el((X, Y), x), y))
-                    if lhs != rhs:
-                        raise ValueError("Leibniz rule fails on (%r, %r)" % (n1, n2))
-                    for (Z2, W) in mods:
-                        if Z2 != Z:
-                            continue
-                        for n3 in mods[(Z, W)].names:
-                            z = mods[(Z, W)].basis_element(n3)
-                            left = mul(X, Z, W, mul(X, Y, Z, x, y), z)
-                            right = mul(X, Y, W, x, mul(Y, Z, W, y, z))
-                            if left != right:
-                                raise ValueError(
-                                    "associativity fails on (%r, %r, %r)" % (n1, n2, n3))
+    dg.check_leibniz_and_associativity()
     unit_els = {}
     if units:
         for X, u in units.items():
@@ -294,15 +356,15 @@ def dg_to_ainf(homs, m1, m2, units=None, name="A"):
                 u = mods[(X, X)].basis_element(u)
             if u.degree != 0 or u.module is not plain.hom(X, X):
                 raise ValueError("unit at %r must have degree 0" % (X,))
-            if not d_el((X, X), u).is_zero:
+            if not dg.d(X, X, u).is_zero:
                 raise ValueError("unit at %r is not closed" % (X,))
             unit_els[X] = u
         for (X, Y) in mods:
             for n in mods[(X, Y)].names:
                 x = mods[(X, Y)].basis_element(n)
-                if X in unit_els and mul(X, X, Y, unit_els[X], x) != x:
+                if X in unit_els and dg.mul(X, X, Y, unit_els[X], x) != x:
                     raise ValueError("left unit law fails at %r" % (n,))
-                if Y in unit_els and mul(X, Y, Y, x, unit_els[Y]) != x:
+                if Y in unit_els and dg.mul(X, Y, Y, x, unit_els[Y]) != x:
                     raise ValueError("right unit law fails at %r" % (n,))
 
     squiver = GradedQuiver(ring, objects, {pair: shift(mod, 1) for pair, mod in mods.items()})
@@ -335,6 +397,19 @@ def dg_to_ainf(homs, m1, m2, units=None, name="A"):
 def complexes_category(ring, complexes, name="cpx"):
     """The differential graded category of a finite family of complexes.
 
+    The DG data comes from complexes_dg_data, is validated and shifted by
+    dg_to_ainf, and the complex data stays available on the result as
+    the attribute complex_data.
+    """
+    data, homs, m1, m2, units = complexes_dg_data(ring, complexes)
+    cat = dg_to_ainf(homs, m1, m2, units=units, name=name)
+    cat.complex_data = data
+    return cat
+
+
+def complexes_dg_data(ring, complexes):
+    """Unshifted DG data of the category of a finite family of complexes.
+
     complexes maps an object label to a pair (basis, d): basis lists
     (generator, degree) rows of the underlying graded module, and d
     sends a generator to the {generator: coefficient} column of its
@@ -344,9 +419,12 @@ def complexes_category(ring, complexes, name="cpx"):
     is post-composition with the target differential minus, signed by
     the parity of the map degree, pre-composition with the source one;
     binary composition substitutes matching middle generators with no
-    sign.  The identity maps are strict units.  Everything is validated
-    and shifted by dg_to_ainf; the complex data stays available on the
-    result as the attribute complex_data.
+    sign.  The identity maps are strict units.  Each complex is checked
+    to be one (differential of degree one, squaring to zero).
+
+    Returns (data, homs, m1, m2, units): data maps each object to
+    (generators, degrees, differential columns), and the rest are the
+    arguments dg_to_ainf takes.
     """
     data = {}
     for obj, (basis, diff) in complexes.items():
@@ -422,9 +500,7 @@ def complexes_category(ring, complexes, name="cpx"):
 
     units = {M: homs[(M, M)].element({(a, a): 1 for a in data[M][0]}, 0)
              for M in objects}
-    cat = dg_to_ainf(homs, m1, m2, units=units, name=name)
-    cat.complex_data = data
-    return cat
+    return data, homs, m1, m2, units
 
 
 def opposite(A):
@@ -489,7 +565,8 @@ def check_strict_unit(A, samples=60, seed=0):
     rep = Report("strict units for %s" % A.name)
     q = A.quiver
     b2 = A.b(2)
-    assert b2 is not None, "strict unit laws need an arity-2 operation"
+    if b2 is None:
+        raise ValueError("strict unit laws need an arity-2 operation")
     bad_r = bad_l = None
     n_r = n_l = skip2 = 0
     for (X, Y) in q.pairs():
@@ -561,7 +638,8 @@ def verify_unit_homotopy(A, h, h_prime):
     rep = Report("unit homotopies for %s" % A.name)
     q = A.quiver
     b1, b2 = A.b(1), A.b(2)
-    assert b2 is not None
+    if b2 is None:
+        raise ValueError("unit homotopies need an arity-2 operation")
 
     def d1(X, Y, el):
         if b1 is None or el.is_zero:
@@ -612,7 +690,8 @@ def check_contractible_functor(g):
     """
     B, A = g.source, g.target
     ring = A.quiver.ring
-    assert ring.is_field, "homotopy solve needs field coefficients"
+    if not ring.is_field:
+        raise ValueError("homotopy solve needs field coefficients, not %r" % (ring,))
     rep = Report("contractible functor check")
     g1 = g.component(1)
     comps = {}
@@ -668,7 +747,9 @@ def check_pseudounital_functor(f):
     of the arity-1 operation.  Field coefficients required.
     """
     S, T = f.source, f.target
-    assert T.quiver.ring.is_field, "image membership needs field coefficients"
+    if not T.quiver.ring.is_field:
+        raise ValueError("image membership needs field coefficients, not %r"
+                         % (T.quiver.ring,))
     rep = Report("pseudounital functor check")
     f1 = f.component(1)
     for X in sorted(S.units, key=repr):

@@ -282,6 +282,44 @@ class Element:
         return " + ".join(bits)
 
 
+def linear_combination(module, degree, scaled):
+    """The element sum(c * el for el, c in scaled) of module in one pass.
+
+    Every term lands in a single dict that becomes the result, so no
+    partial sum is ever copied; a lone element with coefficient one is
+    returned as it is.  Each nonzero el must be an element of module of
+    the given degree.
+    """
+    ring = module.ring
+    normalize, add, mul = ring.normalize, ring.add, ring.mul
+    parts = []
+    for el, c in scaled:
+        if not el.terms:
+            continue
+        if el.module is not module or el.degree != degree:
+            raise ValueError("sum of elements of different modules or degrees")
+        c = normalize(c)
+        if c != 0:
+            parts.append((el, c))
+    if len(parts) == 1 and parts[0][1] == 1:
+        return parts[0][0]
+    terms = {}
+    for el, c in parts:
+        for name, v in el.terms.items():
+            if c != 1:
+                v = mul(v, c)
+            old = terms.get(name)
+            if old is None:
+                terms[name] = v
+                continue
+            v = add(old, v)
+            if v == 0:
+                del terms[name]
+            else:
+                terms[name] = v
+    return Element(module, terms, degree)
+
+
 def shift(module, n):
     """Shifted module: same names, every degree decreased by n (shift(M,1)=M[1])."""
     return GradedModule(module.ring, [(name, module.degrees[name] - n) for name in module.names])
@@ -327,11 +365,9 @@ class Complex:
         return self.module.ring
 
     def apply_d(self, el):
-        out = self.module.zero(el.degree + 1)
-        for name, c in el.items():
-            if name in self.d:
-                out = out.add(self.d[name].scale(c))
-        return out
+        d = self.d
+        return linear_combination(self.module, el.degree + 1,
+                                  ((d[n], c) for n, c in el.items() if n in d))
 
     def __repr__(self):
         return "Complex(%d basis elements)" % len(self.module.names)
@@ -359,11 +395,10 @@ class ChainMap:
         self._smod, self._tmod = smod, tmod
 
     def __call__(self, el):
-        out = self._tmod.zero(el.degree + self.degree)
-        for name, c in el.items():
-            if name in self.matrix:
-                out = out.add(self.matrix[name].scale(c))
-        return out
+        matrix = self.matrix
+        return linear_combination(
+            self._tmod, el.degree + self.degree,
+            ((matrix[n], c) for n, c in el.items() if n in matrix))
 
     def is_chain(self):
         """Whether f d_target = (-1)^deg(f) d_source f holds on the basis."""

@@ -90,19 +90,21 @@ def _splits(n, k):
 def unary_spans(t):
     """Leaf intervals (i, j) covered by each unary vertex, 0-based."""
     spans = []
-
-    def walk(sub, left):
-        if sub == LEAF:
-            return 1
-        used = 0
-        for child in sub:
-            used += walk(child, left + used)
-        if len(sub) == 1:
-            spans.append((left, left + used))
-        return used
-
-    walk(t, 0)
+    _walk_unary(t, 0, spans)
     return spans
+
+
+def _walk_unary(sub, left, spans):
+    # A module-level helper, not a closure: a closure that calls itself
+    # is a reference cycle, left for the cyclic collector on every call.
+    if sub == LEAF:
+        return 1
+    used = 0
+    for child in sub:
+        used += _walk_unary(child, left + used, spans)
+    if len(sub) == 1:
+        spans.append((left, left + used))
+    return used
 
 
 def admissible(t, gobjs, bobjs):

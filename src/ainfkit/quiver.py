@@ -7,7 +7,7 @@ The convention is the right-operator middle interchange
 block picks up the degrees of the input factors standing to its right.
 """
 
-from .graded import Element, GradedModule
+from .graded import Element, GradedModule, linear_combination
 
 
 class BoundError(Exception):
@@ -64,12 +64,10 @@ class QuiverMap:
                 self.components[pair] = clean
 
     def apply(self, X, Y, el):
-        out = self.target.hom(self.obj_map(X), self.obj_map(Y)).zero(el.degree + self.degree)
         mat = self.components.get((X, Y), {})
-        for name, c in el.items():
-            if name in mat:
-                out = out.add(mat[name].scale(c))
-        return out
+        return linear_combination(
+            self.target.hom(self.obj_map(X), self.obj_map(Y)), el.degree + self.degree,
+            ((mat[n], c) for n, c in el.items() if n in mat))
 
     def as_multiop(self, name=None):
         qm = self
@@ -419,10 +417,10 @@ def evaluate(op, objs, factors):
         if not (f.is_zero or f.module is op.source.hom(objs[i], objs[i + 1])):
             raise ValueError("factor %d not in the expected hom" % i)
     deg = sum(f.degree for f in factors) + op.degree
-    out = op.out_module(objs).zero(deg)
-    for (o, names), c in expand_tensor(op.source, objs, factors).items():
-        out = out.add(op.on_basis(o, names).scale(c))
-    return out
+    return linear_combination(
+        op.out_module(objs), deg,
+        ((op.on_basis(o, names), c)
+         for (o, names), c in expand_tensor(op.source, objs, factors).items()))
 
 
 def all_basis_tensors(quiver, length, objs_filter=None):

@@ -1,14 +1,21 @@
 """Category layer: structure checks, units, opposites, functor-level checks."""
 
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
 from ainfkit.category import (AInfCategory, b1_chain_map, check_contractible_functor,
                               check_pseudounital_functor, check_stasheff,
-                              check_strict_unit, complexes_category, dg_to_ainf,
+                              check_strict_unit, complexes_category,
+                              complexes_dg_data, dg_to_ainf,
                               hom_complex, opposite, stasheff_defect, unit_then_op,
                               verify_unit_homotopy)
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import GradedQuiver, MultiOp, QuiverMap, evaluate
 
 QQ = Ring("QQ")
+ZZ = Ring("ZZ")
 
 
 def one_object_unit():
@@ -342,3 +349,209 @@ def test_complexes_category_rejects_bad_differential():
                                       {"a": {"b": 1}, "b": {"c": 1}})})
     with pytest.raises(ValueError):
         complexes_category(QQ, {"B": ([("a", 0), ("b", 0)], {"a": {"b": 1}})})
+
+
+def test_associativity_failure_seen_only_through_the_right_bracketing():
+    # xy = 0, so (xy)z = 0, while x(yz) = xu = v
+    mod = GradedModule(QQ, [(n, 0) for n in "xyzuv"])
+    m2 = {("X", "X", "X"): {("y", "z"): mod.basis_element("u"),
+                            ("x", "u"): mod.basis_element("v")}}
+    with pytest.raises(ValueError, match=r"associativity fails on \('x', 'y', 'z'\)"):
+        dg_to_ainf({("X", "X"): mod}, {}, m2)
+
+
+def test_leibniz_failure_seen_only_through_dx_times_y():
+    # d(xy) = 0 and x.dy = 0, while dx.y = x'y = w
+    mod = GradedModule(QQ, [("x", 0), ("x'", 1), ("y", 0), ("w", 1)])
+    m1 = {("X", "X"): {"x": mod.basis_element("x'")}}
+    m2 = {("X", "X", "X"): {("x'", "y"): mod.basis_element("w")}}
+    with pytest.raises(ValueError, match=r"Leibniz rule fails on \('x', 'y'\)"):
+        dg_to_ainf({("X", "X"): mod}, m1, m2)
+
+
+def dense_dg_failures(homs, m1, m2):
+    """Every failure of the square-zero, Leibniz and associativity laws.
+
+    The reference for dg_to_ainf's sparse checks: brute-force loops over
+    every basis element, pair and triple, computing on plain
+    {name: coeff} dicts.  Returns the set of error messages.
+    """
+    mods = {pair: mod for pair, mod in homs.items() if mod.names}
+    ring = next(iter(mods.values())).ring
+
+    def lin(scaled):
+        out = {}
+        for el, c in scaled:
+            for n, v in el.items():
+                out[n] = ring.add(out.get(n, 0), ring.mul(v, c))
+        return {n: v for n, v in out.items() if v != 0}
+
+    def d(pair, x):
+        mat = m1.get(pair, {})
+        return lin((mat[n].terms, c) for n, c in x.items() if n in mat)
+
+    def mul(X, Y, Z, x, y):
+        table = m2.get((X, Y, Z), {})
+        return lin((table[(a, b)].terms, ring.mul(c1, c2))
+                   for a, c1 in x.items() for b, c2 in y.items() if (a, b) in table)
+
+    fails = set()
+    for pair, mod in mods.items():
+        for n in mod.names:
+            if d(pair, d(pair, {n: 1})):
+                fails.add("differential does not square to zero at %r" % (n,))
+    for (X, Y) in mods:
+        for (Y2, Z) in mods:
+            if Y2 != Y:
+                continue
+            for n1 in mods[(X, Y)].names:
+                x = {n1: 1}
+                for n2 in mods[(Y, Z)].names:
+                    y = {n2: 1}
+                    sign = -1 if mods[(Y, Z)].degrees[n2] % 2 else 1
+                    lhs = d((X, Z), mul(X, Y, Z, x, y))
+                    rhs = lin([(mul(X, Y, Z, x, d((Y, Z), y)), 1),
+                               (mul(X, Y, Z, d((X, Y), x), y), sign)])
+                    if lhs != rhs:
+                        fails.add("Leibniz rule fails on (%r, %r)" % (n1, n2))
+                    for (Z2, W) in mods:
+                        if Z2 != Z:
+                            continue
+                        for n3 in mods[(Z, W)].names:
+                            z = {n3: 1}
+                            left = mul(X, Z, W, mul(X, Y, Z, x, y), z)
+                            right = mul(X, Y, W, x, mul(Y, Z, W, y, z))
+                            if left != right:
+                                fails.add("associativity fails on (%r, %r, %r)"
+                                          % (n1, n2, n3))
+    return fails
+
+
+RINGS = [QQ, Ring("Fp", 2), Ring("Fp", 3), Ring("Fp", 7)]
+
+
+@st.composite
+def damaged_dg_data(draw):
+    """DG data of a small complexes category, with at most one entry damaged.
+
+    Every damage changes its entry and keeps it well typed: it scales,
+    drops or adds a term to one m1 or m2 entry, or gives a zero product
+    a nonzero value.
+    """
+    ring = draw(st.sampled_from(RINGS))
+    coeffs = [1, -1, 2, 3] + ([Fraction(1, 2)] if ring.kind == "QQ" else [])
+    coeffs = sorted({ring.normalize(c) for c in coeffs} - {0})
+    spec = {}
+    objects = draw(st.sampled_from([["M"], ["M", "N"]]))
+    for obj in objects:
+        # a two-term complex a -> b, plus a free generator on one object
+        low = draw(st.integers(0, 1))
+        basis = [(obj + "a", low), (obj + "b", low + 1)]
+        c = draw(st.sampled_from(coeffs + [0]))
+        diff = {obj + "a": {obj + "b": c}} if c else {}
+        if len(objects) == 1 and draw(st.booleans()):
+            basis.append((obj + "c", draw(st.integers(0, 2))))
+        spec[obj] = (basis, diff)
+    _, homs, m1, m2, _ = complexes_dg_data(ring, spec)
+    m1 = {pair: {n: el for n, el in mat.items() if not el.is_zero}
+          for pair, mat in m1.items()}
+    m1 = {pair: mat for pair, mat in m1.items() if mat}
+    m2 = {key: dict(table) for key, table in m2.items()}
+    where = draw(st.sampled_from(["none", "m1", "m2", "zero product"]))
+    if where == "m1" and m1:
+        pair = draw(st.sampled_from(sorted(m1, key=repr)))
+        _damage(draw, m1[pair], homs[pair], coeffs)
+    elif where in ("m1", "m2"):
+        key = draw(st.sampled_from(sorted(m2, key=repr)))
+        _damage(draw, m2[key], homs[(key[0], key[2])], coeffs)
+    elif where == "zero product":
+        X, Y, Z = key = draw(st.sampled_from(sorted(m2, key=repr)))
+        mod = homs[(X, Z)]
+        free = [(a, b) for a in homs[(X, Y)].names for b in homs[(Y, Z)].names
+                if (a, b) not in m2[key] and mod.basis_of_degree(
+                    homs[(X, Y)].degrees[a] + homs[(Y, Z)].degrees[b])]
+        assume(free)
+        a, b = draw(st.sampled_from(free))
+        deg = homs[(X, Y)].degrees[a] + homs[(Y, Z)].degrees[b]
+        name = draw(st.sampled_from(mod.basis_of_degree(deg)))
+        m2[key][(a, b)] = mod.basis_element(name, draw(st.sampled_from(coeffs)))
+    return homs, m1, m2
+
+
+def _damage(draw, entries, mod, coeffs):
+    """Change one nonzero entry of a table by scaling, dropping or adding."""
+    key = draw(st.sampled_from(sorted(entries, key=repr)))
+    el = entries[key]
+    how = draw(st.sampled_from(["scale", "drop", "add"] if len(coeffs) > 1
+                               else ["drop", "add"]))
+    if how == "scale":
+        entries[key] = el.scale(draw(st.sampled_from([c for c in coeffs if c != 1])))
+    elif how == "drop":
+        entries[key] = mod.zero(el.degree)
+    else:
+        name = draw(st.sampled_from(mod.basis_of_degree(el.degree)))
+        entries[key] = el.add(mod.basis_element(name, draw(st.sampled_from(coeffs))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(damaged_dg_data())
+def test_dg_to_ainf_agrees_with_dense_oracle(data):
+    homs, m1, m2 = data
+    fails = dense_dg_failures(homs, m1, m2)
+    if fails:
+        with pytest.raises(ValueError) as err:
+            dg_to_ainf(homs, m1, m2)
+        assert str(err.value) in fails
+    else:
+        dg_to_ainf(homs, m1, m2)
+
+
+def _validation_cases():
+    """Each input check of the category layer: (call, message it raises)."""
+    A, other = path3(), path3()
+    bare = AInfCategory(A.quiver, {}, 2, name="bare")
+    # one object with b1(a) = b, so a is not a cycle
+    mod = GradedModule(QQ, [("a", -1), ("b", 0)])
+    q = GradedQuiver(QQ, ["X"], {("X", "X"): mod})
+    b1 = MultiOp(q, q, 1, 1, table={(("X", "X"), ("a",)): mod.basis_element("b")})
+    zmod = GradedModule(ZZ, [("e", 0)])
+    Z = dg_to_ainf({("X", "X"): zmod}, {},
+                   {("X", "X", "X"): {("e", "e"): zmod.basis_element("e")}},
+                   units={"X": "e"}, name="pointZZ")
+    over_zz = StubFunctor(Z, Z, {"X": "X"}, None)
+    return {
+        "arity range": (lambda: AInfCategory(A.quiver, {2: A.b(2)}, 1),
+                        "outside declared arity range"),
+        "op arity": (lambda: AInfCategory(A.quiver, {1: A.b(2)}, 2),
+                     "must have arity 1"),
+        "op quiver": (lambda: AInfCategory(A.quiver, {2: other.b(2)}, 2),
+                      "not on this quiver"),
+        "unit degree": (lambda: AInfCategory(A.quiver, {}, 2,
+                                             units={0: A.hom(0, 0).zero(-1)}),
+                        "nonzero degree -1"),
+        "unit module": (lambda: AInfCategory(
+            A.quiver, {}, 2, units={0: A.hom(1, 1).basis_element("e1")}),
+            "endomorphism module"),
+        "unit cycle": (lambda: AInfCategory(q, {1: b1}, 1,
+                                            units={"X": mod.basis_element("a")}),
+                       "not a cycle"),
+        "no homs": (lambda: dg_to_ainf({("X", "X"): GradedModule(QQ, [])}, {}, {}),
+                    "no nonzero hom modules"),
+        "strict unit b2": (lambda: check_strict_unit(bare), "arity-2 operation"),
+        "unit homotopy b2": (lambda: verify_unit_homotopy(bare, None, None),
+                             "arity-2 operation"),
+        "contractible field": (lambda: check_contractible_functor(over_zz),
+                               "field coefficients"),
+        "pseudounital field": (lambda: check_pseudounital_functor(over_zz),
+                               "field coefficients"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "arity range", "op arity", "op quiver", "unit degree", "unit module",
+    "unit cycle", "no homs", "strict unit b2", "unit homotopy b2",
+    "contractible field", "pseudounital field"])
+def test_category_validation_raises(case):
+    call, message = _validation_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
