@@ -19,13 +19,14 @@ computation.
 """
 
 from .category import AInfCategory
-from .freecat import LEAF
-from .functors import AInfFunctor, check_functor, strict_functor
-from .graded import GradedModule
-from .homquot import _embed, _root_split
+from .functors import (AInfFunctor, check_functor, resolve_at_root,
+                       strict_functor)
+from .graded import GradedModule, linear_combination
+from .homquot import PartialHomotopy
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap, evaluate,
                      insert, run_stages)
 from .report import Report
+from .trees import LEAF, embed_leaf
 
 
 def _word_degree(gen, gobjs, gnames):
@@ -54,8 +55,11 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
     ring = gen.ring
     bobjs = frozenset(bobjs)
     for X in bobjs:
-        assert X in gen.objects, "subcategory object %r unknown" % (X,)
-    assert word_bound >= 1
+        if X not in gen.objects:
+            raise ValueError("subcategory object %r unknown" % (X,))
+    if word_bound < 1:
+        raise ValueError("the word bound must be at least 1, got %r"
+                         % (word_bound,))
 
     rows = {}
     level = []
@@ -144,29 +148,6 @@ def word_embedding(D, name=None):
     return strict_functor(C, D, lambda X: X, images, name=name or "words")
 
 
-class PartialContraction:
-    """Degree -1 endomap defined on words with one letter of room."""
-
-    def __init__(self, D, matrices):
-        self.D = D
-        self.matrices = matrices
-        self.degree = -1
-
-    def apply(self, X, Y, el):
-        if (X, Y) not in self.matrices:
-            raise ValueError("no contraction at (%r, %r): neither endpoint "
-                             "is marked" % (X, Y))
-        mat = self.matrices[(X, Y)]
-        out = self.D.hom(X, Y).zero(el.degree - 1)
-        for nm, c in el.items():
-            if nm not in mat:
-                raise BoundError("contracting %r needs %d letters, bound "
-                                 "is %d" % (nm, len(nm[1]) + 1,
-                                            self.D.word_bound))
-            out = out.add(mat[nm].scale(c))
-        return out
-
-
 def unit_contraction(D):
     """Contracting homotopies on the hom complexes touching the marked set.
 
@@ -181,7 +162,8 @@ def unit_contraction(D):
     """
     C = D.base
     ring = C.quiver.ring
-    assert D.word_bound >= 2, "contractions need room for two-letter words"
+    if D.word_bound < 2:
+        raise ValueError("contractions need room for two-letter words")
     b2 = D.b(2)
     doubled = {}
     for X in D.bobjs:
@@ -212,7 +194,7 @@ def unit_contraction(D):
                      for un, uc in C.units[Y].items()},
                     mod.degree(nm) - 1)
         matrices[(X, Y)] = mat
-    return PartialContraction(D, matrices)
+    return PartialHomotopy(D, matrices)
 
 
 def check_contraction(D, chi):
@@ -259,9 +241,12 @@ def comparison_map(D, Q):
     an overall minus.
     """
     C = D.base
-    assert Q.base is C, "the two quotients must share a base"
-    assert frozenset(Q.bobjs) == D.bobjs, "the marked subcategories differ"
-    assert Q.leaf_bound >= D.word_bound, "the tree bound is too small"
+    if Q.base is not C:
+        raise ValueError("the two quotients must share a base")
+    if frozenset(Q.bobjs) != D.bobjs:
+        raise ValueError("the marked subcategories differ")
+    if Q.leaf_bound < D.word_bound:
+        raise ValueError("the tree bound is too small")
     gen = C.quiver
     memo = {}
 
@@ -272,21 +257,22 @@ def comparison_map(D, Q):
         n = len(gnames)
         X, Y = gobjs[0], gobjs[-1]
         if n == 1:
-            out = _embed(Q.quiver, (X, Y),
-                         gen.hom(X, Y).basis_element(gnames[0]))
+            out = embed_leaf(Q.quiver, (X, Y),
+                             gen.hom(X, Y).basis_element(gnames[0]))
         else:
-            out = Q.hom(X, Y).zero(_word_degree(gen, gobjs, gnames))
+            seams = []
             for k in range(1, n):
                 tail = value((gobjs[k:], gnames[k:]))
                 capped = evaluate(Q.homotopy, (gobjs[k], Y), (tail,))
                 heads = tuple(
-                    _embed(Q.quiver, (gobjs[i], gobjs[i + 1]),
-                           gen.hom(gobjs[i], gobjs[i + 1])
-                           .basis_element(gnames[i]))
+                    embed_leaf(Q.quiver, (gobjs[i], gobjs[i + 1]),
+                               gen.hom(gobjs[i], gobjs[i + 1])
+                               .basis_element(gnames[i]))
                     for i in range(k))
-                out = out.add(evaluate(Q.b(k + 1), gobjs[:k + 1] + (Y,),
-                                       heads + (capped,)))
-            out = out.scale(-1)
+                seams.append((evaluate(Q.b(k + 1), gobjs[:k + 1] + (Y,),
+                                       heads + (capped,)), -1))
+            out = linear_combination(
+                Q.hom(X, Y), _word_degree(gen, gobjs, gnames), seams)
         memo[nm] = out
         return out
 
@@ -295,16 +281,6 @@ def comparison_map(D, Q):
         components[pair] = {nm: value(nm)
                             for nm in D.quiver.hom(*pair).names}
     return QuiverMap(D.quiver, Q.quiver, 0, components)
-
-
-def _groupings(total):
-    """Ordered tuples of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    for head in range(1, total + 1):
-        for rest in _groupings(total - head):
-            yield (head,) + rest
 
 
 def extend_functor(f, Q, chi, extras=None, name=None):
@@ -322,14 +298,13 @@ def extend_functor(f, Q, chi, extras=None, name=None):
     whose grafting is invertible.
     """
     C, A = f.source, f.target
-    assert Q.base is C, "the quotient does not sit over the functor's source"
-    gen = C.quiver
-    ring = gen.ring
+    if Q.base is not C:
+        raise ValueError("the quotient does not sit over the functor's source")
     omap = f.obj_map
     f1 = f.component(1)
-    assert f1 is not None, "the functor needs an arrow component"
+    if f1 is None:
+        raise ValueError("the functor needs an arrow component")
     applied = chi.apply if hasattr(chi, "apply") else chi
-    memo = {}
 
     def higher(m, robjs, rnames):
         if extras and m in extras:
@@ -342,56 +317,17 @@ def extend_functor(f, Q, chi, extras=None, name=None):
                      for i in range(m))
         return A.hom(omap(robjs[0]), omap(robjs[-1])).zero(degree)
 
-    def arrow(nm):
-        if nm in memo:
-            return memo[nm]
-        t, gobjs, gnames = nm
-        X, Y = gobjs[0], gobjs[-1]
+    def arrow(objs, names):
+        t, gobjs, gnames = nm = names[0]
         if t == LEAF:
-            out = f1.on_basis((X, Y), (gnames[0],))
-        elif len(t) == 1:
-            out = applied(omap(X), omap(Y), arrow((t[0], gobjs, gnames)))
-        else:
-            k, chain, fnames, eps = _root_split(gen, nm)
-            degree = Q.quiver.degree(X, Y, nm)
-            total = A.hom(omap(X), omap(Y)).zero(degree)
-            for parts in _groupings(k):
-                vals = []
-                seam = [omap(chain[0])]
-                pos = 0
-                for i in parts:
-                    if i == 1:
-                        vals.append(arrow(fnames[pos]))
-                    else:
-                        vals.append(higher(i, chain[pos:pos + i + 1],
-                                           fnames[pos:pos + i]))
-                    pos += i
-                    seam.append(omap(chain[pos]))
-                op = A.b(len(parts))
-                if op is None or any(v.is_zero for v in vals):
-                    continue
-                total = total.add(evaluate(op, tuple(seam), tuple(vals)))
-            base = {(chain, fnames): ring.one}
-            for a in range(k):
-                for q in range(1, k - a + 1):
-                    c = k - a - q
-                    if a == 0 and c == 0:
-                        continue
-                    bq = Q.b(q)
-                    if bq is None:
-                        continue
-                    state = run_stages([insert(bq, a, c)], base)
-                    for (robjs, rnames), cc in state.items():
-                        v = higher(len(rnames), robjs, rnames)
-                        if not v.is_zero:
-                            total = total.sub(v.scale(cc))
-            out = total.scale(eps)
-        memo[nm] = out
-        return out
+            return f1.on_basis(objs, gnames)
+        if len(t) == 1:
+            inner = fext.component(1).on_basis(objs, ((t[0], gobjs, gnames),))
+            return applied(omap(objs[0]), omap(objs[1]), inner)
+        return resolve_at_root(fext, nm)
 
     tag = name or (f.name + ".ext")
-    comps = {1: MultiOp(Q.quiver, A.quiver, 1, 0,
-                        rule=lambda objs, names: arrow(names[0]),
+    comps = {1: MultiOp(Q.quiver, A.quiver, 1, 0, rule=arrow,
                         lmap=omap, rmap=omap, name=tag + "1")}
     tops = set(extras or ())
     tops.update(m for m in f.components if m > 1)
@@ -400,7 +336,8 @@ def extend_functor(f, Q, chi, extras=None, name=None):
                            rule=lambda objs, names, m=m: higher(
                                m, tuple(objs), tuple(names)),
                            lmap=omap, rmap=omap, name="%s%d" % (tag, m))
-    return AInfFunctor(Q, A, omap, comps, name=tag)
+    fext = AInfFunctor(Q, A, omap, comps, name=tag)
+    return fext
 
 
 def check_comparison(D, Q, samples=30, seed=0):

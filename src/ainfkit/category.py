@@ -122,16 +122,18 @@ def stasheff_defect(A, k, objs, names):
     base = {(objs, names): q.ring.one}
     deg = sum(q.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 2
     pair = (objs[0], objs[-1])
-    total = q.hom(*pair).zero(deg)
-    for a in range(k):
-        for m in range(1, k - a + 1):
-            c = k - a - m
-            inner, outer = A.b(m), A.b(a + 1 + c)
-            if inner is None or outer is None:
-                continue
-            state = run_stages([insert(inner, a, c), insert(outer, 0, 0)], base)
-            total = total.add(state_element(q, state, pair, deg))
-    return total
+
+    def terms():
+        for a in range(k):
+            for m in range(1, k - a + 1):
+                c = k - a - m
+                inner, outer = A.b(m), A.b(a + 1 + c)
+                if inner is None or outer is None:
+                    continue
+                state = run_stages([insert(inner, a, c), insert(outer, 0, 0)], base)
+                yield state_element(q, state, pair, deg), 1
+
+    return linear_combination(q.hom(*pair), deg, terms())
 
 
 def sampled_check(A, k, samples, rng, defect_fn):

@@ -8,129 +8,37 @@ basis element is by definition the value of its own vertex pipeline on
 its leaves, so all signs come out of the stage engine and none are
 stored with the basis.
 
+A free category is the tree category of homquot with no marked objects:
+nothing is adjoined, so no unary vertex is admissible, and the tree
+helpers are the shared ones of the trees module.
+
 Everything is truncated by a leaf bound.  An operation that would need
 more leaves than the bound raises BoundError rather than dropping terms.
 """
 
-import itertools
-
 from .category import AInfCategory
-from .functors import AInfFunctor, Coderivation, strict_functor, theta_value
-from .graded import GradedModule
-from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap, Stage,
-                     all_basis_tensors, evaluate, insert, run_stages,
-                     state_element)
+from .functors import (AInfFunctor, Coderivation, resolve_at_root,
+                       strict_functor, theta_value)
+from .graded import GradedModule, linear_combination
+from .homquot import composite_defect, tree_category
+from .quiver import (GradedQuiver, MultiOp, QuiverMap, all_basis_tensors,
+                     evaluate)
 from .report import Report
-
-LEAF = ()
+# leaf_count, vertex_count and ordered_ops are re-exported for callers.
+from .trees import (LEAF, leaf_count, tree_pipeline, tree_shapes,
+                    tree_stages as ordered_ops, vertex_count)
 
 
 def corolla(k):
     """One internal vertex with k leaves directly attached."""
-    assert k >= 2
+    if k < 2:
+        raise ValueError("a corolla needs at least two leaves, got %r" % (k,))
     return (LEAF,) * k
-
-
-def leaf_count(t):
-    if t == LEAF:
-        return 1
-    return sum(leaf_count(s) for s in t)
-
-
-def vertex_count(t):
-    if t == LEAF:
-        return 0
-    return 1 + sum(vertex_count(s) for s in t)
-
-
-_TREES = {1: (LEAF,)}
-
-
-def _positive_splits(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _positive_splits(n - first, k - 1):
-            yield (first,) + rest
 
 
 def trees_with_leaf_count(n):
     """All planar rooted trees with n leaves, inner valence at least two."""
-    if n not in _TREES:
-        out = []
-        for k in range(2, n + 1):
-            for parts in _positive_splits(n, k):
-                subs = [trees_with_leaf_count(p) for p in parts]
-                out.extend(itertools.product(*subs))
-        _TREES[n] = tuple(out)
-    return _TREES[n]
-
-
-def ordered_ops(t):
-    """The vertices of a tree as (offset, arity) pairs, children first.
-
-    Feeding these to the engine in order, each acting at its offset in
-    the shrinking tensor, rebuilds the tree element from its leaves.
-    """
-    ops = []
-
-    def walk(sub, left):
-        if sub == LEAF:
-            return
-        pos = left
-        for child in sub:
-            walk(child, pos)
-            pos += 1
-        ops.append((left, len(sub)))
-
-    walk(t, 0)
-    return ops
-
-
-def _name_degree(gen, tree, gobjs, gnames):
-    flat = sum(gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
-               for i in range(len(gnames)))
-    return flat + vertex_count(tree)
-
-
-def _root_split(gen, label):
-    """Split a tree name at the root.
-
-    Returns the root arity, the chain of junction objects, the names of
-    the subtree factors, and the sign the engine produces when the root
-    grafting rebuilds the name from those factors.
-    """
-    t, gobjs, gnames = label
-    k = len(t)
-    chain = [gobjs[0]]
-    fnames = []
-    pos = 0
-    for sub in t:
-        ln = leaf_count(sub)
-        fnames.append((sub, tuple(gobjs[pos:pos + ln + 1]),
-                       tuple(gnames[pos:pos + ln])))
-        pos += ln
-        chain.append(gobjs[pos])
-    par = 0
-    left = 0
-    pos = 0
-    for j, sub in enumerate(t):
-        ln = leaf_count(sub)
-        raw = sum(gen.degree(gobjs[pos + i], gobjs[pos + i + 1], gnames[pos + i])
-                  for i in range(ln))
-        if j:
-            par += left * raw
-        left += vertex_count(sub)
-        pos += ln
-    eps = -1 if par % 2 else 1
-    return k, tuple(chain), tuple(fnames), eps
-
-
-def _embed(squiver, pair, el):
-    """A generator-level element as a combination of one-leaf names."""
-    terms = {(LEAF, pair, (nm,)): c for nm, c in el.items()}
-    return squiver.hom(*pair).element(terms, el.degree)
+    return tree_shapes(n, unary=False)
 
 
 def free_category(gen, d1=None, leaf_bound=3, name=None):
@@ -139,91 +47,19 @@ def free_category(gen, d1=None, leaf_bound=3, name=None):
     gen is the generating quiver of shifted arrows, d1 an optional
     square-zero degree +1 operation on it.  Basis names are triples
     (tree, objects, arrow names); one-leaf names are the generators
-    themselves and carry d1 as their differential.
+    themselves and carry d1 as their differential.  This is the tree
+    category over (gen, d1) with no marked objects.
     """
-    assert leaf_bound >= 1
-    ring = gen.ring
+    base = AInfCategory(gen, {} if d1 is None else {1: d1}, 1, name="gen")
     if d1 is not None:
-        assert d1.arity == 1 and d1.degree == 1
-        assert d1.source is gen and d1.target is gen
         for X, Y in gen.pairs():
             for nm in gen.hom(X, Y).names:
                 img = d1.on_basis((X, Y), (nm,))
                 if not evaluate(d1, (X, Y), (img,)).is_zero:
                     raise ValueError("generator differential does not square to zero")
-
-    basis = {}
-    for n in range(1, leaf_bound + 1):
-        trees = trees_with_leaf_count(n)
-        for gobjs, gnames in all_basis_tensors(gen, n):
-            pair = (gobjs[0], gobjs[-1])
-            for t in trees:
-                label = (t, gobjs, gnames)
-                basis.setdefault(pair, []).append(
-                    (label, _name_degree(gen, t, gobjs, gnames)))
-    homs = {pair: GradedModule(ring, rows) for pair, rows in basis.items()}
-    squiver = GradedQuiver(ring, list(gen.objects), homs)
-
-    ops = {}
-
-    def graft_rule(objs, names, k):
-        total = sum(len(nm[2]) for nm in names)
-        if total > leaf_bound:
-            raise BoundError("grafting %d leaves exceeds the bound %d"
-                             % (total, leaf_bound))
-        tree = tuple(nm[0] for nm in names)
-        gobjs = names[0][1]
-        gnames = names[0][2]
-        for nm in names[1:]:
-            gobjs = gobjs + nm[1][1:]
-            gnames = gnames + nm[2]
-        par = 0
-        left = 0
-        for j in range(k):
-            raw = squiver.degree(objs[j], objs[j + 1], names[j]) \
-                - vertex_count(names[j][0])
-            if j:
-                par += left * raw
-            left += vertex_count(names[j][0])
-        return squiver.hom(objs[0], objs[-1]).basis_element(
-            (tree, gobjs, gnames), -1 if par % 2 else 1)
-
-    def b1_rule(objs, names):
-        label = names[0]
-        t = label[0]
-        X, Y = objs
-        if t == LEAF:
-            if d1 is None:
-                return squiver.hom(X, Y).zero(squiver.degree(X, Y, label) + 1)
-            img = d1.on_basis((X, Y), (label[2][0],))
-            return _embed(squiver, (X, Y), img)
-        k, chain, fnames, eps = _root_split(gen, label)
-        base = {(chain, fnames): ring.one}
-        degree = squiver.degree(X, Y, label) + 1
-        total = squiver.hom(X, Y).zero(degree)
-        for a in range(k):
-            for q in range(1, k - a + 1):
-                c = k - a - q
-                if a == 0 and c == 0:
-                    continue
-                state = run_stages([insert(ops[q], a, c),
-                                    insert(ops[a + 1 + c], 0, 0)], base)
-                total = total.add(state_element(squiver, state, (X, Y), degree))
-        return total.scale(-eps)
-
-    ops[1] = MultiOp(squiver, squiver, 1, 1, rule=b1_rule, name="free_b1")
-    for k in range(2, leaf_bound + 1):
-        ops[k] = MultiOp(squiver, squiver, k, 1,
-                         rule=lambda objs, names, k=k: graft_rule(objs, names, k),
-                         name="graft%d" % k)
-
-    F = AInfCategory(squiver, ops, leaf_bound,
-                     size_of=lambda X, Y, nm: len(nm[2]),
-                     size_bound=leaf_bound,
-                     name=name or "free")
+    F = tree_category(base, (), leaf_bound, name=name or "free")
     F.gen = gen
     F.gen_d1 = d1
-    F.leaf_bound = leaf_bound
     return F
 
 
@@ -244,41 +80,13 @@ def trivial_embedding(F):
     return QuiverMap(gen, F.quiver, 0, comps)
 
 
-def tree_pipeline(A, tree, objs, names, order=None):
-    """Evaluate the vertices of a tree through a category's operations.
-
-    order defaults to the canonical children-first traversal; any other
-    (offset, arity) schedule of the same tree evaluates an alternative
-    bracketing.  Missing operations make the result zero.
-    """
-    q = A.quiver
-    schedule = ordered_ops(tree) if order is None else list(order)
-    degree = sum(q.degree(objs[i], objs[i + 1], names[i])
-                 for i in range(len(names))) + vertex_count(tree)
-    pair = (objs[0], objs[-1])
-    width = len(names)
-    stages = []
-    for off, k in schedule:
-        op = A.b(k)
-        if op is None:
-            return q.hom(*pair).zero(degree)
-        stages.append(insert(op, off, width - off - k))
-        width -= k - 1
-    state = run_stages(stages, {(tuple(objs), tuple(names)): q.ring.one})
-    return state_element(q, state, pair, degree)
-
-
 def normal_form(D, F, X, Y, el):
     """Rewrite a free element as the matching composite of the generating
     category; the relation generators of structure_relations go to zero."""
-    out = D.hom(X, Y).zero(el.degree)
-    for label, c in el.items():
-        t, gobjs, gnames = label
-        if t == LEAF:
-            out = out.add(D.hom(X, Y).basis_element(gnames[0], c))
-        else:
-            out = out.add(tree_pipeline(D, t, gobjs, gnames).scale(c))
-    return out
+    mod = D.hom(X, Y)
+    return linear_combination(mod, el.degree, (
+        (mod.basis_element(label[2][0]) if label[0] == LEAF
+         else tree_pipeline(D, *label), c) for label, c in el.items()))
 
 
 def normal_form_map(D, F):
@@ -291,25 +99,8 @@ def normal_form_map(D, F):
     return QuiverMap(F.quiver, D.quiver, 0, comps)
 
 
-def delta_op(D, F, n):
-    """Arity-n relation: the pure corolla minus the embedded operation."""
-    assert F.gen is D.quiver
-    assert 2 <= n <= F.leaf_bound
-    emb = trivial_embedding(F)
-
-    def rule(objs, names):
-        gq = D.quiver
-        factors = [emb.apply(objs[i], objs[i + 1],
-                             gq.hom(objs[i], objs[i + 1]).basis_element(names[i]))
-                   for i in range(n)]
-        out = evaluate(F.b(n), objs, factors)
-        op = D.b(n)
-        if op is not None:
-            pair = (objs[0], objs[-1])
-            out = out.sub(_embed(F.quiver, pair, op.on_basis(objs, names)))
-        return out
-
-    return MultiOp(D.quiver, F.quiver, n, 1, rule=rule, name="delta%d" % n)
+# The arity-n relation: the pure corolla minus the embedded operation.
+delta_op = composite_defect
 
 
 def structure_relations(D, F, name="R"):
@@ -380,25 +171,25 @@ def _bounded_chains(F, length, budget, start=None, end=None):
                   ([end] if end is not None else list(F.objects))):
             yield (X,), (), 0
         return
-    starts = [start] if start is not None else list(F.objects)
+    for X0 in ([start] if start is not None else list(F.objects)):
+        yield from _chains_from(F, (X0,), (), 0, length, budget, end)
 
-    def walk(objs, names, used):
-        if len(names) == length:
-            if end is None or objs[-1] == end:
-                yield objs, names, used
-            return
-        slack = length - len(names) - 1
-        X = objs[-1]
-        for Y in F.objects:
-            for nm in F.hom(X, Y).names:
-                take = len(nm[2])
-                if used + take + slack <= budget:
-                    for row in walk(objs + (Y,), names + (nm,), used + take):
-                        yield row
 
-    for X0 in starts:
-        for row in walk((X0,), (), 0):
-            yield row
+def _chains_from(F, objs, names, used, length, budget, end):
+    # A module-level walker, not a closure that calls itself (a reference
+    # cycle per call).
+    if len(names) == length:
+        if end is None or objs[-1] == end:
+            yield objs, names, used
+        return
+    slack = length - len(names) - 1
+    X = objs[-1]
+    for Y in F.objects:
+        for nm in F.hom(X, Y).names:
+            take = len(nm[2])
+            if used + take + slack <= budget:
+                yield from _chains_from(F, objs + (Y,), names + (nm,),
+                                        used + take, length, budget, end)
 
 
 def _saturate(F, generators):
@@ -406,7 +197,8 @@ def _saturate(F, generators):
     one marked slot, arbitrary basis elements elsewhere, within the leaf
     bound.  Returns reduced rows keyed by (pair, degree)."""
     ring = F.quiver.ring
-    assert ring.is_field, "relation spans need field coefficients"
+    if not ring.is_field:
+        raise ValueError("relation spans need field coefficients")
     rows = {}
     work = []
 
@@ -422,24 +214,12 @@ def _saturate(F, generators):
     while work:
         X, Y, degree, vec = work.pop()
         el = F.hom(X, Y).element(dict(vec), degree)
-        lv = max(len(nm[2]) for nm in vec)
-        budget = F.leaf_bound - lv
-        if budget < 1:
-            continue
+        budget = F.leaf_bound - max(len(nm[2]) for nm in vec)
         for k in range(2, min(F.max_arity, budget + 1) + 1):
-            for slot in range(k):
-                for lobjs, lnames, lu in _bounded_chains(F, slot, budget, end=X):
-                    for robjs, rnames, _ in _bounded_chains(
-                            F, k - 1 - slot, budget - lu, start=Y):
-                        factors = [F.hom(lobjs[i], lobjs[i + 1]).basis_element(lnames[i])
-                                   for i in range(slot)]
-                        factors.append(el)
-                        factors.extend(
-                            F.hom(robjs[i], robjs[i + 1]).basis_element(rnames[i])
-                            for i in range(k - 1 - slot))
-                        w = evaluate(F.b(k), lobjs + robjs, factors)
-                        if not w.is_zero:
-                            push(lobjs[0], robjs[-1], w.degree, dict(w.items()))
+            for objs, factors in _mixed_tensors(F, k, X, Y, el, budget):
+                w = evaluate(F.b(k), objs, factors)
+                if not w.is_zero:
+                    push(objs[0], objs[-1], w.degree, dict(w.items()))
     return rows
 
 
@@ -506,7 +286,8 @@ def quotient(F, R, name=None):
     with the same labels.  Operations act on representatives and reduce.
     Returns the quotient category and the strict projection functor.
     """
-    assert R.category is F
+    if R.category is not F:
+        raise ValueError("the relation span lives in another category")
     ring = F.quiver.ring
     dead = {}
     for (pair, _), bucket in R.rows().items():
@@ -577,87 +358,35 @@ def extend_functor(F, A, gen_images, higher=None, name="f"):
     satisfies check_functor.
     """
     gen = F.gen
-    qa, qb = F.quiver, A.quiver
-    assert gen_images.source is gen and gen_images.target is qb
-    assert gen_images.degree == 0
+    if gen_images.source is not gen or gen_images.target is not A.quiver:
+        raise ValueError("generator images must map the generating quiver "
+                         "into the target")
+    if gen_images.degree != 0:
+        raise ValueError("generator images must have degree 0")
     _check_gen_chain(F, A, gen_images)
-    higher = dict(higher or {})
     omap = gen_images.obj_map
-    comps = {}
 
     def f1_rule(objs, names):
         label = names[0]
-        t, gobjs, gnames = label
+        if label[0] != LEAF:
+            return resolve_at_root(f, label)
         X, Y = objs
-        pair = (omap(X), omap(Y))
-        out_degree = qa.degree(X, Y, label)
-        if t == LEAF:
-            return gen_images.apply(X, Y, gen.hom(X, Y).basis_element(gnames[0]))
-        k, chain, fnames, eps = _root_split(gen, label)
-        base = {(chain, fnames): qa.ring.one}
-        total = qb.hom(*pair).zero(out_degree)
-        for blocks in _block_splits(comps, k):
-            outer = A.b(len(blocks))
-            if outer is None:
-                continue
-            state = run_stages([Stage(qa, [("op", op) for op in blocks]),
-                                insert(outer, 0, 0)], base)
-            total = total.add(state_element(qb, state, pair, out_degree))
-        for a in range(k):
-            for q in range(1, k - a + 1):
-                c = k - a - q
-                if a == 0 and c == 0:
-                    continue
-                fout = comps.get(a + 1 + c)
-                if fout is None:
-                    continue
-                state = run_stages([insert(F.b(q), a, c),
-                                    insert(fout, 0, 0)], base)
-                total = total.sub(state_element(qb, state, pair, out_degree))
-        return total.scale(eps)
+        return gen_images.apply(X, Y, gen.hom(X, Y).basis_element(label[2][0]))
 
-    comps[1] = MultiOp(qa, qb, 1, 0, rule=f1_rule,
-                       lmap=omap, rmap=omap, name=name + "1")
+    comps = {1: MultiOp(F.quiver, A.quiver, 1, 0, rule=f1_rule,
+                        lmap=omap, rmap=omap, name=name + "1")}
+    comps.update(_higher_components(higher, 0))
+    f = AInfFunctor(F, A, omap, comps, name=name)
+    return f
+
+
+def _higher_components(higher, degree):
+    higher = dict(higher or {})
     for n, op in higher.items():
-        assert n >= 2 and op.arity == n and op.degree == 0
-        comps[n] = op
-    return AInfFunctor(F, A, omap, comps, name=name)
-
-
-def _block_splits(comps, total):
-    """Tuples of stored components whose arities sum to the total."""
-    if total == 0:
-        yield ()
-        return
-    for i in range(1, total + 1):
-        op = comps.get(i)
-        if op is None:
-            continue
-        for rest in _block_splits(comps, total - i):
-            yield (op,) + rest
-
-
-def _strict_tail(r, k, objs, names):
-    """Source operations fed into the stored higher components.  The one
-    term that would contain the unknown arity-one component is left out."""
-    F = r.cat_source
-    qa, qb = F.quiver, r.cat_target.quiver
-    base = {(tuple(objs), tuple(names)): qa.ring.one}
-    degree = sum(qa.degree(objs[i], objs[i + 1], names[i])
-                 for i in range(k)) + r.degree + 1
-    pair = (r.source.obj_map(objs[0]), r.target.obj_map(objs[-1]))
-    total = qb.hom(*pair).zero(degree)
-    for a in range(k):
-        for q in range(1, k - a + 1):
-            c = k - a - q
-            if a == 0 and c == 0:
-                continue
-            rout = r.component(a + 1 + c)
-            if rout is None:
-                continue
-            state = run_stages([insert(F.b(q), a, c), insert(rout, 0, 0)], base)
-            total = total.add(state_element(qb, state, pair, degree))
-    return total
+        if n < 2 or op.arity != n or op.degree != degree:
+            raise ValueError("component %r must have arity %r >= 2 and "
+                             "degree %r" % (op, n, degree))
+    return higher
 
 
 def _extend_over_trees(phi, psi, degree, part0, part1, higher, rhs, name):
@@ -669,52 +398,49 @@ def _extend_over_trees(phi, psi, degree, part0, part1, higher, rhs, name):
         b_root(u1) = (-1)^deg(u) (insertion sum - sum of rhs) - tail.
     """
     F = phi.source
-    assert psi.source is F
+    if psi.source is not F:
+        raise ValueError("the two functors start at different categories")
     gen = F.gen
     qa, qb = F.quiver, phi.target.quiver
-    part0 = dict(part0 or {})
     part1 = {pair: dict(mat) for pair, mat in (part1 or {}).items()}
-    higher = dict(higher or {})
     for (X, Y), mat in part1.items():
         want = qb.hom(phi.obj_map(X), psi.obj_map(Y))
         for gname, el in mat.items():
-            assert el.module is want
-            assert el.degree == gen.degree(X, Y, gname) + degree
-    hole = []
+            if el.module is not want or el.degree != gen.degree(X, Y, gname) + degree:
+                raise ValueError("value on %r has the wrong hom or degree"
+                                 % (gname,))
+    for _, beta in rhs:
+        if beta is not None and (beta.source is not phi or beta.target is not psi
+                                 or beta.degree != degree + 1):
+            raise ValueError("%r must go from the source to the target "
+                             "functor with degree %d" % (beta, degree + 1))
     sgn = -1 if degree % 2 else 1
+
+    def head(k, objs, names):
+        acc = theta_value([r], k, objs, names)
+        for s, beta in rhs:
+            if beta is not None:
+                term = beta.component_value(k, objs, names)
+                acc = acc.sub(term) if s > 0 else acc.add(term)
+        return acc.scale(sgn)
 
     def u1_rule(objs, names):
         label = names[0]
-        t = label[0]
+        if label[0] != LEAF:
+            return resolve_at_root(r, label, head)
         X, Y = objs
-        pair = (phi.obj_map(X), psi.obj_map(Y))
-        out_degree = qa.degree(X, Y, label) + degree
-        if t == LEAF:
-            mat = part1.get((X, Y))
-            el = mat.get(label[2][0]) if mat else None
-            if el is None:
-                return qb.hom(*pair).zero(out_degree)
-            return el
-        r = hole[0]
-        k, chain, fnames, eps = _root_split(gen, label)
-        acc = theta_value([r], k, chain, fnames)
-        for s, beta in rhs:
-            if beta is None:
-                continue
-            term = beta.component_value(k, chain, fnames)
-            acc = acc.sub(term) if s > 0 else acc.add(term)
-        acc = acc.scale(sgn).sub(_strict_tail(r, k, chain, fnames))
-        return acc.scale(eps)
+        el = part1.get((X, Y), {}).get(label[2][0])
+        if el is None:
+            return qb.hom(phi.obj_map(X), psi.obj_map(Y)).zero(
+                qa.degree(X, Y, label) + degree)
+        return el
 
     comps = {1: MultiOp(qa, qb, 1, degree, rule=u1_rule,
                         lmap=phi.obj_map, rmap=psi.obj_map, name=name + "1")}
-    for n, op in higher.items():
-        assert n >= 2 and op.arity == n and op.degree == degree
-        comps[n] = op
-    bound = max([F.max_arity] + list(higher))
-    r = Coderivation(phi, psi, degree, comps, r0=part0,
+    comps.update(_higher_components(higher, degree))
+    bound = max([F.max_arity] + list(comps))
+    r = Coderivation(phi, psi, degree, comps, r0=dict(part0 or {}),
                      arity_bound=bound, name=name)
-    hole.append(r)
     return r
 
 
@@ -729,9 +455,6 @@ def extend_transformation(phi, psi, degree, part0=None, part1=None,
     solved from that condition one root at a time, so the data determine
     the whole coderivation.
     """
-    if image_d is not None:
-        assert image_d.source is phi and image_d.target is psi
-        assert image_d.degree == degree + 1
     return _extend_over_trees(phi, psi, degree, part0, part1, higher,
                               [(1, image_d)], name)
 
@@ -744,13 +467,24 @@ def extend_homotopy(phi, psi, degree, target, part0=None, part1=None,
     result h satisfies d(h) = target - image_d componentwise on tree
     names (image_d again optional).
     """
-    assert target.source is phi and target.target is psi
-    assert target.degree == degree + 1
-    if image_d is not None:
-        assert image_d.source is phi and image_d.target is psi
-        assert image_d.degree == degree + 1
     return _extend_over_trees(phi, psi, degree, part0, part1, higher,
                               [(1, target), (-1, image_d)], name)
+
+
+def _mixed_tensors(F, k, X, Y, el, budget):
+    """Tensors of k factors: el, from X to Y, in one slot and basis names
+    using at most budget leaves in the others.  Yields (objects, factors)."""
+    for slot in range(k):
+        for lobjs, lnames, lu in _bounded_chains(F, slot, budget, end=X):
+            for robjs, rnames, _ in _bounded_chains(
+                    F, k - 1 - slot, budget - lu, start=Y):
+                factors = [F.hom(lobjs[i], lobjs[i + 1]).basis_element(lnames[i])
+                           for i in range(slot)]
+                factors.append(el)
+                factors.extend(
+                    F.hom(robjs[i], robjs[i + 1]).basis_element(rnames[i])
+                    for i in range(k - 1 - slot))
+                yield lobjs + robjs, factors
 
 
 def _mixed_slot_count(op, k, R):
@@ -759,41 +493,32 @@ def _mixed_slot_count(op, k, R):
     F = R.category
     bad = 0
     tried = 0
-    for (pair, degree), bucket in R.rows().items():
-        X, Y = pair
-        for pivot, row in bucket.items():
+    for ((X, Y), degree), bucket in R.rows().items():
+        for row in bucket.values():
             el = F.hom(X, Y).element(dict(row), degree)
-            lv = max(len(nm[2]) for nm in row)
-            budget = F.leaf_bound - lv
-            for slot in range(k):
-                for lobjs, lnames, lu in _bounded_chains(F, slot, budget, end=X):
-                    for robjs, rnames, _ in _bounded_chains(
-                            F, k - 1 - slot, budget - lu, start=Y):
-                        factors = [F.hom(lobjs[i], lobjs[i + 1]).basis_element(lnames[i])
-                                   for i in range(slot)]
-                        factors.append(el)
-                        factors.extend(
-                            F.hom(robjs[i], robjs[i + 1]).basis_element(rnames[i])
-                            for i in range(k - 1 - slot))
-                        tried += 1
-                        if not evaluate(op, lobjs + robjs, factors).is_zero:
-                            bad += 1
+            budget = F.leaf_bound - max(len(nm[2]) for nm in row)
+            for objs, factors in _mixed_tensors(F, k, X, Y, el, budget):
+                tried += 1
+                if not evaluate(op, objs, factors).is_zero:
+                    bad += 1
     return bad, tried
 
 
 def check_factorizes(f, R):
-    """Whether a functor on the free category kills a relation span: the
-    span under the arity-one component, and mixed tensors with one span
-    slot under every higher component."""
-    assert R.category is f.source
+    """Whether a functor, or coderivation data, on the free category kills
+    a relation span: the span under the arity-one component, and mixed
+    tensors with one span slot under every higher component."""
+    source = f.cat_source if isinstance(f, Coderivation) else f.source
+    if R.category is not source:
+        raise ValueError("the relation span lives in another category")
     rep = Report("%s kills %s" % (f.name, R.name))
-    F = f.source
+    rows = R.span_elements()
     f1 = f.component(1)
     bad = 0
-    rows = R.span_elements()
-    for X, Y, el in rows:
-        if not evaluate(f1, (X, Y), (el,)).is_zero:
-            bad += 1
+    if f1 is not None:
+        for X, Y, el in rows:
+            if not evaluate(f1, (X, Y), (el,)).is_zero:
+                bad += 1
     rep.add("span under arity 1", bad == 0,
             "%d of %d rows nonzero" % (bad, len(rows)))
     for k in sorted(f.components):
@@ -805,26 +530,7 @@ def check_factorizes(f, R):
     return rep
 
 
-def check_descends(r, R):
-    """Same two conditions as check_factorizes, for coderivation data."""
-    assert R.category is r.cat_source
-    rep = Report("%s kills %s" % (r.name, R.name))
-    rows = R.span_elements()
-    c1 = r.component(1)
-    bad = 0
-    if c1 is not None:
-        for X, Y, el in rows:
-            if not evaluate(c1, (X, Y), (el,)).is_zero:
-                bad += 1
-    rep.add("span under arity 1", bad == 0,
-            "%d of %d rows nonzero" % (bad, len(rows)))
-    for k in sorted(r.components):
-        if k == 1:
-            continue
-        bad, tried = _mixed_slot_count(r.component(k), k, R)
-        rep.add("arity %02d mixed slots" % k, bad == 0,
-                "%d of %d tensors nonzero" % (bad, tried))
-    return rep
+check_descends = check_factorizes
 
 
 def induce_functor(f, E, name=None):

@@ -11,9 +11,11 @@ import itertools
 import random
 
 from .category import add_sampled_line, sampled_check
+from .graded import linear_combination
 from .quiver import (MultiOp, QuiverMap, Stage, all_basis_tensors, evaluate,
                      insert, run_stages, state_element)
 from .report import Report
+from .trees import root_split
 
 
 class AInfFunctor:
@@ -70,7 +72,7 @@ def _functor_blocks(f, a):
         yield ()
         return
     for i in range(1, a + 1):
-        op = f.component(i)
+        op = f.components.get(i)
         if op is None:
             continue
         for rest in _functor_blocks(f, a - i):
@@ -100,23 +102,38 @@ def functor_defect(f, k, objs, names):
     base = {(tuple(objs), tuple(names)): qa.ring.one}
     degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 1
     pair = (f.obj_map(objs[0]), f.obj_map(objs[-1]))
-    total = B.quiver.hom(*pair).zero(degree)
+    return linear_combination(B.quiver.hom(*pair), degree, itertools.chain(
+        _blocks_into(f, B.b, k, base, B.quiver, pair, degree),
+        _inner_ops(A, f.component, k, base, B.quiver, pair, degree, -1)))
+
+
+def _blocks_into(f, outer, k, base, target, pair, degree, sign=1):
+    """Blocks of f's components covering k inputs, each tuple of blocks
+    fed into outer(number of blocks) when that is not None; yields
+    (value, sign) pairs for linear_combination."""
     for blocks in _functor_blocks(f, k):
-        outer = B.b(len(blocks))
-        if outer is None:
+        op = outer(len(blocks))
+        if op is not None:
+            st = Stage(f.source.quiver, [("op", b) for b in blocks])
+            state = run_stages([st, insert(op, 0, 0)], base)
+            yield state_element(target, state, pair, degree), sign
+
+
+def _inner_ops(A, component, k, base, target, pair, degree, sign=1,
+               root=True):
+    """A's operations on one segment of k inputs, each fed into the
+    stored component of the remaining arity m (component(m), None for
+    zero); yields (value, sign) pairs for linear_combination.  With root
+    off, the segment of all k inputs, fed into the arity-one component,
+    is left out."""
+    for m in range(1 if root else 2, k + 1):
+        comp, bq = component(m), A.b(k - m + 1)
+        if comp is None or bq is None:
             continue
-        st = Stage(qa, [("op", op) for op in blocks])
-        state = run_stages([st, insert(outer, 0, 0)], base)
-        total = total.add(state_element(B.quiver, state, pair, degree))
-    for a in range(k):
-        for q in range(1, k - a + 1):
-            c = k - a - q
-            bq, fout = A.b(q), f.component(a + 1 + c)
-            if bq is None or fout is None:
-                continue
-            state = run_stages([insert(bq, a, c), insert(fout, 0, 0)], base)
-            total = total.sub(state_element(B.quiver, state, pair, degree))
-    return total
+        for a in range(m):
+            state = run_stages([insert(bq, a, m - 1 - a), insert(comp, 0, 0)],
+                               base)
+            yield state_element(target, state, pair, degree), sign
 
 
 def check_functor(f, arity_bound=None, samples=30, seed=0):
@@ -155,15 +172,9 @@ def compose_functors(f, g, name=None):
             base = {(tuple(objs), tuple(names)): qa.ring.one}
             degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(n))
             pair = (omap(objs[0]), omap(objs[-1]))
-            total = g.target.quiver.hom(*pair).zero(degree)
-            for blocks in _functor_blocks(f, n):
-                gl = g.component(len(blocks))
-                if gl is None:
-                    continue
-                st = Stage(qa, [("op", op) for op in blocks])
-                state = run_stages([st, insert(gl, 0, 0)], base)
-                total = total.add(state_element(g.target.quiver, state, pair, degree))
-            return total
+            qb = g.target.quiver
+            return linear_combination(qb.hom(*pair), degree, _blocks_into(
+                f, g.component, n, base, qb, pair, degree))
 
         comps[n] = MultiOp(f.source.quiver, g.target.quiver, n, 0, rule=rule,
                            lmap=omap, rmap=omap, name="(%s%s)%d" % (f.name, g.name, n))
@@ -287,16 +298,39 @@ def _commutator_tail(r, k, objs, names):
     base = {(tuple(objs), tuple(names)): qa.ring.one}
     degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + r.degree + 1
     pair = (r.source.obj_map(objs[0]), r.target.obj_map(objs[-1]))
-    total = qb.hom(*pair).zero(degree)
-    for a in range(k):
-        for q in range(1, k - a + 1):
-            c = k - a - q
-            bq, rout = A.b(q), r.component(a + 1 + c)
-            if bq is None or rout is None:
-                continue
-            state = run_stages([insert(bq, a, c), insert(rout, 0, 0)], base)
-            total = total.add(state_element(qb, state, pair, degree))
-    return total
+    return linear_combination(qb.hom(*pair), degree, _inner_ops(
+        A, r.component, k, base, qb, pair, degree))
+
+
+def resolve_at_root(f, label, head=None):
+    """The arity-one value of a functor or coderivation on a grafted tree
+    name, solved from its equation at the root.
+
+    The name is eps times the root operation on its factors (see
+    trees.root_split), and on the factors the equation holds the unknown
+    only in its root term, the arity-one component after the root
+    operation.  So the value is eps times head minus the source
+    operations fed into the stored components, that term left out.
+    head(k, objs, names) is the rest of the equation on the factors; for
+    a functor it defaults to the component blocks fed into a target
+    operation.  The source must be a tree category over a base.
+    """
+    if isinstance(f, Coderivation):
+        A, B = f.cat_source, f.cat_target
+        lmap, rmap, shift = f.source.obj_map, f.target.obj_map, f.degree
+    else:
+        A, B = f.source, f.target
+        lmap = rmap = f.obj_map
+        shift = 0
+    k, chain, fnames, eps = root_split(A.base.quiver, label)
+    base = {(chain, fnames): A.quiver.ring.one}
+    pair = (lmap(chain[0]), rmap(chain[-1]))
+    degree = A.quiver.degree(chain[0], chain[-1], label) + shift
+    given = (_blocks_into(f, B.b, k, base, B.quiver, pair, degree, eps)
+             if head is None else [(head(k, chain, fnames), eps)])
+    return linear_combination(B.quiver.hom(*pair), degree, itertools.chain(
+        given, _inner_ops(A, f.component, k, base, B.quiver, pair, degree,
+                          -eps, root=False)))
 
 
 def b1_value(r, k, objs, names):
@@ -305,39 +339,12 @@ def b1_value(r, k, objs, names):
     First the placement sum: functor matrix elements of the source and
     target functors around one component of r (the 0-th component enters
     as a fixed-element block at the junction object), followed by one
-    target operation.  Then minus (-1)^deg(r) times the source-side sum.
+    target operation; this is the insertion sum of r alone.  Then minus
+    (-1)^deg(r) times the source-side sum.
     """
-    f, g = r.source, r.target
-    A, B = r.cat_source, r.cat_target
-    qa, qb = A.quiver, B.quiver
-    base = {(tuple(objs), tuple(names)): qa.ring.one}
-    degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + r.degree + 1
-    pair = (f.obj_map(objs[0]), g.obj_map(objs[-1]))
-    total = qb.hom(*pair).zero(degree)
-    for a in range(k + 1):
-        for q in range(k - a + 1):
-            c = k - a - q
-            if q == 0:
-                X = objs[a]
-                el = r.component0(X)
-                if el.is_zero:
-                    continue
-                mid = ("el", el, (f.obj_map(X), g.obj_map(X)))
-            else:
-                op = r.component(q)
-                if op is None:
-                    continue
-                mid = ("op", op)
-            for fb in _functor_blocks(f, a):
-                for gb in _functor_blocks(g, c):
-                    outer = B.b(len(fb) + 1 + len(gb))
-                    if outer is None:
-                        continue
-                    blocks = [("op", x) for x in fb] + [mid] + [("op", x) for x in gb]
-                    state = run_stages([Stage(qa, blocks), insert(outer, 0, 0)], base)
-                    total = total.add(state_element(qb, state, pair, degree))
     flip = -1 if r.degree % 2 == 0 else 1
-    return total.add(_commutator_tail(r, k, objs, names).scale(flip))
+    return theta_value([r], k, objs, names).add(
+        _commutator_tail(r, k, objs, names).scale(flip))
 
 
 def B1(r):
@@ -382,7 +389,7 @@ def theta_value(rs, k, objs, names, chain=None):
     degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) \
         + sum(r.degree for r in rs) + 1
     pair = (chain[0].obj_map(objs[0]), chain[-1].obj_map(objs[-1]))
-    total = qb.hom(*pair).zero(degree)
+    parts = []
     for split in _compositions(k, 2 * n + 1):
         fas = split[0::2]
         ps = split[1::2]
@@ -418,8 +425,8 @@ def theta_value(rs, k, objs, names, chain=None):
                 blocks.append(mids[i])
             blocks.extend(("op", op) for op in fblocks[n])
             state = run_stages([Stage(qa, blocks), insert(outer, 0, 0)], base)
-            total = total.add(state_element(qb, state, pair, degree))
-    return total
+            parts.append((state_element(qb, state, pair, degree), 1))
+    return linear_combination(qb.hom(*pair), degree, parts)
 
 
 def Bn(rs, category=None, arity_bound=None, name=None):

@@ -7,7 +7,9 @@ unary vertex is only allowed where one end of its strand lies in the
 chosen subcategory.  Two flavours are built from the same data: the big
 category on all such trees, and the reduced one spanned by trees whose
 top vertices are all unary, where an operation on purely trivial inputs
-contracts to the underlying category's operation.
+contracts to the underlying category's operation.  With no chosen
+objects nothing is adjoined and no unary vertex is admissible: the big
+category is then the free category of freecat.
 
 The second half of the module is the calculus of formal operations
 (unary homotopies, higher operations, unit insertions) acting on the
@@ -18,37 +20,20 @@ pipeline, and a formal term carries a canonical schedule, so any other
 schedule of the same term is compared through its engine sign.
 """
 
-import itertools
 import random
 
 from .category import AInfCategory, opposite, unit_then_op
-from .freecat import LEAF
 from .functors import strict_functor
-from .graded import GradedModule
+from .graded import GradedModule, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      all_basis_tensors, evaluate, insert, run_stages,
                      state_element, unit_stage)
 from .report import Report
+from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
+                    tree_pipeline, tree_shapes, tree_stages, unary_count,
+                    vertex_count, wide_count)
 
 _CAP = "cap"
-
-
-def leaf_count(t):
-    if t == LEAF:
-        return 1
-    return sum(leaf_count(s) for s in t)
-
-
-def unary_count(t):
-    if t == LEAF:
-        return 0
-    return (1 if len(t) == 1 else 0) + sum(unary_count(s) for s in t)
-
-
-def wide_count(t):
-    if t == LEAF:
-        return 0
-    return (1 if len(t) > 1 else 0) + sum(wide_count(s) for s in t)
 
 
 def valid_tree(t):
@@ -58,33 +43,6 @@ def valid_tree(t):
     if len(t) == 1 and t[0] != LEAF and len(t[0]) == 1:
         return False
     return all(valid_tree(s) for s in t)
-
-
-_SHAPES = {}
-
-
-def tree_shapes(n):
-    """All valid trees with n leaves."""
-    if n not in _SHAPES:
-        wide = []
-        for k in range(2, n + 1):
-            for parts in _splits(n, k):
-                subs = [tree_shapes(p) for p in parts]
-                wide.extend(itertools.product(*subs))
-        base = ([LEAF] if n == 1 else []) + wide
-        out = list(base)
-        out.extend((t,) for t in base)
-        _SHAPES[n] = tuple(out)
-    return _SHAPES[n]
-
-
-def _splits(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _splits(n - first, k - 1):
-            yield (first,) + rest
 
 
 def unary_spans(t):
@@ -124,75 +82,20 @@ def reduced_tree(t):
     return all(reduced_tree(s) for s in t)
 
 
-def tree_stages(t):
-    """Postorder (offset, arity) schedule; arity one is the homotopy."""
-    stages = []
-
-    def walk(sub, left):
-        if sub == LEAF:
-            return
-        pos = left
-        for child in sub:
-            walk(child, pos)
-            pos += 1
-        stages.append((left, len(sub)))
-
-    walk(t, 0)
-    return stages
-
-
 def path_flags(t):
     """For each postorder stage, whether its vertex sees the last leaf."""
     flags = []
-
-    def walk(sub, on_path):
-        if sub == LEAF:
-            return
-        for i, child in enumerate(sub):
-            walk(child, on_path and i == len(sub) - 1)
-        flags.append(on_path)
-
-    walk(t, True)
+    _walk_path(t, True, flags)
     return flags
 
 
-def _name_degree(gen, t, gobjs, gnames):
-    flat = sum(gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
-               for i in range(len(gnames)))
-    return flat + wide_count(t) - unary_count(t)
-
-
-def _embed(squiver, pair, el):
-    terms = {(LEAF, pair, (nm,)): c for nm, c in el.items()}
-    return squiver.hom(*pair).element(terms, el.degree)
-
-
-def _root_split(gen, label):
-    """Root arity, junction chain, factor names, and the engine sign of
-    the root grafting that rebuilds the name from its factors."""
-    t, gobjs, gnames = label
-    chain = [gobjs[0]]
-    fnames = []
-    pos = 0
-    for sub in t:
-        ln = leaf_count(sub)
-        fnames.append((sub, tuple(gobjs[pos:pos + ln + 1]),
-                       tuple(gnames[pos:pos + ln])))
-        pos += ln
-        chain.append(gobjs[pos])
-    par = 0
-    left = 0
-    pos = 0
-    for j, sub in enumerate(t):
-        ln = leaf_count(sub)
-        raw = sum(gen.degree(gobjs[pos + i], gobjs[pos + i + 1], gnames[pos + i])
-                  for i in range(ln))
-        if j:
-            par += left * raw
-        left += unary_count(sub) + wide_count(sub)
-        pos += ln
-    eps = -1 if par % 2 else 1
-    return len(t), tuple(chain), tuple(fnames), eps
+def _walk_path(sub, on_path, flags):
+    if sub == LEAF:
+        return
+    last = len(sub) - 1
+    for i, child in enumerate(sub):
+        _walk_path(child, on_path and i == last, flags)
+    flags.append(on_path)
 
 
 def _build(C, bobjs, leaf_bound, reduced, name):
@@ -200,18 +103,25 @@ def _build(C, bobjs, leaf_bound, reduced, name):
     ring = gen.ring
     bobjs = frozenset(bobjs)
     for X in bobjs:
-        assert X in gen.objects, "subcategory object %r unknown" % (X,)
+        if X not in gen.objects:
+            raise ValueError("subcategory object %r unknown" % (X,))
+    if leaf_bound < 1:
+        raise ValueError("the leaf bound must be at least 1, got %r"
+                         % (leaf_bound,))
 
+    # With no marked object no unary vertex is admissible: enumerate the
+    # shapes without them rather than filter them out.
+    unary = bool(bobjs)
     basis = {}
     for n in range(1, leaf_bound + 1):
-        shapes = [t for t in tree_shapes(n) if not reduced or reduced_tree(t)]
+        shapes = [t for t in tree_shapes(n, unary) if not reduced or reduced_tree(t)]
         for gobjs, gnames in all_basis_tensors(gen, n):
             pair = (gobjs[0], gobjs[-1])
             for t in shapes:
-                if not admissible(t, gobjs, bobjs):
+                if unary and not admissible(t, gobjs, bobjs):
                     continue
                 basis.setdefault(pair, []).append(
-                    ((t, gobjs, gnames), _name_degree(gen, t, gobjs, gnames)))
+                    ((t, gobjs, gnames), name_degree(gen, t, gobjs, gnames)))
     homs = {pair: GradedModule(ring, rows) for pair, rows in basis.items()}
     squiver = GradedQuiver(ring, list(gen.objects), homs)
 
@@ -223,29 +133,29 @@ def _build(C, bobjs, leaf_bound, reduced, name):
             raise BoundError("grafting %d leaves exceeds the bound %d"
                              % (total, leaf_bound))
         pair = (objs[0], objs[-1])
-        degree = sum(squiver.degree(objs[i], objs[i + 1], names[i])
-                     for i in range(k)) + 1
         if reduced and all(nm[0] == LEAF for nm in names):
             inner = C.b(k)
             if inner is None:
+                degree = sum(squiver.degree(objs[i], objs[i + 1], names[i])
+                             for i in range(k)) + 1
                 return squiver.hom(*pair).zero(degree)
             val = inner.on_basis(objs, tuple(nm[2][0] for nm in names))
-            return _embed(squiver, pair, val)
+            return embed_leaf(squiver, pair, val)
         tree = tuple(nm[0] for nm in names)
         gobjs = names[0][1]
         gnames = names[0][2]
         for nm in names[1:]:
             gobjs = gobjs + nm[1][1:]
             gnames = gnames + nm[2]
+        # A factor's leaf degrees are its degree minus its operations
+        # plus its unary vertices: the parity of degree minus vertices.
         par = 0
         left = 0
         for j in range(k):
-            sub = names[j][0]
-            raw = squiver.degree(objs[j], objs[j + 1], names[j]) \
-                - wide_count(sub) + unary_count(sub)
+            vc = vertex_count(names[j][0])
             if j:
-                par += left * raw
-            left += unary_count(sub) + wide_count(sub)
+                par += left * (squiver.degree(objs[j], objs[j + 1], names[j]) - vc)
+            left += vc
         return squiver.hom(*pair).basis_element(
             (tree, gobjs, gnames), -1 if par % 2 else 1)
 
@@ -271,25 +181,26 @@ def _build(C, bobjs, leaf_bound, reduced, name):
             inner = C.b(1)
             if inner is None:
                 return squiver.hom(X, Y).zero(degree)
-            return _embed(squiver, (X, Y),
-                          inner.on_basis((X, Y), (label[2][0],)))
+            return embed_leaf(squiver, (X, Y),
+                              inner.on_basis((X, Y), (label[2][0],)))
         if len(t) == 1:
             inner_label = (t[0], label[1], label[2])
             inner = squiver.hom(X, Y).basis_element(inner_label)
             db = ops[1].on_basis((X, Y), (inner_label,))
             return inner.sub(evaluate(hop, (X, Y), (db,)))
-        k, chain, fnames, eps = _root_split(gen, label)
+        k, chain, fnames, eps = root_split(gen, label)
         base = {(chain, fnames): ring.one}
-        total = squiver.hom(X, Y).zero(degree)
-        for a in range(k):
-            for q in range(1, k - a + 1):
-                c = k - a - q
-                if a == 0 and c == 0:
-                    continue
-                state = run_stages([insert(ops[q], a, c),
-                                    insert(ops[a + 1 + c], 0, 0)], base)
-                total = total.add(state_element(squiver, state, (X, Y), degree))
-        return total.scale(-eps)
+
+        def terms():
+            for a in range(k):
+                for q in range(1, k - a + 1):
+                    c = k - a - q
+                    if a or c:
+                        state = run_stages([insert(ops[q], a, c),
+                                            insert(ops[a + 1 + c], 0, 0)], base)
+                        yield state_element(squiver, state, (X, Y), degree), -eps
+
+        return linear_combination(squiver.hom(X, Y), degree, terms())
 
     ops[1] = MultiOp(squiver, squiver, 1, 1, rule=b1_rule, name="tree_b1")
     for k in range(2, leaf_bound + 1):
@@ -297,7 +208,7 @@ def _build(C, bobjs, leaf_bound, reduced, name):
                          rule=lambda objs, names, k=k: graft_rule(objs, names, k),
                          name="tree_b%d" % k)
 
-    units = {X: _embed(squiver, (X, X), u) for X, u in C.units.items()}
+    units = {X: embed_leaf(squiver, (X, X), u) for X, u in C.units.items()}
     A = AInfCategory(squiver, ops, leaf_bound, units=units or None,
                      size_of=lambda X, Y, nm: len(nm[2]),
                      size_bound=leaf_bound, name=name)
@@ -310,7 +221,12 @@ def _build(C, bobjs, leaf_bound, reduced, name):
 
 
 def tree_category(C, bobjs, leaf_bound=3, name=None):
-    """The category of all admissible tree elements over C."""
+    """The category of all admissible tree elements over C.
+
+    With no marked objects this is the free category on C's quiver and
+    differential (see freecat.free_category): no unary vertex is
+    admissible, so the names are the trees of operations alone.
+    """
     return _build(C, bobjs, leaf_bound, False, name or (C.name + ".trees"))
 
 
@@ -326,35 +242,28 @@ def tree_value(A, t, gobjs, gnames):
     On names of the category itself this returns the basis element; on
     the reduced category a non-reduced tree contracts to its image.
     """
-    q = A.quiver
     names = tuple((LEAF, (gobjs[i], gobjs[i + 1]), (gnames[i],))
                   for i in range(len(gnames)))
-    degree = _name_degree(A.base.quiver, t, gobjs, gnames)
-    pair = (gobjs[0], gobjs[-1])
-    width = len(gnames)
-    stages = []
-    for off, k in tree_stages(t):
-        op = A.homotopy if k == 1 else A.b(k)
-        stages.append(insert(op, off, width - off - k))
-        width -= k - 1
-    state = run_stages(stages, {(tuple(gobjs), names): q.ring.one})
-    return state_element(q, state, pair, degree)
+    return tree_pipeline(A, t, gobjs, names)
 
 
 def composite_defect(C, A, n):
     """Arity-n operation on trivial inputs minus the embedded operation
     of C; the images span what the reduced category divides out."""
-    assert A.base is C and 2 <= n <= A.leaf_bound
+    if A.base.quiver is not C.quiver:
+        raise ValueError("the tree category is not over %s" % C.name)
+    if not 2 <= n <= A.leaf_bound:
+        raise ValueError("arity %r outside 2..%d" % (n, A.leaf_bound))
 
     def rule(objs, names):
-        factors = [_embed(A.quiver, (objs[i], objs[i + 1]),
-                          C.quiver.hom(objs[i], objs[i + 1]).basis_element(names[i]))
+        factors = [embed_leaf(A.quiver, (objs[i], objs[i + 1]),
+                              C.quiver.hom(objs[i], objs[i + 1]).basis_element(names[i]))
                    for i in range(n)]
         out = evaluate(A.b(n), objs, factors)
         op = C.b(n)
         if op is not None:
-            out = out.sub(_embed(A.quiver, (objs[0], objs[-1]),
-                                 op.on_basis(objs, names)))
+            out = out.sub(embed_leaf(A.quiver, (objs[0], objs[-1]),
+                                     op.on_basis(objs, names)))
         return out
 
     return MultiOp(C.quiver, A.quiver, n, 1, rule=rule, name="defect%d" % n)
@@ -363,7 +272,8 @@ def composite_defect(C, A, n):
 def projection_functor(E, D, name="pi"):
     """The strict functor from the full tree category onto the reduced
     one, evaluating every tree through the reduced operations."""
-    assert E.base is D.base and E.leaf_bound == D.leaf_bound
+    if E.base is not D.base or E.leaf_bound != D.leaf_bound:
+        raise ValueError("the two tree categories differ in base or bound")
     images = {}
     for pair in E.quiver.pairs():
         images[pair] = {nm: tree_value(D, *nm) for nm in E.hom(*pair).names}
@@ -561,9 +471,12 @@ class OperadTerm:
     def basis(cls, ring, tree, gobjs, caps=(), coeff=1):
         caps = frozenset(caps)
         gobjs = tuple(gobjs)
-        assert len(gobjs) == leaf_count(tree) + 1
+        if len(gobjs) != leaf_count(tree) + 1:
+            raise ValueError("a tree with %d leaves needs %d objects"
+                             % (leaf_count(tree), leaf_count(tree) + 1))
         for i in caps:
-            assert gobjs[i] == gobjs[i + 1], "capped strand must be a loop"
+            if gobjs[i] != gobjs[i + 1]:
+                raise ValueError("capped strand must be a loop")
         return cls(ring, {(tree, gobjs, caps): coeff})
 
     @property
@@ -657,7 +570,8 @@ def unit_derivation(term):
     ring = term.ring
     pieces = []
     for (tree, gobjs, caps), coeff in term.data.items():
-        assert not caps, "the unit derivation acts on cap-free terms"
+        if caps:
+            raise ValueError("the unit derivation acts on cap-free terms")
         stages = term_stages(tree, caps)
         flags = path_flags(tree)
         width = leaf_count(tree)
@@ -686,8 +600,8 @@ def compose_terms(inner, outer, slot):
         for (to, go, co), cout in outer.data.items():
             uncapped = [i for i in range(leaf_count(to)) if i not in co]
             pos = uncapped[slot]
-            assert (go[pos], go[pos + 1]) == (gi[0], gi[-1]), \
-                "slot objects do not match"
+            if (go[pos], go[pos + 1]) != (gi[0], gi[-1]):
+                raise ValueError("slot objects do not match")
             shifted = [(off + slot, ar) for off, ar in term_stages(ti, ci)]
             # the inner schedule runs first, closing its strands to one
             # at position slot; the outer schedule then applies verbatim
@@ -706,7 +620,8 @@ def unit_conjugation(term):
     total = OperadTerm(ring)
     for key, coeff in term.data.items():
         tree, gobjs, caps = key
-        assert not caps, "conjugation acts on cap-free terms"
+        if caps:
+            raise ValueError("conjugation acts on cap-free terms")
         one = OperadTerm(ring, {key: coeff})
         lam_out = OperadTerm.basis(ring, (LEAF, LEAF),
                                    (gobjs[0], gobjs[-1], gobjs[-1]), caps=(1,))
@@ -725,33 +640,41 @@ def term_value(A, term, objs, names):
     the underlying operations on ineligible homotopies and bound
     escapes.  The term must be nonzero; sum values termwise otherwise.
     """
-    q = A.quiver
-    assert not term.is_zero, "cannot infer the output of an empty term"
-    out = None
+    if term.is_zero:
+        raise ValueError("cannot infer the output of an empty term")
+    parts = []
     for (tree, gobjs, caps), coeff in term.data.items():
         n = leaf_count(tree) - len(caps)
-        assert n == len(names)
-        cap_list = sorted(caps)
-        ncap = 0
-        width = n
-        stages = []
-        for off, ar in term_stages(tree, caps):
-            if ar == 0:
-                Z = gobjs[cap_list[ncap]]
-                ncap += 1
-                u = _embed(q, (Z, Z), A.base.units[Z])
-                stages.append(unit_stage(q, u, (Z, Z), off, width - off))
-                width += 1
-                continue
-            op = A.homotopy if ar == 1 else A.b(ar)
-            stages.append(insert(op, off, width - off - ar))
-            width -= ar - 1
-        deg = sum(q.degree(objs[i], objs[i + 1], names[i]) for i in range(n)) \
+        if n != len(names):
+            raise ValueError("the term takes %d inputs, got %d" % (n, len(names)))
+        deg = sum(A.quiver.degree(objs[i], objs[i + 1], names[i]) for i in range(n)) \
             + term_degree((tree, gobjs, caps))
-        state = run_stages(stages, {(tuple(objs), tuple(names)): q.ring.one})
-        val = state_element(q, state, (objs[0], objs[-1]), deg).scale(coeff)
-        out = val if out is None else out.add(val)
-    return out
+        val = _capped_value(A, term_stages(tree, caps),
+                            [gobjs[i] for i in sorted(caps)], objs, names, deg)
+        parts.append((val, coeff))
+    return linear_combination(A.hom(objs[0], objs[-1]), deg, parts)
+
+
+def _capped_value(A, schedule, cap_objs, objs, names, degree):
+    """Run a schedule on a basis tensor of a tree category: arity 0
+    inserts the embedded base unit at the next of cap_objs, arity 1 is
+    the homotopy, higher arities are operations."""
+    q = A.quiver
+    caps = iter(cap_objs)
+    width = len(names)
+    stages = []
+    for off, ar in schedule:
+        if ar == 0:
+            Z = next(caps)
+            u = embed_leaf(q, (Z, Z), A.base.units[Z])
+            stages.append(unit_stage(q, u, (Z, Z), off, width - off))
+            width += 1
+            continue
+        op = A.homotopy if ar == 1 else A.b(ar)
+        stages.append(insert(op, off, width - off - ar))
+        width -= ar - 1
+    state = run_stages(stages, {(tuple(objs), tuple(names)): q.ring.one})
+    return state_element(q, state, (objs[0], objs[-1]), degree)
 
 
 def random_term(C, bobjs, rng, leaf_bound=3, with_caps=False):
@@ -924,7 +847,13 @@ def check_action_chain(E, samples=40, seed=0):
 
 
 class PartialHomotopy:
-    """Degree -1 endomap defined on names with one spare leaf of room."""
+    """Degree -1 endomap of a truncated category, stored per pair on the
+    names with room for one more leaf or letter under the size bound.
+
+    Serves the unit homotopies here and the unit contraction of the word
+    model.  apply raises ValueError at a pair it has no matrix for and
+    BoundError on a name without a stored value.
+    """
 
     def __init__(self, A, matrices):
         self.A = A
@@ -932,15 +861,17 @@ class PartialHomotopy:
         self.degree = -1
 
     def apply(self, X, Y, el):
-        out = self.A.hom(X, Y).zero(el.degree - 1)
-        mat = self.matrices.get((X, Y), {})
-        for nm, c in el.items():
+        mat = self.matrices.get((X, Y))
+        if mat is None:
+            raise ValueError("no value at (%r, %r): neither endpoint is "
+                             "marked" % (X, Y))
+        for nm, _ in el.items():
             if nm not in mat:
-                raise BoundError("homotopy value for %r needs %d leaves, "
-                                 "bound is %d" % (nm, len(nm[2]) + 1,
-                                                  self.A.leaf_bound))
-            out = out.add(mat[nm].scale(c))
-        return out
+                raise BoundError("the value on %r needs size %d, bound is %d"
+                                 % (nm, self.A.size_of(X, Y, nm) + 1,
+                                    self.A.size_bound))
+        return linear_combination(self.A.hom(X, Y), el.degree - 1,
+                                  ((mat[nm], c) for nm, c in el.items()))
 
 
 def unit_homotopy(D):
@@ -951,7 +882,8 @@ def unit_homotopy(D):
     derivation, and evaluates back in the category.  Only names with a
     spare leaf under the bound have values; trivial trees go to zero.
     """
-    assert D.units, "the unit homotopy needs distinguished units"
+    if not D.units:
+        raise ValueError("the unit homotopy needs distinguished units")
     matrices = {}
     for pair in D.quiver.pairs():
         mat = {}
@@ -964,41 +896,25 @@ def unit_homotopy(D):
 
 
 def _homotopy_value(D, t, gobjs, gnames):
-    q = D.quiver
-    pair = (gobjs[0], gobjs[-1])
     Y = gobjs[-1]
-    out = q.hom(*pair).zero(_name_degree(D.base.quiver, t, gobjs, gnames) - 1)
-    if t == LEAF:
-        return out
+    degree = name_degree(D.base.quiver, t, gobjs, gnames) - 1
     stages = tree_stages(t)
     flags = path_flags(t)
-    unit = _embed(q, (Y, Y), D.base.units[Y])
     seed = tuple((LEAF, (gobjs[i], gobjs[i + 1]), (gnames[i],))
                  for i in range(len(gnames)))
+    parts = []
     for m, (off, ar) in enumerate(stages):
         if not flags[m]:
             continue
         below = sum(1 for j in range(m + 1, len(stages)) if flags[j])
-        coeff = 1 if below % 2 else -1
         if ar == 1:
-            schedule = stages[:m] + [(off, 1), (off + 1, 0), (off, 2),
-                                     (off, 1)] + stages[m + 1:]
+            repl = [(off, 1), (off + 1, 0), (off, 2), (off, 1)]
         else:
-            schedule = stages[:m] + [(off + ar, 0), (off, ar + 1)] \
-                + stages[m + 1:]
-        width = len(gnames)
-        built = []
-        for soff, sar in schedule:
-            if sar == 0:
-                built.append(unit_stage(q, unit, (Y, Y), soff, width - soff))
-                width += 1
-                continue
-            op = D.homotopy if sar == 1 else D.b(sar)
-            built.append(insert(op, soff, width - soff - sar))
-            width -= sar - 1
-        state = run_stages(built, {(tuple(gobjs), seed): q.ring.one})
-        out = out.add(state_element(q, state, pair, out.degree).scale(coeff))
-    return out
+            repl = [(off + ar, 0), (off, ar + 1)]
+        schedule = stages[:m] + repl + stages[m + 1:]
+        parts.append((_capped_value(D, schedule, [Y], gobjs, seed, degree),
+                      1 if below % 2 else -1))
+    return linear_combination(D.hom(gobjs[0], Y), degree, parts)
 
 
 def mirror_map(D, Dm):
@@ -1026,7 +942,7 @@ def mirror_map(D, Dm):
             inner = image((t[0], gobjs, gnames))
             val = evaluate(Dm.homotopy, (Y, X), (inner,))
         else:
-            k, chain, fnames, _ = _root_split(D.base.quiver, label)
+            k, chain, fnames, _ = root_split(D.base.quiver, label)
             rev = tuple(reversed(chain))
             factors = tuple(q.hom(fn[1][0], fn[1][-1]).basis_element(fn)
                             for fn in fnames)
@@ -1067,10 +983,8 @@ def left_unit_homotopy(D, Dm=None):
                 continue
             w = m.apply(Y, X, D.hom(X, Y).basis_element(nm))
             hv = hm.apply(Y, X, w)
-            out = D.hom(X, Y).zero(hv.degree)
-            for mnm, c in hv.items():
-                out = out.add(inv[mnm].scale(c))
-            mat[nm] = out
+            mat[nm] = linear_combination(D.hom(X, Y), hv.degree,
+                                         ((inv[mnm], c) for mnm, c in hv.items()))
         matrices[(X, Y)] = mat
     return PartialHomotopy(D, matrices)
 

@@ -9,7 +9,7 @@ from ainfkit.barquot import (bar_quotient, check_comparison,
                              word_embedding)
 from ainfkit.category import check_stasheff, check_strict_unit
 from ainfkit.freecat import LEAF
-from ainfkit.functors import check_functor
+from ainfkit.functors import AInfFunctor, check_functor
 from ainfkit.homquot import homotopy_quotient
 from ainfkit.quiver import (BoundError, evaluate, insert, run_stages,
                             state_element)
@@ -223,3 +223,39 @@ def test_tampered_comparison_fails_the_chain_test():
     nm = ((0, 1, 2), ("f", "g"))
     psi.components[(0, 2)][nm] = psi.components[(0, 2)][nm].scale(2)
     assert not psi.is_chain(dD, dQ)
+
+
+def _validation_cases():
+    C, D, Q = models("path3", 1)
+    _, _, Qa = models("arrow", 1)
+    Q0 = homotopy_quotient(C, {0}, 3)
+    Q2 = homotopy_quotient(C, {1}, 2)
+    j = word_embedding(D)
+    return {
+        "unknown object": (lambda: bar_quotient(C, {7}), "unknown"),
+        "word bound": (lambda: bar_quotient(C, {1}, 0),
+                       "word bound must be at least 1"),
+        "contraction bound": (lambda: unit_contraction(bar_quotient(C, {1}, 1)),
+                              "two-letter words"),
+        "comparison base": (lambda: comparison_map(D, Qa), "share a base"),
+        "comparison marked": (lambda: comparison_map(D, Q0),
+                              "marked subcategories differ"),
+        "comparison bound": (lambda: comparison_map(D, Q2), "too small"),
+        "extension base": (lambda: extend_functor(j, Qa, unit_contraction(D)),
+                           "does not sit over"),
+        "extension arrows": (lambda: extend_functor(
+            AInfFunctor(C, D, lambda X: X, {}), Q, unit_contraction(D)),
+            "arrow component"),
+        "contraction pair": (lambda: unit_contraction(D).apply(
+            0, 2, D.hom(0, 2).zero(-1)), "neither endpoint"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "unknown object", "word bound", "contraction bound", "comparison base",
+    "comparison marked", "comparison bound", "extension base",
+    "extension arrows", "contraction pair"])
+def test_barquot_validation_raises(case):
+    call, message = _validation_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -539,3 +539,72 @@ def test_restriction_extension_is_chain_and_descends():
     # a generic coderivation does not
     noise = random_coderivation(fhat, fhat, 0, 2, rng, name="n")
     assert not check_descends(noise, R).ok
+
+
+def _validation_cases():
+    D = arrow_with_differential()
+    F = free_over(D, 2)
+    gen, d1 = loop_quiver()
+    G = free_category(gen, d1, leaf_bound=2)
+    other, _ = loop_quiver()
+    FE, A, phi, psi, rng = _extension_setup(2)
+    _, _, phi2, _, _ = _extension_setup(2)
+    zz = Ring("ZZ")
+    zmod = GradedModule(zz, [("a", 0)])
+    FZ = free_category(GradedQuiver(zz, ["*"], {("*", "*"): zmod}), leaf_bound=2)
+    zel = FZ.hom("*", "*").basis_element((LEAF, ("*", "*"), ("a",)))
+    wrong_degree = random_coderivation(phi, psi, 0, 1, rng, name="w")
+    return {
+        "corolla": (lambda: corolla(1), "at least two leaves"),
+        "leaf bound": (lambda: free_category(gen, d1, leaf_bound=0),
+                       "leaf bound must be at least 1"),
+        "d1 degree": (lambda: free_category(gen, MultiOp(gen, gen, 1, 0)),
+                      "must have arity 1 and degree 1"),
+        "d1 quiver": (lambda: free_category(gen, MultiOp(other, other, 1, 1)),
+                      "not on this quiver"),
+        "delta base": (lambda: delta_op(D, G, 2), "not over"),
+        "delta arity": (lambda: delta_op(D, F, 3), "outside 2..2"),
+        "span field": (lambda: IdealSpec(FZ, [("*", "*", zel)]).rows(),
+                       "field coefficients"),
+        "quotient span": (lambda: quotient(F, IdealSpec(G, [])),
+                          "another category"),
+        "images quiver": (lambda: extend_functor(
+            F, D, QuiverMap(D.quiver, G.quiver, 0, {})), "generating quiver"),
+        "images degree": (lambda: extend_functor(
+            F, D, QuiverMap(D.quiver, D.quiver, 1, {})), "degree 0"),
+        "functor higher": (lambda: extend_functor(
+            F, D, identity_images(D), higher={2: D.b(2)}), "must have arity"),
+        "functor sources": (lambda: extend_transformation(phi, phi2, 0),
+                            "different categories"),
+        "part1 hom": (lambda: extend_transformation(phi, psi, 0, part1={
+            ("*", "*"): {"a": FE.hom("*", "*").basis_element(
+                (LEAF, ("*", "*"), ("a",)))}}), "wrong hom or degree"),
+        "part1 degree": (lambda: extend_transformation(phi, psi, 0, part1={
+            ("*", "*"): {"a": A.hom("L", "L").basis_element("u0")}}),
+            "wrong hom or degree"),
+        "coderivation higher": (lambda: extend_transformation(
+            phi, psi, 0, higher={1: wrong_degree.component(1)}),
+            "must have arity"),
+        "image_d": (lambda: extend_transformation(phi, psi, 0,
+                                                  image_d=wrong_degree),
+                    "with degree 1"),
+        "homotopy target": (lambda: extend_homotopy(phi, psi, 0, wrong_degree),
+                            "with degree 1"),
+        "factorizes span": (lambda: check_factorizes(
+            extend_functor(F, D, identity_images(D)), IdealSpec(G, [])),
+            "another category"),
+        "descends span": (lambda: check_descends(wrong_degree, IdealSpec(G, [])),
+                          "another category"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "corolla", "leaf bound", "d1 degree", "d1 quiver", "delta base",
+    "delta arity", "span field", "quotient span", "images quiver",
+    "images degree", "functor higher", "functor sources", "part1 hom",
+    "part1 degree", "coderivation higher", "image_d", "homotopy target",
+    "factorizes span", "descends span"])
+def test_freecat_validation_raises(case):
+    call, message = _validation_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()

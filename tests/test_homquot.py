@@ -3,7 +3,8 @@ structure identities, the formal operation calculus, unit homotopies."""
 
 import pytest
 
-from ainfkit.category import check_stasheff, opposite, stasheff_defect
+from ainfkit.category import (AInfCategory, check_stasheff, opposite,
+                              stasheff_defect)
 from ainfkit.freecat import LEAF
 from ainfkit.functors import check_functor, strict_functor
 from ainfkit.graded import Ring
@@ -312,3 +313,46 @@ def test_grafting_beyond_the_bound_raises():
     b = E.hom(2, 2).basis_element((FORK, (2, 2, 2), ("e2", "e2")))
     with pytest.raises(BoundError):
         evaluate(E.b(2), (0, 2, 2), (a, b))
+
+
+def _validation_cases():
+    C, E, D = tree_pair("path3", 1)
+    _, _, D2 = tree_pair("path3", 1, bound=2)
+    bare = AInfCategory(C.quiver, {2: C.b(2)}, 2, name="bare")
+    fork = OperadTerm.basis(QQ, FORK, (0, 1, 2))
+    capped = OperadTerm.basis(QQ, FORK, (1, 1, 2), caps=(0,))
+    return {
+        "unknown object": (lambda: tree_category(C, {7}), "unknown"),
+        "leaf bound": (lambda: homotopy_quotient(C, {1}, 0),
+                       "leaf bound must be at least 1"),
+        "defect base": (lambda: composite_defect(arrow_with_differential(), D, 2),
+                        "not over"),
+        "defect arity": (lambda: composite_defect(C, D, 4), "outside 2..3"),
+        "projection bounds": (lambda: projection_functor(E, D2),
+                              "differ in base or bound"),
+        "term objects": (lambda: OperadTerm.basis(QQ, FORK, (0, 1)),
+                         "needs 3 objects"),
+        "term cap": (lambda: OperadTerm.basis(QQ, FORK, (0, 1, 2), caps=(0,)),
+                     "must be a loop"),
+        "derivation caps": (lambda: unit_derivation(capped), "cap-free"),
+        "compose slot": (lambda: compose_terms(fork, capped, 0),
+                         "slot objects"),
+        "conjugation caps": (lambda: unit_conjugation(capped), "cap-free"),
+        "empty term": (lambda: term_value(D, OperadTerm(QQ), (0, 1), ()),
+                       "empty term"),
+        "term inputs": (lambda: term_value(
+            D, fork, (0, 1), ((LEAF, (0, 1), ("f",)),)), "takes 2 inputs"),
+        "no units": (lambda: unit_homotopy(homotopy_quotient(bare, {1}, 2)),
+                     "distinguished units"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "unknown object", "leaf bound", "defect base", "defect arity",
+    "projection bounds", "term objects", "term cap", "derivation caps",
+    "compose slot", "conjugation caps", "empty term", "term inputs",
+    "no units"])
+def test_homquot_validation_raises(case):
+    call, message = _validation_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()

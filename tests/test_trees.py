@@ -1,0 +1,66 @@
+"""The shared tree toolkit: reference-cycle-free walkers, the root split
+that both tree builders rely on, and free categories as the tree
+categories with no marked objects."""
+
+import gc
+
+from ainfkit.category import AInfCategory
+from ainfkit.freecat import _bounded_chains, free_category, ordered_ops
+from ainfkit.homquot import (homotopy_quotient, path_flags, tree_category,
+                             tree_stages)
+from ainfkit.quiver import evaluate
+from ainfkit.trees import LEAF, root_split, unary_count
+from test_category import arrow_with_differential, path3
+
+
+def free_arrow(bound):
+    D = arrow_with_differential()
+    return free_category(D.quiver, D.b(1), leaf_bound=bound)
+
+
+def test_tree_walkers_leave_no_cycles():
+    # a closure that calls itself is a reference cycle; the walkers must
+    # leave nothing for the cyclic collector
+    F = free_arrow(3)
+    t = ((LEAF, LEAF), (LEAF,), LEAF)
+    gc.collect()
+    gc.disable()
+    try:
+        tree_stages(t)
+        ordered_ops(t)
+        path_flags(t)
+        assert list(_bounded_chains(F, 2, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_root_split_round_trip():
+    # the root operation on the factors rebuilds every grafted name, up
+    # to exactly the sign root_split reports
+    for A in (homotopy_quotient(path3(), {1}, 3), free_arrow(4)):
+        gen = A.base.quiver
+        grafted = 0
+        for X, Y in A.quiver.pairs():
+            for name in A.hom(X, Y).names:
+                if len(name[0]) < 2:
+                    continue
+                k, chain, fnames, eps = root_split(gen, name)
+                factors = [A.hom(fn[1][0], fn[1][-1]).basis_element(fn)
+                           for fn in fnames]
+                got = evaluate(A.b(k), chain, factors)
+                assert got == A.hom(X, Y).basis_element(name, eps), name
+                grafted += 1
+        assert grafted > 0
+
+
+def test_free_category_is_the_tree_category_without_marked_objects():
+    D = arrow_with_differential()
+    F = free_category(D.quiver, D.b(1), leaf_bound=4)
+    T = tree_category(AInfCategory(D.quiver, {1: D.b(1)}, 1), set(), 4)
+    assert F.quiver.pairs() == T.quiver.pairs()
+    for X, Y in F.quiver.pairs():
+        assert F.hom(X, Y).names == T.hom(X, Y).names
+        assert F.hom(X, Y).degrees == T.hom(X, Y).degrees
+        for name in F.hom(X, Y).names:
+            assert unary_count(name[0]) == 0
