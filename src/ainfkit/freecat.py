@@ -121,13 +121,17 @@ def _col_key(label):
 
 
 def _reduce_vec(ring, rows, vec):
-    """One reduction pass; complete because rows are kept fully reduced."""
+    """Reduce a vector modulo a fully reduced span.
+
+    Only the pivots the vector holds are eliminated, in one pass: no row
+    holds another row's pivot, so a subtraction never brings one in.
+    """
     vec = dict(vec)
-    for pivot, row in rows.items():
-        c = vec.get(pivot)
-        if c is None:
-            continue
-        for col, val in row.items():
+    for pivot in [col for col in vec if col in rows]:
+        c = vec.pop(pivot)
+        for col, val in rows[pivot].items():
+            if col == pivot:
+                continue
             new = ring.sub(vec.get(col, ring.zero), ring.mul(c, val))
             if ring.is_zero(new):
                 vec.pop(col, None)
@@ -136,26 +140,54 @@ def _reduce_vec(ring, rows, vec):
     return vec
 
 
-def _insert_row(ring, rows, vec):
-    """Add a vector to a reduced span; returns None when dependent."""
+def _insert_row(ring, rows, index, vec):
+    """Add a vector to a reduced span; returns None when dependent.
+
+    index maps each column to the pivots of the rows holding it off
+    their pivot, and is updated with rows; back-substitution reads the
+    rows that hold the new pivot from it instead of scanning them all.
+    """
     vec = _reduce_vec(ring, rows, vec)
     if not vec:
         return None
     pivot = min(vec, key=_col_key)
     inv = ring.inv(vec[pivot])
     vec = {col: ring.mul(inv, val) for col, val in vec.items()}
-    for row in rows.values():
-        c = row.get(pivot)
-        if c is None:
-            continue
+    for q in index.pop(pivot, ()):
+        row = rows[q]
+        c = row.pop(pivot)
         for col, val in vec.items():
+            if col == pivot:
+                continue
             new = ring.sub(row.get(col, ring.zero), ring.mul(c, val))
             if ring.is_zero(new):
-                row.pop(col, None)
+                del row[col]
+                holders = index[col]
+                holders.discard(q)
+                if not holders:
+                    del index[col]
             else:
+                if col not in row:
+                    index.setdefault(col, set()).add(q)
                 row[col] = new
     rows[pivot] = vec
+    for col in vec:
+        if col != pivot:
+            index.setdefault(col, set()).add(pivot)
     return vec
+
+
+def _arrows_out(F):
+    """(leaves, target, name) for the arrows out of each object, sorted by
+    leaf count; built on first use and kept on the category, whose basis
+    is fixed."""
+    arrows = getattr(F, "arrows_out", None)
+    if arrows is None:
+        q = F.quiver
+        arrows = F.arrows_out = {X: sorted(
+            ((len(nm[2]), Y, nm) for Y in q.objects for nm in q.hom(X, Y).names),
+            key=lambda arrow: arrow[0]) for X in q.objects}
+    return arrows
 
 
 def _bounded_chains(F, length, budget, start=None, end=None):
@@ -171,40 +203,52 @@ def _bounded_chains(F, length, budget, start=None, end=None):
                   ([end] if end is not None else list(F.objects))):
             yield (X,), (), 0
         return
+    arrows = _arrows_out(F)
     for X0 in ([start] if start is not None else list(F.objects)):
-        yield from _chains_from(F, (X0,), (), 0, length, budget, end)
+        yield from _chains_from(arrows, (X0,), (), 0, length, budget, end)
 
 
-def _chains_from(F, objs, names, used, length, budget, end):
+def _chains_from(arrows, objs, names, used, length, budget, end):
     # A module-level walker, not a closure that calls itself (a reference
-    # cycle per call).
+    # cycle per call).  Every name has at least one leaf, so slack leaves
+    # are kept for the arrows still to come; the arrows are sorted by
+    # leaf count, so the first one that does not fit ends the branch.
     if len(names) == length:
         if end is None or objs[-1] == end:
             yield objs, names, used
         return
     slack = length - len(names) - 1
-    X = objs[-1]
-    for Y in F.objects:
-        for nm in F.hom(X, Y).names:
-            take = len(nm[2])
-            if used + take + slack <= budget:
-                yield from _chains_from(F, objs + (Y,), names + (nm,),
-                                        used + take, length, budget, end)
+    for take, Y, nm in arrows[objs[-1]]:
+        if used + take + slack > budget:
+            break
+        yield from _chains_from(arrows, objs + (Y,), names + (nm,),
+                                used + take, length, budget, end)
 
 
 def _saturate(F, generators):
     """Close a list of relation generators under single operations with
     one marked slot, arbitrary basis elements elsewhere, within the leaf
-    bound.  Returns reduced rows keyed by (pair, degree)."""
+    bound.  Returns reduced rows keyed by (pair, degree).
+
+    Each bucket {pivot: row} is the fully reduced echelon form of its
+    span under _col_key: a row's pivot is its least column, with
+    coefficient one, and no row holds another row's pivot.  That form
+    is unique for the span, so the rows do not depend on the order in
+    which vectors are pushed or chains are walked.  Beside each bucket
+    sits a column index (column -> pivots of the rows holding it off
+    their pivot) for back-substitution; it is dropped on return.
+    """
     ring = F.quiver.ring
     if not ring.is_field:
         raise ValueError("relation spans need field coefficients")
     rows = {}
+    indexes = {}
     work = []
 
     def push(X, Y, degree, terms):
-        bucket = rows.setdefault(((X, Y), degree), {})
-        red = _insert_row(ring, bucket, terms)
+        key = ((X, Y), degree)
+        red = _insert_row(ring, rows.setdefault(key, {}),
+                          indexes.setdefault(key, {}), terms)
         if red is not None:
             work.append((X, Y, degree, dict(red)))
 
@@ -227,8 +271,13 @@ class IdealSpec:
     """A two-sided span of relations in a free category.
 
     Holds the generators; the full span within the leaf bound is
-    saturated on first use.  reduce gives the canonical representative
-    modulo the span, contains tests membership.
+    saturated on first use.  rows() gives {(pair, degree): {pivot: row}}
+    in fully reduced echelon form: each pivot is its row's least column
+    under _col_key, with coefficient one, and appears in no other row.
+    The form is unique for the span, whatever order it was built in.
+    reduce gives the canonical representative modulo the span, touching
+    only the rows whose pivots the element holds; contains tests
+    membership.
     """
 
     def __init__(self, category, generators, name="R"):

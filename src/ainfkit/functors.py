@@ -32,8 +32,12 @@ class AInfFunctor:
         self._omap = obj_map if callable(obj_map) else (lambda X, m=dict(obj_map): m[X])
         self.components = {}
         for n, op in components.items():
-            assert n >= 1 and op.arity == n and op.degree == 0
-            assert op.source is source.quiver and op.target is target.quiver
+            if n < 1 or op.arity != n or op.degree != 0:
+                raise ValueError("functor component %r must have arity %r "
+                                 ">= 1 and degree 0" % (op, n))
+            if op.source is not source.quiver or op.target is not target.quiver:
+                raise ValueError("functor component %r does not map the "
+                                 "source quiver to the target quiver" % (op,))
             self.components[n] = op
         self.name = name
 
@@ -193,23 +197,35 @@ class Coderivation:
 
     def __init__(self, source, target, degree, components, r0=None,
                  arity_bound=None, name="r"):
-        assert source.source is target.source and source.target is target.target
+        if source.source is not target.source or source.target is not target.target:
+            raise ValueError("the two functors of a coderivation must share "
+                             "source and target categories")
         self.source = source
         self.target = target
         self.degree = degree
         self.components = {}
         for n, op in components.items():
-            assert n >= 1 and op.arity == n and op.degree == degree
-            assert op.source is source.source.quiver
-            assert op.target is source.target.quiver
+            if n < 1 or op.arity != n or op.degree != degree:
+                raise ValueError("coderivation component %r must have arity "
+                                 "%r >= 1 and degree %r" % (op, n, degree))
+            if op.source is not source.source.quiver:
+                raise ValueError("coderivation component %r does not start "
+                                 "at the source quiver" % (op,))
+            if op.target is not source.target.quiver:
+                raise ValueError("coderivation component %r does not land "
+                                 "in the target quiver" % (op,))
             self.components[n] = op
         self.r0 = {}
         for X, el in (r0 or {}).items():
             if el.is_zero:
                 continue
-            assert el.degree == degree
-            assert el.module is source.target.quiver.hom(
-                source.obj_map(X), target.obj_map(X))
+            if el.degree != degree:
+                raise ValueError("component at %r must have degree %r"
+                                 % (X, degree))
+            if el.module is not source.target.quiver.hom(
+                    source.obj_map(X), target.obj_map(X)):
+                raise ValueError("component at %r is not in the hom between "
+                                 "the image objects" % (X,))
             self.r0[X] = el
         if arity_bound is None:
             arity_bound = max(self.components) if self.components else 0
@@ -286,7 +302,8 @@ def unit_transformation(g):
     r0 = {}
     for X in g.source.quiver.objects:
         U = g.obj_map(X)
-        assert U in B.units, "target lacks a unit at %r" % (U,)
+        if U not in B.units:
+            raise ValueError("target lacks a unit at %r" % (U,))
         r0[X] = B.units[U]
     return Coderivation(g, g, -1, {}, r0=r0, arity_bound=0, name=g.name + "u")
 
@@ -380,8 +397,8 @@ def theta_value(rs, k, objs, names, chain=None):
         chain = [rs[0].source] + [r.target for r in rs]
     n = len(rs)
     for i in range(n):
-        assert rs[i].source is chain[i] and rs[i].target is chain[i + 1], \
-            "coderivations do not chain"
+        if rs[i].source is not chain[i] or rs[i].target is not chain[i + 1]:
+            raise ValueError("coderivations do not chain")
     A = chain[0].source
     B = chain[0].target
     qa, qb = A.quiver, B.quiver
@@ -438,7 +455,8 @@ def Bn(rs, category=None, arity_bound=None, name=None):
     """
     rs = list(rs)
     if not rs:
-        assert category is not None, "empty composition needs a category"
+        if category is None:
+            raise TypeError("empty composition needs a category")
         chain = [identity_functor(category)]
     else:
         chain = [rs[0].source] + [r.target for r in rs]

@@ -369,33 +369,33 @@ def term_stages(tree, caps):
     """
     intervals = [(i, i) for i in range(leaf_count(tree)) if i not in caps]
     stages = []
-
-    def locate(i):
-        p = 0
-        for a, b in intervals:
-            if b < i:
-                p += 1
-        return p
-
-    def walk(sub, first_leaf):
-        if sub == LEAF:
-            if first_leaf in caps:
-                p = locate(first_leaf)
-                stages.append((p, 0))
-                intervals.insert(p, (first_leaf, first_leaf))
-            return 1
-        used = 0
-        for child in sub:
-            used += walk(child, first_leaf + used)
-        p = locate(first_leaf)
-        k = len(sub)
-        intervals[p:p + k] = [(first_leaf, first_leaf + used - 1)]
-        stages.append((p, k))
-        return used
-
-    walk(tree, 0)
+    _walk_term(tree, 0, caps, intervals, stages)
     assert len(intervals) == 1
     return stages
+
+
+def _locate(intervals, i):
+    """The strand position of leaf i: the intervals ending before it."""
+    return sum(1 for _, b in intervals if b < i)
+
+
+def _walk_term(sub, first_leaf, caps, intervals, stages):
+    # A module-level walker, not a closure that calls itself (a reference
+    # cycle per call).  Returns the leaves under sub.
+    if sub == LEAF:
+        if first_leaf in caps:
+            p = _locate(intervals, first_leaf)
+            stages.append((p, 0))
+            intervals.insert(p, (first_leaf, first_leaf))
+        return 1
+    used = 0
+    for child in sub:
+        used += _walk_term(child, first_leaf + used, caps, intervals, stages)
+    p = _locate(intervals, first_leaf)
+    k = len(sub)
+    intervals[p:p + k] = [(first_leaf, first_leaf + used - 1)]
+    stages.append((p, k))
+    return used
 
 
 def staging_sign(stages):
@@ -433,20 +433,21 @@ def stages_to_tree(stages, width):
             strands[off:off + ar] = [tuple(strands[off:off + ar])]
     assert len(strands) == 1, "schedule does not close to one strand"
     caps = []
-    idx = [0]
-
-    def strip(sub):
-        if sub == _CAP:
-            caps.append(idx[0])
-            idx[0] += 1
-            return LEAF
-        if sub == LEAF:
-            idx[0] += 1
-            return LEAF
-        return tuple(strip(child) for child in sub)
-
-    tree = strip(strands[0])
+    tree = _strip_caps(strands[0], caps, [0])
     return tree, frozenset(caps)
+
+
+def _strip_caps(sub, caps, idx):
+    # A module-level walker, not a closure that calls itself (a reference
+    # cycle per call).  idx[0] counts the leaves seen so far.
+    if sub == _CAP:
+        caps.append(idx[0])
+        idx[0] += 1
+        return LEAF
+    if sub == LEAF:
+        idx[0] += 1
+        return LEAF
+    return tuple([_strip_caps(child, caps, idx) for child in sub])
 
 
 class OperadTerm:

@@ -425,23 +425,22 @@ def evaluate(op, objs, factors):
 
 def all_basis_tensors(quiver, length, objs_filter=None):
     """Iterate (objs, names) over all composable basis tensors of a length."""
-
-    def walk(chain, names):
-        if len(names) == length:
-            yield tuple(chain), tuple(names)
-            return
-        X = chain[-1]
-        for Y in quiver.objects:
-            mod = quiver.hom(X, Y)
-            if not mod.names:
-                continue
-            for n in mod.names:
-                yield from walk(chain + [Y], names + [n])
-
     for X in quiver.objects:
         if objs_filter and not objs_filter(X):
             continue
-        yield from walk([X], [])
+        yield from _walk_tensors(quiver, length, (X,), ())
+
+
+def _walk_tensors(quiver, length, chain, names):
+    # A module-level walker, not a closure that calls itself (a reference
+    # cycle per call).
+    if len(names) == length:
+        yield chain, names
+        return
+    X = chain[-1]
+    for Y in quiver.objects:
+        for n in quiver.hom(X, Y).names:
+            yield from _walk_tensors(quiver, length, chain + (Y,), names + (n,))
 
 
 def random_basis_tensor(quiver, length, rng, tries=50):

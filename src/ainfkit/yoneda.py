@@ -144,7 +144,9 @@ class RepresentedFunctor:
 
     def value(self, objs, factors):
         """The stored map of one tensor; objs lists the k+1 objects."""
-        assert factors and len(objs) == len(factors) + 1
+        if not factors or len(objs) != len(factors) + 1:
+            raise ValueError("a nonempty tensor of factors needs one more "
+                             "object than factors")
         return _y_value(self.category, tuple(objs), tuple(factors),
                         (self.base,), ())
 
@@ -290,11 +292,17 @@ def yoneda_components(A, n, k):
     stored map from the complex at (xobjs[0], zobjs[0]) to the one at
     (xobjs[-1], zobjs[-1]); see the module docstring for the sign.
     """
-    assert n >= 0 and k >= 0 and n + k >= 1
+    if n < 0 or k < 0 or n + k < 1:
+        raise ValueError("components need n, k >= 0 with n + k >= 1, got "
+                         "(%r, %r)" % (n, k))
 
     def component(zobjs, zfactors, xobjs, xfactors):
-        assert len(zfactors) == k and len(zobjs) == k + 1
-        assert len(xfactors) == n and len(xobjs) == n + 1
+        if len(zfactors) != k or len(zobjs) != k + 1:
+            raise ValueError("the (%d, %d) component needs %d z-factors on "
+                             "%d objects" % (n, k, k, k + 1))
+        if len(xfactors) != n or len(xobjs) != n + 1:
+            raise ValueError("the (%d, %d) component needs %d x-factors on "
+                             "%d objects" % (n, k, n, n + 1))
         return _y_value(A, tuple(zobjs), tuple(zfactors),
                         tuple(xobjs), tuple(xfactors))
 

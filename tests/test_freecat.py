@@ -3,11 +3,15 @@ and the three extension constructions over tree names."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfkit.category import AInfCategory, check_stasheff, dg_to_ainf
-from ainfkit.freecat import (LEAF, IdealSpec, check_descends, check_factorizes,
+from ainfkit.freecat import (LEAF, IdealSpec, _bounded_chains, _col_key,
+                             _insert_row, _reduce_vec, check_descends,
+                             check_factorizes,
                              check_ideal, corolla, delta_op, extend_functor,
                              extend_homotopy, extend_transformation,
                              free_category, induce_functor, leaf_count,
@@ -22,7 +26,7 @@ from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                             Stage, all_basis_tensors, evaluate, insert,
                             run_stages, state_element)
-from test_category import arrow_with_differential
+from test_category import arrow_with_differential, path3
 from test_functors import functors_componentwise_equal, odd_square_zero
 
 QQ = Ring("QQ")
@@ -539,6 +543,195 @@ def test_restriction_extension_is_chain_and_descends():
     # a generic coderivation does not
     noise = random_coderivation(fhat, fhat, 0, 2, rng, name="n")
     assert not check_descends(noise, R).ok
+
+
+# -- relation spans against a dense oracle ---------------------------------
+#
+# The oracle is the all-rows reduction: it scans every row of a bucket for
+# the pivots a vector holds, and every row for the new pivot on insertion.
+
+
+def dense_reduce(ring, rows, vec):
+    vec = dict(vec)
+    for pivot, row in rows.items():
+        c = vec.get(pivot)
+        if c is None:
+            continue
+        for col, val in row.items():
+            new = ring.sub(vec.get(col, ring.zero), ring.mul(c, val))
+            if ring.is_zero(new):
+                vec.pop(col, None)
+            else:
+                vec[col] = new
+    return vec
+
+
+def dense_insert(ring, rows, vec):
+    vec = dense_reduce(ring, rows, vec)
+    if not vec:
+        return None
+    pivot = min(vec, key=_col_key)
+    inv = ring.inv(vec[pivot])
+    vec = {col: ring.mul(inv, val) for col, val in vec.items()}
+    for row in rows.values():
+        c = row.get(pivot)
+        if c is None:
+            continue
+        for col, val in vec.items():
+            new = ring.sub(row.get(col, ring.zero), ring.mul(c, val))
+            if ring.is_zero(new):
+                row.pop(col, None)
+            else:
+                row[col] = new
+    rows[pivot] = vec
+    return vec
+
+
+def column_index(rows):
+    """What the sparse index must hold: column -> pivots of the rows
+    holding it off their pivot."""
+    index = {}
+    for pivot, row in rows.items():
+        for col in row:
+            if col != pivot:
+                index.setdefault(col, set()).add(pivot)
+    return index
+
+
+# Columns look like free basis names: _col_key orders them by leaf count
+# first, so the pool has names of one, two and three leaves.
+COLUMNS = [(LEAF if n == 1 else (LEAF,) * n, ("X",) * (n + 1), ("g%d" % i,) * n)
+           for i in range(4) for n in (1, 2, 3)]
+
+
+@st.composite
+def span_inputs(draw):
+    """A field, vectors to insert (some combinations of earlier ones, so
+    dependent), and fresh vectors to reduce afterwards."""
+    ring = draw(st.sampled_from([QQ, Ring("Fp", 2), Ring("Fp", 7)]))
+    if ring.kind == "QQ":
+        coeff = st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 4)).map(
+            lambda t: ring.normalize(Fraction(*t)))
+    else:
+        coeff = st.integers(1, ring.p - 1)
+
+    def sparse():
+        return draw(st.dictionaries(st.sampled_from(COLUMNS), coeff,
+                                    min_size=1, max_size=5))
+
+    vecs = []
+    for _ in range(draw(st.integers(1, 14))):
+        if vecs and draw(st.booleans()):
+            acc = {}
+            for i in draw(st.lists(st.integers(0, len(vecs) - 1),
+                                   min_size=1, max_size=3)):
+                c = draw(coeff)
+                for col, val in vecs[i].items():
+                    new = ring.add(acc.get(col, ring.zero), ring.mul(c, val))
+                    if ring.is_zero(new):
+                        acc.pop(col, None)
+                    else:
+                        acc[col] = new
+            vecs.append(acc)
+        else:
+            vecs.append(sparse())
+    fresh = [sparse() for _ in range(3)]
+    return ring, vecs, fresh
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_inputs())
+def test_sparse_span_agrees_with_dense_oracle(data):
+    ring, vecs, fresh = data
+    dense, rows, index = {}, {}, {}
+    for vec in vecs:
+        want = dense_insert(ring, dense, dict(vec))
+        got = _insert_row(ring, rows, index, dict(vec))
+        assert got == want
+        assert rows == dense
+        assert index == column_index(rows)
+    for vec in fresh:
+        assert _reduce_vec(ring, rows, vec) == dense_reduce(ring, dense, vec)
+
+
+def dense_saturation(F, generators):
+    """The span saturation with the dense oracle and chains filtered from
+    every composable tensor, the two parts it is checked against."""
+    ring = F.quiver.ring
+    chains = {}
+    for n in range(F.leaf_bound):
+        for objs, names in all_basis_tensors(F.quiver, n):
+            used = sum(len(nm[2]) for nm in names)
+            if used < F.leaf_bound:
+                chains.setdefault(n, []).append((objs, names, used))
+    rows, work = {}, []
+
+    def push(X, Y, degree, terms):
+        red = dense_insert(ring, rows.setdefault(((X, Y), degree), {}), terms)
+        if red is not None:
+            work.append((X, Y, degree, dict(red)))
+
+    for X, Y, el in generators:
+        push(X, Y, el.degree, dict(el.items()))
+    while work:
+        X, Y, degree, vec = work.pop()
+        el = F.hom(X, Y).element(dict(vec), degree)
+        budget = F.leaf_bound - max(len(nm[2]) for nm in vec)
+        for k in range(2, min(F.max_arity, budget + 1) + 1):
+            for slot in range(k):
+                for lobjs, lnames, lu in chains.get(slot, ()):
+                    if lobjs[-1] != X:
+                        continue
+                    for robjs, rnames, ru in chains.get(k - 1 - slot, ()):
+                        if robjs[0] != Y or lu + ru > budget:
+                            continue
+                        objs = lobjs + robjs
+                        names = lnames + (None,) + rnames
+                        factors = [el if nm is None else
+                                   F.hom(objs[i], objs[i + 1]).basis_element(nm)
+                                   for i, nm in enumerate(names)]
+                        w = evaluate(F.b(k), objs, factors)
+                        if not w.is_zero:
+                            push(objs[0], objs[-1], w.degree, dict(w.items()))
+    return rows
+
+
+def span_entries(rows):
+    # repr keeps the scalar type: 2 and Fraction(2) must not pass as equal
+    return {key: {pivot: sorted(map(repr, row.items()))
+                  for pivot, row in bucket.items()}
+            for key, bucket in rows.items()}
+
+
+@pytest.mark.parametrize("build", [arrow_with_differential, path3])
+def test_saturated_span_matches_dense_oracle(build):
+    D = build()
+    F = free_over(D, 4)
+    R = structure_relations(D, F)
+    got = R.rows()
+    assert any(got.values())
+    assert span_entries(got) == span_entries(dense_saturation(F, R.generators))
+
+
+@pytest.mark.parametrize("build", [arrow_with_differential, path3])
+def test_bounded_chains_are_the_filtered_tensors(build):
+    F = free_over(build(), 4)
+    ends = list(F.objects) + [None]
+    for n in range(4):
+        tensors = []
+        for objs, names in all_basis_tensors(F.quiver, n):
+            used = sum(len(nm[2]) for nm in names)
+            if used <= 4:
+                tensors.append((objs, names, used))
+        for budget in range(5):
+            for start in ends:
+                for end in ends:
+                    want = sorted(t for t in tensors if t[2] <= budget
+                                  and start in (None, t[0][0])
+                                  and end in (None, t[0][-1]))
+                    got = list(_bounded_chains(F, n, budget, start, end))
+                    assert len(set(got)) == len(got)
+                    assert sorted(got) == want, (n, budget, start, end)
 
 
 def _validation_cases():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ainfkit.category import dg_to_ainf, opposite
+from ainfkit.category import AInfCategory, dg_to_ainf, opposite
 from ainfkit.functors import (AInfFunctor, Bn, B1, Coderivation, HochschildCochain,
                               b1_value, check_b1_square, check_functor,
                               check_hochschild_square, coderivations_equal,
@@ -418,3 +418,51 @@ def test_theta_respects_explicit_chain():
     # right placement gives f, left placement gives -f, the sum vanishes
     assert val == b1_value(u, 1, (0, 1), ("f",))
     assert val.is_zero
+
+
+def _validation_cases():
+    """Each input check of the functor layer: (call, error, message)."""
+    A, other = path3(), path3()
+    f, g = identity_functor(A), identity_functor(other)
+    f1 = f.component(1)
+    bare = AInfCategory(A.quiver, {2: A.b(2)}, 2, name="bare")
+    to_bare = AInfFunctor(A, bare, lambda X: X, {1: f1}, name="nu")
+    r, s = Coderivation(f, f, 0, {}), Coderivation(g, g, 0, {})
+    e0 = A.hom(0, 0).basis_element("e0")
+    return {
+        "functor arity": (lambda: AInfFunctor(A, A, lambda X: X, {2: f1}),
+                          ValueError, "arity 2 >= 1 and degree 0"),
+        "functor quiver": (lambda: AInfFunctor(A, other, lambda X: X, {1: f1}),
+                           ValueError, "source quiver to the target quiver"),
+        "coderivation functors": (lambda: Coderivation(f, g, 0, {}),
+                                  ValueError, "share source and target"),
+        "coderivation arity": (lambda: Coderivation(f, f, 1, {1: f1}),
+                               ValueError, "arity 1 >= 1 and degree 1"),
+        "coderivation source": (
+            lambda: Coderivation(f, f, 0, {1: g.component(1)}),
+            ValueError, "does not start at the source quiver"),
+        "coderivation target": (
+            lambda: Coderivation(f, f, 0, {
+                1: MultiOp(A.quiver, other.quiver, 1, 0, table={})}),
+            ValueError, "does not land in the target quiver"),
+        "r0 degree": (lambda: Coderivation(f, f, 0, {}, r0={0: e0}),
+                      ValueError, "must have degree 0"),
+        "r0 module": (lambda: Coderivation(f, f, -1, {}, r0={1: e0}),
+                      ValueError, "hom between the image objects"),
+        "target unit": (lambda: unit_transformation(to_bare),
+                        ValueError, "target lacks a unit"),
+        "chain": (lambda: theta_value([r, s], 1, (0, 0), ("e0",)),
+                  ValueError, "coderivations do not chain"),
+        "empty Bn": (lambda: Bn([]), TypeError,
+                     "empty composition needs a category"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "functor arity", "functor quiver", "coderivation functors",
+    "coderivation arity", "coderivation source", "coderivation target",
+    "r0 degree", "r0 module", "target unit", "chain", "empty Bn"])
+def test_functors_validation_raises(case):
+    call, error, message = _validation_cases()[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -6,9 +6,9 @@ import gc
 
 from ainfkit.category import AInfCategory
 from ainfkit.freecat import _bounded_chains, free_category, ordered_ops
-from ainfkit.homquot import (homotopy_quotient, path_flags, tree_category,
-                             tree_stages)
-from ainfkit.quiver import evaluate
+from ainfkit.homquot import (homotopy_quotient, path_flags, stages_to_tree,
+                             term_stages, tree_category, tree_stages)
+from ainfkit.quiver import all_basis_tensors, evaluate
 from ainfkit.trees import LEAF, root_split, unary_count
 from test_category import arrow_with_differential, path3
 
@@ -33,6 +33,24 @@ def test_tree_walkers_leave_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_term_and_tensor_walkers_leave_no_cycles():
+    # each of these once recursed through a closure that called itself
+    F = free_arrow(3)
+    tree, caps = ((LEAF, (LEAF,)), LEAF, (LEAF, LEAF)), frozenset({1, 3})
+    gc.collect()
+    gc.disable()
+    try:
+        tensors = list(all_basis_tensors(F.quiver, 2))
+        assert gc.collect() == 0
+        stages = term_stages(tree, caps)
+        assert gc.collect() == 0
+        assert stages_to_tree(stages, 5 - len(caps)) == (tree, caps)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert tensors
 
 
 def test_root_split_round_trip():

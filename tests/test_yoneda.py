@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from ainfkit.category import (AInfCategory, check_stasheff,
                               complexes_category, opposite)
 from ainfkit.freecat import free_category
@@ -360,3 +362,28 @@ def test_opposite_facts_on_fixtures():
     rep = opposite_facts(free_one_object(), cap=300)
     assert rep.ok, rep.text()
     assert "skipped: no units" in rep.text()
+
+
+def _validation_cases():
+    """Each input check of the Yoneda layer: (call, message it raises)."""
+    A = path3()
+    f = A.hom(0, 1).basis_element("f")
+    h = h_functor(A, 0)
+    y11 = yoneda_components(A, 1, 1)
+    return {
+        "value factors": (lambda: h.value((0,), ()), "one more object"),
+        "component range": (lambda: yoneda_components(A, 0, 0),
+                            r"n \+ k >= 1"),
+        "component z": (lambda: y11((0, 1, 1), (f,), (0, 0), (f,)),
+                        "1 z-factors on 2 objects"),
+        "component x": (lambda: y11((0, 1), (f,), (0,), (f,)),
+                        "1 x-factors on 2 objects"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "value factors", "component range", "component z", "component x"])
+def test_yoneda_validation_raises(case):
+    call, message = _validation_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
