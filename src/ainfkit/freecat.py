@@ -190,6 +190,18 @@ def _arrows_out(F):
     return arrows
 
 
+def _arrows_between(F):
+    """The arrows of _arrows_out keyed by (source, target), in the same
+    leaf-sorted order and sharing its entries; kept on the category."""
+    arrows = getattr(F, "arrows_between", None)
+    if arrows is None:
+        arrows = F.arrows_between = {}
+        for X, out in _arrows_out(F).items():
+            for arrow in out:
+                arrows.setdefault((X, arrow[1]), []).append(arrow)
+    return arrows
+
+
 def _bounded_chains(F, length, budget, start=None, end=None):
     """Composable chains of basis names with a total leaf allowance.
 
@@ -204,24 +216,34 @@ def _bounded_chains(F, length, budget, start=None, end=None):
             yield (X,), (), 0
         return
     arrows = _arrows_out(F)
+    last = None if end is None else _arrows_between(F)
     for X0 in ([start] if start is not None else list(F.objects)):
-        yield from _chains_from(arrows, (X0,), (), 0, length, budget, end)
+        yield from _chains_from(arrows, last, (X0,), (), 0, length, budget,
+                                end)
 
 
-def _chains_from(arrows, objs, names, used, length, budget, end):
+def _chains_from(arrows, last, objs, names, used, length, budget, end):
     # A module-level walker, not a closure that calls itself (a reference
     # cycle per call).  Every name has at least one leaf, so slack leaves
     # are kept for the arrows still to come; the arrows are sorted by
     # leaf count, so the first one that does not fit ends the branch.
+    # With an end object the last step walks only the arrows into it
+    # (last, keyed by source and target), so no chain is built to be
+    # dropped.
     if len(names) == length:
-        if end is None or objs[-1] == end:
-            yield objs, names, used
+        yield objs, names, used
+        return
+    if last is not None and len(names) == length - 1:
+        for take, Y, nm in last.get((objs[-1], end), ()):
+            if used + take > budget:
+                break
+            yield objs + (Y,), names + (nm,), used + take
         return
     slack = length - len(names) - 1
     for take, Y, nm in arrows[objs[-1]]:
         if used + take + slack > budget:
             break
-        yield from _chains_from(arrows, objs + (Y,), names + (nm,),
+        yield from _chains_from(arrows, last, objs + (Y,), names + (nm,),
                                 used + take, length, budget, end)
 
 

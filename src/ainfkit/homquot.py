@@ -11,6 +11,13 @@ contracts to the underlying category's operation.  With no chosen
 objects nothing is adjoined and no unary vertex is admissible: the big
 category is then the free category of freecat.
 
+Each hom lists its basis in tensor order times shape order: by leaf
+count, then by label tensor in all_basis_tensors order, then by shape
+in tree_shapes order, keeping the admissible (and, for the reduced
+flavour, reduced) shapes.  A name's degree is the flat degree of its
+label tensor plus its shape's offset, wide minus unary vertices; the
+samplers and enumerators downstream rely on both.
+
 The second half of the module is the calculus of formal operations
 (unary homotopies, higher operations, unit insertions) acting on the
 tree categories: their differential, the unit-insertion right
@@ -30,8 +37,8 @@ from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      state_element, unit_stage)
 from .report import Report
 from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
-                    tree_pipeline, tree_shapes, tree_stages, unary_count,
-                    vertex_count, wide_count)
+                    shape_counts, shape_table, tree_pipeline, tree_shapes,
+                    tree_stages, unary_count, wide_count)
 
 _CAP = "cap"
 
@@ -99,6 +106,12 @@ def _walk_path(sub, on_path, flags):
 
 
 def _build(C, bobjs, leaf_bound, reduced, name):
+    """The tree category of C over bobjs up to leaf_bound leaves, with
+    the basis order and degrees the module docstring states.  Shape data
+    come once per leaf count from trees.shape_table; per label tensor
+    there is one mask of marked positions and one flat degree, and a
+    shape is admissible iff the mask meets each of its needs.
+    """
     gen = C.quiver
     ring = gen.ring
     bobjs = frozenset(bobjs)
@@ -114,15 +127,21 @@ def _build(C, bobjs, leaf_bound, reduced, name):
     unary = bool(bobjs)
     basis = {}
     for n in range(1, leaf_bound + 1):
-        shapes = [t for t in tree_shapes(n, unary) if not reduced or reduced_tree(t)]
+        table = shape_table(n, unary, reduced)
         for gobjs, gnames in all_basis_tensors(gen, n):
-            pair = (gobjs[0], gobjs[-1])
-            for t in shapes:
-                if unary and not admissible(t, gobjs, bobjs):
-                    continue
-                basis.setdefault(pair, []).append(
-                    ((t, gobjs, gnames), name_degree(gen, t, gobjs, gnames)))
-    homs = {pair: GradedModule(ring, rows) for pair, rows in basis.items()}
+            mask = sum(1 << i for i, X in enumerate(gobjs) if X in bobjs)
+            flat = sum([gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
+                        for i in range(n)])
+            names, degrees = basis.setdefault((gobjs[0], gobjs[-1]), ([], []))
+            for t, offset, needs in table:
+                for need in needs:
+                    if not mask & need:
+                        break
+                else:
+                    names.append((t, gobjs, gnames))
+                    degrees.append(flat + offset)
+    # Zipped one pair at a time: no (name, degree) tuple per name is kept.
+    homs = {pair: GradedModule(ring, zip(*cols)) for pair, cols in basis.items()}
     squiver = GradedQuiver(ring, list(gen.objects), homs)
 
     ops = {}
@@ -152,7 +171,7 @@ def _build(C, bobjs, leaf_bound, reduced, name):
         par = 0
         left = 0
         for j in range(k):
-            vc = vertex_count(names[j][0])
+            vc = shape_counts(names[j][0])[1]
             if j:
                 par += left * (squiver.degree(objs[j], objs[j + 1], names[j]) - vc)
             left += vc

@@ -54,6 +54,7 @@ def positive_splits(n, k):
 
 
 _SHAPES = {}
+_TABLES = {}
 
 
 def tree_shapes(n, unary=True):
@@ -65,15 +66,64 @@ def tree_shapes(n, unary=True):
     """
     key = (n, unary)
     if key not in _SHAPES:
-        out = [LEAF] if n == 1 else []
+        _SHAPES[key] = tuple(row[0] for row in shape_table(n, unary))
+    return _SHAPES[key]
+
+
+def shape_table(n, unary=True, reduced=False):
+    """The n-leaf shapes with what a basis build needs of each.
+
+    Rows are (shape, offset, needs) in tree_shapes(n, unary) order.  The
+    offset is wide minus unary vertices: a name's degree is its leaves'
+    degrees plus the offset.  needs holds (1 << i) | (1 << j) for each
+    unary vertex whose strand runs from object i to object j; equal
+    needs share one tuple.  reduced keeps, in order, only the shapes in
+    which every vertex with only leaf children is unary.  Built once,
+    from the rows of fewer leaves: wide roots over products of their
+    children's rows, then the unary copies of those.
+    """
+    key = (n, unary, reduced)
+    rows = _TABLES.get(key)
+    if rows is None:
+        rows = [(LEAF, 0, ())] if n == 1 else []
+        shared = {(): ()}
         for k in range(2, n + 1):
             for parts in positive_splits(n, k):
-                out.extend(itertools.product(
-                    *(tree_shapes(p, unary) for p in parts)))
+                starts = tuple(itertools.accumulate((0,) + parts[:-1]))
+                for kids in itertools.product(
+                        *(shape_table(p, unary, reduced) for p in parts)):
+                    shape = tuple([kid[0] for kid in kids])
+                    if reduced and not any(shape):
+                        continue
+                    needs = tuple(sorted([need << start for kid, start
+                                          in zip(kids, starts)
+                                          for need in kid[2]]))
+                    rows.append((shape, 1 + sum([kid[1] for kid in kids]),
+                                 shared.setdefault(needs, needs)))
         if unary:
-            out += [(t,) for t in out]
-        _SHAPES[key] = tuple(out)
-    return _SHAPES[key]
+            top = 1 | 1 << n
+            for shape, offset, needs in rows[:]:
+                needs = tuple(sorted(needs + (top,)))
+                rows.append(((shape,), offset - 1,
+                             shared.setdefault(needs, needs)))
+        rows = _TABLES[key] = tuple(rows)
+    return rows
+
+
+_COUNTS = {}
+
+
+def shape_counts(t):
+    """(leaves, vertices, wide minus unary vertices) of a shape.
+
+    Memoised by shape, so the grafting and root-split signs read them
+    without a walk of the tree.
+    """
+    counts = _COUNTS.get(t)
+    if counts is None:
+        counts = _COUNTS[t] = (leaf_count(t), vertex_count(t),
+                               wide_count(t) - unary_count(t))
+    return counts
 
 
 def tree_stages(t):
@@ -101,7 +151,7 @@ def name_degree(gen, t, gobjs, gnames):
     minus one per unary vertex."""
     flat = sum(gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
                for i in range(len(gnames)))
-    return flat + wide_count(t) - unary_count(t)
+    return flat + shape_counts(t)[2]
 
 
 def root_split(gen, label):
@@ -118,14 +168,14 @@ def root_split(gen, label):
     left = 0
     pos = 0
     for j, sub in enumerate(t):
-        ln = leaf_count(sub)
+        ln, vc, _ = shape_counts(sub)
         fnames.append((sub, tuple(gobjs[pos:pos + ln + 1]),
                        tuple(gnames[pos:pos + ln])))
         if j:
             raw = sum(gen.degree(gobjs[pos + i], gobjs[pos + i + 1],
                                  gnames[pos + i]) for i in range(ln))
             par += left * raw
-        left += vertex_count(sub)
+        left += vc
         pos += ln
         chain.append(gobjs[pos])
     return len(t), tuple(chain), tuple(fnames), -1 if par % 2 else 1

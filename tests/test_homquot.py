@@ -1,6 +1,8 @@
 """Tree categories over a base with a marked subcategory: basis shape,
 structure identities, the formal operation calculus, unit homotopies."""
 
+import itertools
+
 import pytest
 
 from ainfkit.category import (AInfCategory, check_stasheff, opposite,
@@ -21,6 +23,7 @@ from ainfkit.homquot import (OperadTerm, admissible, check_action_chain,
                              unit_homotopy, valid_tree, wide_count,
                              PartialHomotopy)
 from ainfkit.quiver import BoundError, all_basis_tensors, evaluate
+from ainfkit.trees import positive_splits, shape_table
 from test_category import arrow_with_differential, path3
 
 QQ = Ring("QQ")
@@ -87,6 +90,92 @@ def test_shape_census():
     assert wide_count(((ONE, LEAF),)) == 1
     assert unary_spans((ONE, FORK)) == [(0, 1)]
     assert unary_spans(((ONE, LEAF),)) == [(0, 1), (0, 2)]
+
+
+_ORACLE_SHAPES = {}
+
+
+def oracle_shapes(n, unary):
+    """The tree shapes by the recursion the shape tables replaced: wide
+    roots over every split, then, with unary on, one unary copy of each."""
+    key = (n, unary)
+    if key not in _ORACLE_SHAPES:
+        out = [LEAF] if n == 1 else []
+        for k in range(2, n + 1):
+            for parts in positive_splits(n, k):
+                out.extend(itertools.product(
+                    *(oracle_shapes(p, unary) for p in parts)))
+        if unary:
+            out += [(t,) for t in out]
+        _ORACLE_SHAPES[key] = out
+    return _ORACLE_SHAPES[key]
+
+
+def filter_basis_oracle(C, bobjs, leaf_bound, reduced):
+    """The per-tensor filter that the table-driven build replaced.
+
+    For every label tensor, every shape is tested with reduced_tree and
+    admissible and its degree taken from walks of the tree.  Returns
+    {pair: [(name, degree), ...]} in enumeration order.
+    """
+    gen = C.quiver
+    bobjs = frozenset(bobjs)
+    unary = bool(bobjs)
+    basis = {}
+    for n in range(1, leaf_bound + 1):
+        shapes = [t for t in oracle_shapes(n, unary)
+                  if not reduced or reduced_tree(t)]
+        for gobjs, gnames in all_basis_tensors(gen, n):
+            pair = (gobjs[0], gobjs[-1])
+            flat = sum(gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
+                       for i in range(n))
+            for t in shapes:
+                if unary and not admissible(t, gobjs, bobjs):
+                    continue
+                basis.setdefault(pair, []).append(
+                    ((t, gobjs, gnames), flat + wide_count(t) - unary_count(t)))
+    return basis
+
+
+def test_shape_tables_match_the_tree_walks():
+    for n in range(1, 6):
+        for unary in (True, False):
+            assert list(tree_shapes(n, unary)) == oracle_shapes(n, unary)
+            for reduced in (False, True):
+                want = [t for t in oracle_shapes(n, unary)
+                        if not reduced or reduced_tree(t)]
+                rows = shape_table(n, unary, reduced)
+                assert [row[0] for row in rows] == want, (n, unary, reduced)
+                for t, offset, needs in rows:
+                    assert offset == wide_count(t) - unary_count(t)
+                    assert sorted(needs) == sorted(
+                        (1 << i) | (1 << j) for i, j in unary_spans(t))
+    # rows with equal needs share one tuple
+    rows = shape_table(5, True, True)
+    assert len({id(row[2]) for row in rows}) == len({row[2] for row in rows})
+
+
+BASIS_CASES = {
+    "path3-1": (path3, {1}),
+    "path3-0,2": (path3, {0, 2}),
+    "path3-0,1,2": (path3, {0, 1, 2}),
+    "path3-none": (path3, set()),
+    "arrow-1": (arrow_with_differential, {1}),
+}
+
+
+@pytest.mark.parametrize("build", [tree_category, homotopy_quotient])
+@pytest.mark.parametrize("case", list(BASIS_CASES))
+def test_basis_matches_filter_oracle(case, build):
+    make, bobjs = BASIS_CASES[case]
+    C = make()
+    A = build(C, bobjs, 4)
+    want = filter_basis_oracle(C, bobjs, 4, build is homotopy_quotient)
+    assert set(A.quiver.pairs()) == set(want)
+    for X, Y in A.quiver.pairs():
+        mod = A.hom(X, Y)
+        got = [(nm, mod.degree(nm)) for nm in mod.names]
+        assert got == want[(X, Y)], (X, Y)
 
 
 def test_admissible_and_reduced_and_level():
