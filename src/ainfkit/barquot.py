@@ -23,8 +23,8 @@ from .functors import (AInfFunctor, check_functor, resolve_at_root,
                        strict_functor)
 from .graded import GradedModule, linear_combination
 from .homquot import PartialHomotopy
-from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap, evaluate,
-                     insert, run_stages)
+from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
+                     apply_stage, evaluate, insert)
 from .report import Report
 from .trees import LEAF, embed_leaf
 
@@ -111,9 +111,7 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
                 if q + 1 + t > word_bound:
                     raise BoundError("a window leaves a %d-letter word, "
                                      "bound is %d" % (q + 1 + t, word_bound))
-                state = run_stages([insert(op, q, t)], base)
-                for key, c in state.items():
-                    terms[key] = ring.add(terms.get(key, ring.zero), c)
+                apply_stage(insert(op, q, t), base, terms)
         return squiver.hom(*pair).element(terms, degree)
 
     ops = {}

@@ -12,8 +12,8 @@ import random
 from .graded import (ChainMap, Complex, GradedModule, in_image, koszul_sign,
                      linear_combination, shift, solve_linear)
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     collect_tensors, evaluate, insert, run_stages,
-                     state_element, unit_stage)
+                     collect_tensors, evaluate, insert, insertion_sum,
+                     run_stages, state_element, unit_stage)
 from .report import Report
 
 
@@ -114,26 +114,15 @@ def stasheff_defect(A, k, objs, names):
     """The full arity-k defining sum evaluated on one basis tensor.
 
     Zero exactly when the structure identities of total arity k hold on
-    that tensor.  Terms whose inner or outer arity has no operation are
-    zero and skipped.
+    that tensor.  Terms are grouped by outer arity m: the insertions of
+    b(k-m+1) share one state, which b(m) is applied to once
+    (quiver.insertion_sum); a missing inner or outer operation is zero.
     """
     q = A.quiver
     objs, names = tuple(objs), tuple(names)
-    base = {(objs, names): q.ring.one}
     deg = sum(q.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 2
-    pair = (objs[0], objs[-1])
-
-    def terms():
-        for a in range(k):
-            for m in range(1, k - a + 1):
-                c = k - a - m
-                inner, outer = A.b(m), A.b(a + 1 + c)
-                if inner is None or outer is None:
-                    continue
-                state = run_stages([insert(inner, a, c), insert(outer, 0, 0)], base)
-                yield state_element(q, state, pair, deg), 1
-
-    return linear_combination(q.hom(*pair), deg, terms())
+    out = insertion_sum(A.b, A.b, k, {(objs, names): q.ring.one}, {})
+    return state_element(q, out, (objs[0], objs[-1]), deg)
 
 
 def sampled_check(A, k, samples, rng, defect_fn):

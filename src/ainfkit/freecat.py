@@ -316,7 +316,8 @@ class IdealSpec:
     def span_elements(self):
         """The reduced span, one element per row."""
         out = []
-        for (pair, degree), bucket in sorted(self.rows().items(), key=repr):
+        for (pair, degree), bucket in sorted(self.rows().items(),
+                                             key=lambda item: repr(item[0])):
             mod = self.category.hom(*pair)
             for pivot in sorted(bucket, key=_col_key):
                 out.append((pair[0], pair[1], mod.element(dict(bucket[pivot]), degree)))

@@ -11,9 +11,9 @@ import itertools
 import random
 
 from .category import add_sampled_line, sampled_check
-from .graded import linear_combination
-from .quiver import (MultiOp, QuiverMap, Stage, all_basis_tensors, evaluate,
-                     insert, run_stages, state_element)
+from .quiver import (MultiOp, QuiverMap, Stage, all_basis_tensors,
+                     apply_stage, evaluate, insert, insertion_sum,
+                     state_element)
 from .report import Report
 from .trees import root_split
 
@@ -103,41 +103,27 @@ def functor_defect(f, k, objs, names):
     """
     A, B = f.source, f.target
     qa = A.quiver
-    base = {(tuple(objs), tuple(names)): qa.ring.one}
+    key = (tuple(objs), tuple(names))
     degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 1
     pair = (f.obj_map(objs[0]), f.obj_map(objs[-1]))
-    return linear_combination(B.quiver.hom(*pair), degree, itertools.chain(
-        _blocks_into(f, B.b, k, base, B.quiver, pair, degree),
-        _inner_ops(A, f.component, k, base, B.quiver, pair, degree, -1)))
+    out = _blocks_into(f, B.b, k, {key: qa.ring.one}, {})
+    insertion_sum(A.b, f.component, k, {key: qa.ring.normalize(-1)}, out)
+    return state_element(B.quiver, out, pair, degree)
 
 
-def _blocks_into(f, outer, k, base, target, pair, degree, sign=1):
-    """Blocks of f's components covering k inputs, each tuple of blocks
-    fed into outer(number of blocks) when that is not None; yields
-    (value, sign) pairs for linear_combination."""
+def _blocks_into(f, outer, k, base, out):
+    """Add the tuples of blocks of f's components covering k inputs, each
+    fed into outer(number of blocks) when not None, into out; tuples of
+    one block count share a state that outer is applied to once."""
+    states = {}
     for blocks in _functor_blocks(f, k):
-        op = outer(len(blocks))
-        if op is not None:
-            st = Stage(f.source.quiver, [("op", b) for b in blocks])
-            state = run_stages([st, insert(op, 0, 0)], base)
-            yield state_element(target, state, pair, degree), sign
-
-
-def _inner_ops(A, component, k, base, target, pair, degree, sign=1,
-               root=True):
-    """A's operations on one segment of k inputs, each fed into the
-    stored component of the remaining arity m (component(m), None for
-    zero); yields (value, sign) pairs for linear_combination.  With root
-    off, the segment of all k inputs, fed into the arity-one component,
-    is left out."""
-    for m in range(1 if root else 2, k + 1):
-        comp, bq = component(m), A.b(k - m + 1)
-        if comp is None or bq is None:
-            continue
-        for a in range(m):
-            state = run_stages([insert(bq, a, m - 1 - a), insert(comp, 0, 0)],
-                               base)
-            yield state_element(target, state, pair, degree), sign
+        n = len(blocks)
+        if outer(n) is not None:
+            apply_stage(Stage(f.source.quiver, [("op", b) for b in blocks]),
+                        base, states.setdefault(n, {}))
+    for n, state in states.items():
+        apply_stage(insert(outer(n), 0, 0), state, out)
+    return out
 
 
 def check_functor(f, arity_bound=None, samples=30, seed=0):
@@ -176,9 +162,9 @@ def compose_functors(f, g, name=None):
             base = {(tuple(objs), tuple(names)): qa.ring.one}
             degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(n))
             pair = (omap(objs[0]), omap(objs[-1]))
-            qb = g.target.quiver
-            return linear_combination(qb.hom(*pair), degree, _blocks_into(
-                f, g.component, n, base, qb, pair, degree))
+            return state_element(g.target.quiver,
+                                 _blocks_into(f, g.component, n, base, {}),
+                                 pair, degree)
 
         comps[n] = MultiOp(f.source.quiver, g.target.quiver, n, 0, rule=rule,
                            lmap=omap, rmap=omap, name="(%s%s)%d" % (f.name, g.name, n))
@@ -315,8 +301,8 @@ def _commutator_tail(r, k, objs, names):
     base = {(tuple(objs), tuple(names)): qa.ring.one}
     degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + r.degree + 1
     pair = (r.source.obj_map(objs[0]), r.target.obj_map(objs[-1]))
-    return linear_combination(qb.hom(*pair), degree, _inner_ops(
-        A, r.component, k, base, qb, pair, degree))
+    return state_element(qb, insertion_sum(A.b, r.component, k, base, {}),
+                         pair, degree)
 
 
 def resolve_at_root(f, label, head=None):
@@ -340,14 +326,17 @@ def resolve_at_root(f, label, head=None):
         lmap = rmap = f.obj_map
         shift = 0
     k, chain, fnames, eps = root_split(A.base.quiver, label)
-    base = {(chain, fnames): A.quiver.ring.one}
+    key, normalize = (chain, fnames), A.quiver.ring.normalize
     pair = (lmap(chain[0]), rmap(chain[-1]))
     degree = A.quiver.degree(chain[0], chain[-1], label) + shift
-    given = (_blocks_into(f, B.b, k, base, B.quiver, pair, degree, eps)
-             if head is None else [(head(k, chain, fnames), eps)])
-    return linear_combination(B.quiver.hom(*pair), degree, itertools.chain(
-        given, _inner_ops(A, f.component, k, base, B.quiver, pair, degree,
-                          -eps, root=False)))
+    if head is None:
+        out = _blocks_into(f, B.b, k, {key: normalize(eps)}, {})
+    else:
+        out = {(pair, (nm,)): c
+               for nm, c in head(k, chain, fnames).scale(eps).items()}
+    insertion_sum(A.b, f.component, k, {key: normalize(-eps)}, out,
+                  root=False)
+    return state_element(B.quiver, out, pair, degree)
 
 
 def b1_value(r, k, objs, names):
@@ -406,7 +395,7 @@ def theta_value(rs, k, objs, names, chain=None):
     degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) \
         + sum(r.degree for r in rs) + 1
     pair = (chain[0].obj_map(objs[0]), chain[-1].obj_map(objs[-1]))
-    parts = []
+    states = {}
     for split in _compositions(k, 2 * n + 1):
         fas = split[0::2]
         ps = split[1::2]
@@ -433,17 +422,19 @@ def theta_value(rs, k, objs, names, chain=None):
             continue
         per = [list(_functor_blocks(chain[i], fas[i])) for i in range(n + 1)]
         for fblocks in itertools.product(*per):
-            outer = B.b(sum(len(fb) for fb in fblocks) + n)
-            if outer is None:
+            m = sum(len(fb) for fb in fblocks) + n
+            if B.b(m) is None:
                 continue
             blocks = []
             for i in range(n):
                 blocks.extend(("op", op) for op in fblocks[i])
                 blocks.append(mids[i])
             blocks.extend(("op", op) for op in fblocks[n])
-            state = run_stages([Stage(qa, blocks), insert(outer, 0, 0)], base)
-            parts.append((state_element(qb, state, pair, degree), 1))
-    return linear_combination(qb.hom(*pair), degree, parts)
+            apply_stage(Stage(qa, blocks), base, states.setdefault(m, {}))
+    out = {}
+    for m, state in states.items():
+        apply_stage(insert(B.b(m), 0, 0), state, out)
+    return state_element(qb, out, pair, degree)
 
 
 def Bn(rs, category=None, arity_bound=None, name=None):

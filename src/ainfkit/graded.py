@@ -139,14 +139,15 @@ class GradedModule:
 
     def __init__(self, ring, basis):
         self.ring = ring
-        self.degrees = {}
-        self.names = []
-        for name, deg in basis:
-            if name in self.degrees:
-                raise ValueError("duplicate basis name %r" % (name,))
-            self.degrees[name] = deg
-            self.names.append(name)
-        self.names = tuple(self.names)
+        basis = list(basis)  # any iterable of (name, degree) pairs
+        self.degrees = dict(basis)
+        if len(self.degrees) != len(basis):
+            seen = set()
+            for name, _ in basis:
+                if name in seen:
+                    raise ValueError("duplicate basis name %r" % (name,))
+                seen.add(name)
+        self.names = tuple(self.degrees)
 
     def degree(self, name):
         return self.degrees[name]

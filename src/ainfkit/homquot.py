@@ -33,8 +33,8 @@ from .category import AInfCategory, opposite, unit_then_op
 from .functors import strict_functor
 from .graded import GradedModule, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     all_basis_tensors, evaluate, insert, run_stages,
-                     state_element, unit_stage)
+                     all_basis_tensors, evaluate, insert, insertion_sum,
+                     run_stages, state_element, unit_stage)
 from .report import Report
 from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
                     shape_counts, shape_table, tree_pipeline, tree_shapes,
@@ -208,18 +208,10 @@ def _build(C, bobjs, leaf_bound, reduced, name):
             db = ops[1].on_basis((X, Y), (inner_label,))
             return inner.sub(evaluate(hop, (X, Y), (db,)))
         k, chain, fnames, eps = root_split(gen, label)
-        base = {(chain, fnames): ring.one}
-
-        def terms():
-            for a in range(k):
-                for q in range(1, k - a + 1):
-                    c = k - a - q
-                    if a or c:
-                        state = run_stages([insert(ops[q], a, c),
-                                            insert(ops[a + 1 + c], 0, 0)], base)
-                        yield state_element(squiver, state, (X, Y), degree), -eps
-
-        return linear_combination(squiver.hom(X, Y), degree, terms())
+        out = insertion_sum(ops.get, ops.get, k,
+                            {(chain, fnames): ring.normalize(-eps)}, {},
+                            root=False)
+        return state_element(squiver, out, (X, Y), degree)
 
     ops[1] = MultiOp(squiver, squiver, 1, 1, rule=b1_rule, name="tree_b1")
     for k in range(2, leaf_bound + 1):

@@ -5,6 +5,10 @@ which computes every Koszul sign at evaluation time from input degrees.
 The convention is the right-operator middle interchange
 (u tensor v)(f tensor g) = (-1)^(|v||f|) (uf) tensor (vg): an operator
 block picks up the degrees of the input factors standing to its right.
+
+A state is a dict {(objs, names): coeff} of canonical coefficients;
+apply_stage adds into a given state `out` in place, deleting keys that
+cancel, so a defining sum (insertion_sum) builds one state.
 """
 
 from .graded import Element, GradedModule, linear_combination
@@ -251,12 +255,14 @@ def unit_stage(source, el, pair, a, c):
     return _padded(source, [("el", el, pair)], a, c)
 
 
-def apply_stage(stage, state):
+def apply_stage(stage, state, out=None):
     """Push a state {(objs, names): coeff} through one stage.
 
     Every operator block contributes the Koszul sign
     (-1)^(deg(block) * sum of degrees of the factors to its right).
     Coefficients are taken and returned in the ring's canonical form.
+    The result is added into `out` (a new state when None): a key whose
+    coefficient cancels to zero is deleted, and `out` is returned.
     """
     quiver = stage.source
     ring = quiver.ring
@@ -267,7 +273,8 @@ def apply_stage(stage, state):
     plan = stage.plan
     odd_ends = stage.odd_ends
     arity_in = stage.arity_in
-    out = {}
+    if out is None:
+        out = {}
     for (objs, names), coeff in state.items():
         if len(names) != arity_in:
             raise ValueError("stage arity mismatch")
@@ -331,6 +338,25 @@ def run_stages(stages, state):
     for st in stages:
         state = apply_stage(st, state)
     return state
+
+
+def insertion_sum(inner, outer, k, base, out, root=True):
+    """Add the sum over m, a of outer(m) o (1^a tensor inner(k-m+1) tensor
+    1^(m-1-a)) on the arity-k state base into out, and return out.
+
+    inner, outer: arity -> MultiOp, or None for zero.  Per outer arity m
+    the insertions share one state, and outer(m) is applied to it once.
+    root=False leaves m = 1 out.  Signs ride on base's coefficients.
+    """
+    for m in range(1 if root else 2, k + 1):
+        op, ins = outer(m), inner(k - m + 1)
+        if op is None or ins is None:
+            continue
+        state = {}
+        for a in range(m):
+            apply_stage(insert(ins, a, m - 1 - a), base, state)
+        apply_stage(insert(op, 0, 0), state, out)
+    return out
 
 
 def compose_multi(stages, name=None):

@@ -250,6 +250,23 @@ def test_relation_span_is_differential_closed():
             assert normal_form(D, F, X, Y, el).is_zero
 
 
+def test_span_elements_keep_their_order():
+    for build in (arrow_with_differential, triple_product, path3):
+        D = build()
+        F = free_over(D, 3)
+        R = structure_relations(D, F)
+        rows = R.rows()
+        assert len(rows) > 1
+        # the order of the sort by repr of the whole (key, bucket) item
+        want = []
+        for (pair, degree), bucket in sorted(rows.items(), key=repr):
+            for pivot in sorted(bucket, key=_col_key):
+                want.append((pair, degree, dict(bucket[pivot])))
+        got = [((X, Y), el.degree, dict(el.items()))
+               for X, Y, el in R.span_elements()]
+        assert got == want
+
+
 def test_quotient_reproduces_generating_category():
     for build in (odd_square_zero, arrow_with_differential, triple_product):
         D = build()
@@ -359,7 +376,9 @@ def test_extend_functor_matches_normal_form():
         assert check_functor(f, samples=15, seed=2).ok
 
 
-def test_extend_functor_random_data_passes():
+def random_binary_extension():
+    """The free category over loop_quiver at bound 3, extended into
+    dg_target with a seeded random arity-2 component."""
     gen, d1 = loop_quiver()
     F = free_category(gen, d1, leaf_bound=3)
     A = dg_target()
@@ -377,11 +396,16 @@ def test_extend_functor_random_data_passes():
             table[(tuple(objs), tuple(names))] = el
     f2 = MultiOp(F.quiver, A.quiver, 2, 0, table=table,
                  lmap=lambda X: "L", rmap=lambda X: "L", name="f2")
-    f = extend_functor(F, A, images, higher={2: f2}, name="f")
+    return extend_functor(F, A, images, higher={2: f2}, name="f")
+
+
+def test_extend_functor_random_data_passes():
+    f = random_binary_extension()
     assert check_functor(f, samples=30, seed=6).ok
 
-    broken = QuiverMap(gen, A.quiver, 0,
-                       {("*", "*"): {"z": mod.basis_element("u0")}},
+    F, A = f.source, f.target
+    broken = QuiverMap(F.gen, A.quiver, 0,
+                       {("*", "*"): {"z": A.hom("L", "L").basis_element("u0")}},
                        obj_map=lambda X: "L")
     with pytest.raises(ValueError):
         extend_functor(F, A, broken)

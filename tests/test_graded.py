@@ -164,6 +164,19 @@ def test_element_arithmetic():
     assert M.zero(5).add(x) == x
 
 
+def test_module_basis_order_and_duplicates():
+    names = ["z", "a", ("t", 1), "m"]
+    M = GradedModule(QQ, zip(names, [2, 0, -1, 0]))
+    assert M.names == tuple(names)
+    assert M.degrees == {"z": 2, "a": 0, ("t", 1): -1, "m": 0}
+    assert GradedModule(QQ, iter([])).names == ()
+    # the first repeated name is reported, from a generator as from a list
+    pairs = [("x", 0), ("y", 1), ("x", 1), ("y", 1)]
+    for basis in (pairs, (p for p in pairs)):
+        with pytest.raises(ValueError, match="duplicate basis name 'x'"):
+            GradedModule(QQ, basis)
+
+
 def two_step_complex(ring=QQ):
     # w (deg -1) -> x (deg 0) -> 0 ; y isolated in degree 0
     M = GradedModule(ring, [("w", -1), ("x", 0), ("y", 0)])

@@ -22,10 +22,10 @@ from ainfkit.quiver import (
 QQ = Ring("QQ")
 
 
-def loop_quiver():
+def loop_quiver(ring=QQ):
     """One object with arrows a (deg 1), z (deg 2), w (deg 3)."""
-    M = GradedModule(QQ, [("a", 1), ("z", 2), ("w", 3)])
-    return GradedQuiver(QQ, ["*"], {("*", "*"): M})
+    M = GradedModule(ring, [("a", 1), ("z", 2), ("w", 3)])
+    return GradedQuiver(ring, ["*"], {("*", "*"): M})
 
 
 def op_t(q):
@@ -46,7 +46,7 @@ def op_u(q):
 
 def state_of(q, names):
     objs = tuple(["*"] * (len(names) + 1))
-    return {(objs, tuple(names)): QQ.one}
+    return {(objs, tuple(names)): q.ring.one}
 
 
 def test_insert_identity_case():
@@ -116,6 +116,37 @@ def test_disjoint_insertions_commute_up_to_sign():
     one = run_stages([insert(t, 0, 1), insert(t, 1, 0)], s)
     two = run_stages([insert(t, 1, 0), insert(t, 0, 1)], s)
     assert one == {k: QQ.neg(v) for k, v in two.items()}
+
+
+def test_apply_stage_accumulates_in_place():
+    q = loop_quiver()
+    t = op_t(q)
+    s = state_of(q, ("a", "a"))
+    # the two orders of two odd insertions cancel exactly: no key is left
+    out = {}
+    assert apply_stage(insert(t, 1, 0), apply_stage(insert(t, 0, 1), s),
+                       out) is out
+    assert out == {(("*",) * 3, ("z", "z")): QQ.normalize(-1)}
+    apply_stage(insert(t, 0, 1), apply_stage(insert(t, 1, 0), s), out)
+    assert out == {}
+    # a key already present is added into, others are kept
+    out = {(("*",) * 3, ("a", "z")): 2, (("*",) * 3, ("w", "w")): 5}
+    apply_stage(insert(t, 1, 0), s, out)
+    assert out == {(("*",) * 3, ("a", "z")): 3, (("*",) * 3, ("w", "w")): 5}
+    # over F_7 a negated term comes out canonical, and so does its sum
+    F7 = Ring("Fp", 7)
+    q7 = loop_quiver(F7)
+    t7 = op_t(q7)
+    s7 = state_of(q7, ("a", "a"))
+    out = apply_stage(insert(t7, 0, 1), s7, {})
+    assert out == {(("*",) * 3, ("z", "a")): 6}
+    apply_stage(insert(t7, 0, 1), s7, out)
+    assert out == {(("*",) * 3, ("z", "a")): 5}
+    assert all(type(c) is int for c in out.values())
+    apply_stage(insert(t7, 0, 1), {(("*",) * 3, ("a", "a")): 2}, out)
+    assert out == {(("*",) * 3, ("z", "a")): 3}
+    apply_stage(insert(t7, 0, 1), {(("*",) * 3, ("a", "a")): 3}, out)
+    assert out == {}
 
 
 def test_unit_stage_sign():

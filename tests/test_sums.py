@@ -1,0 +1,254 @@
+"""The defining sums against their per-term forms.
+
+stasheff_defect, the tree b1 and the functor equation each sum
+outer o (1^a tensor b_m tensor 1^c) terms through one shared state per
+outer arity (quiver.insertion_sum).  The oracles below are the per-term
+forms they replaced: one two-stage run, one Element and one entry of a
+linear_combination per term.
+"""
+
+import pytest
+
+from ainfkit.barquot import (bar_quotient, extend_functor, unit_contraction,
+                             word_embedding)
+from ainfkit.category import dg_to_ainf, stasheff_defect
+from ainfkit.functors import AInfFunctor, _functor_blocks, functor_defect
+from ainfkit.graded import GradedModule, Ring, linear_combination
+from ainfkit.homquot import homotopy_quotient
+from ainfkit.quiver import (BoundError, Stage, combine_ops, insert,
+                            run_stages, state_element)
+from ainfkit.trees import LEAF, root_split
+from test_barquot import models
+from test_freecat import random_binary_extension
+from test_homquot import within_bound_tensors
+
+F7 = Ring("Fp", 7)
+MODELS = [("path3", 1), ("arrow", 1)]
+
+
+def oracle_stasheff(A, k, objs, names):
+    q = A.quiver
+    objs, names = tuple(objs), tuple(names)
+    base = {(objs, names): q.ring.one}
+    deg = sum(q.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 2
+    pair = (objs[0], objs[-1])
+    parts = []
+    for a in range(k):
+        for m in range(1, k - a + 1):
+            c = k - a - m
+            inner, outer = A.b(m), A.b(a + 1 + c)
+            if inner is None or outer is None:
+                continue
+            state = run_stages([insert(inner, a, c), insert(outer, 0, 0)], base)
+            parts.append((state_element(q, state, pair, deg), 1))
+    return linear_combination(q.hom(*pair), deg, parts)
+
+
+def oracle_tree_b1(D, X, Y, label):
+    """b1 on a grafted name: minus eps times the insertions at its root
+    factors other than b1 of the whole."""
+    k, chain, fnames, eps = root_split(D.base.quiver, label)
+    q = D.quiver
+    base = {(chain, fnames): q.ring.one}
+    degree = q.degree(X, Y, label) + 1
+    parts = []
+    for a in range(k):
+        for m in range(1, k - a + 1):
+            c = k - a - m
+            if a or c:
+                state = run_stages([insert(D.b(m), a, c),
+                                    insert(D.b(a + 1 + c), 0, 0)], base)
+                parts.append((state_element(q, state, (X, Y), degree), -eps))
+    return linear_combination(q.hom(X, Y), degree, parts)
+
+
+def oracle_blocks_into(f, outer, k, base, target, pair, degree, sign=1):
+    for blocks in _functor_blocks(f, k):
+        op = outer(len(blocks))
+        if op is not None:
+            st = Stage(f.source.quiver, [("op", b) for b in blocks])
+            state = run_stages([st, insert(op, 0, 0)], base)
+            yield state_element(target, state, pair, degree), sign
+
+
+def oracle_inner_ops(A, component, k, base, target, pair, degree, sign=1,
+                     root=True):
+    for m in range(1 if root else 2, k + 1):
+        comp, bq = component(m), A.b(k - m + 1)
+        if comp is None or bq is None:
+            continue
+        for a in range(m):
+            state = run_stages([insert(bq, a, m - 1 - a), insert(comp, 0, 0)],
+                               base)
+            yield state_element(target, state, pair, degree), sign
+
+
+def oracle_functor_defect(f, k, objs, names):
+    A, B = f.source, f.target
+    qa = A.quiver
+    base = {(tuple(objs), tuple(names)): qa.ring.one}
+    degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 1
+    pair = (f.obj_map(objs[0]), f.obj_map(objs[-1]))
+    return linear_combination(B.quiver.hom(*pair), degree, list(
+        oracle_blocks_into(f, B.b, k, base, B.quiver, pair, degree))
+        + list(oracle_inner_ops(A, f.component, k, base, B.quiver, pair,
+                                degree, -1)))
+
+
+def oracle_resolve_at_root(f, label):
+    A, B = f.source, f.target
+    k, chain, fnames, eps = root_split(A.base.quiver, label)
+    base = {(chain, fnames): A.quiver.ring.one}
+    pair = (f.obj_map(chain[0]), f.obj_map(chain[-1]))
+    degree = A.quiver.degree(chain[0], chain[-1], label)
+    return linear_combination(B.quiver.hom(*pair), degree, list(
+        oracle_blocks_into(f, B.b, k, base, B.quiver, pair, degree, eps))
+        + list(oracle_inner_ops(A, f.component, k, base, B.quiver, pair,
+                                degree, -eps, root=False)))
+
+
+class Skewed:
+    """A's quiver with b(m) scaled by m: the defining sums stop vanishing."""
+
+    def __init__(self, A):
+        self.quiver = A.quiver
+        self.ops = {m: combine_ops([(A.b(m), m)])
+                    for m in range(1, A.max_arity + 1) if A.b(m) is not None}
+
+    def b(self, m):
+        return self.ops.get(m)
+
+
+def tensors(A):
+    """(k, objs, names) for every within-bound tensor of A."""
+    out = []
+    for k in range(1, A.max_arity + 1):
+        out += [(k, objs, names) for objs, names in within_bound_tensors(A, k)]
+    return out
+
+
+def grafted_names(D):
+    return [((X, Y), nm) for X, Y in D.quiver.pairs()
+            for nm in D.hom(X, Y).names if nm[0] != LEAF and len(nm[0]) > 1]
+
+
+def arrow_over(ring):
+    """The arrow with differential u -> v (test_category) over a ring."""
+    homs = {
+        (0, 0): GradedModule(ring, [("e0", 0)]),
+        (1, 1): GradedModule(ring, [("e1", 0)]),
+        (0, 1): GradedModule(ring, [("u", 0), ("v", 1)]),
+    }
+    m1 = {(0, 1): {"u": homs[(0, 1)].basis_element("v")}}
+    m2 = {
+        (0, 0, 0): {("e0", "e0"): homs[(0, 0)].basis_element("e0")},
+        (1, 1, 1): {("e1", "e1"): homs[(1, 1)].basis_element("e1")},
+        (0, 0, 1): {("e0", "u"): homs[(0, 1)].basis_element("u"),
+                    ("e0", "v"): homs[(0, 1)].basis_element("v")},
+        (0, 1, 1): {("u", "e1"): homs[(0, 1)].basis_element("u"),
+                    ("v", "e1"): homs[(0, 1)].basis_element("v")},
+    }
+    return dg_to_ainf(homs, m1, m2, units={0: "e0", 1: "e1"}, name="arrow")
+
+
+def agree(got, want, *args):
+    """got(*args) equals want(*args), or both escape the size bound.
+    Returns the value, None on an escape."""
+    try:
+        value = got(*args)
+    except BoundError:
+        with pytest.raises(BoundError):
+            want(*args)
+        return None
+    assert value == want(*args), args
+    return value
+
+
+def canonical(el, p):
+    return all(type(c) is int and 0 < c < p for c in el.terms.values())
+
+
+@pytest.mark.parametrize("which,bobj", MODELS)
+def test_stasheff_defect_matches_per_term_sums(which, bobj):
+    _, _, Q = models(which, bobj)
+    skewed = Skewed(Q)
+    nonzero = 0
+    for k, objs, names in tensors(Q):
+        assert stasheff_defect(Q, k, objs, names) == \
+            oracle_stasheff(Q, k, objs, names), names
+        got = stasheff_defect(skewed, k, objs, names)
+        assert got == oracle_stasheff(skewed, k, objs, names), names
+        nonzero += not got.is_zero
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("which,bobj", MODELS)
+def test_tree_b1_matches_per_term_sum(which, bobj):
+    _, _, Q = models(which, bobj)
+    names = grafted_names(Q)
+    assert names
+    for pair, nm in names:
+        got = Q.b(1).on_basis(pair, (nm,))
+        assert got == oracle_tree_b1(Q, *pair, nm), nm
+
+
+@pytest.mark.parametrize("which,bobj", MODELS)
+def test_functor_defect_matches_per_term_sums(which, bobj):
+    _, D, Q = models(which, bobj)
+    f = extend_functor(word_embedding(D), Q, unit_contraction(D))
+    resolved = [agree(lambda pair, nm: f.component(1).on_basis(pair, (nm,)),
+                      lambda pair, nm: oracle_resolve_at_root(f, nm), pair, nm)
+                for pair, nm in grafted_names(Q)]
+    assert any(v is not None and not v.is_zero for v in resolved)
+    comps = dict(f.components)
+    comps[1] = combine_ops([(comps[1], 2)])
+    doubled = AInfFunctor(Q, D, f.obj_map, comps, name="2f")
+    checked = nonzero = 0
+    for k, objs, names in tensors(Q):
+        agree(functor_defect, oracle_functor_defect, f, k, objs, names)
+        got = agree(functor_defect, oracle_functor_defect, doubled, k, objs,
+                    names)
+        checked += got is not None
+        nonzero += got is not None and not got.is_zero
+    assert nonzero > 0 and checked > len(tensors(Q)) // 2
+
+
+def test_resolve_at_root_with_a_binary_component():
+    # a free category mapped with a random arity-2 component: the
+    # non-root insertions of the root solve are nonzero
+    f = random_binary_extension()
+    F = f.source
+    for pair, nm in grafted_names(F):
+        assert f.component(1).on_basis(pair, (nm,)) == \
+            oracle_resolve_at_root(f, nm), nm
+    for k, objs, names in tensors(F):
+        assert functor_defect(f, k, objs, names) == \
+            oracle_functor_defect(f, k, objs, names), names
+
+
+def test_sums_over_f7_are_canonical():
+    C = arrow_over(F7)
+    Q = homotopy_quotient(C, frozenset([1]), 3)
+    D = bar_quotient(C, frozenset([1]), 3)
+    seen = 0
+    for pair, nm in grafted_names(Q):
+        got = Q.b(1).on_basis(pair, (nm,))
+        assert got == oracle_tree_b1(Q, *pair, nm), nm
+        assert canonical(got, 7), got
+        seen += len(got.terms)
+    assert seen > 0
+    f = extend_functor(word_embedding(D), Q, unit_contraction(D))
+    for pair, nm in grafted_names(Q):
+        got = agree(lambda pair, nm: f.component(1).on_basis(pair, (nm,)),
+                    lambda pair, nm: oracle_resolve_at_root(f, nm), pair, nm)
+        assert got is None or canonical(got, 7), got
+    skewed = Skewed(Q)
+    checked = 0
+    for k, objs, names in tensors(Q):
+        got = stasheff_defect(skewed, k, objs, names)
+        assert got == oracle_stasheff(skewed, k, objs, names), names
+        assert canonical(got, 7), got
+        got = agree(functor_defect, oracle_functor_defect, f, k, objs, names)
+        assert got is None or got.is_zero
+        checked += got is not None
+    assert checked > 0
