@@ -424,10 +424,9 @@ class ChainMap:
     def add(self, other):
         if self.degree != other.degree:
             raise ValueError("sum of maps of different degrees")
-        matrix = {}
-        for n in set(self.matrix) | set(other.matrix):
-            x = self._smod.basis_element(n)
-            matrix[n] = self(x).add(other(x))
+        matrix = dict(self.matrix)
+        for n, el in other.matrix.items():
+            matrix[n] = matrix[n].add(el) if n in matrix else el
         return ChainMap(self.source, self.target, self.degree, matrix)
 
     def scale(self, c):

@@ -31,7 +31,7 @@ import random
 
 from .category import AInfCategory, opposite, unit_then_op
 from .functors import strict_functor
-from .graded import GradedModule, linear_combination
+from .graded import GradedModule, koszul_sign, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      all_basis_tensors, evaluate, insert, insertion_sum,
                      run_stages, state_element, unit_stage)
@@ -954,15 +954,13 @@ def mirror_map(D, Dm):
             inner = image((t[0], gobjs, gnames))
             val = evaluate(Dm.homotopy, (Y, X), (inner,))
         else:
-            k, chain, fnames, _ = root_split(D.base.quiver, label)
+            k, chain, fnames, eps = root_split(D.base.quiver, label)
             rev = tuple(reversed(chain))
-            factors = tuple(q.hom(fn[1][0], fn[1][-1]).basis_element(fn)
-                            for fn in fnames)
-            w = evaluate(opD.b(k), rev, tuple(reversed(factors)))
-            c = w.coeff(label)
-            assert c != q.ring.zero, "reversal lost the name %r" % (label,)
+            degs = [q.degree(fn[1][0], fn[1][-1], fn) for fn in reversed(fnames)]
+            # the name's coefficient in opD.b(k) of the reversed factors
+            c = koszul_sign(range(k - 1, -1, -1), degs) * (-eps if k % 2 == 0 else eps)
             mirrored = tuple(image(fn) for fn in reversed(fnames))
-            val = evaluate(Dm.b(k), rev, mirrored).scale(q.ring.inv(c))
+            val = evaluate(Dm.b(k), rev, mirrored).scale(c)
         memo[label] = val
         return val
 

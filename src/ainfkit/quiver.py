@@ -9,6 +9,10 @@ block picks up the degrees of the input factors standing to its right.
 A state is a dict {(objs, names): coeff} of canonical coefficients;
 apply_stage adds into a given state `out` in place, deleting keys that
 cancel, so a defining sum (insertion_sum) builds one state.
+
+Single values go through evaluate.  A rule-less MultiOp's table is fixed
+at construction (only a rule memoises), so it is indexed there once by
+leading arguments and evaluate reads only the entries its factors reach.
 """
 
 from .graded import Element, GradedModule, linear_combination
@@ -105,6 +109,8 @@ class MultiOp:
     """Arity-n operation on a quiver, stored as a sparse table on basis tensors.
 
     A rule may be supplied; computed entries are memoized into the table.
+    Without one the table is fixed, and index holds it by leading arguments,
+    {(objs, names[:-1]): {names[-1]: value}}; with a rule index is None.
     lmap/rmap send the outer input objects to the output pair (identity for
     structure maps, the object map for functor components).
     """
@@ -119,6 +125,11 @@ class MultiOp:
         self.degree = degree
         self.table = dict(table) if table else {}
         self.rule = rule
+        self.index = None
+        if rule is None:
+            self.index = {}
+            for (objs, names), el in self.table.items():
+                self.index.setdefault((objs, names[:-1]), {})[names[-1]] = el
         self.lmap = lmap or _ident
         self.rmap = rmap or _ident
         self.name = name
@@ -421,21 +432,29 @@ def state_element(quiver, state, pair, degree):
     return Element(mod, terms, degree)
 
 
-def expand_tensor(quiver, objs, factors):
-    """Multilinear expansion of a tensor of Elements into basis-tensor terms."""
-    ring = quiver.ring
+def _products(ring, factors):
+    """(names, coeff) for every product of one term from each factor."""
+    mul = ring.mul
     terms = [((), ring.one)]
     for f in factors:
-        nxt = []
-        for names, c in terms:
-            for n, fc in f.items():
-                nxt.append((names + (n,), ring.mul(c, fc)))
-        terms = nxt
-    return {(tuple(objs), names): c for names, c in terms}
+        terms = [(names + (n,), mul(c, fc))
+                 for names, c in terms for n, fc in f.items()]
+    return terms
+
+
+def expand_tensor(quiver, objs, factors):
+    """Multilinear expansion of a tensor of Elements into basis-tensor terms."""
+    objs = tuple(objs)
+    return {(objs, names): c for names, c in _products(quiver.ring, factors)}
 
 
 def evaluate(op, objs, factors):
-    """Apply a MultiOp to a tensor of homogeneous Elements (multilinear)."""
+    """Apply a MultiOp to a tensor of homogeneous Elements (multilinear).
+
+    An op with a rule is asked on every basis tensor of the expansion.  For
+    a rule-less op only the leading factors are expanded; each index row
+    they reach meets the last factor on the smaller of the two.
+    """
     objs = tuple(objs)
     if len(factors) != op.arity or len(objs) != op.arity + 1:
         raise ValueError("%r takes %d factors" % (op, op.arity))
@@ -443,10 +462,23 @@ def evaluate(op, objs, factors):
         if not (f.is_zero or f.module is op.source.hom(objs[i], objs[i + 1])):
             raise ValueError("factor %d not in the expected hom" % i)
     deg = sum(f.degree for f in factors) + op.degree
-    return linear_combination(
-        op.out_module(objs), deg,
-        ((op.on_basis(o, names), c)
-         for (o, names), c in expand_tensor(op.source, objs, factors).items()))
+    if op.index is None:
+        return linear_combination(
+            op.out_module(objs), deg,
+            ((op.on_basis(o, names), c)
+             for (o, names), c in expand_tensor(op.source, objs, factors).items()))
+    mul = op.source.ring.mul
+    last = factors[-1].terms
+    scaled = []
+    for names, c in _products(op.source.ring, factors[:-1]):
+        row = op.index.get((objs, names))
+        if not row:
+            continue
+        if len(row) < len(last):
+            scaled += [(el, mul(c, last[n])) for n, el in row.items() if n in last]
+        else:
+            scaled += [(row[n], mul(c, fc)) for n, fc in last.items() if n in row]
+    return linear_combination(op.out_module(objs), deg, scaled)
 
 
 def all_basis_tensors(quiver, length, objs_filter=None):

@@ -11,7 +11,6 @@ POST_CONDITIONS = {
     ("graded", "split_semisplit"): 3,
     ("homquot", "term_stages"): 1,
     ("homquot", "stages_to_tree"): 1,
-    ("homquot", "mirror_map"): 1,
 }
 
 
