@@ -424,6 +424,8 @@ class ChainMap:
     def add(self, other):
         if self.degree != other.degree:
             raise ValueError("sum of maps of different degrees")
+        if self._smod is not other._smod or self._tmod is not other._tmod:
+            raise ValueError("sum of maps between different modules")
         matrix = dict(self.matrix)
         for n, el in other.matrix.items():
             matrix[n] = matrix[n].add(el) if n in matrix else el

@@ -13,6 +13,9 @@ cancel, so a defining sum (insertion_sum) builds one state.
 Single values go through evaluate.  A rule-less MultiOp's table is fixed
 at construction (only a rule memoises), so it is indexed there once by
 leading arguments and evaluate reads only the entries its factors reach.
+slot_values gives, in one pass, the values on every basis name of one
+slot with the other factors held fixed (a stored map's whole matrix):
+with that slot last, each index row reached holds all of them at once.
 """
 
 from .graded import Element, GradedModule, linear_combination
@@ -448,6 +451,34 @@ def expand_tensor(quiver, objs, factors):
     return {(objs, names): c for names, c in _products(quiver.ring, factors)}
 
 
+def _check_factors(op, objs, factors, slot=None):
+    """Raise unless factors (with a gap at slot, if given) fit op on objs."""
+    gap = slot is not None
+    if (len(factors) + gap != op.arity or len(objs) != op.arity + 1
+            or gap and not 0 <= slot < op.arity):
+        raise ValueError("%r takes %d factors" % (op, op.arity - gap))
+    for i, f in enumerate(factors):
+        j = i + 1 if gap and i >= slot else i
+        if not (f.is_zero or f.module is op.source.hom(objs[j], objs[j + 1])):
+            raise ValueError("factor %d not in the expected hom" % i)
+
+
+def _meet_rows(op, objs, leading, last):
+    """(entry, coeff) for each index row the leading (names, coeff) reach,
+    met with the last factor's terms on the smaller side."""
+    mul = op.source.ring.mul
+    scaled = []
+    for names, c in leading:
+        row = op.index.get((objs, names))
+        if not row:
+            continue
+        if len(row) < len(last):
+            scaled += [(el, mul(c, last[n])) for n, el in row.items() if n in last]
+        else:
+            scaled += [(row[n], mul(c, fc)) for n, fc in last.items() if n in row]
+    return scaled
+
+
 def evaluate(op, objs, factors):
     """Apply a MultiOp to a tensor of homogeneous Elements (multilinear).
 
@@ -456,29 +487,56 @@ def evaluate(op, objs, factors):
     they reach meets the last factor on the smaller of the two.
     """
     objs = tuple(objs)
-    if len(factors) != op.arity or len(objs) != op.arity + 1:
-        raise ValueError("%r takes %d factors" % (op, op.arity))
-    for i, f in enumerate(factors):
-        if not (f.is_zero or f.module is op.source.hom(objs[i], objs[i + 1])):
-            raise ValueError("factor %d not in the expected hom" % i)
+    _check_factors(op, objs, factors)
     deg = sum(f.degree for f in factors) + op.degree
     if op.index is None:
         return linear_combination(
             op.out_module(objs), deg,
             ((op.on_basis(o, names), c)
              for (o, names), c in expand_tensor(op.source, objs, factors).items()))
-    mul = op.source.ring.mul
-    last = factors[-1].terms
-    scaled = []
-    for names, c in _products(op.source.ring, factors[:-1]):
-        row = op.index.get((objs, names))
-        if not row:
-            continue
-        if len(row) < len(last):
-            scaled += [(el, mul(c, last[n])) for n, el in row.items() if n in last]
-        else:
-            scaled += [(row[n], mul(c, fc)) for n, fc in last.items() if n in row]
-    return linear_combination(op.out_module(objs), deg, scaled)
+    leading = _products(op.source.ring, factors[:-1])
+    return linear_combination(op.out_module(objs), deg,
+                              _meet_rows(op, objs, leading, factors[-1].terms))
+
+
+def slot_values(op, objs, factors, slot):
+    """{w: evaluate(op, objs, factors[:slot] + (e_w,) + factors[slot:])}
+    for every basis name w of the hom at the slot, in one pass.
+
+    A rule is asked on the same basis tensors, in the same order, as the
+    per-name evaluations would ask it.  For a rule-less op with w in the
+    last slot, each index row the other factors reach holds every w's
+    entry; in another slot, one row per w meets the last factor.
+    """
+    objs, factors = tuple(objs), tuple(factors)
+    _check_factors(op, objs, factors, slot)
+    ring = op.source.ring
+    smod = op.source.hom(objs[slot], objs[slot + 1])
+    before = _products(ring, factors[:slot])
+    if op.index is None:
+        mul = ring.mul
+        after = _products(ring, factors[slot:])
+        scaled = {w: [(op.on_basis(objs, pn + (w,) + sn), mul(pc, sc))
+                      for pn, pc in before for sn, sc in after]
+                  for w in smod.names}
+    elif slot == op.arity - 1:
+        scaled = {w: [] for w in smod.names}
+        for names, c in before:
+            for w, el in op.index.get((objs, names), {}).items():
+                scaled[w].append((el, c))
+    else:
+        mul = ring.mul
+        middle = _products(ring, factors[slot:-1])
+        last = factors[-1].terms
+        scaled = {w: _meet_rows(op, objs, [(pn + (w,) + mn, mul(pc, mc))
+                                           for pn, pc in before
+                                           for mn, mc in middle], last)
+                  for w in smod.names}
+    out = op.out_module(objs)
+    deg = sum(f.degree for f in factors) + op.degree
+    degrees = smod.degrees
+    return {w: linear_combination(out, deg + degrees[w], s) if s
+            else out.zero(deg + degrees[w]) for w, s in scaled.items()}
 
 
 def all_basis_tensors(quiver, length, objs_filter=None):

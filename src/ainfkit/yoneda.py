@@ -24,16 +24,18 @@ import random
 
 from .category import opposite, unit_then_op
 from .graded import ChainMap, Complex, GradedModule, in_image, koszul_sign
-from .quiver import BoundError, all_basis_tensors, evaluate
+from .quiver import BoundError, all_basis_tensors, evaluate, slot_values
 from .report import Report
 
 
-def _minus_b1(A, pair, el):
-    """Differential of the complex at a hom pair: minus the arity-1 map."""
+def hom_differential(A, pair):
+    """Differential of the complex at a hom pair, minus the arity-1
+    operation, as a stored map."""
+    mod = A.hom(*pair)
     op = A.b(1)
-    if op is None or el.is_zero:
-        return A.hom(*pair).zero(el.degree + 1)
-    return evaluate(op, pair, (el,)).scale(-1)
+    values = {} if op is None else slot_values(op, pair, (), 0)
+    return ChainMap(mod, mod, 1, {w: el.scale(-1)
+                                  for w, el in values.items() if el.terms})
 
 
 def map_module(smod, tmod):
@@ -62,15 +64,13 @@ def map_differential(A, spair, tpair, F):
     Returns the map w -> d(F w) - (-1)^{deg F} F(d w), both differentials
     being minus the arity-1 operation of A on the respective pair.
     """
-    smod = A.hom(*spair)
-    sign = -1 if F.degree % 2 else 1
-    matrix = {}
-    for w in smod.names:
-        x = smod.basis_element(w)
-        val = _minus_b1(A, tpair, F(x)).sub(
-            F(_minus_b1(A, spair, x)).scale(sign))
-        matrix[w] = val
-    return ChainMap(F.source, F.target, F.degree + 1, matrix)
+    return _differential_of(F, hom_differential(A, spair),
+                            hom_differential(A, tpair))
+
+
+def _differential_of(F, ds, dt):
+    """F then dt, minus (-1)^{deg F} times ds then F."""
+    return F.compose(dt).add(ds.compose(F).scale(1 if F.degree % 2 else -1))
 
 
 def map_compose(F, G):
@@ -91,27 +91,27 @@ def _y_value(A, zobjs, zfactors, xobjs, xfactors):
     xobjs[i]), against the arrows.  Each basis name w of the source
     complex goes to the arity n+k+1 operation applied to the reversed x
     block, then w, then the z block, scaled by the Koszul sign of that
-    reshuffle and by the parity of n.
+    reshuffle and by the parity of n.  The reshuffle moves the x block
+    past w and the z block, so its sign for w is its sign for a degree-0
+    w times (-1)^(|w| * sum |x_i|): one sign per parity of |w|.
     """
     n, k = len(xfactors), len(zfactors)
     smod = A.hom(xobjs[0], zobjs[0])
     tmod = A.hom(xobjs[-1], zobjs[-1])
-    degree = (sum(f.degree for f in zfactors)
-              + sum(f.degree for f in xfactors) + 1)
+    zdegs = [f.degree for f in zfactors]
+    xdegs = [f.degree for f in xfactors]
+    degree = sum(zdegs) + sum(xdegs) + 1
     op = A.b(n + k + 1)
     matrix = {}
     if op is not None:
-        chain = tuple(reversed(xobjs)) + tuple(zobjs)
-        rev = tuple(reversed(xfactors))
-        zdegs = [f.degree for f in zfactors]
-        xdegs = [f.degree for f in xfactors]
+        values = slot_values(op, tuple(reversed(xobjs)) + tuple(zobjs),
+                             tuple(reversed(xfactors)) + tuple(zfactors), n)
         perm = list(range(k + n, k, -1)) + list(range(0, k + 1))
-        base = -1 if n % 2 else 1
-        for w in smod.names:
-            sign = base * koszul_sign(perm, [smod.degrees[w]] + zdegs + xdegs)
-            val = evaluate(op, chain,
-                           rev + (smod.basis_element(w),) + tuple(zfactors))
-            matrix[w] = val.scale(sign)
+        even = koszul_sign(perm, [0] + zdegs + xdegs) * (-1 if n % 2 else 1)
+        odd = -even if sum(xdegs) % 2 else even
+        degrees = smod.degrees
+        matrix = {w: val.scale(odd if degrees[w] % 2 else even)
+                  for w, val in values.items() if val.terms}
     return ChainMap(smod, tmod, degree, matrix)
 
 
@@ -129,18 +129,25 @@ class RepresentedFunctor:
         self.category = A
         self.base = X
         self.arity_bound = A.max_arity if arity_bound is None else arity_bound
+        self._d = {}
 
     def module_at(self, Z):
         return self.category.hom(self.base, Z)
 
+    def d_at(self, Z):
+        """The differential at Z as a stored map, built once per Z."""
+        d = self._d.get(Z)
+        if d is None:
+            d = self._d[Z] = hom_differential(self.category, (self.base, Z))
+        return d
+
     def differential(self, Z, el):
-        return _minus_b1(self.category, (self.base, Z), el)
+        if not (el.is_zero or el.module is self.module_at(Z)):
+            raise ValueError("element not in the hom from the base to %r" % (Z,))
+        return self.d_at(Z)(el)
 
     def complex_at(self, Z):
-        mod = self.module_at(Z)
-        d = {nm: self.differential(Z, mod.basis_element(nm))
-             for nm in mod.names}
-        return Complex(mod, d)
+        return Complex(self.module_at(Z), self.d_at(Z).matrix)
 
     def value(self, objs, factors):
         """The stored map of one tensor; objs lists the k+1 objects."""
@@ -220,8 +227,8 @@ def _hx_residual(A, h, zobjs, zfactors):
             term = h.value(nobjs, nfacs)
             content = content or bool(term.matrix)
             lhs = lhs.add(term.scale(sign))
-    rhs = map_differential(A, (X, zobjs[0]), (X, zobjs[-1]),
-                           h.value(zobjs, zfactors))
+    rhs = _differential_of(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
+                           h.d_at(zobjs[-1]))
     content = content or bool(rhs.matrix)
     for i in range(1, k):
         term = map_compose(h.value(zobjs[:i + 1], zfactors[:i]),
@@ -327,8 +334,8 @@ def _transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors):
     tmod = A.hom(W, zobjs[-1])
     degree = sum(f.degree for f in zfactors) + r + 2
     total = ChainMap(smod, tmod, degree, {})
-    term = map_differential(A, (X, zobjs[0]), (W, zobjs[-1]),
-                            value(zobjs, zfactors))
+    term = _differential_of(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
+                            htgt.d_at(zobjs[-1]))
     content = bool(term.matrix)
     total = total.add(term)
     for i in range(1, k + 1):
@@ -420,6 +427,7 @@ def check_Y(A, bounds=(3, 3), samples=20, seed=0):
     rng = random.Random(seed)
     rep = Report("contravariant family of %s" % A.name)
     q = A.quiver
+    functors = {X: RepresentedFunctor(A, X) for X in q.objects}
     for n in range(1, nb + 1):
         xchains = [tuple(reversed(c)) for c in _hom_chains(q, n)]
         for k in range(0, kb + 1):
@@ -437,10 +445,9 @@ def check_Y(A, bounds=(3, 3), samples=20, seed=0):
                            for i in range(1, n + 1))
                 zf = tuple(_random_factor(q.hom(zc[i], zc[i + 1]), rng)
                            for i in range(k))
-                hsrc = RepresentedFunctor(A, xc[0])
-                htgt = RepresentedFunctor(A, xc[-1])
                 try:
-                    diff, nonzero = _y_residual(A, Aop, hsrc, htgt,
+                    diff, nonzero = _y_residual(A, Aop, functors[xc[0]],
+                                                functors[xc[-1]],
                                                 zc, zf, xc, xf)
                 except BoundError:
                     skipped += 1
@@ -601,12 +608,12 @@ def unit_defect_preimage(h, Z):
     D = F.add(ChainMap.identity(h.module_at(Z)).scale(-1))
     mod = h.module_at(Z)
     mm = map_module(mod, mod)
-    pair = (h.base, Z)
+    d = h.d_at(Z)
     bmatrix = {}
     for (a, b) in mm.names:
         E = ChainMap(mod, mod, mm.degrees[(a, b)],
                      {a: mod.basis_element(b)})
-        bmatrix[(a, b)] = flatten_map(map_differential(A, pair, pair, E), mm)
+        bmatrix[(a, b)] = flatten_map(_differential_of(E, d, d), mm)
     boundary = ChainMap(mm, mm, 1, bmatrix)
     return D, in_image(flatten_map(D, mm), boundary)
 

@@ -217,6 +217,22 @@ def test_chain_map_sign_rule():
     assert not bad.is_chain()
 
 
+def test_chain_map_add_rejects_other_modules():
+    # equal-looking modules are still different modules, as for elements
+    M = GradedModule(QQ, [("a", 0), ("b", 1)])
+    N = GradedModule(QQ, [("a", 0), ("b", 1)])
+    f = ChainMap(M, M, 0, {"a": M.basis_element("a")})
+    assert f.add(ChainMap(M, M, 0, {})).matrix == f.matrix
+    for other in (ChainMap(N, M, 0, {"a": M.basis_element("a")}),
+                  ChainMap(M, N, 0, {"a": N.basis_element("a")}),
+                  ChainMap(N, N, 0, {})):
+        with pytest.raises(ValueError, match="different modules"):
+            f.add(other)
+    # a complex and its own module are the same module
+    cx = Complex(M, {"a": M.basis_element("b")})
+    assert f.add(ChainMap.identity(cx)).matrix["a"] == M.basis_element("a", 2)
+
+
 def test_solve_linear():
     rows = [{"a": QQ.one, "b": QQ.one}, {"b": QQ.one}]
     sol = solve_linear(QQ, rows, {"a": Fraction(2), "b": Fraction(3)})

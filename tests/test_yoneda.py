@@ -378,11 +378,14 @@ def _validation_cases():
                         "1 z-factors on 2 objects"),
         "component x": (lambda: y11((0, 1), (f,), (0,), (f,)),
                         "1 x-factors on 2 objects"),
+        "differential hom": (lambda: h.differential(2, f),
+                             "not in the hom from the base to 2"),
     }
 
 
 @pytest.mark.parametrize("case", [
-    "value factors", "component range", "component z", "component x"])
+    "value factors", "component range", "component z", "component x",
+    "differential hom"])
 def test_yoneda_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):
