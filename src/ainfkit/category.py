@@ -12,7 +12,7 @@ import random
 from .graded import (ChainMap, Complex, GradedModule, in_image, koszul_sign,
                      linear_combination, shift, solve_linear)
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     collect_tensors, evaluate, insert, insertion_sum,
+                     bounded_tensors, evaluate, insert, insertion_sum,
                      run_stages, state_element, unit_stage)
 from .report import Report
 
@@ -125,19 +125,33 @@ def stasheff_defect(A, k, objs, names):
     return state_element(q, out, (objs[0], objs[-1]), deg)
 
 
-def sampled_check(A, k, samples, rng, defect_fn):
-    """Run a per-tensor defect over sampled basis tensors, bound aware.
+def _bounded_sample(A, k, samples, rng):
+    """(tensors, exhaustive): every basis tensor of length k within the
+    size bound when there are at most samples of them, else
+    rng.sample(tensors, samples).  The sample is drawn by position, so
+    the list is never built: unbounded, it can run to millions."""
+    walk = (A.quiver, k, A.size_of, A.size_bound)
+    count = sum(1 for _ in bounded_tensors(*walk))
+    if count <= samples:
+        return list(bounded_tensors(*walk)), True
+    at = dict.fromkeys(rng.sample(range(count), samples))
+    for i, t in enumerate(bounded_tensors(*walk)):
+        if i in at:
+            at[i] = t
+    return list(at.values()), False
 
-    Returns (checked, skipped, exhaustive, bad) where bad is the first
-    (objs, names, defect) with a nonzero defect, or None.
+
+def sampled_check(A, k, samples, rng, defect_fn):
+    """Run a per-tensor defect over sampled within-bound basis tensors.
+
+    Returns (checked, skipped, exhaustive, bad) where skipped counts the
+    evaluations that escape the bound and bad is the first (objs, names,
+    defect) with a nonzero defect, or None.
     """
-    tensors, exhaustive = collect_tensors(A.quiver, k, samples, rng)
+    tensors, exhaustive = _bounded_sample(A, k, samples, rng)
     checked = skipped = 0
     bad = None
     for objs, names in tensors:
-        if not A.within_bound(objs, names):
-            skipped += 1
-            continue
         try:
             d = defect_fn(objs, names)
         except BoundError:
@@ -150,21 +164,26 @@ def sampled_check(A, k, samples, rng, defect_fn):
     return checked, skipped, exhaustive, bad
 
 
+def _coverage(checked, exhaustive):
+    return "vacuous" if not checked else "all" if exhaustive else "sampled"
+
+
 def add_sampled_line(rep, label, checked, skipped, exhaustive, bad):
     if bad is not None:
         rep.add(label, False, "defect %r on names=%r over objects %r" % (
             bad[2], bad[1], bad[0]))
     else:
-        mode = "all" if exhaustive else "sampled"
-        rep.add(label, True, "%s, %d tensors, %d skipped" % (mode, checked, skipped))
+        rep.add(label, True, "%s, %d tensors, %d skipped" % (
+            _coverage(checked, exhaustive), checked, skipped))
 
 
 def check_stasheff(A, arity_bound=None, samples=40, seed=0):
     """Verify the defining identities up to a total arity.
 
     The default bound 2*max_arity - 1 covers every identity that has a
-    term built from two stored operations.  Tensors over the size bound
-    and evaluations that escape it are counted as skipped, never failed.
+    term built from two stored operations.  Only tensors within the size
+    bound are drawn; evaluations that escape it are counted as skipped,
+    never failed, and an arity that checks nothing reads vacuous.
     """
     if arity_bound is None:
         arity_bound = 2 * A.max_arity - 1
@@ -589,7 +608,7 @@ def check_strict_unit(A, samples=60, seed=0):
         if outer is None:
             rep.add(label, True, "vacuous")
             continue
-        tensors, exhaustive = collect_tensors(q, n, samples, rng)
+        tensors, exhaustive = _bounded_sample(A, n, samples, rng)
         checked = skipped = 0
         bad = None
         for objs, names in tensors:
@@ -613,8 +632,8 @@ def check_strict_unit(A, samples=60, seed=0):
             rep.add(label, False, "nonzero %r at slot %d of names=%r" % (
                 bad[3], bad[2], bad[1]))
         else:
-            mode = "all" if exhaustive else "sampled"
-            rep.add(label, True, "%s, %d insertions, %d skipped" % (mode, checked, skipped))
+            rep.add(label, True, "%s, %d insertions, %d skipped" % (
+                _coverage(checked, exhaustive), checked, skipped))
     return rep
 
 

@@ -21,7 +21,7 @@ from .functors import (AInfFunctor, Coderivation, resolve_at_root,
                        strict_functor, theta_value)
 from .graded import GradedModule, linear_combination
 from .homquot import composite_defect, tree_category
-from .quiver import (GradedQuiver, MultiOp, QuiverMap, all_basis_tensors,
+from .quiver import (GradedQuiver, MultiOp, QuiverMap, bounded_tensors,
                      evaluate)
 from .report import Report
 # leaf_count, vertex_count and ordered_ops are re-exported for callers.
@@ -109,7 +109,7 @@ def structure_relations(D, F, name="R"):
     gens = []
     for n in range(2, F.leaf_bound + 1):
         op = delta_op(D, F, n)
-        for objs, names in all_basis_tensors(D.quiver, n):
+        for objs, names in bounded_tensors(D.quiver, n):
             v = op.on_basis(objs, names)
             if not v.is_zero:
                 gens.append((objs[0], objs[-1], v))
@@ -175,76 +175,6 @@ def _insert_row(ring, rows, index, vec):
         if col != pivot:
             index.setdefault(col, set()).add(pivot)
     return vec
-
-
-def _arrows_out(F):
-    """(leaves, target, name) for the arrows out of each object, sorted by
-    leaf count; built on first use and kept on the category, whose basis
-    is fixed."""
-    arrows = getattr(F, "arrows_out", None)
-    if arrows is None:
-        q = F.quiver
-        arrows = F.arrows_out = {X: sorted(
-            ((len(nm[2]), Y, nm) for Y in q.objects for nm in q.hom(X, Y).names),
-            key=lambda arrow: arrow[0]) for X in q.objects}
-    return arrows
-
-
-def _arrows_between(F):
-    """The arrows of _arrows_out keyed by (source, target), in the same
-    leaf-sorted order and sharing its entries; kept on the category."""
-    arrows = getattr(F, "arrows_between", None)
-    if arrows is None:
-        arrows = F.arrows_between = {}
-        for X, out in _arrows_out(F).items():
-            for arrow in out:
-                arrows.setdefault((X, arrow[1]), []).append(arrow)
-    return arrows
-
-
-def _bounded_chains(F, length, budget, start=None, end=None):
-    """Composable chains of basis names with a total leaf allowance.
-
-    Yields (objects, names, leaves used).  A chain of length zero is a
-    single object.
-    """
-    if length == 0:
-        if start is not None and end is not None and start != end:
-            return
-        for X in ([start] if start is not None else
-                  ([end] if end is not None else list(F.objects))):
-            yield (X,), (), 0
-        return
-    arrows = _arrows_out(F)
-    last = None if end is None else _arrows_between(F)
-    for X0 in ([start] if start is not None else list(F.objects)):
-        yield from _chains_from(arrows, last, (X0,), (), 0, length, budget,
-                                end)
-
-
-def _chains_from(arrows, last, objs, names, used, length, budget, end):
-    # A module-level walker, not a closure that calls itself (a reference
-    # cycle per call).  Every name has at least one leaf, so slack leaves
-    # are kept for the arrows still to come; the arrows are sorted by
-    # leaf count, so the first one that does not fit ends the branch.
-    # With an end object the last step walks only the arrows into it
-    # (last, keyed by source and target), so no chain is built to be
-    # dropped.
-    if len(names) == length:
-        yield objs, names, used
-        return
-    if last is not None and len(names) == length - 1:
-        for take, Y, nm in last.get((objs[-1], end), ()):
-            if used + take > budget:
-                break
-            yield objs + (Y,), names + (nm,), used + take
-        return
-    slack = length - len(names) - 1
-    for take, Y, nm in arrows[objs[-1]]:
-        if used + take + slack > budget:
-            break
-        yield from _chains_from(arrows, last, objs + (Y,), names + (nm,),
-                                used + take, length, budget, end)
 
 
 def _saturate(F, generators):
@@ -546,10 +476,14 @@ def extend_homotopy(phi, psi, degree, target, part0=None, part1=None,
 def _mixed_tensors(F, k, X, Y, el, budget):
     """Tensors of k factors: el, from X to Y, in one slot and basis names
     using at most budget leaves in the others.  Yields (objects, factors)."""
+    q, size_of = F.quiver, F.size_of
     for slot in range(k):
-        for lobjs, lnames, lu in _bounded_chains(F, slot, budget, end=X):
-            for robjs, rnames, _ in _bounded_chains(
-                    F, k - 1 - slot, budget - lu, start=Y):
+        for lobjs, lnames in bounded_tensors(q, slot, size_of, budget, end=X):
+            rest = budget  # a plain loop: sum() of a generator costs more
+            for nm in lnames:
+                rest -= len(nm[2])
+            for robjs, rnames in bounded_tensors(q, k - 1 - slot, size_of,
+                                                 rest, start=Y):
                 factors = [F.hom(lobjs[i], lobjs[i + 1]).basis_element(lnames[i])
                            for i in range(slot)]
                 factors.append(el)

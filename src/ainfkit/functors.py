@@ -11,7 +11,7 @@ import itertools
 import random
 
 from .category import add_sampled_line, sampled_check
-from .quiver import (MultiOp, QuiverMap, Stage, all_basis_tensors,
+from .quiver import (MultiOp, QuiverMap, Stage, bounded_tensors,
                      apply_stage, evaluate, insert, insertion_sum,
                      state_element)
 from .report import Report
@@ -260,7 +260,7 @@ def random_coderivation(f, g, degree, arity_bound, rng, density=0.5, name="r"):
     comps = {}
     for k in range(1, arity_bound + 1):
         table = {}
-        for objs, names in all_basis_tensors(qa, k):
+        for objs, names in bounded_tensors(qa, k):
             mod = qb.hom(f.obj_map(objs[0]), g.obj_map(objs[-1]))
             deg = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + degree
             el = mod.random_element(deg, rng)
@@ -339,39 +339,11 @@ def resolve_at_root(f, label, head=None):
     return state_element(B.quiver, out, pair, degree)
 
 
-def b1_value(r, k, objs, names):
-    """One basis-tensor value of the differential of a coderivation.
-
-    First the placement sum: functor matrix elements of the source and
-    target functors around one component of r (the 0-th component enters
-    as a fixed-element block at the junction object), followed by one
-    target operation; this is the insertion sum of r alone.  Then minus
-    (-1)^deg(r) times the source-side sum.
-    """
-    flip = -1 if r.degree % 2 == 0 else 1
-    return theta_value([r], k, objs, names).add(
-        _commutator_tail(r, k, objs, names).scale(flip))
-
-
 def B1(r):
-    """The differential of a coderivation, componentwise up to its bound."""
-    f, g = r.source, r.target
-    A, B = r.cat_source, r.cat_target
-    comps = {}
-    for n in range(1, r.arity_bound + 1):
-        comps[n] = MultiOp(A.quiver, B.quiver, n, r.degree + 1,
-                           rule=lambda objs, names, n=n: b1_value(r, n, objs, names),
-                           lmap=f.obj_map, rmap=g.obj_map,
-                           name="%sB1_%d" % (r.name, n))
-    r0 = {}
-    b1B = B.b(1)
-    if b1B is not None:
-        for X, el in r.r0.items():
-            img = evaluate(b1B, (f.obj_map(X), g.obj_map(X)), (el,))
-            if not img.is_zero:
-                r0[X] = img
-    return Coderivation(f, g, r.degree + 1, comps, r0=r0,
-                        arity_bound=r.arity_bound, name=r.name + "B1")
+    """The differential of a coderivation, componentwise up to its bound:
+    the insertion sum of r alone, then minus (-1)^deg(r) times the
+    source-side sum (Bn on the one coderivation)."""
+    return Bn([r], arity_bound=r.arity_bound, name=r.name + "B1")
 
 
 def theta_value(rs, k, objs, names, chain=None):
@@ -441,8 +413,8 @@ def Bn(rs, category=None, arity_bound=None, name=None):
     """Composition of several coderivations: insertion, then operations.
 
     With a single coderivation the source-side commutator term is added,
-    so the result agrees with B1.  With none this is the structure of
-    the given category carried by its identity functor.
+    so the result is its differential (B1).  With none this is the
+    structure of the given category carried by its identity functor.
     """
     rs = list(rs)
     if not rs:
@@ -490,7 +462,7 @@ def coderivations_equal(r1, r2):
             return False
     bound = max(r1.arity_bound, r2.arity_bound)
     for k in range(1, bound + 1):
-        for objs, names in all_basis_tensors(qa, k):
+        for objs, names in bounded_tensors(qa, k):
             if r1.component_value(k, objs, names) != r2.component_value(k, objs, names):
                 return False
     return True
@@ -677,7 +649,7 @@ def check_hochschild_square(r):
     for k in range(1, r.arity_bound + 1):
         bad = None
         count = 0
-        for objs, names in all_basis_tensors(qa, k):
+        for objs, names in bounded_tensors(qa, k):
             count += 1
             basis = [qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
                      for i in range(k)]

@@ -396,6 +396,8 @@ class ChainMap:
         self._smod, self._tmod = smod, tmod
 
     def __call__(self, el):
+        if el.terms and el.module is not self._smod:
+            raise ValueError("element outside the map's source module")
         matrix = self.matrix
         return linear_combination(
             self._tmod, el.degree + self.degree,

@@ -12,11 +12,12 @@ objects nothing is adjoined and no unary vertex is admissible: the big
 category is then the free category of freecat.
 
 Each hom lists its basis in tensor order times shape order: by leaf
-count, then by label tensor in all_basis_tensors order, then by shape
-in tree_shapes order, keeping the admissible (and, for the reduced
-flavour, reduced) shapes.  A name's degree is the flat degree of its
-label tensor plus its shape's offset, wide minus unary vertices; the
-samplers and enumerators downstream rely on both.
+count, then by label tensor in the order of an unbounded
+quiver.bounded_tensors walk (objects, targets, hom names, depth first),
+then by shape in tree_shapes order, keeping the admissible (and, for
+the reduced flavour, reduced) shapes.  A name's degree is the flat
+degree of its label tensor plus its shape's offset, wide minus unary
+vertices; the samplers and enumerators downstream rely on both.
 
 The second half of the module is the calculus of formal operations
 (unary homotopies, higher operations, unit insertions) acting on the
@@ -33,7 +34,7 @@ from .category import AInfCategory, opposite, unit_then_op
 from .functors import strict_functor
 from .graded import GradedModule, koszul_sign, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     all_basis_tensors, evaluate, insert, insertion_sum,
+                     bounded_tensors, evaluate, insert, insertion_sum,
                      run_stages, state_element, unit_stage)
 from .report import Report
 from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
@@ -128,7 +129,7 @@ def _build(C, bobjs, leaf_bound, reduced, name):
     basis = {}
     for n in range(1, leaf_bound + 1):
         table = shape_table(n, unary, reduced)
-        for gobjs, gnames in all_basis_tensors(gen, n):
+        for gobjs, gnames in bounded_tensors(gen, n):
             mask = sum(1 << i for i, X in enumerate(gobjs) if X in bobjs)
             flat = sum([gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
                         for i in range(n)])
@@ -302,7 +303,7 @@ def check_reduction(C, E, D, samples=20, seed=0):
     bad = 0
     for n in range(2, E.leaf_bound + 1):
         dop = composite_defect(C, E, n)
-        for objs, names in all_basis_tensors(C.quiver, n):
+        for objs, names in bounded_tensors(C.quiver, n):
             v = dop.on_basis(objs, names)
             if v.is_zero:
                 continue

@@ -16,6 +16,10 @@ leading arguments and evaluate reads only the entries its factors reach.
 slot_values gives, in one pass, the values on every basis name of one
 slot with the other factors held fixed (a stored map's whole matrix):
 with that slot last, each index row reached holds all of them at once.
+
+Every walk over composable basis tensors is bounded_tensors: the arrows
+out of each object, sorted by a size function and indexed once per
+function on the quiver, are walked depth first within a size budget.
 """
 
 from .graded import Element, GradedModule, linear_combination
@@ -40,6 +44,8 @@ class GradedQuiver:
             if mod.names:
                 self.homs[pair] = mod
         self._zeros = {}
+        # size function -> arrow index; see bounded_tensors
+        self.arrow_indexes = {}
 
     def hom(self, X, Y):
         if (X, Y) in self.homs:
@@ -539,62 +545,78 @@ def slot_values(op, objs, factors, slot):
             else out.zero(deg + degrees[w]) for w, s in scaled.items()}
 
 
-def all_basis_tensors(quiver, length, objs_filter=None):
-    """Iterate (objs, names) over all composable basis tensors of a length."""
-    for X in quiver.objects:
-        if objs_filter and not objs_filter(X):
-            continue
-        yield from _walk_tensors(quiver, length, (X,), ())
+def _arrow_index(quiver, size_of):
+    """(out, into, least) for a size function (None: every size 0).
+
+    out[X] lists the arrows (size, target, name) out of X, stably sorted
+    by size, so with no sizes in hom order; into[(X, Y)] lists the same
+    entries by source and target; least is the smallest size.  Built
+    once per size function and kept on the quiver, whose homs are fixed.
+    """
+    index = quiver.arrow_indexes.get(size_of)
+    if index is None:
+        out, into = {}, {}
+        for X in quiver.objects:
+            arrows = [(0 if size_of is None else size_of(X, Y, nm), Y, nm)
+                      for Y in quiver.objects if (X, Y) in quiver.homs
+                      for nm in quiver.homs[(X, Y)].names]
+            arrows.sort(key=lambda arrow: arrow[0])
+            out[X] = arrows
+            for arrow in arrows:
+                into.setdefault((X, arrow[1]), []).append(arrow)
+        least = min((arrows[0][0] for arrows in out.values() if arrows),
+                    default=0)
+        index = quiver.arrow_indexes[size_of] = (out, into, least)
+    return index
 
 
-def _walk_tensors(quiver, length, chain, names):
+def bounded_tensors(quiver, length, size_of=None, budget=None, start=None,
+                    end=None):
+    """Yield (objs, names) for every composable basis tensor of a length
+    whose sizes sum to at most budget, from start and to end if given.
+
+    size_of(X, Y, name) gives an arrow's size, and budget None bounds
+    nothing.  Arrows are walked depth first in size order, and a branch
+    ends at the first arrow that does not fit with the smallest arrows
+    still to come; with size_of None every size is 0, and the order is
+    objects, then targets, then hom names.  With an end object the last
+    step walks only the arrows into it.  A tensor of length zero is one
+    object.
+    """
+    starts = [start] if start is not None else quiver.objects
+    if length == 0:
+        for X in starts:
+            if end in (None, X):
+                yield (X,), ()
+        return
+    out, into, least = _arrow_index(quiver, size_of)
+    if budget is None:
+        budget = float("inf")
+    for X in starts:
+        yield from _walk_tensors(out, None if end is None else into, least,
+                                 (X,), (), 0, length, budget, end)
+
+
+def _walk_tensors(out, into, least, objs, names, used, length, budget, end):
     # A module-level walker, not a closure that calls itself (a reference
     # cycle per call).
     if len(names) == length:
-        yield chain, names
+        yield objs, names
         return
-    X = chain[-1]
-    for Y in quiver.objects:
-        for n in quiver.hom(X, Y).names:
-            yield from _walk_tensors(quiver, length, chain + (Y,), names + (n,))
-
-
-def random_basis_tensor(quiver, length, rng, tries=50):
-    """A random composable basis tensor, or None if none found."""
-    for _ in range(tries):
-        chain = [rng.choice(quiver.objects)]
-        names = []
-        ok = True
-        for _ in range(length):
-            X = chain[-1]
-            nexts = [Y for Y in quiver.objects if quiver.hom(X, Y).names]
-            if not nexts:
-                ok = False
+    if into is not None and len(names) == length - 1:
+        for size, Y, nm in into.get((objs[-1], end), ()):
+            if used + size > budget:
                 break
-            Y = rng.choice(nexts)
-            chain.append(Y)
-            names.append(rng.choice(quiver.hom(X, Y).names))
-        if ok:
-            return tuple(chain), tuple(names)
-    return None
-
-
-def collect_tensors(quiver, length, samples, rng):
-    """All basis tensors of a length when few, else a seeded random sample.
-
-    Returns (tensors, exhaustive) where exhaustive says whether the list
-    covers every composable basis tensor of that length.
-    """
-    found = []
-    for t in all_basis_tensors(quiver, length):
-        found.append(t)
-        if len(found) > samples:
+            yield objs + (Y,), names + (nm,)
+        return
+    slack = least * (length - len(names) - 1)
+    for size, Y, nm in out[objs[-1]]:
+        if used + size + slack > budget:
             break
-    if len(found) <= samples:
-        return found, True
-    picks = []
-    for _ in range(samples):
-        t = random_basis_tensor(quiver, length, rng)
-        if t is not None:
-            picks.append(t)
-    return picks, False
+        yield from _walk_tensors(out, into, least, objs + (Y,), names + (nm,),
+                                 used + size, length, budget, end)
+
+
+def all_basis_tensors(quiver, length):
+    """bounded_tensors unbounded, under the name perfbench/selftest.py uses."""
+    return bounded_tensors(quiver, length)

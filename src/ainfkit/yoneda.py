@@ -24,7 +24,7 @@ import random
 
 from .category import opposite, unit_then_op
 from .graded import ChainMap, Complex, GradedModule, in_image, koszul_sign
-from .quiver import BoundError, all_basis_tensors, evaluate, slot_values
+from .quiver import BoundError, bounded_tensors, evaluate, slot_values
 from .report import Report
 
 
@@ -633,7 +633,7 @@ def opposite_facts(A, cap=4000):
     for n in sorted(A.ops):
         checked = 0
         bad = None
-        for objs, names in all_basis_tensors(A.quiver, n):
+        for objs, names in bounded_tensors(A.quiver, n):
             if checked >= cap:
                 break
             try:

@@ -215,8 +215,8 @@ def test_opposite_signs_and_involution():
 
     back = opposite(Aop)
     for k in (1, 2):
-        from ainfkit.quiver import all_basis_tensors
-        for objs, names in all_basis_tensors(A.quiver, k):
+        from ainfkit.quiver import bounded_tensors
+        for objs, names in bounded_tensors(A.quiver, k):
             lhs = back.b(k).on_basis(objs, names) if back.b(k) else None
             rhs = A.b(k).on_basis(objs, names) if A.b(k) else None
             if lhs is not None or rhs is not None:

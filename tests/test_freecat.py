@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfkit.category import AInfCategory, check_stasheff, dg_to_ainf
-from ainfkit.freecat import (LEAF, IdealSpec, _bounded_chains, _col_key,
+from ainfkit.freecat import (LEAF, IdealSpec, _col_key,
                              _insert_row, _reduce_vec, check_descends,
                              check_factorizes,
                              check_ideal, corolla, delta_op, extend_functor,
@@ -24,7 +24,7 @@ from ainfkit.functors import (Bn, check_functor, compose_functors,
                               strict_functor)
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                            Stage, all_basis_tensors, evaluate, insert,
+                            Stage, bounded_tensors, evaluate, insert,
                             run_stages, state_element)
 from test_category import arrow_with_differential, path3
 from test_functors import functors_componentwise_equal, odd_square_zero
@@ -94,7 +94,7 @@ def coderivation_components_match(r1, r2, kmax):
         if r1.component0(X) != r2.component0(X):
             return False
     for k in range(1, kmax + 1):
-        for objs, names in all_basis_tensors(qa, k):
+        for objs, names in bounded_tensors(qa, k):
             if not F.within_bound(objs, names):
                 continue
             if r1.component_value(k, objs, names) != r2.component_value(k, objs, names):
@@ -389,7 +389,7 @@ def random_binary_extension():
                        obj_map=lambda X: "L")
     rng = random.Random(5)
     table = {}
-    for objs, names in all_basis_tensors(F.quiver, 2):
+    for objs, names in bounded_tensors(F.quiver, 2):
         deg = sum(F.quiver.degree(objs[i], objs[i + 1], names[i]) for i in range(2))
         el = mod.random_element(deg, rng, density=0.4)
         if not el.is_zero:
@@ -435,7 +435,7 @@ def _extension_setup(bound=3):
 
     def random_f2():
         table = {}
-        for objs, names in all_basis_tensors(F.quiver, 2):
+        for objs, names in bounded_tensors(F.quiver, 2):
             deg = sum(F.quiver.degree(objs[i], objs[i + 1], names[i])
                       for i in range(2))
             el = mod.random_element(deg, rng, density=0.3)
@@ -684,7 +684,7 @@ def dense_saturation(F, generators):
     ring = F.quiver.ring
     chains = {}
     for n in range(F.leaf_bound):
-        for objs, names in all_basis_tensors(F.quiver, n):
+        for objs, names in bounded_tensors(F.quiver, n):
             used = sum(len(nm[2]) for nm in names)
             if used < F.leaf_bound:
                 chains.setdefault(n, []).append((objs, names, used))
@@ -743,17 +743,18 @@ def test_bounded_chains_are_the_filtered_tensors(build):
     ends = list(F.objects) + [None]
     for n in range(4):
         tensors = []
-        for objs, names in all_basis_tensors(F.quiver, n):
+        for objs, names in bounded_tensors(F.quiver, n):
             used = sum(len(nm[2]) for nm in names)
             if used <= 4:
                 tensors.append((objs, names, used))
         for budget in range(5):
             for start in ends:
                 for end in ends:
-                    want = sorted(t for t in tensors if t[2] <= budget
+                    want = sorted(t[:2] for t in tensors if t[2] <= budget
                                   and start in (None, t[0][0])
                                   and end in (None, t[0][-1]))
-                    got = list(_bounded_chains(F, n, budget, start, end))
+                    got = list(bounded_tensors(F.quiver, n, F.size_of, budget,
+                                               start, end))
                     assert len(set(got)) == len(got)
                     assert sorted(got) == want, (n, budget, start, end)
 

@@ -6,13 +6,14 @@ import pytest
 
 from ainfkit.category import AInfCategory, dg_to_ainf, opposite
 from ainfkit.functors import (AInfFunctor, Bn, B1, Coderivation, HochschildCochain,
-                              b1_value, check_b1_square, check_functor,
+                              _commutator_tail, check_b1_square, check_functor,
                               check_hochschild_square, coderivations_equal,
                               compose_functors, functor_defect, hochschild_d,
                               identity_functor, random_coderivation, strict_functor,
                               theta_value, to_hochschild, unit_transformation)
 from ainfkit.graded import GradedModule, Ring
-from ainfkit.quiver import MultiOp, Stage, all_basis_tensors, insert, run_stages, state_element
+from ainfkit.quiver import (MultiOp, Stage, bounded_tensors, evaluate, insert,
+                            run_stages, state_element)
 from test_category import arrow_with_differential, one_object_unit, path3
 
 QQ = Ring("QQ")
@@ -88,7 +89,7 @@ def functor_component(f, n, objs, names):
 def functors_componentwise_equal(f1, f2, kmax):
     qa = f1.source.quiver
     for k in range(1, kmax + 1):
-        for objs, names in all_basis_tensors(qa, k):
+        for objs, names in bounded_tensors(qa, k):
             if functor_component(f1, k, objs, names) != functor_component(f2, k, objs, names):
                 return False
     return True
@@ -200,7 +201,7 @@ def test_b1_matches_dg_display():
         r = random_coderivation(ident, ident, degree, 3, random.Random(seed))
         got = B1(r)
         for k in (1, 2, 3):
-            for objs, names in all_basis_tensors(D.quiver, k):
+            for objs, names in bounded_tensors(D.quiver, k):
                 want = five_term_value(D, r, k, objs, names)
                 assert got.component_value(k, objs, names) == want, (degree, k, names)
 
@@ -231,16 +232,46 @@ def test_b1_squares_to_zero():
         assert check_b1_square(r).ok, (P.name, degree)
 
 
+def b1_value(r, k, objs, names):
+    """One basis-tensor value of the differential of a coderivation, as a
+    sum of its own: the insertion sum of r alone, then minus
+    (-1)^deg(r) times the source-side sum."""
+    flip = -1 if r.degree % 2 == 0 else 1
+    return theta_value([r], k, objs, names).add(
+        _commutator_tail(r, k, objs, names).scale(flip))
+
+
+def summed_b1(r):
+    """The differential of a coderivation from b1_value, componentwise up
+    to its bound, with the target's b1 on the per-object components."""
+    f, g = r.source, r.target
+    A, B = r.cat_source, r.cat_target
+    comps = {n: MultiOp(A.quiver, B.quiver, n, r.degree + 1,
+                        rule=lambda objs, names, n=n: b1_value(r, n, objs, names),
+                        lmap=f.obj_map, rmap=g.obj_map)
+             for n in range(1, r.arity_bound + 1)}
+    r0 = {}
+    if B.b(1) is not None:
+        for X, el in r.r0.items():
+            img = evaluate(B.b(1), (f.obj_map(X), g.obj_map(X)), (el,))
+            if not img.is_zero:
+                r0[X] = img
+    return Coderivation(f, g, r.degree + 1, comps, r0=r0,
+                        arity_bound=r.arity_bound, name=r.name + "sum")
+
+
 def test_insertion_with_one_coderivation_matches_b1():
     D = arrow_with_differential()
     idD = identity_functor(D)
     r = random_coderivation(idD, idD, 0, 2, random.Random(20))
-    assert coderivations_equal(Bn([r]), B1(r))
+    assert coderivations_equal(Bn([r]), summed_b1(r))
+    assert coderivations_equal(B1(r), summed_b1(r))
 
     P = odd_square_zero()
     idP = identity_functor(P)
     r = random_coderivation(idP, idP, -1, 2, random.Random(21))
-    assert coderivations_equal(Bn([r]), B1(r))
+    assert coderivations_equal(Bn([r]), summed_b1(r))
+    assert coderivations_equal(B1(r), summed_b1(r))
 
 
 def test_insertion_with_no_coderivations_is_the_structure():
@@ -248,7 +279,7 @@ def test_insertion_with_no_coderivations_is_the_structure():
     base = Bn([], category=A)
     assert not base.r0
     for k in (1, 2):
-        for objs, names in all_basis_tensors(A.quiver, k):
+        for objs, names in bounded_tensors(A.quiver, k):
             want = A.b(k).on_basis(objs, names)
             assert base.component_value(k, objs, names) == want
 
@@ -313,7 +344,7 @@ def random_cochain(f, g, degree, bound, rng):
     comps = {}
     for k in range(1, bound + 1):
         table = {}
-        for objs, names in all_basis_tensors(qa, k):
+        for objs, names in bounded_tensors(qa, k):
             mod = qb.hom(f.obj_map(objs[0]), g.obj_map(objs[-1]))
             deg = sum(qa.degree(objs[i], objs[i + 1], names[i])
                       for i in range(k)) + degree + 1 - k
@@ -343,7 +374,7 @@ def test_hochschild_d_squares_to_zero():
         qa = ident.source.dg.quiver
         assert not dd.t0
         for k in range(1, t.arity_bound + 3):
-            for objs, names in all_basis_tensors(qa, k):
+            for objs, names in bounded_tensors(qa, k):
                 basis = [qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
                          for i in range(k)]
                 assert dd.eval(k, objs, basis).is_zero, (degree, k, names)
@@ -368,7 +399,7 @@ def test_path2_differential_oracles():
         1: MultiOp(qa, qa, 1, 0, table={((0, 1), ("a",)): a})}, arity_bound=1)
     dt = hochschild_d(t)
     for k in (1, 2):
-        for objs, names in all_basis_tensors(qa, k):
+        for objs, names in bounded_tensors(qa, k):
             basis = [qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
                      for i in range(k)]
             assert dt.eval(k, objs, basis).is_zero, (k, names)
@@ -376,7 +407,7 @@ def test_path2_differential_oracles():
     # the identity transformation is a cocycle
     u = HochschildCochain(ident, ident, -1, {}, t0={0: e0, 1: e1}, arity_bound=0)
     du = hochschild_d(u)
-    for objs, names in all_basis_tensors(qa, 1):
+    for objs, names in bounded_tensors(qa, 1):
         x = qa.hom(*objs).basis_element(names[0])
         assert du.eval(1, objs, [x]).is_zero
 
@@ -417,6 +448,7 @@ def test_theta_respects_explicit_chain():
     # inserting the unit next to one functor leg and composing kills nothing:
     # right placement gives f, left placement gives -f, the sum vanishes
     assert val == b1_value(u, 1, (0, 1), ("f",))
+    assert val == Bn([u], arity_bound=1).component_value(1, (0, 1), ("f",))
     assert val.is_zero
 
 

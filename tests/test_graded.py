@@ -233,6 +233,18 @@ def test_chain_map_add_rejects_other_modules():
     assert f.add(ChainMap.identity(cx)).matrix["a"] == M.basis_element("a", 2)
 
 
+def test_chain_map_call_rejects_other_modules():
+    # a nonzero element of another module is an error, not a silent zero;
+    # a zero of any module maps to zero, as Element.add accepts it
+    M = GradedModule(QQ, [("a", 0), ("b", 1)])
+    N = GradedModule(QQ, [("a", 0), ("b", 1)])
+    f = ChainMap(M, M, 0, {"a": M.basis_element("a")})
+    with pytest.raises(ValueError, match="source module"):
+        f(N.basis_element("b"))
+    assert f(N.zero(1)).is_zero
+    assert f(Complex(M, {}).module.basis_element("a")) == M.basis_element("a")
+
+
 def test_solve_linear():
     rows = [{"a": QQ.one, "b": QQ.one}, {"b": QQ.one}]
     sol = solve_linear(QQ, rows, {"a": Fraction(2), "b": Fraction(3)})

@@ -2,11 +2,12 @@
 structure identities, the formal operation calculus, unit homotopies."""
 
 import itertools
+import random
 
 import pytest
 
-from ainfkit.category import (AInfCategory, check_stasheff, opposite,
-                              stasheff_defect)
+from ainfkit.category import (AInfCategory, _bounded_sample, check_stasheff,
+                              opposite, stasheff_defect)
 from ainfkit.freecat import LEAF
 from ainfkit.functors import check_functor, strict_functor
 from ainfkit.graded import Ring
@@ -22,7 +23,7 @@ from ainfkit.homquot import (OperadTerm, admissible, check_action_chain,
                              unit_conjugation, unit_derivation,
                              unit_homotopy, valid_tree, wide_count,
                              PartialHomotopy)
-from ainfkit.quiver import BoundError, all_basis_tensors, evaluate
+from ainfkit.quiver import BoundError, bounded_tensors, evaluate
 from ainfkit.trees import positive_splits, shape_table
 from test_category import arrow_with_differential, path3
 
@@ -43,34 +44,16 @@ def tree_pair(which, bobj, bound=3):
     return _CACHE[key]
 
 
-def within_bound_tensors(A, length):
-    """Every composable basis tensor of A of a length within its size bound.
-
-    Sizes are positive, so a prefix over the bound has no extension
-    within it and the walk stops there.
-    """
-    q = A.quiver
-
-    def walk(objs, names):
-        if len(names) == length:
-            yield objs, names
-            return
-        X = objs[-1]
-        for Y in q.objects:
-            for nm in q.hom(X, Y).names:
-                o, n = objs + (Y,), names + (nm,)
-                if A.within_bound(o, n):
-                    yield from walk(o, n)
-
-    for X in q.objects:
-        yield from walk((X,), ())
+def within_bound(A, length):
+    """Every basis tensor of A of a length within its size bound."""
+    return list(bounded_tensors(A.quiver, length, A.size_of, A.size_bound))
 
 
 def test_stasheff_exhaustive_within_bound():
     _, _, D = tree_pair("path3", 1)
     counts = []
     for k in (1, 2, 3):
-        tensors = list(within_bound_tensors(D, k))
+        tensors = within_bound(D, k)
         counts.append(len(tensors))
         for objs, names in tensors:
             assert stasheff_defect(D, k, objs, names).is_zero, names
@@ -125,7 +108,7 @@ def filter_basis_oracle(C, bobjs, leaf_bound, reduced):
     for n in range(1, leaf_bound + 1):
         shapes = [t for t in oracle_shapes(n, unary)
                   if not reduced or reduced_tree(t)]
-        for gobjs, gnames in all_basis_tensors(gen, n):
+        for gobjs, gnames in bounded_tensors(gen, n):
             pair = (gobjs[0], gobjs[-1])
             flat = sum(gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
                        for i in range(n))
@@ -227,7 +210,7 @@ def test_reduced_contracts_trivial_composites():
     C, E, D = tree_pair("path3", 1)
     for n in (2, 3):
         dop = composite_defect(C, D, n)
-        for objs, names in all_basis_tensors(C.quiver, n):
+        for objs, names in bounded_tensors(C.quiver, n):
             assert dop.on_basis(objs, names).is_zero
     eop = composite_defect(C, E, 2)
     assert not eop.on_basis((0, 1, 2), ("f", "g")).is_zero
@@ -265,13 +248,32 @@ def test_differential_squares_to_zero_on_every_name():
 
 
 def test_stasheff_suites():
-    for which in ("path3", "arrow"):
-        for A in tree_pair(which, 1)[1:]:
-            rep = check_stasheff(A, samples=40, seed=0)
-            assert rep.ok, rep.text()
+    # every arity checks min(samples, within-bound count) tensors, and
+    # arities 4 and 5, where nothing fits leaf bound 3, read vacuous
     _, _, D = tree_pair("path3", 1)
-    rep = check_stasheff(opposite(D), samples=40, seed=0)
-    assert rep.ok, rep.text()
+    models = [A for which in ("path3", "arrow") for A in tree_pair(which, 1)[1:]]
+    for A in models + [opposite(D)]:
+        rep = check_stasheff(A, samples=40, seed=0)
+        assert rep.ok and len(rep.checks) == 5, rep.text()
+        for (label, _, detail), k in zip(rep.checks, range(1, 6)):
+            count = len(within_bound(A, k))
+            mode, checked = detail.split(", ")[:2]
+            assert checked == "%d tensors" % min(40, count), (A.name, label)
+            assert mode == ("vacuous" if k > 3 else "all" if count <= 40
+                            else "sampled"), (A.name, label)
+
+
+def test_bounded_sample_is_rng_sample_of_the_list():
+    # drawn by position without building the list, the sample is the one
+    # rng.sample draws from the list; up to samples tensors, all of them
+    A = tree_pair("path3", 1)[1]
+    for k in (1, 2, 3):
+        tensors = within_bound(A, k)
+        assert _bounded_sample(A, k, len(tensors), None) == (tensors, True)
+        for seed in range(3):
+            got, exhaustive = _bounded_sample(A, k, 40, random.Random(seed))
+            assert not exhaustive
+            assert got == random.Random(seed).sample(tensors, 40)
 
 
 def test_projection_and_reduction():

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (
@@ -7,14 +6,13 @@ from ainfkit.quiver import (
     MultiOp,
     QuiverMap,
     Stage,
-    all_basis_tensors,
+    bounded_tensors,
     apply_stage,
     combine_ops,
     compose_multi,
     evaluate,
     expand_tensor,
     insert,
-    random_basis_tensor,
     run_stages,
     unit_stage,
 )
@@ -256,13 +254,51 @@ def test_quiver_map_apply_and_chain():
 
 def test_tensor_enumeration():
     q, b2 = path_category_shifted()
-    chains = list(all_basis_tensors(q, 2))
+    chains = list(bounded_tensors(q, 2))
     assert chains == [((0, 1, 2), ("f", "g"))]
-    singles = sorted(all_basis_tensors(q, 1))
+    singles = sorted(bounded_tensors(q, 1))
     assert len(singles) == 3
-    rng = random.Random(1)
-    got = random_basis_tensor(q, 1, rng)
-    assert got is not None and len(got[1]) == 1
+
+
+def naive_tensors(q, length):
+    """Every composable basis tensor of a length, one nested loop over
+    objects, targets and hom names per factor."""
+    chains = [((X,), ()) for X in q.objects]
+    for _ in range(length):
+        chains = [(objs + (Y,), names + (n,)) for objs, names in chains
+                  for Y in q.objects for n in q.hom(objs[-1], Y).names]
+    return chains
+
+
+def sized_quiver():
+    """Two objects, every hom nonzero, names of sizes 0, 1 and 2 listed
+    out of size order; size_of reads the digit in the name."""
+    homs = {(X, Y): GradedModule(QQ, [("b2", 0), ("a0", 1), ("c1", 0)])
+            for X in (0, 1) for Y in (0, 1) if (X, Y) != (1, 0)}
+    return GradedQuiver(QQ, [0, 1], homs), lambda X, Y, nm: int(nm[1])
+
+
+def test_unbounded_walk_is_the_nested_loop_order():
+    for q in (path_category_shifted()[0], loop_quiver(), sized_quiver()[0]):
+        for n in range(5):
+            assert list(bounded_tensors(q, n)) == naive_tensors(q, n)
+
+
+def test_bounded_walk_is_the_filtered_nested_loop():
+    # sizes 0 to 2, so a zero-size arrow lets a chain grow at no cost
+    q, size_of = sized_quiver()
+    ends = [None, 0, 1]
+    for n in range(5):
+        for budget in range(6):
+            for start in ends:
+                for end in ends:
+                    want = sorted(
+                        t for t in naive_tensors(q, n)
+                        if sum(size_of(None, None, nm) for nm in t[1]) <= budget
+                        and start in (None, t[0][0]) and end in (None, t[0][-1]))
+                    got = list(bounded_tensors(q, n, size_of, budget, start, end))
+                    assert len(set(got)) == len(got)
+                    assert sorted(got) == want, (n, budget, start, end)
 
 
 def test_expand_tensor():

@@ -15,14 +15,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ainfkit.graded import ChainMap, Ring, koszul_sign
 from ainfkit.homquot import homotopy_quotient
-from ainfkit.quiver import (BoundError, MultiOp, all_basis_tensors,
-                            combine_ops, evaluate, random_basis_tensor,
-                            slot_values)
+from ainfkit.quiver import (BoundError, MultiOp, bounded_tensors,
+                            combine_ops, evaluate, slot_values)
 from ainfkit.yoneda import (RepresentedFunctor, _y_value, hom_differential,
                             map_differential)
 from test_category import path3
 from test_tables import (RINGS, random_factor, random_map, random_table_op,
-                         shared_names_quiver)
+                         random_walk, shared_names_quiver)
 from test_yoneda import free_one_object, homotopy_path, two_complexes
 
 QQ, F5, F7 = Ring("QQ"), Ring("Fp", 5), Ring("Fp", 7)
@@ -141,7 +140,7 @@ def split_tensor(A, length, n, kinds, rng):
     into an x block of n factors (read against the arrows), the w slot
     and a z block; None when no chain of that length is found."""
     q = A.quiver
-    found = random_basis_tensor(q, length, rng)
+    found = random_walk(q, length, rng)
     if found is None:
         return None
     objs = found[0]
@@ -180,7 +179,7 @@ def test_odd_x_block_splits_signs_by_parity_of_w():
     # even and an odd w, so both signs of the factorisation are exercised
     A = two_complexes(F7)
     q = A.quiver
-    for (yobjs, ynames), Z in ((y, Z) for y in all_basis_tensors(q, 1)
+    for (yobjs, ynames), Z in ((y, Z) for y in bounded_tensors(q, 1)
                                for Z in q.objects):
         x = q.hom(*yobjs).basis_element(ynames[0])
         if x.degree % 2 == 0:
@@ -229,7 +228,7 @@ def test_slot_values_agree_with_per_name_evaluate(ring, kinds, seed):
     q = shared_names_quiver(ring)
     for arity in (1, 2, 3):
         op = random_table_op(q, arity, rng.choice([0, 1]), rng)
-        objs, _ = random_basis_tensor(q, arity, rng)
+        objs, _ = random_walk(q, arity, rng)
         factors = tuple(random_factor(q.hom(objs[i], objs[i + 1]), kinds[i],
                                       rng) for i in range(arity))
         limit = rng.randint(0, 2)

@@ -1,4 +1,5 @@
-"""Source guards: input validation must survive python -O."""
+"""Source guards: input validation must survive python -O, and no
+private helper is left without a caller."""
 
 import ast
 import pathlib
@@ -34,3 +35,32 @@ def test_no_validation_asserts():
     extra = {key: n for key, n in counts.items()
              if n > POST_CONDITIONS.get(key, 0)}
     assert not extra, "asserts outside the post-condition allow-list: %r" % (extra,)
+
+
+def test_no_unreferenced_private_helpers():
+    # a module-level _helper that nothing in the package uses outside its
+    # own body is left over from a deletion
+    helpers = {}
+    used = set()
+    for path in sorted(pathlib.Path(ainfkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = top.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    helpers[owner] = path.stem
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                elif isinstance(node, ast.alias):
+                    ref = node.name
+                else:
+                    continue
+                if ref != owner:
+                    used.add(ref)
+    orphans = sorted("%s.%s" % (mod, name) for name, mod in helpers.items()
+                     if name not in used)
+    assert not orphans, "private helpers nothing references: %r" % (orphans,)

@@ -20,7 +20,7 @@ from ainfkit.quiver import (BoundError, Stage, combine_ops, insert,
 from ainfkit.trees import LEAF, root_split
 from test_barquot import models
 from test_freecat import random_binary_extension
-from test_homquot import within_bound_tensors
+from test_homquot import within_bound
 
 F7 = Ring("Fp", 7)
 MODELS = [("path3", 1), ("arrow", 1)]
@@ -123,7 +123,7 @@ def tensors(A):
     """(k, objs, names) for every within-bound tensor of A."""
     out = []
     for k in range(1, A.max_arity + 1):
-        out += [(k, objs, names) for objs, names in within_bound_tensors(A, k)]
+        out += [(k, objs, names) for objs, names in within_bound(A, k)]
     return out
 
 

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from ainfkit.category import complexes_category, opposite
 from ainfkit.graded import ChainMap, GradedModule, Ring, linear_combination
 from ainfkit.homquot import homotopy_quotient, mirror_map
-from ainfkit.quiver import (GradedQuiver, MultiOp, all_basis_tensors,
-                            combine_ops, evaluate, random_basis_tensor)
+from ainfkit.quiver import (GradedQuiver, MultiOp, bounded_tensors,
+                            combine_ops, evaluate)
 from ainfkit.trees import LEAF, root_split
 from test_category import arrow_with_differential, path3
 
@@ -74,7 +74,7 @@ def random_table_op(q, arity, degree, rng):
     """A rule-less op with random entries on some basis tensors; some of
     the stored entries are zero Elements."""
     table = {}
-    for objs, names in all_basis_tensors(q, arity):
+    for objs, names in bounded_tensors(q, arity):
         deg = sum(q.degree(objs[i], objs[i + 1], names[i])
                   for i in range(arity)) + degree
         mod = q.hom(objs[0], objs[-1])
@@ -84,6 +84,25 @@ def random_table_op(q, arity, degree, rng):
         elif roll < 0.6 and mod.basis_of_degree(deg):
             table[(objs, names)] = mod.random_element(deg, rng, density=1.0)
     return MultiOp(q, q, arity, degree, table=table, name="t%d" % arity)
+
+
+def random_walk(q, length, rng, tries=50):
+    """A composable basis tensor drawn by a random walk (a random object,
+    then a random nonzero hom out of it and a random name per step), or
+    None when tries walks all reach a dead end.  The tensors of a length
+    can be far too many to list and draw from."""
+    for _ in range(tries):
+        objs, names = [rng.choice(q.objects)], []
+        for _ in range(length):
+            nexts = [Y for Y in q.objects if q.hom(objs[-1], Y).names]
+            if not nexts:
+                break
+            Y = rng.choice(nexts)
+            names.append(rng.choice(q.hom(objs[-1], Y).names))
+            objs.append(Y)
+        else:
+            return tuple(objs), tuple(names)
+    return None
 
 
 def random_factor(mod, kind, rng):
@@ -100,7 +119,7 @@ def random_factor(mod, kind, rng):
 
 
 def check_against_dense(op, kinds, rng):
-    objs, _ = random_basis_tensor(op.source, op.arity, rng)
+    objs, _ = random_walk(op.source, op.arity, rng)
     factors = tuple(random_factor(op.source.hom(objs[i], objs[i + 1]),
                                   kinds[i], rng) for i in range(op.arity))
     assert_same_value(op, objs, factors)

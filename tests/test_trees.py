@@ -5,10 +5,10 @@ categories with no marked objects."""
 import gc
 
 from ainfkit.category import AInfCategory
-from ainfkit.freecat import _bounded_chains, free_category, ordered_ops
+from ainfkit.freecat import free_category, ordered_ops
 from ainfkit.homquot import (homotopy_quotient, path_flags, stages_to_tree,
                              term_stages, tree_category, tree_stages)
-from ainfkit.quiver import all_basis_tensors, evaluate
+from ainfkit.quiver import bounded_tensors, evaluate
 from ainfkit.trees import LEAF, root_split, unary_count
 from test_category import arrow_with_differential, path3
 
@@ -29,7 +29,7 @@ def test_tree_walkers_leave_no_cycles():
         tree_stages(t)
         ordered_ops(t)
         path_flags(t)
-        assert list(_bounded_chains(F, 2, 3))
+        assert list(bounded_tensors(F.quiver, 2, F.size_of, 3))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -42,7 +42,9 @@ def test_term_and_tensor_walkers_leave_no_cycles():
     gc.collect()
     gc.disable()
     try:
-        tensors = list(all_basis_tensors(F.quiver, 2))
+        tensors = list(bounded_tensors(F.quiver, 2))
+        assert gc.collect() == 0
+        ends = list(bounded_tensors(F.quiver, 3, F.size_of, 3, end=1))
         assert gc.collect() == 0
         stages = term_stages(tree, caps)
         assert gc.collect() == 0
@@ -50,7 +52,7 @@ def test_term_and_tensor_walkers_leave_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert tensors
+    assert tensors and ends
 
 
 def test_root_split_round_trip():

@@ -11,7 +11,7 @@ from ainfkit.graded import ChainMap, GradedModule, Ring, in_image
 from ainfkit.quiver import GradedQuiver, MultiOp, evaluate
 from ainfkit.yoneda import (RepresentedFunctor, TruncatedTransComplex,
                             check_hX, check_Y, flatten_map, h_functor,
-                            map_differential, map_module, opposite_facts,
+                            hom_differential, map_differential, map_module, opposite_facts,
                             unit_defect_preimage, yoneda_components,
                             _hx_residual, _transform_b1_terms, _y_residual)
 from test_category import arrow_with_differential, augmented_point, path3
@@ -370,6 +370,7 @@ def _validation_cases():
     f = A.hom(0, 1).basis_element("f")
     h = h_functor(A, 0)
     y11 = yoneda_components(A, 1, 1)
+    g = A.hom(1, 2).basis_element("g")
     return {
         "value factors": (lambda: h.value((0,), ()), "one more object"),
         "component range": (lambda: yoneda_components(A, 0, 0),
@@ -380,12 +381,14 @@ def _validation_cases():
                         "1 x-factors on 2 objects"),
         "differential hom": (lambda: h.differential(2, f),
                              "not in the hom from the base to 2"),
+        "stored map input": (lambda: hom_differential(A, (0, 1))(g),
+                             "outside the map's source module"),
     }
 
 
 @pytest.mark.parametrize("case", [
     "value factors", "component range", "component z", "component x",
-    "differential hom"])
+    "differential hom", "stored map input"])
 def test_yoneda_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):
