@@ -11,9 +11,10 @@ import random
 
 from .graded import (ChainMap, Complex, GradedModule, in_image, koszul_sign,
                      linear_combination, shift, solve_linear)
-from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     bounded_tensors, evaluate, insert, insertion_sum,
-                     run_stages, state_element, unit_stage)
+from .quiver import (BoundError, CountedTensors, GradedQuiver, MultiOp,
+                     QuiverMap, _arrow_index, bounded_tensors, evaluate,
+                     insert, insertion_sum, run_stages, state_element,
+                     unit_stage)
 from .report import Report
 
 
@@ -128,17 +129,25 @@ def stasheff_defect(A, k, objs, names):
 def _bounded_sample(A, k, samples, rng):
     """(tensors, exhaustive): every basis tensor of length k within the
     size bound when there are at most samples of them, else
-    rng.sample(tensors, samples).  The sample is drawn by position, so
-    the list is never built: unbounded, it can run to millions."""
+    rng.sample(tensors, samples).  The tensors are counted, and each
+    drawn position is found by a descent over the counts, so the list is
+    never built: unbounded, it can run to millions."""
     walk = (A.quiver, k, A.size_of, A.size_bound)
-    count = sum(1 for _ in bounded_tensors(*walk))
-    if count <= samples:
+    counted = CountedTensors(*walk)
+    if counted.count <= samples:
         return list(bounded_tensors(*walk)), True
-    at = dict.fromkeys(rng.sample(range(count), samples))
-    for i, t in enumerate(bounded_tensors(*walk)):
-        if i in at:
-            at[i] = t
-    return list(at.values()), False
+    return [counted.at(i)
+            for i in rng.sample(range(counted.count), samples)], False
+
+
+def max_arity_within(A):
+    """The largest length k whose k smallest arrows fit the size bound,
+    so no longer tensor does; None without a bound or when an arrow has
+    size 0."""
+    if A.size_of is None or A.size_bound is None:
+        return None
+    least = _arrow_index(A.quiver, A.size_of)[2]
+    return A.size_bound // least if least > 0 else None
 
 
 def sampled_check(A, k, samples, rng, defect_fn):
@@ -181,12 +190,17 @@ def check_stasheff(A, arity_bound=None, samples=40, seed=0):
     """Verify the defining identities up to a total arity.
 
     The default bound 2*max_arity - 1 covers every identity that has a
-    term built from two stored operations.  Only tensors within the size
-    bound are drawn; evaluations that escape it are counted as skipped,
-    never failed, and an arity that checks nothing reads vacuous.
+    term built from two stored operations; it is capped at
+    max_arity_within, past which no tensor fits the size bound.  Only
+    tensors within the size bound are drawn; evaluations that escape it
+    are counted as skipped, never failed, and an arity that checks
+    nothing reads vacuous.
     """
     if arity_bound is None:
         arity_bound = 2 * A.max_arity - 1
+        cap = max_arity_within(A)
+        if cap is not None:
+            arity_bound = min(arity_bound, cap)
     rng = random.Random(seed)
     rep = Report("structure identities for %s" % A.name)
     for k in range(1, arity_bound + 1):

@@ -15,11 +15,15 @@ at construction (only a rule memoises), so it is indexed there once by
 leading arguments and evaluate reads only the entries its factors reach.
 slot_values gives, in one pass, the values on every basis name of one
 slot with the other factors held fixed (a stored map's whole matrix):
-with that slot last, each index row reached holds all of them at once.
+a rule-less op keeps one index per slot, by the arguments outside it,
+so each product of the other factors reaches one row holding every
+name's entry, and the entries are summed as they are read.
 
 Every walk over composable basis tensors is bounded_tensors: the arrows
 out of each object, sorted by a size function and indexed once per
 function on the quiver, are walked depth first within a size budget.
+CountedTensors counts the same walk without taking it, and finds the
+tensor at any position of it, so a sample costs what it draws.
 """
 
 from .graded import Element, GradedModule, linear_combination
@@ -120,6 +124,8 @@ class MultiOp:
     A rule may be supplied; computed entries are memoized into the table.
     Without one the table is fixed, and index holds it by leading arguments,
     {(objs, names[:-1]): {names[-1]: value}}; with a rule index is None.
+    slot_index(slot) holds it the same way by the arguments outside any
+    one slot, built on first use and kept.
     lmap/rmap send the outer input objects to the output pair (identity for
     structure maps, the object map for functor components).
     """
@@ -135,6 +141,8 @@ class MultiOp:
         self.table = dict(table) if table else {}
         self.rule = rule
         self.index = None
+        # slot -> index by the arguments outside it; see slot_index
+        self._slot_indexes = {}
         if rule is None:
             self.index = {}
             for (objs, names), el in self.table.items():
@@ -144,6 +152,19 @@ class MultiOp:
         self.name = name
         # insert(self, a, c) by (a, c); see insert
         self.stages = {}
+
+    def slot_index(self, slot):
+        """{(objs, names without names[slot]): {names[slot]: value}}, or
+        None for an op with a rule; the last slot's is index."""
+        if self.rule is not None or slot == self.arity - 1:
+            return self.index
+        index = self._slot_indexes.get(slot)
+        if index is None:
+            index = self._slot_indexes[slot] = {}
+            for (objs, names), el in self.table.items():
+                key = (objs, names[:slot] + names[slot + 1:])
+                index.setdefault(key, {})[names[slot]] = el
+        return index
 
     def pair_map(self, objs):
         return (self.lmap(objs[0]), self.rmap(objs[-1]))
@@ -510,39 +531,55 @@ def slot_values(op, objs, factors, slot):
     for every basis name w of the hom at the slot, in one pass.
 
     A rule is asked on the same basis tensors, in the same order, as the
-    per-name evaluations would ask it.  For a rule-less op with w in the
-    last slot, each index row the other factors reach holds every w's
-    entry; in another slot, one row per w meets the last factor.
+    per-name evaluations would ask it.  A rule-less op reads one row of
+    its slot index per product of the other factors; the row holds every
+    w's entry, and each is added into w's terms as it is read.  As in
+    linear_combination, a stored zero is skipped, a cancelled term is
+    deleted, and a nonzero entry of another module or degree raises.
     """
     objs, factors = tuple(objs), tuple(factors)
     _check_factors(op, objs, factors, slot)
     ring = op.source.ring
     smod = op.source.hom(objs[slot], objs[slot + 1])
-    before = _products(ring, factors[:slot])
+    out = op.out_module(objs)
+    deg = sum(f.degree for f in factors) + op.degree
+    degrees = smod.degrees
     if op.index is None:
         mul = ring.mul
+        before = _products(ring, factors[:slot])
         after = _products(ring, factors[slot:])
         scaled = {w: [(op.on_basis(objs, pn + (w,) + sn), mul(pc, sc))
                       for pn, pc in before for sn, sc in after]
                   for w in smod.names}
-    elif slot == op.arity - 1:
-        scaled = {w: [] for w in smod.names}
-        for names, c in before:
-            for w, el in op.index.get((objs, names), {}).items():
-                scaled[w].append((el, c))
-    else:
-        mul = ring.mul
-        middle = _products(ring, factors[slot:-1])
-        last = factors[-1].terms
-        scaled = {w: _meet_rows(op, objs, [(pn + (w,) + mn, mul(pc, mc))
-                                           for pn, pc in before
-                                           for mn, mc in middle], last)
-                  for w in smod.names}
-    out = op.out_module(objs)
-    deg = sum(f.degree for f in factors) + op.degree
-    degrees = smod.degrees
-    return {w: linear_combination(out, deg + degrees[w], s) if s
-            else out.zero(deg + degrees[w]) for w, s in scaled.items()}
+        return {w: linear_combination(out, deg + degrees[w], s)
+                for w, s in scaled.items()}
+    mul, add = ring.mul, ring.add
+    index = op.slot_index(slot)
+    terms = {w: {} for w in smod.names}
+    for names, c in _products(ring, factors):
+        row = index.get((objs, names))
+        if not row:
+            continue
+        for w, el in row.items():
+            acc = terms.get(w)
+            if acc is None or not el.terms:
+                continue
+            if el.module is not out or el.degree != deg + degrees[w]:
+                raise ValueError(
+                    "sum of elements of different modules or degrees")
+            for name, v in el.terms.items():
+                if c != 1:
+                    v = mul(v, c)
+                old = acc.get(name)
+                if old is None:
+                    acc[name] = v
+                    continue
+                v = add(old, v)
+                if v == 0:
+                    del acc[name]
+                else:
+                    acc[name] = v
+    return {w: Element(out, t, deg + degrees[w]) for w, t in terms.items()}
 
 
 def _arrow_index(quiver, size_of):
@@ -615,6 +652,64 @@ def _walk_tensors(out, into, least, objs, names, used, length, budget, end):
             break
         yield from _walk_tensors(out, into, least, objs + (Y,), names + (nm,),
                                  used + size, length, budget, end)
+
+
+class CountedTensors:
+    """The tensors bounded_tensors(quiver, length, size_of, budget) yields,
+    counted without walking them, and each found from its position.
+
+    Completions are counted once per (object, steps left, size used),
+    over the same arrow index, size order and early stop as the walk;
+    at(i) descends the counts to the i-th tensor the walk would yield,
+    in O(length * out-degree).  This is the recursive method of
+    Nijenhuis and Wilf, Combinatorial Algorithms (1978).
+    """
+
+    def __init__(self, quiver, length, size_of=None, budget=None):
+        self.out, _, self.least = _arrow_index(quiver, size_of)
+        self.objects = quiver.objects
+        self.length = length
+        self.budget = float("inf") if budget is None else budget
+        # (object, steps left, size used) -> completions; see _completions
+        self.counts = {}
+        self.count = sum(self._completions(X, length, 0) for X in self.objects)
+
+    def _completions(self, X, left, used):
+        if not left:
+            return 1
+        key = (X, left, used)
+        count = self.counts.get(key)
+        if count is None:
+            count = 0
+            slack = self.least * (left - 1)
+            for size, Y, _ in self.out[X]:
+                if used + size + slack > self.budget:
+                    break
+                count += self._completions(Y, left - 1, used + size)
+            self.counts[key] = count
+        return count
+
+    def at(self, i):
+        """The (objs, names) at position i of the walk."""
+        if not 0 <= i < self.count:
+            raise IndexError("tensor %r of %d" % (i, self.count))
+        for X in self.objects:
+            count = self._completions(X, self.length, 0)
+            if i < count:
+                break
+            i -= count
+        objs, names, used = [X], [], 0
+        for left in range(self.length, 0, -1):
+            # i falls among the arrows that fit, so no stop test is needed
+            for size, Y, nm in self.out[objs[-1]]:
+                count = self._completions(Y, left - 1, used + size)
+                if i < count:
+                    break
+                i -= count
+            objs.append(Y)
+            names.append(nm)
+            used += size
+        return tuple(objs), tuple(names)
 
 
 def all_basis_tensors(quiver, length):

@@ -9,7 +9,8 @@ from ainfkit.category import (AInfCategory, b1_chain_map, check_contractible_fun
                               check_pseudounital_functor, check_stasheff,
                               check_strict_unit, complexes_category,
                               complexes_dg_data, dg_to_ainf,
-                              hom_complex, opposite, stasheff_defect, unit_then_op,
+                              hom_complex, max_arity_within, opposite,
+                              stasheff_defect, unit_then_op,
                               verify_unit_homotopy)
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import GradedQuiver, MultiOp, QuiverMap, evaluate
@@ -295,7 +296,11 @@ def test_size_bound_skips():
     A = path3()
     small = AInfCategory(A.quiver, A.ops, 2, units=A.units,
                          size_of=lambda X, Y, nm: 1, size_bound=2, name="tiny")
-    rep = check_stasheff(small)
+    # past arity 2 nothing fits, so the default bound stops there
+    assert max_arity_within(small) == 2
+    assert [n for n, _, _ in check_stasheff(small).checks] == [
+        "arity 01", "arity 02"]
+    rep = check_stasheff(small, arity_bound=3)
     assert rep.ok
     by_name = {n: d for n, ok, d in rep.checks}
     assert by_name["arity 03"].endswith("skipped") and "0 tensors" in by_name["arity 03"]

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ainfkit.category import (AInfCategory, _bounded_sample, check_stasheff,
-                              opposite, stasheff_defect)
+                              max_arity_within, opposite, stasheff_defect)
 from ainfkit.freecat import LEAF
 from ainfkit.functors import check_functor, strict_functor
 from ainfkit.graded import Ring
@@ -26,6 +26,7 @@ from ainfkit.homquot import (OperadTerm, admissible, check_action_chain,
 from ainfkit.quiver import BoundError, bounded_tensors, evaluate
 from ainfkit.trees import positive_splits, shape_table
 from test_category import arrow_with_differential, path3
+from test_yoneda import two_complexes
 
 QQ = Ring("QQ")
 ONE = (LEAF,)
@@ -249,12 +250,15 @@ def test_differential_squares_to_zero_on_every_name():
 
 def test_stasheff_suites():
     # every arity checks min(samples, within-bound count) tensors, and
-    # arities 4 and 5, where nothing fits leaf bound 3, read vacuous
+    # arities 4 and 5, where nothing fits leaf bound 3, read vacuous; the
+    # default bound stops at arity 3
     _, _, D = tree_pair("path3", 1)
     models = [A for which in ("path3", "arrow") for A in tree_pair(which, 1)[1:]]
     for A in models + [opposite(D)]:
-        rep = check_stasheff(A, samples=40, seed=0)
+        rep = check_stasheff(A, arity_bound=5, samples=40, seed=0)
         assert rep.ok and len(rep.checks) == 5, rep.text()
+        assert max_arity_within(A) == 3
+        assert check_stasheff(A, samples=40, seed=0).checks == rep.checks[:3]
         for (label, _, detail), k in zip(rep.checks, range(1, 6)):
             count = len(within_bound(A, k))
             mode, checked = detail.split(", ")[:2]
@@ -274,6 +278,39 @@ def test_bounded_sample_is_rng_sample_of_the_list():
             got, exhaustive = _bounded_sample(A, k, 40, random.Random(seed))
             assert not exhaustive
             assert got == random.Random(seed).sample(tensors, 40)
+
+
+def walked_sample(A, k, samples, rng):
+    """The sampler by two walks: one to count the within-bound tensors,
+    one to pick out the positions rng.sample draws."""
+    walk = (A.quiver, k, A.size_of, A.size_bound)
+    count = sum(1 for _ in bounded_tensors(*walk))
+    if count <= samples:
+        return list(bounded_tensors(*walk)), True
+    at = dict.fromkeys(rng.sample(range(count), samples))
+    for i, t in enumerate(bounded_tensors(*walk)):
+        if i in at:
+            at[i] = t
+    return list(at.values()), False
+
+
+def test_counted_sample_is_the_walked_sample():
+    # drawn by a descent over counts, every seed gives the walked sample,
+    # in the same order, and leaves the generator in the same state
+    F7 = Ring("Fp", 7)
+    cases = [(tree_pair("path3", 1)[1], (1, 2, 3)),
+             (tree_pair("arrow", 1)[2], (1, 2, 3)),
+             (tree_pair("path3", 1, 4)[2], (1, 2, 3, 4)),
+             (two_complexes(F7), (1, 2, 3)),
+             (path3(), (1, 2, 3, 4))]
+    for A, arities in cases:
+        for k in arities:
+            for samples in (5, 40, 5000):
+                for seed in range(3):
+                    one, two = random.Random(seed), random.Random(seed)
+                    assert (_bounded_sample(A, k, samples, one)
+                            == walked_sample(A, k, samples, two)), (A.name, k)
+                    assert one.random() == two.random()
 
 
 def test_projection_and_reduction():

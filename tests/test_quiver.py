@@ -1,7 +1,10 @@
 import itertools
 
+import pytest
+
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (
+    CountedTensors,
     GradedQuiver,
     MultiOp,
     QuiverMap,
@@ -299,6 +302,26 @@ def test_bounded_walk_is_the_filtered_nested_loop():
                     got = list(bounded_tensors(q, n, size_of, budget, start, end))
                     assert len(set(got)) == len(got)
                     assert sorted(got) == want, (n, budget, start, end)
+
+
+def test_counted_tensors_are_the_walk_by_position():
+    # the counts follow the walk's size order and early stop, so position
+    # i is the i-th tensor it yields; sizes shifted by one make the stop
+    # reserve room for the arrows still to come
+    q, size_of = sized_quiver()
+    cases = [(path_category_shifted()[0], None), (loop_quiver(), None),
+             (q, None), (q, size_of),
+             (q, lambda X, Y, nm: size_of(X, Y, nm) + 1)]
+    for quiver, sizes in cases:
+        for n in range(5):
+            for budget in [None] + list(range(7)):
+                walk = list(bounded_tensors(quiver, n, sizes, budget))
+                counted = CountedTensors(quiver, n, sizes, budget)
+                assert counted.count == len(walk), (n, budget)
+                assert [counted.at(i) for i in range(counted.count)] == walk
+                for i in (-1, counted.count):
+                    with pytest.raises(IndexError):
+                        counted.at(i)
 
 
 def test_expand_tensor():

@@ -2,10 +2,13 @@
 
 slot_values evaluates an operation on every basis name of one slot, the
 other factors held fixed, in one pass; the Yoneda family's stored maps
-and the hom differentials are read from it.  The oracles below are the
-per-name forms: one evaluate and one Koszul sign per basis name, and
-the differential of a stored map taken name by name through minus the
-arity-1 operation.
+and the hom differentials are read from it.  A rule-less op is read
+through its index for that slot, one row per product of the other
+factors, and the entries are summed as they are read, so a stored entry
+of the wrong degree or module must raise where the per-name evaluations
+raise.  The oracles below are the per-name forms: one evaluate and one
+Koszul sign per basis name, and the differential of a stored map taken
+name by name through minus the arity-1 operation.
 """
 
 import random
@@ -13,7 +16,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ainfkit.graded import ChainMap, Ring, koszul_sign
+from ainfkit.graded import ChainMap, Element, Ring, koszul_sign
 from ainfkit.homquot import homotopy_quotient
 from ainfkit.quiver import (BoundError, MultiOp, bounded_tensors,
                             combine_ops, evaluate, slot_values)
@@ -249,6 +252,70 @@ def test_slot_values_agree_with_per_name_evaluate(ring, kinds, seed):
                     assert got is BoundError
                 else:
                     assert_same_values(got, want)
+
+
+def raised(fn, *args):
+    """fn's value, or the ValueError class when it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_slot_values_reject_entries_of_another_degree_or_module():
+    # a nonzero stored entry of the wrong degree or module raises at
+    # exactly the slots where some per-name evaluation reaches it; a
+    # stored zero of the wrong degree is skipped, never raised on
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        q = shared_names_quiver(F7)
+        op = random_table_op(q, 3, 1, rng)
+        objs, names = random_walk(q, 3, rng)
+        good = q.hom(objs[0], objs[-1])
+        deg = sum(q.degree(objs[i], objs[i + 1], names[i])
+                  for i in range(3)) + 1
+        if seed % 3 == 0:
+            wrong = good.zero(deg + 1)
+        elif seed % 3 == 1:
+            wrong = good.basis_element(
+                good.basis_of_degree(1 - deg % 2)[0], rng.randint(1, 6))
+        else:
+            # the right degree, read as an element of another hom
+            wrong = Element(q.hom(1 - objs[0], objs[-1]), {"a": 1}, deg)
+        table = dict(op.table)
+        table[(objs, names)] = wrong
+        bad = MultiOp(q, q, 3, 1, table=table, name="bad")
+        kinds = [rng.choice(["single", "dense"]) for _ in range(3)]
+        factors = tuple(random_factor(q.hom(objs[i], objs[i + 1]), kinds[i],
+                                      rng) for i in range(3))
+        for slot in range(3):
+            rest = factors[:slot] + factors[slot + 1:]
+            want = raised(per_name_slot_values, bad, objs, rest, slot)
+            got = raised(slot_values, bad, objs, rest, slot)
+            seen.add(want is ValueError)
+            if want is ValueError:
+                assert wrong.terms
+                assert got is ValueError
+            else:
+                assert_same_values(got, want)
+    assert seen == {True, False}
+
+
+def test_slot_indexes_are_built_once():
+    rng = random.Random(3)
+    q = shared_names_quiver(F7)
+    op = random_table_op(q, 3, 0, rng)
+    assert op.slot_index(op.arity - 1) is op.index
+    built = [op.slot_index(s) for s in range(op.arity)]
+    for slot, index in enumerate(built):
+        assert op.slot_index(slot) is index
+        want = {}
+        for (objs, names), el in op.table.items():
+            key = (objs, names[:slot] + names[slot + 1:])
+            want.setdefault(key, {})[names[slot]] = el
+        assert index == want
+    assert combine_ops([(op, 1)]).slot_index(0) is None
 
 
 def test_slot_values_rejects_bad_input():

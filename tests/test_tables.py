@@ -1,11 +1,12 @@
 """Rule-less operations against the dense evaluation they replaced.
 
 evaluate reads a rule-less MultiOp through its index of table rows by
-leading arguments, expanding only the leading factors.  The oracles
-below are the dense forms: every product of factor terms asked through
-on_basis, ChainMap.add through both maps on every basis element, and
-mirror_map reading each coefficient off the evaluated reversed
-operation.
+leading arguments, expanding only the leading factors; slot_values reads
+it through the index for one slot, kept on the op, so a tampered copy
+must read its own indexes.  The oracles below are the dense forms:
+every product of factor terms asked through on_basis, ChainMap.add
+through both maps on every basis element, and mirror_map reading each
+coefficient off the evaluated reversed operation.
 """
 
 import random
@@ -17,7 +18,7 @@ from ainfkit.category import complexes_category, opposite
 from ainfkit.graded import ChainMap, GradedModule, Ring, linear_combination
 from ainfkit.homquot import homotopy_quotient, mirror_map
 from ainfkit.quiver import (GradedQuiver, MultiOp, bounded_tensors,
-                            combine_ops, evaluate)
+                            combine_ops, evaluate, slot_values)
 from ainfkit.trees import LEAF, root_split
 from test_category import arrow_with_differential, path3
 
@@ -176,6 +177,8 @@ def test_tampered_copy_reads_its_own_table():
         "M": ([("m0", 0), ("m1", 1)], {"m0": {"m1": 3}})})
     op = A.b(2)
     (objs, names), val = sorted(op.table.items(), key=repr)[0]
+    # the original's slot indexes exist before the copy is made
+    slot_indexes = [op.slot_index(s) for s in range(op.arity)]
     table = dict(op.table)
     table[(objs, names)] = val.scale(2)
     bad = MultiOp(op.source, op.target, op.arity, op.degree, table=table,
@@ -187,6 +190,16 @@ def test_tampered_copy_reads_its_own_table():
     assert evaluate(bad, objs, factors) == val.scale(2)
     assert evaluate(op, objs, factors) == val
     assert_same_value(bad, objs, factors)
+    for slot in range(op.arity):
+        assert bad.slot_index(slot) is not slot_indexes[slot]
+        rest = factors[:slot] + factors[slot + 1:]
+        mod = q.hom(objs[slot], objs[slot + 1])
+        for which, want in ((bad, val.scale(2)), (op, val)):
+            got = slot_values(which, objs, rest, slot)
+            assert got[names[slot]] == want
+            assert got == {w: evaluate(which, objs, rest[:slot]
+                                       + (mod.basis_element(w),) + rest[slot:])
+                           for w in mod.names}
 
 
 def dense_chainmap_add(F, G):

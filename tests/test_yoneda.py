@@ -97,6 +97,13 @@ def test_homotopy_path_is_consistent():
     assert check_stasheff(homotopy_path(F5), samples=60, seed=1).ok
 
 
+def test_unbounded_stasheff_draws_by_counts():
+    # 19 140 625 tensors of length 5 are counted, not walked
+    rep = check_stasheff(two_complexes(Ring("Fp", 7)), arity_bound=5)
+    assert rep.ok, rep.text()
+    assert [d for _, _, d in rep.checks] == ["sampled, 40 tensors, 0 skipped"] * 5
+
+
 def test_arity_one_is_right_multiplication():
     A = path3()
     h = h_functor(A, 0)
