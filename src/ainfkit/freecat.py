@@ -19,7 +19,7 @@ more leaves than the bound raises BoundError rather than dropping terms.
 from .category import AInfCategory
 from .functors import (AInfFunctor, Coderivation, resolve_at_root,
                        strict_functor, theta_value)
-from .graded import GradedModule, linear_combination
+from .graded import Echelon, GradedModule, linear_combination
 from .homquot import composite_defect, tree_category
 from .quiver import (GradedQuiver, MultiOp, QuiverMap, bounded_tensors,
                      evaluate)
@@ -120,87 +120,25 @@ def _col_key(label):
     return (-len(label[2]), repr(label))
 
 
-def _reduce_vec(ring, rows, vec):
-    """Reduce a vector modulo a fully reduced span.
-
-    Only the pivots the vector holds are eliminated, in one pass: no row
-    holds another row's pivot, so a subtraction never brings one in.
-    """
-    vec = dict(vec)
-    for pivot in [col for col in vec if col in rows]:
-        c = vec.pop(pivot)
-        for col, val in rows[pivot].items():
-            if col == pivot:
-                continue
-            new = ring.sub(vec.get(col, ring.zero), ring.mul(c, val))
-            if ring.is_zero(new):
-                vec.pop(col, None)
-            else:
-                vec[col] = new
-    return vec
-
-
-def _insert_row(ring, rows, index, vec):
-    """Add a vector to a reduced span; returns None when dependent.
-
-    index maps each column to the pivots of the rows holding it off
-    their pivot, and is updated with rows; back-substitution reads the
-    rows that hold the new pivot from it instead of scanning them all.
-    """
-    vec = _reduce_vec(ring, rows, vec)
-    if not vec:
-        return None
-    pivot = min(vec, key=_col_key)
-    inv = ring.inv(vec[pivot])
-    vec = {col: ring.mul(inv, val) for col, val in vec.items()}
-    for q in index.pop(pivot, ()):
-        row = rows[q]
-        c = row.pop(pivot)
-        for col, val in vec.items():
-            if col == pivot:
-                continue
-            new = ring.sub(row.get(col, ring.zero), ring.mul(c, val))
-            if ring.is_zero(new):
-                del row[col]
-                holders = index[col]
-                holders.discard(q)
-                if not holders:
-                    del index[col]
-            else:
-                if col not in row:
-                    index.setdefault(col, set()).add(q)
-                row[col] = new
-    rows[pivot] = vec
-    for col in vec:
-        if col != pivot:
-            index.setdefault(col, set()).add(pivot)
-    return vec
-
-
 def _saturate(F, generators):
     """Close a list of relation generators under single operations with
     one marked slot, arbitrary basis elements elsewhere, within the leaf
-    bound.  Returns reduced rows keyed by (pair, degree).
-
-    Each bucket {pivot: row} is the fully reduced echelon form of its
-    span under _col_key: a row's pivot is its least column, with
-    coefficient one, and no row holds another row's pivot.  That form
-    is unique for the span, so the rows do not depend on the order in
-    which vectors are pushed or chains are walked.  Beside each bucket
-    sits a column index (column -> pivots of the rows holding it off
-    their pivot) for back-substitution; it is dropped on return.
+    bound.  Returns one Echelon under _col_key per (pair, degree), so the
+    rows do not depend on the order in which vectors are pushed or
+    chains are walked.
     """
     ring = F.quiver.ring
     if not ring.is_field:
         raise ValueError("relation spans need field coefficients")
-    rows = {}
-    indexes = {}
+    spans = {}
     work = []
 
     def push(X, Y, degree, terms):
         key = ((X, Y), degree)
-        red = _insert_row(ring, rows.setdefault(key, {}),
-                          indexes.setdefault(key, {}), terms)
+        span = spans.get(key)
+        if span is None:
+            span = spans[key] = Echelon(ring, _col_key)
+        red = span.insert(terms)
         if red is not None:
             work.append((X, Y, degree, dict(red)))
 
@@ -216,31 +154,30 @@ def _saturate(F, generators):
                 w = evaluate(F.b(k), objs, factors)
                 if not w.is_zero:
                     push(objs[0], objs[-1], w.degree, dict(w.items()))
-    return rows
+    return spans
 
 
 class IdealSpec:
     """A two-sided span of relations in a free category.
 
     Holds the generators; the full span within the leaf bound is
-    saturated on first use.  rows() gives {(pair, degree): {pivot: row}}
-    in fully reduced echelon form: each pivot is its row's least column
-    under _col_key, with coefficient one, and appears in no other row.
-    The form is unique for the span, whatever order it was built in.
-    reduce gives the canonical representative modulo the span, touching
-    only the rows whose pivots the element holds; contains tests
-    membership.
+    saturated on first use.  rows() gives {(pair, degree): {pivot: row}},
+    the rows of one Echelon under _col_key per bucket, a form unique for
+    the span.  reduce gives the canonical representative modulo the
+    span; contains tests membership.
     """
 
     def __init__(self, category, generators, name="R"):
         self.category = category
         self.name = name
         self.generators = [(X, Y, el) for X, Y, el in generators if not el.is_zero]
+        self._spans = None
         self._rows = None
 
     def rows(self):
         if self._rows is None:
-            self._rows = _saturate(self.category, self.generators)
+            self._spans = _saturate(self.category, self.generators)
+            self._rows = {key: span.rows for key, span in self._spans.items()}
         return self._rows
 
     def span_elements(self):
@@ -254,8 +191,9 @@ class IdealSpec:
         return out
 
     def reduce(self, X, Y, el):
-        bucket = self.rows().get(((X, Y), el.degree), {})
-        vec = _reduce_vec(self.category.quiver.ring, bucket, dict(el.items()))
+        self.rows()  # saturates on first use
+        span = self._spans.get(((X, Y), el.degree))
+        vec = el.terms if span is None else span.reduce(el.terms)
         return self.category.hom(X, Y).element(vec, el.degree)
 
     def contains(self, X, Y, el):

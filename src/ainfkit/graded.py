@@ -1,4 +1,10 @@
-"""Exact graded linear algebra: scalars, graded modules, chain maps."""
+"""Exact graded linear algebra: scalars, graded modules, chain maps.
+
+Every exact solve runs through one sparse elimination, Echelon: the
+relation spans of freecat, solve_linear and through it in_image,
+split_semisplit and the homotopy and preimage solves of the category
+checks.
+"""
 
 from fractions import Fraction
 
@@ -448,64 +454,128 @@ class ChainMap:
         return "ChainMap(degree %d, %d entries)" % (self.degree, len(self.matrix))
 
 
+class Echelon:
+    """A span over a field in fully reduced row echelon form, kept sparse.
+
+    rows is {pivot: row}, each row a {column: scalar} map whose pivot is
+    its least column under key, with coefficient one; no row holds
+    another row's pivot.  That form is unique for the span, so rows do
+    not depend on the order in which vectors were inserted.  index maps
+    each column to the pivots of the rows holding it off their pivot,
+    so back-substitution visits only the rows it names.  Columns are any
+    hashable labels that key orders.
+    """
+
+    def __init__(self, ring, key=repr):
+        if not ring.is_field:
+            raise ValueError("exact elimination needs field coefficients, "
+                             "not %r" % (ring,))
+        self.ring = ring
+        self.key = key
+        self.rows = {}
+        self.index = {}
+
+    def reduce(self, vec):
+        """vec modulo the span, as a new {column: scalar} map.
+
+        Only the pivots the vector holds are eliminated, in one pass: no
+        row holds another row's pivot, so a subtraction never brings one
+        in.
+        """
+        ring, rows = self.ring, self.rows
+        vec = dict(vec)
+        for pivot in [col for col in vec if col in rows]:
+            c = vec.pop(pivot)
+            for col, val in rows[pivot].items():
+                if col == pivot:
+                    continue
+                new = ring.sub(vec.get(col, ring.zero), ring.mul(c, val))
+                if ring.is_zero(new):
+                    vec.pop(col, None)
+                else:
+                    vec[col] = new
+        return vec
+
+    def insert(self, vec):
+        """Add vec to the span; returns its reduced row, None when dependent."""
+        ring, rows, index = self.ring, self.rows, self.index
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        pivot = min(vec, key=self.key)
+        inv = ring.inv(vec[pivot])
+        vec = {col: ring.mul(inv, val) for col, val in vec.items()}
+        for q in index.pop(pivot, ()):
+            row = rows[q]
+            c = row.pop(pivot)
+            for col, val in vec.items():
+                if col == pivot:
+                    continue
+                new = ring.sub(row.get(col, ring.zero), ring.mul(c, val))
+                if ring.is_zero(new):
+                    del row[col]
+                    holders = index[col]
+                    holders.discard(q)
+                    if not holders:
+                        del index[col]
+                else:
+                    if col not in row:
+                        index.setdefault(col, set()).add(q)
+                    row[col] = new
+        rows[pivot] = vec
+        for col in vec:
+            if col != pivot:
+                index.setdefault(col, set()).add(pivot)
+        return vec
+
+
+class _Tag:
+    """The tag column of input row i in solve_linear; equal only to itself."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        self.i = i
+
+
+def _tags_last(col):
+    return (1, col.i) if type(col) is _Tag else (0, repr(col))
+
+
 def solve_linear(ring, rows, rhs):
     """Find coefficients c with sum c_i row_i = rhs over a field, else None.
 
-    rows are {column: scalar} maps; rhs likewise.
+    rows are {column: scalar} maps; rhs likewise.  Each row enters an
+    Echelon with a tag column of its own, ordered after every real
+    column, so no tag becomes a pivot and a stored row's tags record
+    which inputs it combines; a row whose real columns reduce to zero is
+    dependent and dropped.  rhs is in the span exactly when it reduces to
+    tags alone, and then its coefficients are the negated tag entries.
     """
-    if not ring.is_field:
-        raise ValueError("linear solve needs a field, not %r" % (ring,))
-    cols = set(rhs)
-    for r in rows:
-        cols.update(r)
-    cols = sorted(cols, key=repr)
-    colpos = {c: i for i, c in enumerate(cols)}
-    # augmented system A^T c = rhs, one dense row per column
-    m, n = len(cols), len(rows)
-    aug = [[ring.zero] * (n + 1) for _ in range(m)]
-    for j, row in enumerate(rows):
-        for col, v in row.items():
-            aug[colpos[col]][j] = ring.normalize(v)
-    for col, v in rhs.items():
-        aug[colpos[col]][n] = ring.normalize(v)
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if aug[i][c] != ring.zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = ring.inv(aug[r][c])
-        aug[r] = [ring.mul(v, inv) for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != ring.zero:
-                f = aug[i][c]
-                aug[i] = [ring.sub(aug[i][k], ring.mul(f, aug[r][k])) for k in range(n + 1)]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != ring.zero:
+    span = Echelon(ring, _tags_last)
+    norm = ring.normalize
+    for i, row in enumerate(rows):
+        vec = {col: c for col, v in row.items() if (c := norm(v)) != 0}
+        vec[_Tag(i)] = ring.one
+        vec = span.reduce(vec)
+        if any(type(col) is not _Tag for col in vec):
+            span.insert(vec)
+    left = span.reduce({col: c for col, v in rhs.items() if (c := norm(v)) != 0})
+    sol = [ring.zero] * len(rows)
+    for col, c in left.items():
+        if type(col) is not _Tag:
             return None
-    sol = [ring.zero] * n
-    for row_i, c in pivots:
-        sol[c] = aug[row_i][n]
+        sol[col.i] = ring.neg(c)
     return sol
 
 
 def in_image(v, f):
     """Preimage of v under the chain map f, or None; exact solve over a field."""
     smod = f._smod
-    ring = smod.ring
-    if not ring.is_field:
-        raise ValueError("image membership needs a field, not %r" % (ring,))
     deg = v.degree - f.degree
     names = smod.basis_of_degree(deg)
     rows = [dict(f(smod.basis_element(n)).items()) for n in names]
-    sol = solve_linear(ring, rows, dict(v.items()))
+    sol = solve_linear(smod.ring, rows, dict(v.items()))
     if sol is None:
         return None
     return smod.element({n: c for n, c in zip(names, sol)}, deg)
@@ -563,9 +633,6 @@ def split_semisplit(alpha, beta, phi, H):
     gamma = phi H alpha.
     """
     C, A, B = alpha.source, alpha.target, beta.target
-    ring = _underlying(C).ring
-    if not ring.is_field:
-        raise ValueError("splitting construction needs a field, not %r" % (ring,))
     if not (alpha.is_chain() and beta.is_chain()):
         raise ValueError("alpha and beta must be chain maps")
     cmod, amod, bmod = _underlying(C), _underlying(A), _underlying(B)
@@ -587,27 +654,14 @@ def split_semisplit(alpha, beta, phi, H):
 
     # nu: the unique section of beta that psi kills.  Build a degree-0 section
     # sigma through ker(phi), then correct: nu = sigma (1 - psi alpha).
-    sigma_matrix = {}
-    for n in bmod.names:
-        v = bmod.basis_element(n)
-        deg = v.degree
-        names = [m for m in amod.names if amod.degrees[m] == deg]
-        rows = []
-        for m in names:
-            x = amod.basis_element(m)
-            x = x.sub(alpha(phi(x)))  # project into ker(phi)
-            rows.append(dict(beta(x).items()))
-        sol = solve_linear(ring, rows, dict(v.items()))
-        if sol is None:
-            raise ValueError("beta is not split surjective")
-        acc = amod.zero(deg)
-        for m, c in zip(names, sol):
-            x = amod.basis_element(m)
-            acc = acc.add(x.sub(alpha(phi(x))).scale(c))
-        sigma_matrix[n] = acc
+    proj = ChainMap.identity(A).add(phi.compose(alpha).scale(-1))  # onto ker(phi)
+    onto = proj.compose(beta)
     nu_matrix = {}
     for n in bmod.names:
-        x = sigma_matrix[n]
+        pre = in_image(bmod.basis_element(n), onto)
+        if pre is None:
+            raise ValueError("beta is not split surjective")
+        x = proj(pre)
         nu_matrix[n] = x.sub(alpha(psi(x)))
     nu = ChainMap(B, A, 0, nu_matrix)
 

@@ -30,7 +30,7 @@ schedule of the same term is compared through its engine sign.
 
 import random
 
-from .category import AInfCategory, opposite, unit_then_op
+from .category import AInfCategory, opposite, verify_unit_homotopy
 from .functors import strict_functor
 from .graded import GradedModule, koszul_sign, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
@@ -1001,39 +1001,9 @@ def left_unit_homotopy(D, Dm=None):
 
 
 def check_unit_homotopies(D, h, hp, max_size=None):
-    """Both unit laws up to the supplied homotopies, exactly, on every
-    name small enough for all the values to stay under the leaf bound.
-
-    Right law: x minus x with a unit composed on the right equals the
-    h-boundary of x.  Left law: x plus a unit composed on the left
-    equals the hp-boundary of x.
-    """
-    rep = Report("unit homotopies for %s" % D.name)
-    q = D.quiver
-    b1, b2 = D.b(1), D.b(2)
-    limit = max_size if max_size is not None else D.leaf_bound - 1
-
-    def boundary(hmap, X, Y, x):
-        dx = evaluate(b1, (X, Y), (x,))
-        return hmap.apply(X, Y, dx).add(
-            evaluate(b1, (X, Y), (hmap.apply(X, Y, x),)))
-
-    for label, hmap, flip in (("right law", h, False), ("left law", hp, True)):
-        bad = None
-        count = 0
-        for (X, Y) in q.pairs():
-            for nm in q.hom(X, Y).names:
-                if len(nm[2]) > limit:
-                    continue
-                x = q.hom(X, Y).basis_element(nm)
-                count += 1
-                if flip:
-                    lhs = x.add(unit_then_op(D, (X, Y), (nm,), 0, b2))
-                else:
-                    lhs = x.sub(unit_then_op(D, (X, Y), (nm,), 1, b2))
-                if lhs != boundary(hmap, X, Y, x) and bad is None:
-                    bad = (nm, lhs.sub(boundary(hmap, X, Y, x)))
-        rep.add(label, bad is None,
-                "%d names of size <= %d" % (count, limit) if bad is None
-                else "defect %r on %r" % (bad[1], bad[0]))
-    return rep
+    """verify_unit_homotopy on the names of at most max_size leaves, by
+    default one less than the leaf bound, so that every value the laws
+    need stays under the bound."""
+    if max_size is None:
+        max_size = D.leaf_bound - 1
+    return verify_unit_homotopy(D, h, hp, max_size)

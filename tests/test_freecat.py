@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfkit.category import AInfCategory, check_stasheff, dg_to_ainf
-from ainfkit.freecat import (LEAF, IdealSpec, _col_key,
-                             _insert_row, _reduce_vec, check_descends,
+from ainfkit.freecat import (LEAF, IdealSpec, _col_key, check_descends,
                              check_factorizes,
                              check_ideal, corolla, delta_op, extend_functor,
                              extend_homotopy, extend_transformation,
@@ -22,7 +21,7 @@ from ainfkit.freecat import (LEAF, IdealSpec, _col_key,
 from ainfkit.functors import (Bn, check_functor, compose_functors,
                               identity_functor, random_coderivation,
                               strict_functor)
-from ainfkit.graded import GradedModule, Ring
+from ainfkit.graded import Echelon, GradedModule, Ring
 from ainfkit.quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                             Stage, bounded_tensors, evaluate, insert,
                             run_stages, state_element)
@@ -667,15 +666,15 @@ def span_inputs(draw):
 @given(span_inputs())
 def test_sparse_span_agrees_with_dense_oracle(data):
     ring, vecs, fresh = data
-    dense, rows, index = {}, {}, {}
+    dense, span = {}, Echelon(ring, _col_key)
     for vec in vecs:
         want = dense_insert(ring, dense, dict(vec))
-        got = _insert_row(ring, rows, index, dict(vec))
+        got = span.insert(dict(vec))
         assert got == want
-        assert rows == dense
-        assert index == column_index(rows)
+        assert span.rows == dense
+        assert span.index == column_index(span.rows)
     for vec in fresh:
-        assert _reduce_vec(ring, rows, vec) == dense_reduce(ring, dense, vec)
+        assert span.reduce(vec) == dense_reduce(ring, dense, vec)
 
 
 def dense_saturation(F, generators):

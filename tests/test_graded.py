@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ainfkit.graded import (
     ChainMap,
@@ -19,6 +19,7 @@ from ainfkit.graded import (
     solve_linear,
     split_semisplit,
 )
+from ainfkit.trees import LEAF
 
 QQ = Ring("QQ")
 F5 = Ring("Fp", 5)
@@ -252,6 +253,117 @@ def test_solve_linear():
     assert solve_linear(QQ, [{"a": QQ.one}], {"b": QQ.one}) is None
 
 
+# -- solve_linear against a dense oracle -----------------------------------
+#
+# The oracle is dense Gauss-Jordan on the augmented system A^T c = rhs,
+# one row per column and one column per unknown.
+
+
+def dense_solve(ring, rows, rhs):
+    cols = set(rhs)
+    for r in rows:
+        cols.update(r)
+    cols = sorted(cols, key=repr)
+    colpos = {c: i for i, c in enumerate(cols)}
+    m, n = len(cols), len(rows)
+    aug = [[ring.zero] * (n + 1) for _ in range(m)]
+    for j, row in enumerate(rows):
+        for col, v in row.items():
+            aug[colpos[col]][j] = ring.normalize(v)
+    for col, v in rhs.items():
+        aug[colpos[col]][n] = ring.normalize(v)
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if aug[i][c] != ring.zero), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = ring.inv(aug[r][c])
+        aug[r] = [ring.mul(v, inv) for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != ring.zero:
+                f = aug[i][c]
+                aug[i] = [ring.sub(aug[i][k], ring.mul(f, aug[r][k]))
+                          for k in range(n + 1)]
+        pivots.append((r, c))
+        r += 1
+    if any(aug[i][n] != ring.zero for i in range(r, m)):
+        return None
+    sol = [ring.zero] * n
+    for row_i, c in pivots:
+        sol[c] = aug[row_i][n]
+    return sol
+
+
+def combine(ring, rows, coeffs):
+    """sum c_i row_i as a {column: scalar} map without zero entries."""
+    acc = {}
+    for row, c in zip(rows, coeffs):
+        for col, v in row.items():
+            acc[col] = ring.add(acc.get(col, ring.zero), ring.mul(c, v))
+    return {col: v for col, v in acc.items() if v != ring.zero}
+
+
+# Integer columns would meet integer tags; tree names are what the
+# relation spans use.
+SOLVE_COLUMNS = {
+    "str": ["a", "b", "c", "d", "e"],
+    "int": [0, 1, 2, 3, 4],
+    "tree": [(LEAF, (0, 1), ("f",)), (LEAF, (1, 2), ("g",)),
+             ((LEAF, LEAF), (0, 1, 2), ("f", "g")),
+             ((LEAF, (LEAF, LEAF)), (0, 1, 2, 3), ("f", "g", "h")),
+             (((LEAF, LEAF), LEAF), (0, 1, 2, 3), ("f", "g", "h"))],
+}
+
+
+@st.composite
+def linear_systems(draw):
+    """A field, rows (some combinations of earlier rows, so dependent)
+    and a right-hand side, either in the row span or drawn freely."""
+    ring = draw(st.sampled_from([QQ, Ring("Fp", 2), Ring("Fp", 7)]))
+    pool = SOLVE_COLUMNS[draw(st.sampled_from(sorted(SOLVE_COLUMNS)))]
+    if ring.kind == "QQ":
+        coeff = st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 4)).map(
+            lambda t: ring.normalize(Fraction(*t)))
+    else:
+        coeff = st.integers(1, ring.p - 1)
+
+    def sparse():
+        return draw(st.dictionaries(st.sampled_from(pool), coeff, max_size=4))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            picks = draw(st.lists(st.integers(0, len(rows) - 1),
+                                  min_size=1, max_size=3))
+            rows.append(combine(ring, [rows[i] for i in picks],
+                                [draw(coeff) for _ in picks]))
+        else:
+            rows.append(sparse())
+    if draw(st.booleans()):
+        rhs = combine(ring, rows, [draw(coeff) for _ in rows])
+    else:
+        rhs = sparse()
+    return ring, rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_linear_agrees_with_dense_oracle(system):
+    ring, rows, rhs = system
+    got = solve_linear(ring, rows, rhs)
+    assert (got is None) == (dense_solve(ring, rows, rhs) is None)
+    if got is not None:
+        assert len(got) == len(rows)
+        assert combine(ring, rows, got) == rhs
+
+
+def test_solve_linear_needs_field():
+    with pytest.raises(ValueError, match="field coefficients"):
+        solve_linear(ZZ, [{"a": 1}], {"a": 1})
+
+
 def test_in_image():
     cx = two_step_complex()
     M = cx.module
@@ -285,7 +397,7 @@ def test_in_image_needs_field():
     M = GradedModule(ZZ, [("a", 0)])
     cx = Complex(M, {})
     f = ChainMap.identity(cx)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field coefficients"):
         in_image(M.basis_element("a"), f)
 
 

@@ -1,5 +1,5 @@
-"""Source guards: input validation must survive python -O, and no
-private helper is left without a caller."""
+"""Source guards: input validation must survive python -O, no private
+helper is left without a caller, and the package has one elimination."""
 
 import ast
 import pathlib
@@ -14,18 +14,31 @@ POST_CONDITIONS = {
     ("homquot", "stages_to_tree"): 1,
 }
 
+# The top-level functions and classes that invert a scalar, by (module,
+# name): graded.Echelon is the one elimination, and left_unit_homotopy
+# inverts the coefficient of a mirrored name.
+INVERTERS = {
+    ("graded", "Echelon"),
+    ("homquot", "left_unit_homotopy"),
+}
+
+
+def package_trees():
+    """(module name, parsed source) for every module of the package."""
+    for path in sorted(pathlib.Path(ainfkit.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
 
 def assert_counts():
     """(module, top-level function or None) -> asserts in the package."""
     counts = {}
-    for path in sorted(pathlib.Path(ainfkit.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for module, tree in package_trees():
         for top in tree.body:
             owner = top.name if isinstance(
                 top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
             for node in ast.walk(top):
                 if isinstance(node, ast.Assert):
-                    key = (path.stem, owner)
+                    key = (module, owner)
                     counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -42,14 +55,13 @@ def test_no_unreferenced_private_helpers():
     # own body is left over from a deletion
     helpers = {}
     used = set()
-    for path in sorted(pathlib.Path(ainfkit.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for module, tree in package_trees():
         for top in tree.body:
             owner = None
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = top.name
                 if owner.startswith("_") and not owner.startswith("__"):
-                    helpers[owner] = path.stem
+                    helpers[owner] = module
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     ref = node.id
@@ -64,3 +76,18 @@ def test_no_unreferenced_private_helpers():
     orphans = sorted("%s.%s" % (mod, name) for name, mod in helpers.items()
                      if name not in used)
     assert not orphans, "private helpers nothing references: %r" % (orphans,)
+
+
+def test_one_elimination():
+    found = set()
+    for module, tree in package_trees():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "inv"):
+                    found.add((module, top.name))
+    assert found == INVERTERS, "scalar inverses outside the allow-list"
