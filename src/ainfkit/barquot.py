@@ -22,10 +22,10 @@ from .category import AInfCategory
 from .functors import (AInfFunctor, check_functor, resolve_at_root,
                        strict_functor)
 from .graded import GradedModule, linear_combination
-from .homquot import PartialHomotopy
+from .homquot import PartialHomotopy, homotopy_applies
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      apply_stage, evaluate, insert)
-from .report import Report
+from .report import Report, unless_zero
 from .trees import LEAF, embed_leaf
 
 
@@ -199,34 +199,23 @@ def check_contraction(D, chi):
     """The contracting identity on every stored pair, at every word.
 
     For each word x short enough to contract, the boundary of the
-    contraction plus the contraction of the boundary must return x.
+    contraction plus the contraction of the boundary must return x; a
+    word whose contraction leaves the bound is skipped.
     """
     rep = Report("unit contraction for %s" % D.name)
     b1 = D.b(1)
-    checked = skipped = 0
-    bad = None
-    for pair in sorted(chi.matrices, key=repr):
-        X, Y = pair
-        mod = D.hom(X, Y)
-        for nm in mod.names:
-            x = mod.basis_element(nm)
-            try:
-                cx = chi.apply(X, Y, x)
-            except BoundError:
-                skipped += 1
-                continue
-            got = evaluate(b1, (X, Y), (cx,)).add(
-                chi.apply(X, Y, evaluate(b1, (X, Y), (x,))))
-            checked += 1
-            if got != x and bad is None:
-                bad = (pair, nm, got)
-    if bad is None:
-        rep.add("contracting identity", True,
-                "%d words, %d beyond the bound" % (checked, skipped))
-    else:
-        rep.add("contracting identity", False,
-                "got %r on %r at %r" % (bad[2], bad[1], bad[0]))
-    return rep
+
+    def words():
+        for X, Y in sorted(chi.matrices, key=repr):
+            for nm in D.hom(X, Y).names:
+                def run():
+                    x = D.hom(X, Y).basis_element(nm)
+                    cx = chi.apply(X, Y, x)
+                    return unless_zero(evaluate(b1, (X, Y), (cx,)).add(
+                        chi.apply(X, Y, evaluate(b1, (X, Y), (x,)))).sub(x))
+                yield (nm, (X, Y)), run
+
+    return rep.tally("contracting identity", words(), "words")
 
 
 def comparison_map(D, Q):
@@ -351,19 +340,18 @@ def check_comparison(D, Q, samples=30, seed=0):
     """
     rep = Report("quotient comparison for %s" % D.name)
     psi = comparison_map(D, Q)
-    checked = 0
-    bad = None
-    for X, Y in D.quiver.pairs():
-        for nm in D.hom(X, Y).names:
-            x = D.hom(X, Y).basis_element(nm)
-            lhs = evaluate(Q.b(1), (X, Y), (psi.apply(X, Y, x),))
-            rhs = psi.apply(X, Y, evaluate(D.b(1), (X, Y), (x,)))
-            checked += 1
-            if lhs != rhs and bad is None:
-                bad = (nm, lhs.sub(rhs))
-    rep.add("comparison is a chain map", bad is None,
-            "%d words" % checked if bad is None
-            else "defect %r on %r" % (bad[1], bad[0]))
+
+    def words(check):
+        for X, Y in D.quiver.pairs():
+            for nm in D.hom(X, Y).names:
+                yield nm, lambda: check(X, Y, D.hom(X, Y).basis_element(nm))
+
+    def chain(X, Y, x):
+        return unless_zero(
+            evaluate(Q.b(1), (X, Y), (psi.apply(X, Y, x),))
+            .sub(psi.apply(X, Y, evaluate(D.b(1), (X, Y), (x,)))))
+
+    rep.tally("comparison is a chain map", words(chain), "words")
 
     chi = unit_contraction(D)
     rep.merge(check_contraction(D, chi))
@@ -371,43 +359,19 @@ def check_comparison(D, Q, samples=30, seed=0):
     rep.merge(check_functor(fext, samples=samples, seed=seed))
     f1 = fext.component(1)
 
-    checked = skipped = 0
-    bad = None
-    for X, Y in Q.quiver.pairs():
-        for nm in Q.hom(X, Y).names:
-            x = Q.hom(X, Y).basis_element(nm)
-            try:
-                capped = evaluate(Q.homotopy, (X, Y), (x,))
-            except ValueError:
-                skipped += 1
-                continue
-            try:
-                lhs = evaluate(f1, (X, Y), (capped,))
-                rhs = chi.apply(X, Y, evaluate(f1, (X, Y), (x,)))
-            except BoundError:
-                skipped += 1
-                continue
-            checked += 1
-            if lhs != rhs and bad is None:
-                bad = (nm, lhs.sub(rhs))
-    rep.add("homotopy becomes the contraction", bad is None,
-            "%d trees, %d skipped" % (checked, skipped) if bad is None
-            else "defect %r on %r" % (bad[1], bad[0]))
+    def trees():
+        for X, Y in Q.quiver.pairs():
+            for nm in Q.hom(X, Y).names:
+                def run():
+                    x = Q.hom(X, Y).basis_element(nm)
+                    capped = evaluate(Q.homotopy, (X, Y), (x,))
+                    return unless_zero(evaluate(f1, (X, Y), (capped,)).sub(
+                        chi.apply(X, Y, evaluate(f1, (X, Y), (x,)))))
+                yield nm, run if homotopy_applies(Q, X, Y, nm) else None
 
-    checked = skipped = 0
-    bad = None
-    for X, Y in D.quiver.pairs():
-        for nm in D.hom(X, Y).names:
-            x = D.hom(X, Y).basis_element(nm)
-            try:
-                got = evaluate(f1, (X, Y), (psi.apply(X, Y, x),))
-            except BoundError:
-                skipped += 1
-                continue
-            checked += 1
-            if got != x and bad is None:
-                bad = (nm, got)
-    rep.add("words return to themselves", bad is None,
-            "%d words, %d skipped" % (checked, skipped) if bad is None
-            else "got %r on %r" % (bad[1], bad[0]))
-    return rep
+    rep.tally("homotopy becomes the contraction", trees(), "trees")
+
+    def round_trip(X, Y, x):
+        return unless_zero(evaluate(f1, (X, Y), (psi.apply(X, Y, x),)).sub(x))
+
+    return rep.tally("words return to themselves", words(round_trip), "words")

@@ -11,11 +11,11 @@ import random
 
 from .graded import (ChainMap, Complex, GradedModule, in_image, koszul_sign,
                      linear_combination, shift, solve_linear)
-from .quiver import (BoundError, CountedTensors, GradedQuiver, MultiOp,
+from .quiver import (CountedTensors, GradedQuiver, MultiOp,
                      QuiverMap, _arrow_index, bounded_tensors, evaluate,
                      insert, insertion_sum, run_stages, state_element,
                      unit_stage)
-from .report import Report
+from .report import Report, unless_zero
 
 
 class AInfCategory:
@@ -150,40 +150,12 @@ def max_arity_within(A):
     return A.size_bound // least if least > 0 else None
 
 
-def sampled_check(A, k, samples, rng, defect_fn):
-    """Run a per-tensor defect over sampled within-bound basis tensors.
-
-    Returns (checked, skipped, exhaustive, bad) where skipped counts the
-    evaluations that escape the bound and bad is the first (objs, names,
-    defect) with a nonzero defect, or None.
-    """
+def sampled_cases(A, k, samples, rng, defect_fn):
+    """(cases, exhaustive) for Report.tally over the tensors of
+    _bounded_sample: each run is defect_fn(objs, names) unless zero."""
     tensors, exhaustive = _bounded_sample(A, k, samples, rng)
-    checked = skipped = 0
-    bad = None
-    for objs, names in tensors:
-        try:
-            d = defect_fn(objs, names)
-        except BoundError:
-            skipped += 1
-            continue
-        checked += 1
-        if not d.is_zero:
-            bad = (objs, names, d)
-            break
-    return checked, skipped, exhaustive, bad
-
-
-def _coverage(checked, exhaustive):
-    return "vacuous" if not checked else "all" if exhaustive else "sampled"
-
-
-def add_sampled_line(rep, label, checked, skipped, exhaustive, bad):
-    if bad is not None:
-        rep.add(label, False, "defect %r on names=%r over objects %r" % (
-            bad[2], bad[1], bad[0]))
-    else:
-        rep.add(label, True, "%s, %d tensors, %d skipped" % (
-            _coverage(checked, exhaustive), checked, skipped))
+    cases = ((t, lambda: unless_zero(defect_fn(*t))) for t in tensors)
+    return cases, exhaustive
 
 
 def check_stasheff(A, arity_bound=None, samples=40, seed=0):
@@ -194,7 +166,7 @@ def check_stasheff(A, arity_bound=None, samples=40, seed=0):
     max_arity_within, past which no tensor fits the size bound.  Only
     tensors within the size bound are drawn; evaluations that escape it
     are counted as skipped, never failed, and an arity that checks
-    nothing reads vacuous.
+    nothing reads vacuous (report.Report.tally).
     """
     if arity_bound is None:
         arity_bound = 2 * A.max_arity - 1
@@ -204,10 +176,10 @@ def check_stasheff(A, arity_bound=None, samples=40, seed=0):
     rng = random.Random(seed)
     rep = Report("structure identities for %s" % A.name)
     for k in range(1, arity_bound + 1):
-        checked, skipped, exhaustive, bad = sampled_check(
+        cases, exhaustive = sampled_cases(
             A, k, samples, rng,
             lambda objs, names, k=k: stasheff_defect(A, k, objs, names))
-        add_sampled_line(rep, "arity %02d" % k, checked, skipped, exhaustive, bad)
+        rep.tally("arity %02d" % k, cases, "tensors", exhaustive)
     return rep
 
 
@@ -582,8 +554,9 @@ def check_strict_unit(A, samples=60, seed=0):
 
     On shifted homs the arity-2 laws read: unit on the right composes to
     the identity, unit on the left to minus the identity.  For every
-    higher arity an insertion at either end must vanish.  Arrows whose
-    endpoint lacks a unit are counted as skipped.
+    higher arity an insertion at either end must vanish.  An arrow or an
+    insertion whose end lacks a unit, or whose insertion would leave the
+    size bound, is counted as skipped.
     """
     rng = random.Random(seed)
     rep = Report("strict units for %s" % A.name)
@@ -591,63 +564,37 @@ def check_strict_unit(A, samples=60, seed=0):
     b2 = A.b(2)
     if b2 is None:
         raise ValueError("strict unit laws need an arity-2 operation")
-    bad_r = bad_l = None
-    n_r = n_l = skip2 = 0
-    for (X, Y) in q.pairs():
-        for nm in q.hom(X, Y).names:
-            x = q.hom(X, Y).basis_element(nm)
-            if Y in A.units:
-                n_r += 1
-                got = unit_then_op(A, (X, Y), (nm,), 1, b2)
-                if got != x and bad_r is None:
-                    bad_r = (nm, got)
-            else:
-                skip2 += 1
-            if X in A.units:
-                n_l += 1
-                got = unit_then_op(A, (X, Y), (nm,), 0, b2)
-                if got != x.neg() and bad_l is None:
-                    bad_l = (nm, got)
-            else:
-                skip2 += 1
-    rep.add("right unit law", bad_r is None,
-            "%d arrows, %d skipped" % (n_r, skip2) if bad_r is None
-            else "got %r on %r" % (bad_r[1], bad_r[0]))
-    rep.add("left unit law", bad_l is None,
-            "%d arrows, %d skipped" % (n_l, skip2) if bad_l is None
-            else "got %r on %r" % (bad_l[1], bad_l[0]))
-    for n in range(2, A.max_arity):
-        outer = A.b(n + 1)
-        label = "end insertions arity %02d" % (n + 1)
-        if outer is None:
-            rep.add(label, True, "vacuous")
-            continue
-        tensors, exhaustive = _bounded_sample(A, n, samples, rng)
-        checked = skipped = 0
-        bad = None
+
+    def arrows(pos, sign):
+        for pair in q.pairs():
+            mod = q.hom(*pair)
+            for nm in mod.names:
+                def run():
+                    got = unit_then_op(A, pair, (nm,), pos, b2)
+                    return unless_zero(got.sub(mod.basis_element(nm, sign)))
+                yield nm, run if pair[pos] in A.units else None
+
+    rep.tally("right unit law", arrows(1, 1), "arrows")
+    rep.tally("left unit law", arrows(0, -1), "arrows")
+
+    def insertions(tensors, n, outer):
         for objs, names in tensors:
             for pos in (n, 0):
-                uobj = objs[pos]
-                if uobj not in A.units:
-                    skipped += 1
-                    continue
-                if not A.within_bound(objs, names, extra=A.unit_size(uobj)):
-                    skipped += 1
-                    continue
-                try:
-                    got = unit_then_op(A, objs, names, pos, outer)
-                except BoundError:
-                    skipped += 1
-                    continue
-                checked += 1
-                if not got.is_zero and bad is None:
-                    bad = (objs, names, pos, got)
-        if bad is not None:
-            rep.add(label, False, "nonzero %r at slot %d of names=%r" % (
-                bad[3], bad[2], bad[1]))
-        else:
-            rep.add(label, True, "%s, %d insertions, %d skipped" % (
-                _coverage(checked, exhaustive), checked, skipped))
+                U = objs[pos]
+                applies = U in A.units and A.within_bound(
+                    objs, names, extra=A.unit_size(U))
+
+                def run():
+                    return unless_zero(unit_then_op(A, objs, names, pos, outer))
+                yield (objs, names, pos), run if applies else None
+
+    for n in range(2, A.max_arity):
+        outer = A.b(n + 1)
+        tensors, exhaustive = [], True
+        if outer is not None:
+            tensors, exhaustive = _bounded_sample(A, n, samples, rng)
+        rep.tally("end insertions arity %02d" % (n + 1),
+                  insertions(tensors, n, outer), "insertions", exhaustive)
     return rep
 
 
@@ -658,8 +605,9 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
     each basis arrow x the right law asserts that x minus x with a unit
     composed on the right equals the h-boundary of x, and the left law
     that x plus x with a unit composed on the left equals the
-    h_prime-boundary.  max_size keeps only the names of at most that
-    size under A.size_of; None checks every name.
+    h_prime-boundary; an arrow without a unit at that end is skipped.
+    max_size keeps only the names of at most that size under A.size_of;
+    None checks every name.
     """
     rep = Report("unit homotopies for %s" % A.name)
     q = A.quiver
@@ -677,26 +625,22 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
             return q.hom(X, Y).zero(x.degree)
         return hmap.apply(X, Y, d1(X, Y, x)).add(d1(X, Y, hmap.apply(X, Y, x)))
 
-    for label, hmap, pos in (("right law", h, 1), ("left law", h_prime, 0)):
-        bad = None
-        count = 0
-        for (X, Y) in q.pairs():
-            if (Y if pos else X) not in A.units:
-                continue
+    def names(hmap, pos):
+        for X, Y in q.pairs():
             for nm in q.hom(X, Y).names:
                 if max_size is not None and A.size_of(X, Y, nm) > max_size:
                     continue
-                x = q.hom(X, Y).basis_element(nm)
-                count += 1
-                u = unit_then_op(A, (X, Y), (nm,), pos, b2)
-                lhs = x.sub(u) if pos else x.add(u)
-                if lhs != boundary(hmap, X, Y, x) and bad is None:
-                    bad = (nm, lhs.sub(boundary(hmap, X, Y, x)))
-        detail = "%d names" % count
-        if max_size is not None:
-            detail += " of size <= %d" % max_size
-        rep.add(label, bad is None,
-                detail if bad is None else "defect %r on %r" % (bad[1], bad[0]))
+
+                def run():
+                    x = q.hom(X, Y).basis_element(nm)
+                    u = unit_then_op(A, (X, Y), (nm,), pos, b2)
+                    lhs = x.sub(u) if pos else x.add(u)
+                    return unless_zero(lhs.sub(boundary(hmap, X, Y, x)))
+                yield nm, run if (X, Y)[pos] in A.units else None
+
+    noun = "names" if max_size is None else "names of size <= %d" % max_size
+    for label, hmap, pos in (("right law", h, 1), ("left law", h_prime, 0)):
+        rep.tally(label, names(hmap, pos), noun)
     return rep
 
 

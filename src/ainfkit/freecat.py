@@ -23,10 +23,9 @@ from .graded import Echelon, GradedModule, linear_combination
 from .homquot import composite_defect, tree_category
 from .quiver import (GradedQuiver, MultiOp, QuiverMap, bounded_tensors,
                      evaluate)
-from .report import Report
-# leaf_count, vertex_count and ordered_ops are re-exported for callers.
-from .trees import (LEAF, leaf_count, tree_pipeline, tree_shapes,
-                    tree_stages as ordered_ops, vertex_count)
+from .report import Report, unless_zero
+# leaf_count and vertex_count are re-exported for callers.
+from .trees import LEAF, leaf_count, tree_pipeline, tree_shapes, vertex_count
 
 
 def corolla(k):
@@ -99,16 +98,13 @@ def normal_form_map(D, F):
     return QuiverMap(F.quiver, D.quiver, 0, comps)
 
 
-# The arity-n relation: the pure corolla minus the embedded operation.
-delta_op = composite_defect
-
 
 def structure_relations(D, F, name="R"):
     """Relation generators presenting a category inside its free cover,
     one for every arity and every basis tensor of generators."""
     gens = []
     for n in range(2, F.leaf_bound + 1):
-        op = delta_op(D, F, n)
+        op = composite_defect(D, F, n)
         for objs, names in bounded_tensors(D.quiver, n):
             v = op.on_basis(objs, names)
             if not v.is_zero:
@@ -431,21 +427,16 @@ def _mixed_tensors(F, k, X, Y, el, budget):
                 yield lobjs + robjs, factors
 
 
-def _mixed_slot_count(op, k, R):
-    """Evaluate an arity-k component with one span element per slot in
-    turn, basis names elsewhere, inside the leaf bound."""
+def _mixed_cases(op, k, R):
+    """Tally cases for an arity-k component with one span element per
+    slot in turn, basis names elsewhere, inside the leaf bound."""
     F = R.category
-    bad = 0
-    tried = 0
     for ((X, Y), degree), bucket in R.rows().items():
         for row in bucket.values():
             el = F.hom(X, Y).element(dict(row), degree)
             budget = F.leaf_bound - max(len(nm[2]) for nm in row)
             for objs, factors in _mixed_tensors(F, k, X, Y, el, budget):
-                tried += 1
-                if not evaluate(op, objs, factors).is_zero:
-                    bad += 1
-    return bad, tried
+                yield objs, lambda: unless_zero(evaluate(op, objs, factors))
 
 
 def check_factorizes(f, R):
@@ -456,25 +447,16 @@ def check_factorizes(f, R):
     if R.category is not source:
         raise ValueError("the relation span lives in another category")
     rep = Report("%s kills %s" % (f.name, R.name))
-    rows = R.span_elements()
     f1 = f.component(1)
-    bad = 0
-    if f1 is not None:
-        for X, Y, el in rows:
-            if not evaluate(f1, (X, Y), (el,)).is_zero:
-                bad += 1
-    rep.add("span under arity 1", bad == 0,
-            "%d of %d rows nonzero" % (bad, len(rows)))
+    rows = R.span_elements() if f1 is not None else ()
+    rep.tally("span under arity 1", (
+        (el, lambda: unless_zero(evaluate(f1, (X, Y), (el,))))
+        for X, Y, el in rows), "rows")
     for k in sorted(f.components):
-        if k == 1:
-            continue
-        bad, tried = _mixed_slot_count(f.component(k), k, R)
-        rep.add("arity %02d mixed slots" % k, bad == 0,
-                "%d of %d tensors nonzero" % (bad, tried))
+        if k > 1:
+            rep.tally("arity %02d mixed slots" % k,
+                      _mixed_cases(f.component(k), k, R), "tensors")
     return rep
-
-
-check_descends = check_factorizes
 
 
 def induce_functor(f, E, name=None):

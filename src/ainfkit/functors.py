@@ -10,11 +10,11 @@ componentwise with functor matrix elements on the outside.
 import itertools
 import random
 
-from .category import add_sampled_line, sampled_check
+from .category import sampled_cases
 from .quiver import (MultiOp, QuiverMap, Stage, bounded_tensors,
                      apply_stage, evaluate, insert, insertion_sum,
                      state_element)
-from .report import Report
+from .report import Report, unless_zero
 from .trees import root_split
 
 
@@ -139,10 +139,10 @@ def check_functor(f, arity_bound=None, samples=30, seed=0):
     rng = random.Random(seed)
     rep = Report("functor equation for %s" % f.name)
     for k in range(1, arity_bound + 1):
-        checked, skipped, exhaustive, bad = sampled_check(
+        cases, exhaustive = sampled_cases(
             f.source, k, samples, rng,
             lambda objs, names, k=k: functor_defect(f, k, objs, names))
-        add_sampled_line(rep, "arity %02d" % k, checked, skipped, exhaustive, bad)
+        rep.tally("arity %02d" % k, cases, "tensors", exhaustive)
     return rep
 
 
@@ -474,13 +474,13 @@ def check_b1_square(r, samples=25, seed=0):
     rr = B1(B1(r))
     rep = Report("squared differential on %s" % r.name)
     A = r.cat_source
-    ok0 = all(rr.component0(X).is_zero for X in A.quiver.objects)
-    rep.add("arity 00", ok0, "per-object components")
+    rep.tally("arity 00", ((X, lambda: unless_zero(rr.component0(X)))
+                           for X in A.quiver.objects), "objects")
     for k in range(1, r.arity_bound + 1):
-        checked, skipped, exhaustive, bad = sampled_check(
+        cases, exhaustive = sampled_cases(
             A, k, samples, rng,
             lambda objs, names, k=k: rr.component_value(k, objs, names))
-        add_sampled_line(rep, "arity %02d" % k, checked, skipped, exhaustive, bad)
+        rep.tally("arity %02d" % k, cases, "tensors", exhaustive)
     return rep
 
 
@@ -644,18 +644,16 @@ def check_hochschild_square(r):
     rhs = hochschild_d(t)
     rep = Report("conjugation square for %s" % r.name)
     qa = r.cat_source.dg.quiver
-    ok0 = all(lhs.eval(0, (X,), ()) == rhs.eval(0, (X,), ()) for X in qa.objects)
-    rep.add("arity 00", ok0, "per-object components")
+
+    def mismatch(k, objs, basis):
+        return unless_zero(lhs.eval(k, objs, basis).sub(rhs.eval(k, objs, basis)))
+
+    rep.tally("arity 00", ((X, lambda: mismatch(0, (X,), ()))
+                           for X in qa.objects), "objects")
     for k in range(1, r.arity_bound + 1):
-        bad = None
-        count = 0
-        for objs, names in bounded_tensors(qa, k):
-            count += 1
-            basis = [qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
-                     for i in range(k)]
-            if lhs.eval(k, objs, basis) != rhs.eval(k, objs, basis):
-                bad = (objs, names)
-                break
-        rep.add("arity %02d" % k, bad is None,
-                "%d tensors" % count if bad is None else "mismatch on names=%r" % (bad[1],))
+        rep.tally("arity %02d" % k, (
+            (names, lambda: mismatch(k, objs, [
+                qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
+                for i in range(k)]))
+            for objs, names in bounded_tensors(qa, k)), "tensors")
     return rep

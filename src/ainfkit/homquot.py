@@ -36,7 +36,7 @@ from .graded import GradedModule, koszul_sign, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      bounded_tensors, evaluate, insert, insertion_sum,
                      run_stages, state_element, unit_stage)
-from .report import Report
+from .report import Report, unless_zero
 from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
                     shape_counts, shape_table, tree_pipeline, tree_shapes,
                     tree_stages, unary_count, wide_count)
@@ -248,6 +248,13 @@ def homotopy_quotient(C, bobjs, leaf_bound=3, name=None):
     return _build(C, bobjs, leaf_bound, True, name or (C.name + ".hq"))
 
 
+def homotopy_applies(A, X, Y, nm):
+    """Whether the homotopy of a tree category applies to the name nm at
+    (X, Y): an end is marked and the root is not already unary."""
+    t = nm[0]
+    return (X in A.bobjs or Y in A.bobjs) and (t == LEAF or len(t) != 1)
+
+
 def tree_value(A, t, gobjs, gnames):
     """Evaluate a labeled tree through a tree category's operations.
 
@@ -299,46 +306,40 @@ def check_reduction(C, E, D, samples=20, seed=0):
     rng = random.Random(seed)
     rep = Report("reduction of %s" % E.name)
     p1 = projection_functor(E, D).component(1)
+
+    def dies(X, Y, w):
+        return unless_zero(evaluate(p1, (X, Y), (w,)))
+
     gens = []
-    bad = 0
     for n in range(2, E.leaf_bound + 1):
         dop = composite_defect(C, E, n)
         for objs, names in bounded_tensors(C.quiver, n):
             v = dop.on_basis(objs, names)
-            if v.is_zero:
-                continue
-            gens.append((objs[0], objs[-1], v))
-            if not evaluate(p1, (objs[0], objs[-1]), (v,)).is_zero:
-                bad += 1
-    rep.add("defect images die", bad == 0, "%d images" % len(gens))
+            if not v.is_zero:
+                gens.append((objs[0], objs[-1], v))
+    rep.tally("defect images die",
+              ((v, lambda: dies(X, Y, v)) for X, Y, v in gens), "images")
 
-    bad = tried = 0
-    for _ in range(samples):
-        X, Y, v = gens[rng.randrange(len(gens))]
-        vsize = max(len(nm[2]) for nm, _ in v.items())
-        if rng.random() < 0.4 and (X in E.bobjs or Y in E.bobjs):
-            w = evaluate(E.homotopy, (X, Y), (v,))
-            tried += 1
-            if not evaluate(p1, (X, Y), (w,)).is_zero:
-                bad += 1
-            continue
-        side = [nm for U, V in E.quiver.pairs() if V == X
-                for nm in E.hom(U, X).names
-                if len(nm[2]) + vsize <= E.leaf_bound]
-        if not side:
-            continue
-        nm = side[rng.randrange(len(side))]
-        U = nm[1][0]
-        f = E.hom(U, X).basis_element(nm)
-        try:
-            w = evaluate(E.b(2), (U, X, Y), (f, v))
-        except BoundError:
-            continue
-        tried += 1
-        if not evaluate(p1, (U, Y), (w,)).is_zero:
-            bad += 1
-    rep.add("closure stays dead", bad == 0, "%d samples" % tried)
-    return rep
+    def closures():
+        for _ in range(samples if gens else 0):
+            X, Y, v = gens[rng.randrange(len(gens))]
+            vsize = max(len(nm[2]) for nm, _ in v.items())
+            if rng.random() < 0.4 and (X in E.bobjs or Y in E.bobjs):
+                yield v, lambda: dies(X, Y, evaluate(E.homotopy, (X, Y), (v,)))
+                continue
+            side = [nm for U, V in E.quiver.pairs() if V == X
+                    for nm in E.hom(U, X).names
+                    if len(nm[2]) + vsize <= E.leaf_bound]
+            if not side:
+                yield v, None
+                continue
+            nm = side[rng.randrange(len(side))]
+            U = nm[1][0]
+            yield (nm, v), lambda: dies(U, Y, evaluate(
+                E.b(2), (U, X, Y), (E.hom(U, X).basis_element(nm), v)))
+
+    return rep.tally("closure stays dead", closures(), "images",
+                     exhaustive=False)
 
 
 def _is_tree(x):
@@ -724,44 +725,43 @@ def check_operad(C, bobjs, samples=40, seed=0):
     rng = random.Random(seed)
     rep = Report("formal operations over %s" % C.name)
 
-    bad = None
-    for _ in range(samples):
-        t = random_term(C, bobjs, rng, with_caps=True)
-        if not operad_d(operad_d(t)).is_zero:
-            bad = t
-            break
-    rep.add("differential squares to zero", bad is None,
-            "%d terms" % samples if bad is None else "fails on %r" % bad)
+    def drawn(law, with_caps=False):
+        for _ in range(samples):
+            t = random_term(C, bobjs, rng, with_caps=with_caps)
+            yield t, lambda: law(t)
 
-    bad = None
-    for _ in range(samples):
-        t = random_term(C, bobjs, rng)
+    def square(t):
+        return unless_zero(operad_d(operad_d(t)))
+
+    def commutator(t):
         lhs = operad_d(unit_derivation(t)).add(unit_derivation(operad_d(t)))
-        if not lhs.sub(unit_conjugation(t)).is_zero:
-            bad = t
-            break
-    rep.add("commutator is unit conjugation", bad is None,
-            "%d terms" % samples if bad is None else "fails on %r" % bad)
+        return unless_zero(lhs.sub(unit_conjugation(t)))
 
-    bad = None
-    for _ in range(samples):
-        f = random_term(C, bobjs, rng)
-        picked = _slot_term(C, bobjs, rng, f)
-        if picked is None:
-            continue
-        g, slot, last = picked
-        lhs = unit_derivation(compose_terms(g, f, slot))
-        rhs = compose_terms(g, unit_derivation(f), slot)
-        if last:
-            fdeg = term_degree(_first_key(f))
-            extra = compose_terms(unit_derivation(g), f, slot)
-            rhs = rhs.add(extra.scale(-1 if fdeg % 2 else 1))
-        if not lhs.sub(rhs).is_zero:
-            bad = (f, g, slot)
-            break
-    rep.add("right derivation law", bad is None,
-            "%d pairs" % samples if bad is None else "fails on %r" % (bad,))
-    return rep
+    def pairs():
+        for _ in range(samples):
+            f = random_term(C, bobjs, rng)
+            picked = _slot_term(C, bobjs, rng, f)
+            if picked is None:
+                yield f, None
+                continue
+            g, slot, last = picked
+
+            def run():
+                lhs = unit_derivation(compose_terms(g, f, slot))
+                rhs = compose_terms(g, unit_derivation(f), slot)
+                if last:
+                    fdeg = term_degree(_first_key(f))
+                    extra = compose_terms(unit_derivation(g), f, slot)
+                    rhs = rhs.add(extra.scale(-1 if fdeg % 2 else 1))
+                return unless_zero(lhs.sub(rhs))
+            yield (f, g, slot), run
+
+    rep.tally("differential squares to zero", drawn(square, True), "terms",
+              exhaustive=False)
+    rep.tally("commutator is unit conjugation", drawn(commutator), "terms",
+              exhaustive=False)
+    return rep.tally("right derivation law", pairs(), "pairs",
+                     exhaustive=False)
 
 
 def _slot_term(C, bobjs, rng, f):
@@ -790,69 +790,74 @@ def _slot_term(C, bobjs, rng, f):
 def check_action_chain(E, samples=40, seed=0):
     """Acting with formal operations is a chain map: the differential of
     a value equals the value on the differentiated tensor, the term's
-    own differential included with the engine's suffix signs."""
+    own differential included with the engine's suffix signs.
+
+    Each drawn term has a hom on every uncapped strand, and each leaf
+    name is drawn within the leaves the term's caps and its other
+    strands leave under the bound.  A draw that feeds the homotopy a name
+    whose root is already unary does not apply and is skipped.
+    """
     rng = random.Random(seed)
     q = E.quiver
     ring = q.ring
     rep = Report("action of formal operations on %s" % E.name)
     b1 = E.b(1)
-    checked = skipped = 0
-    bad = None
-    for _ in range(samples):
-        term = random_term(E.base, E.bobjs, rng, with_caps=True)
-        key = _first_key(term)
-        tree, gobjs, caps = key
-        uncapped = [i for i in range(leaf_count(tree)) if i not in caps]
-        n = len(uncapped)
-        objs = [gobjs[uncapped[0]]]
+
+    def draw_term():
+        for _ in range(500):
+            term = random_term(E.base, E.bobjs, rng, with_caps=True)
+            tree, gobjs, caps = key = _first_key(term)
+            uncapped = [i for i in range(leaf_count(tree)) if i not in caps]
+            mods = [q.homs.get((gobjs[i], gobjs[i + 1])) for i in uncapped]
+            if None not in mods:
+                return term, key, uncapped, mods
+        raise RuntimeError("no term with a hom on every uncapped strand")
+
+    def draw_names(budget, mods):
         names = []
-        ok = True
-        for i in uncapped:
-            pair = (gobjs[i], gobjs[i + 1])
-            mod = q.homs.get(pair)
-            if mod is None:
-                ok = False
-                break
-            names.append(mod.names[rng.randrange(len(mod.names))])
-            objs.append(pair[1])
-        if not ok:
-            skipped += 1
-            continue
-        objs, names = tuple(objs), tuple(names)
-        if sum(len(nm[2]) for nm in names) + len(caps) > E.leaf_bound:
-            skipped += 1
-            continue
-        try:
-            val = term_value(E, term, objs, names)
-            lhs = evaluate(b1, (objs[0], objs[-1]), (val,))
-            rhs = q.hom(objs[0], objs[-1]).zero(lhs.degree)
-            dterm = operad_d(term)
-            if not dterm.is_zero:
-                rhs = rhs.add(term_value(E, dterm, objs, names))
-            degs = [q.degree(objs[i], objs[i + 1], names[i]) for i in range(n)]
-            for i in range(n):
-                img = b1.on_basis((objs[i], objs[i + 1]), (names[i],))
-                if img.is_zero:
-                    continue
-                suffix = sum(degs[i + 1:]) + term_degree(key)
-                sgn = -1 if suffix % 2 else 1
-                for nm2, c in img.items():
-                    piece = term_value(E, term, objs,
-                                       names[:i] + (nm2,) + names[i + 1:])
-                    rhs = rhs.add(piece.scale(ring.mul(sgn, c)))
-        except (BoundError, ValueError):
-            skipped += 1
-            continue
-        checked += 1
-        if lhs != rhs and bad is None:
-            bad = (term, names, lhs.sub(rhs))
-    if bad is None:
-        rep.add("chain action", True,
-                "%d checked, %d skipped" % (checked, skipped))
-    else:
-        rep.add("chain action", False,
-                "defect %r for %r on %r" % (bad[2], bad[0], bad[1]))
-    return rep
+        for j, mod in enumerate(mods):
+            room = budget - (len(mods) - 1 - j)  # a leaf per later strand
+            fits = [nm for nm in mod.names if len(nm[2]) <= room]
+            if not fits:
+                return None
+            names.append(fits[rng.randrange(len(fits))])
+            budget -= len(names[-1][2])
+        return tuple(names)
+
+    def cases():
+        for _ in range(samples):
+            term, key, uncapped, mods = draw_term()
+            tree, gobjs, caps = key
+            names = draw_names(E.leaf_bound - len(caps), mods)
+            spans = unary_spans(tree)
+            if names is None or not all(
+                    homotopy_applies(E, gobjs[i], gobjs[i + 1], nm)
+                    for i, nm in zip(uncapped, names) if (i, i + 1) in spans):
+                yield key, None
+                continue
+            objs = (gobjs[uncapped[0]],) + tuple(gobjs[i + 1] for i in uncapped)
+
+            def run():
+                val = term_value(E, term, objs, names)
+                lhs = evaluate(b1, (objs[0], objs[-1]), (val,))
+                rhs = q.hom(objs[0], objs[-1]).zero(lhs.degree)
+                dterm = operad_d(term)
+                if not dterm.is_zero:
+                    rhs = rhs.add(term_value(E, dterm, objs, names))
+                degs = [q.degree(objs[i], objs[i + 1], names[i])
+                        for i in range(len(names))]
+                for i in range(len(names)):
+                    img = b1.on_basis((objs[i], objs[i + 1]), (names[i],))
+                    suffix = sum(degs[i + 1:]) + term_degree(key)
+                    sgn = -1 if suffix % 2 else 1
+                    for nm2, c in img.items():
+                        piece = term_value(E, term, objs,
+                                           names[:i] + (nm2,) + names[i + 1:])
+                        rhs = rhs.add(piece.scale(ring.mul(sgn, c)))
+                return unless_zero(lhs.sub(rhs))
+            yield (term, names), run
+
+    return rep.tally("chain action", cases(), "terms", exhaustive=False)
 
 
 # ---------------------------------------------------------------------------

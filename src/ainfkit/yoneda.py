@@ -24,8 +24,8 @@ import random
 
 from .category import opposite, unit_then_op
 from .graded import ChainMap, Complex, GradedModule, in_image, koszul_sign
-from .quiver import BoundError, bounded_tensors, evaluate, slot_values
-from .report import Report
+from .quiver import bounded_tensors, evaluate, slot_values
+from .report import Report, unless_zero
 
 
 def hom_differential(A, pair):
@@ -243,50 +243,44 @@ def _first_entry(F):
     return name, F.matrix[name]
 
 
+def _residual_run(residual, contents):
+    """A tally run over a (residual, content) computation: records the
+    content flag and returns the first residual entry, or None."""
+    def run():
+        diff, content = residual()
+        contents.append(content)
+        return "residual at %r: %r" % _first_entry(diff) if diff.matrix else None
+    return run
+
+
 def check_hX(A, X, arity_bound=None, samples=40, seed=0):
     """Componentwise functor equation for one represented functor.
 
     For each arity up to the bound, draws seeded random tensors of hom
     elements and compares both sides of the defining equation as stored
     maps, exactly.  Samples that overflow a declared size bound are
-    skipped and counted; the detail line reports how many comparisons
-    had nonzero content.
+    skipped and counted; the detail line also reports how many
+    comparisons had nonzero content.
     """
     h = h_functor(A, X, arity_bound)
     rng = random.Random(seed)
     rep = Report("represented functor at %r in %s" % (X, A.name))
     q = A.quiver
-    for k in range(1, h.arity_bound + 1):
-        label = "arity %d" % k
+
+    def cases(k, contents):
         chains = _hom_chains(q, k)
-        if not chains:
-            rep.add(label, True, "no composable chains")
-            continue
-        checked = skipped = hits = 0
-        bad = None
-        for _ in range(samples):
+        for _ in range(samples if chains else 0):
             chain = rng.choice(chains)
             zf = tuple(_random_factor(q.hom(chain[i], chain[i + 1]), rng)
                        for i in range(k))
-            try:
-                diff, nonzero = _hx_residual(A, h, chain, zf)
-            except BoundError:
-                skipped += 1
-                continue
-            checked += 1
-            if nonzero:
-                hits += 1
-            if diff.matrix:
-                bad = (chain, diff)
-                break
-        if bad is not None:
-            chain, diff = bad
-            nm, el = _first_entry(diff)
-            rep.add(label, False,
-                    "residual at %r on chain %r: %r" % (nm, chain, el))
-        else:
-            rep.add(label, True, "checked %d, nonzero %d, skipped %d"
-                    % (checked, hits, skipped))
+            yield "chain %r" % (chain,), _residual_run(
+                lambda: _hx_residual(A, h, chain, zf), contents)
+
+    for k in range(1, h.arity_bound + 1):
+        contents = []
+        rep.tally("arity %d" % k, cases(k, contents),
+                  lambda: "tensors, %d nonzero" % sum(contents),
+                  exhaustive=False)
     return rep
 
 
@@ -428,45 +422,28 @@ def check_Y(A, bounds=(3, 3), samples=20, seed=0):
     rep = Report("contravariant family of %s" % A.name)
     q = A.quiver
     functors = {X: RepresentedFunctor(A, X) for X in q.objects}
+
+    def cases(n, xchains, k, contents):
+        zchains = _hom_chains(q, k)
+        for _ in range(samples if xchains and zchains else 0):
+            xc = rng.choice(xchains)
+            zc = rng.choice(zchains)
+            xf = tuple(_random_factor(q.hom(xc[i], xc[i - 1]), rng)
+                       for i in range(1, n + 1))
+            zf = tuple(_random_factor(q.hom(zc[i], zc[i + 1]), rng)
+                       for i in range(k))
+            yield "chains %r / %r" % (xc, zc), _residual_run(
+                lambda: _y_residual(A, Aop, functors[xc[0]], functors[xc[-1]],
+                                    zc, zf, xc, xf), contents)
+
     for n in range(1, nb + 1):
         xchains = [tuple(reversed(c)) for c in _hom_chains(q, n)]
         for k in range(0, kb + 1):
-            label = "component (%d, %d)" % (n, k)
-            zchains = _hom_chains(q, k)
-            if not xchains or not zchains:
-                rep.add(label, True, "no composable chains")
-                continue
-            checked = skipped = hits = 0
-            bad = None
-            for _ in range(samples):
-                xc = rng.choice(xchains)
-                zc = rng.choice(zchains)
-                xf = tuple(_random_factor(q.hom(xc[i], xc[i - 1]), rng)
-                           for i in range(1, n + 1))
-                zf = tuple(_random_factor(q.hom(zc[i], zc[i + 1]), rng)
-                           for i in range(k))
-                try:
-                    diff, nonzero = _y_residual(A, Aop, functors[xc[0]],
-                                                functors[xc[-1]],
-                                                zc, zf, xc, xf)
-                except BoundError:
-                    skipped += 1
-                    continue
-                checked += 1
-                if nonzero:
-                    hits += 1
-                if diff.matrix:
-                    bad = (xc, zc, diff)
-                    break
-            if bad is not None:
-                xc, zc, diff = bad
-                nm, el = _first_entry(diff)
-                rep.add(label, False,
-                        "residual at %r on chains %r / %r: %r"
-                        % (nm, xc, zc, el))
-            else:
-                rep.add(label, True, "checked %d, nonzero %d, skipped %d"
-                        % (checked, hits, skipped))
+            contents = []
+            rep.tally("component (%d, %d)" % (n, k),
+                      cases(n, xchains, k, contents),
+                      lambda: "tensors, %d nonzero" % sum(contents),
+                      exhaustive=False)
     return rep
 
 
@@ -572,18 +549,9 @@ class TruncatedTransComplex:
                      % self.arity_bound)
         square = self.differential.compose(self.differential)
         for k in range(self.arity_bound + 1):
-            bad = sorted((key for key in square.matrix if key[0] == k),
-                         key=repr)
-            if bad:
-                key = bad[0]
-                nm, el = _first_entry(
-                    ChainMap(self.module, self.module, 2,
-                             {key: square.matrix[key]}))
-                rep.add("boundary squared at component %d" % k, False,
-                        "nonzero on %r: %r" % (nm, el))
-            else:
-                rep.add("boundary squared at component %d" % k, True,
-                        "exact on every generator")
+            rep.tally("boundary squared at component %d" % k, (
+                (key, lambda: square.matrix.get(key))
+                for key in self.module.names if key[0] == k), "generators")
         rep.add("components above %d" % self.arity_bound, True,
                 "untested: outside the stored window")
         return rep
@@ -631,60 +599,31 @@ def opposite_facts(A, cap=4000):
     Aop = opposite(A)
     back = opposite(Aop)
     for n in sorted(A.ops):
-        checked = 0
-        bad = None
-        for objs, names in bounded_tensors(A.quiver, n):
-            if checked >= cap:
-                break
-            try:
-                one = A.ops[n].on_basis(objs, names)
-                two = back.ops[n].on_basis(objs, names)
-            except BoundError:
-                continue
-            checked += 1
-            if one != two:
-                bad = (objs, names)
-                break
-        rep.add("double reversal at arity %d" % n, bad is None,
-                "checked %d tensors" % checked if bad is None
-                else "differs on %r %r" % bad)
-    op1 = A.b(1)
-    if op1 is None:
-        rep.add("arity 1 under one reversal", True, "no arity-1 operation")
-    else:
-        bad = None
-        for (X, Y) in A.quiver.pairs():
-            for nm in A.hom(X, Y).names:
-                one = op1.on_basis((X, Y), (nm,))
-                two = Aop.b(1).on_basis((Y, X), (nm,))
-                if one != two:
-                    bad = (X, Y, nm)
-                    break
-            if bad:
-                break
-        rep.add("arity 1 under one reversal", bad is None,
-                "identical on every basis arrow" if bad is None
-                else "differs on %r" % (bad,))
-    b2 = A.b(2)
-    if not A.units or b2 is None:
-        rep.add("unit against reversal", True,
-                "skipped: no units or no binary operation")
-    else:
-        bad = None
-        for W in sorted(A.units, key=repr):
-            for X in A.quiver.objects:
-                mod = A.hom(W, X)
-                for nm in mod.names:
-                    lhs = unit_then_op(Aop, (X, W), (nm,), 1, Aop.b(2))
-                    rhs = unit_then_op(A, (W, X), (nm,), 0, b2).scale(-1)
-                    if lhs != rhs:
-                        bad = (W, X, nm)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        rep.add("unit against reversal", bad is None,
-                "matches on every basis arrow" if bad is None
-                else "differs on %r" % (bad,))
+        tensors = list(itertools.islice(bounded_tensors(A.quiver, n), cap + 1))
+        rep.tally("double reversal at arity %d" % n, (
+            (t, lambda: unless_zero(A.ops[n].on_basis(*t)
+                                    .sub(back.ops[n].on_basis(*t))))
+            for t in tensors[:cap]), "tensors", len(tensors) <= cap)
+
+    def arrows(law, objects):
+        for X in objects:
+            for Y in A.quiver.objects:
+                for nm in A.hom(X, Y).names:
+                    yield (X, Y, nm), lambda: unless_zero(law(X, Y, nm))
+
+    op1, b2 = A.b(1), A.b(2)
+
+    def once(X, Y, nm):
+        return op1.on_basis((X, Y), (nm,)).sub(
+            Aop.b(1).on_basis((Y, X), (nm,)))
+
+    def unit_law(W, X, nm):
+        return unit_then_op(Aop, (X, W), (nm,), 1, Aop.b(2)).add(
+            unit_then_op(A, (W, X), (nm,), 0, b2))
+
+    rep.tally("arity 1 under one reversal", arrows(
+        once, A.quiver.objects if op1 is not None else ()), "arrows")
+    rep.tally("unit against reversal", arrows(
+        unit_law, sorted(A.units, key=repr) if b2 is not None else ()),
+        "arrows")
     return rep

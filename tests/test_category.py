@@ -303,7 +303,7 @@ def test_size_bound_skips():
     rep = check_stasheff(small, arity_bound=3)
     assert rep.ok
     by_name = {n: d for n, ok, d in rep.checks}
-    assert by_name["arity 03"].endswith("skipped") and "0 tensors" in by_name["arity 03"]
+    assert by_name["arity 03"] == "0 tensors, 0 skipped, vacuous"
     assert "0 skipped" in by_name["arity 02"]
 
 

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfkit.category import AInfCategory, check_stasheff, dg_to_ainf
-from ainfkit.freecat import (LEAF, IdealSpec, _col_key, check_descends,
-                             check_factorizes,
-                             check_ideal, corolla, delta_op, extend_functor,
+from ainfkit.freecat import (LEAF, IdealSpec, _col_key, check_factorizes,
+                             check_ideal, corolla, extend_functor,
                              extend_homotopy, extend_transformation,
                              free_category, induce_functor, leaf_count,
-                             normal_form, normal_form_map, ordered_ops,
-                             quotient, structure_relations, tree_element,
+                             normal_form, normal_form_map, quotient,
+                             structure_relations, tree_element,
                              tree_pipeline, trees_with_leaf_count,
                              trivial_embedding, vertex_count)
 from ainfkit.functors import (Bn, check_functor, compose_functors,
                               identity_functor, random_coderivation,
                               strict_functor)
 from ainfkit.graded import Echelon, GradedModule, Ring
+from ainfkit.homquot import composite_defect
+from ainfkit.trees import tree_stages
 from ainfkit.quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                             Stage, bounded_tensors, evaluate, insert,
                             run_stages, state_element)
@@ -107,9 +108,9 @@ def test_tree_helpers():
     assert leaf_count(corolla(3)) == 3 and vertex_count(corolla(3)) == 1
     t = (corolla(2), corolla(2))
     assert leaf_count(t) == 4 and vertex_count(t) == 3
-    assert ordered_ops(t) == [(0, 2), (1, 2), (0, 2)]
-    assert ordered_ops((LEAF, corolla(2))) == [(1, 2), (0, 2)]
-    assert ordered_ops((corolla(2), LEAF)) == [(0, 2), (0, 2)]
+    assert tree_stages(t) == [(0, 2), (1, 2), (0, 2)]
+    assert tree_stages((LEAF, corolla(2))) == [(1, 2), (0, 2)]
+    assert tree_stages((corolla(2), LEAF)) == [(0, 2), (0, 2)]
     counts = [len(trees_with_leaf_count(n)) for n in range(1, 5)]
     assert counts == [1, 1, 3, 11]
 
@@ -219,18 +220,18 @@ def test_delta_displays():
     D = arrow_with_differential()
     F = free_over(D, 3)
     # arity two: pure corolla minus the embedded composite
-    got = delta_op(D, F, 2).on_basis((0, 0, 1), ("e0", "u"))
+    got = composite_defect(D, F, 2).on_basis((0, 0, 1), ("e0", "u"))
     want = tree_element(F, corolla(2), (0, 0, 1), ("e0", "u")).sub(
         F.hom(0, 1).basis_element((LEAF, (0, 1), ("u",))))
     assert got == want
     # arity three over a category without ternary operations: corolla alone
-    got3 = delta_op(D, F, 3).on_basis((0, 0, 0, 1), ("e0", "e0", "u"))
+    got3 = composite_defect(D, F, 3).on_basis((0, 0, 0, 1), ("e0", "e0", "u"))
     assert got3 == tree_element(F, corolla(3), (0, 0, 0, 1), ("e0", "e0", "u"))
 
     T = triple_product()
     FT = free_over(T, 3)
     tt = ("T", "T", "T", "T")
-    got = delta_op(T, FT, 3).on_basis(tt, ("x", "x", "x"))
+    got = composite_defect(T, FT, 3).on_basis(tt, ("x", "x", "x"))
     want = tree_element(FT, corolla(3), tt, ("x", "x", "x")).sub(
         FT.hom("T", "T").basis_element((LEAF, ("T", "T"), ("y",))))
     assert got == want
@@ -561,11 +562,11 @@ def test_restriction_extension_is_chain_and_descends():
         assert u.component(1).on_basis(("P", "P"), ((LEAF, ("P", "P"), (nm,)),)) \
             == p.component_value(1, ("P", "P"), (nm,))
     # both lifts kill the relation span
-    assert check_descends(u, R).ok
-    assert check_descends(du, R).ok
+    assert check_factorizes(u, R).ok
+    assert check_factorizes(du, R).ok
     # a generic coderivation does not
     noise = random_coderivation(fhat, fhat, 0, 2, rng, name="n")
-    assert not check_descends(noise, R).ok
+    assert not check_factorizes(noise, R).ok
 
 
 # -- relation spans against a dense oracle ---------------------------------
@@ -779,8 +780,8 @@ def _validation_cases():
                       "must have arity 1 and degree 1"),
         "d1 quiver": (lambda: free_category(gen, MultiOp(other, other, 1, 1)),
                       "not on this quiver"),
-        "delta base": (lambda: delta_op(D, G, 2), "not over"),
-        "delta arity": (lambda: delta_op(D, F, 3), "outside 2..2"),
+        "delta base": (lambda: composite_defect(D, G, 2), "not over"),
+        "delta arity": (lambda: composite_defect(D, F, 3), "outside 2..2"),
         "span field": (lambda: IdealSpec(FZ, [("*", "*", zel)]).rows(),
                        "field coefficients"),
         "quotient span": (lambda: quotient(F, IdealSpec(G, [])),
@@ -810,7 +811,7 @@ def _validation_cases():
         "factorizes span": (lambda: check_factorizes(
             extend_functor(F, D, identity_images(D)), IdealSpec(G, [])),
             "another category"),
-        "descends span": (lambda: check_descends(wrong_degree, IdealSpec(G, [])),
+        "descends span": (lambda: check_factorizes(wrong_degree, IdealSpec(G, [])),
                           "another category"),
     }
 

@@ -5,7 +5,7 @@ categories with no marked objects."""
 import gc
 
 from ainfkit.category import AInfCategory
-from ainfkit.freecat import free_category, ordered_ops
+from ainfkit.freecat import free_category
 from ainfkit.homquot import (homotopy_quotient, path_flags, stages_to_tree,
                              term_stages, tree_category, tree_stages)
 from ainfkit.quiver import bounded_tensors, evaluate
@@ -27,7 +27,6 @@ def test_tree_walkers_leave_no_cycles():
     gc.disable()
     try:
         tree_stages(t)
-        ordered_ops(t)
         path_flags(t)
         assert list(bounded_tensors(F.quiver, 2, F.size_of, 3))
         assert gc.collect() == 0

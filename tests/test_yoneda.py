@@ -71,13 +71,15 @@ def maps_equal(F, G):
 
 
 def detail_counts(rep, label):
-    """Parse a 'checked c, nonzero n, skipped s' detail line."""
+    """Parse a 'c tensors, n nonzero, s skipped, sampled' detail line."""
     for name, ok, detail in rep.checks:
         if name == label:
             assert ok, "%s: %s" % (name, detail)
+            *counts, coverage = detail.split(", ")
+            assert coverage in ("sampled", "vacuous"), detail
             out = {}
-            for part in detail.split(","):
-                word, num = part.split()
+            for part in counts:
+                num, word = part.split()
                 out[word] = int(num)
             return out
     raise AssertionError("no line %r" % label)
@@ -101,7 +103,7 @@ def test_unbounded_stasheff_draws_by_counts():
     # 19 140 625 tensors of length 5 are counted, not walked
     rep = check_stasheff(two_complexes(Ring("Fp", 7)), arity_bound=5)
     assert rep.ok, rep.text()
-    assert [d for _, _, d in rep.checks] == ["sampled, 40 tensors, 0 skipped"] * 5
+    assert [d for _, _, d in rep.checks] == ["40 tensors, 0 skipped, sampled"] * 5
 
 
 def test_arity_one_is_right_multiplication():
@@ -368,7 +370,8 @@ def test_opposite_facts_on_fixtures():
         assert rep.ok, rep.text()
     rep = opposite_facts(free_one_object(), cap=300)
     assert rep.ok, rep.text()
-    assert "skipped: no units" in rep.text()
+    assert ("unit against reversal", True, "0 arrows, 0 skipped, vacuous") \
+        in rep.checks
 
 
 def _validation_cases():
