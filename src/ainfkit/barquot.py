@@ -24,14 +24,9 @@ from .functors import (AInfFunctor, check_functor, resolve_at_root,
 from .graded import GradedModule, linear_combination
 from .homquot import PartialHomotopy, homotopy_applies
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     apply_stage, evaluate, insert)
+                     apply_stage, evaluate, insert, tensor_degree)
 from .report import Report, unless_zero
 from .trees import LEAF, embed_leaf
-
-
-def _word_degree(gen, gobjs, gnames):
-    return sum(gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
-               for i in range(len(gnames)))
 
 
 def _embed_word(squiver, pair, el):
@@ -82,7 +77,7 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
         for word in grown:
             rows.setdefault((word[0][0], word[0][-1]), []).append(word)
         level = grown
-    homs = {pair: GradedModule(ring, [(w, _word_degree(gen, *w))
+    homs = {pair: GradedModule(ring, [(w, tensor_degree(gen, *w))
                                       for w in words])
             for pair, words in rows.items()}
     squiver = GradedQuiver(ring, list(gen.objects), homs)
@@ -97,7 +92,7 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
         k = len(names[0][1])
         last = len(names[-1][1])
         pair = (objs[0], objs[-1])
-        degree = _word_degree(gen, gobjs, gnames) + 1
+        degree = tensor_degree(gen, gobjs, gnames) + 1
         base = {(gobjs, gnames): ring.one}
         terms = {}
         for q in range(k):
@@ -259,7 +254,7 @@ def comparison_map(D, Q):
                 seams.append((evaluate(Q.b(k + 1), gobjs[:k + 1] + (Y,),
                                        heads + (capped,)), -1))
             out = linear_combination(
-                Q.hom(X, Y), _word_degree(gen, gobjs, gnames), seams)
+                Q.hom(X, Y), tensor_degree(gen, gobjs, gnames), seams)
         memo[nm] = out
         return out
 
@@ -300,8 +295,7 @@ def extend_functor(f, Q, chi, extras=None, name=None):
         if op is not None and all(nm[0] == LEAF for nm in rnames):
             return op.on_basis(tuple(robjs),
                                tuple(nm[2][0] for nm in rnames))
-        degree = sum(Q.quiver.degree(robjs[i], robjs[i + 1], rnames[i])
-                     for i in range(m))
+        degree = tensor_degree(Q.quiver, robjs, rnames)
         return A.hom(omap(robjs[0]), omap(robjs[-1])).zero(degree)
 
     def arrow(objs, names):

@@ -9,12 +9,12 @@ separate bookkeeping.
 
 import random
 
-from .graded import (ChainMap, Complex, GradedModule, in_image, koszul_sign,
-                     linear_combination, shift, solve_linear)
+from .graded import (ChainMap, Complex, GradedModule, accumulate, in_image,
+                     koszul_sign, linear_combination, shift, solve_linear)
 from .quiver import (CountedTensors, GradedQuiver, MultiOp,
                      QuiverMap, _arrow_index, bounded_tensors, evaluate,
                      insert, insertion_sum, run_stages, state_element,
-                     unit_stage)
+                     tensor_degree, unit_stage)
 from .report import Report, unless_zero
 
 
@@ -121,7 +121,7 @@ def stasheff_defect(A, k, objs, names):
     """
     q = A.quiver
     objs, names = tuple(objs), tuple(names)
-    deg = sum(q.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 2
+    deg = tensor_degree(q, objs, names) + 2
     out = insertion_sum(A.b, A.b, k, {(objs, names): q.ring.one}, {})
     return state_element(q, out, (objs[0], objs[-1]), deg)
 
@@ -446,10 +446,8 @@ def complexes_dg_data(ring, complexes):
         for src, col in cols.items():
             square = {}
             for mid, c in col.items():
-                for tgt, c2 in cols.get(mid, {}).items():
-                    square[tgt] = ring.add(square.get(tgt, ring.zero),
-                                           ring.mul(c, c2))
-            if any(v != ring.zero for v in square.values()):
+                accumulate(ring, square, cols.get(mid, {}).items(), c)
+            if square:
                 raise ValueError("differential of %r does not square to zero"
                                  % (obj,))
         data[obj] = (gens, degs, cols)
@@ -470,15 +468,11 @@ def complexes_dg_data(ring, complexes):
             mod = homs[(M, N)]
             mat = {}
             for (a, b) in mod.names:
-                terms = {}
-                for b2, c in ncols.get(b, {}).items():
-                    terms[(a, b2)] = c
+                terms = {(a, b2): c for b2, c in ncols.get(b, {}).items()}
                 sgn = -1 if (ndegs[b] - mdegs[a]) % 2 else 1
-                for a2, col in mcols.items():
-                    c = col.get(a)
-                    if c is not None:
-                        prev = terms.get((a2, b), ring.zero)
-                        terms[(a2, b)] = ring.sub(prev, ring.mul(sgn, c))
+                accumulate(ring, terms, (((a2, b), col[a])
+                                         for a2, col in mcols.items()
+                                         if a in col), -sgn)
                 mat[(a, b)] = mod.element(terms, ndegs[b] - mdegs[a] + 1)
             m1[(M, N)] = mat
 
@@ -539,7 +533,7 @@ def unit_then_op(A, objs, names, pos, outer):
     """
     q = A.quiver
     n = len(names)
-    deg = sum(q.degree(objs[i], objs[i + 1], names[i]) for i in range(n))
+    deg = tensor_degree(q, objs, names)
     if outer is None:
         return q.hom(objs[0], objs[-1]).zero(deg)
     u = A.units[objs[pos]]
@@ -644,14 +638,6 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
     return rep
 
 
-def _acc(row, key, c, ring):
-    v = ring.add(row.get(key, ring.zero), c)
-    if v == ring.zero:
-        row.pop(key, None)
-    else:
-        row[key] = v
-
-
 def check_contractible_functor(g):
     """Null-homotope the arity-1 component of a functor, pair by pair.
 
@@ -676,14 +662,9 @@ def check_contractible_functor(g):
                     if tmod.degrees[m] == smod.degrees[n] - 1]
         rows = []
         for n, m in unknowns:
-            row = {}
-            for o, c in dA(tmod.basis_element(m)).items():
-                _acc(row, (n, o), c, ring)
-            for n2 in smod.names:
-                c = dB[n2].coeff(n)
-                if c != ring.zero:
-                    _acc(row, (n2, m), c, ring)
-            rows.append(row)
+            row = {(n, o): c for o, c in dA(tmod.basis_element(m)).items()}
+            rows.append(accumulate(ring, row, (((n2, m), dB[n2].coeff(n))
+                                               for n2 in smod.names)))
         rhs = {}
         for n in smod.names:
             img = (g1.on_basis((X, Y), (n,)) if g1 is not None

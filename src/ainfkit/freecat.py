@@ -20,7 +20,7 @@ from .category import AInfCategory
 from .functors import (AInfFunctor, Coderivation, resolve_at_root,
                        strict_functor, theta_value)
 from .graded import Echelon, GradedModule, linear_combination
-from .homquot import composite_defect, tree_category
+from .homquot import defect_images, tree_category
 from .quiver import (GradedQuiver, MultiOp, QuiverMap, bounded_tensors,
                      evaluate)
 from .report import Report, unless_zero
@@ -102,14 +102,7 @@ def normal_form_map(D, F):
 def structure_relations(D, F, name="R"):
     """Relation generators presenting a category inside its free cover,
     one for every arity and every basis tensor of generators."""
-    gens = []
-    for n in range(2, F.leaf_bound + 1):
-        op = composite_defect(D, F, n)
-        for objs, names in bounded_tensors(D.quiver, n):
-            v = op.on_basis(objs, names)
-            if not v.is_zero:
-                gens.append((objs[0], objs[-1], v))
-    return IdealSpec(F, gens, name=name)
+    return IdealSpec(F, defect_images(D, F), name=name)
 
 
 def _col_key(label):

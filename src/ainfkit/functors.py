@@ -13,7 +13,7 @@ import random
 from .category import sampled_cases
 from .quiver import (MultiOp, QuiverMap, Stage, bounded_tensors,
                      apply_stage, evaluate, insert, insertion_sum,
-                     state_element)
+                     state_element, tensor_degree)
 from .report import Report, unless_zero
 from .trees import root_split
 
@@ -104,7 +104,7 @@ def functor_defect(f, k, objs, names):
     A, B = f.source, f.target
     qa = A.quiver
     key = (tuple(objs), tuple(names))
-    degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + 1
+    degree = tensor_degree(qa, objs, names) + 1
     pair = (f.obj_map(objs[0]), f.obj_map(objs[-1]))
     out = _blocks_into(f, B.b, k, {key: qa.ring.one}, {})
     insertion_sum(A.b, f.component, k, {key: qa.ring.normalize(-1)}, out)
@@ -160,7 +160,7 @@ def compose_functors(f, g, name=None):
         def rule(objs, names, n=n):
             qa = f.source.quiver
             base = {(tuple(objs), tuple(names)): qa.ring.one}
-            degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(n))
+            degree = tensor_degree(qa, objs, names)
             pair = (omap(objs[0]), omap(objs[-1]))
             return state_element(g.target.quiver,
                                  _blocks_into(f, g.component, n, base, {}),
@@ -243,7 +243,7 @@ class Coderivation:
         if op is not None:
             return op.on_basis(objs, names)
         qa = self.cat_source.quiver
-        deg = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + self.degree
+        deg = tensor_degree(qa, objs, names) + self.degree
         mod = self.cat_target.quiver.hom(self.source.obj_map(objs[0]),
                                          self.target.obj_map(objs[-1]))
         return mod.zero(deg)
@@ -262,7 +262,7 @@ def random_coderivation(f, g, degree, arity_bound, rng, density=0.5, name="r"):
         table = {}
         for objs, names in bounded_tensors(qa, k):
             mod = qb.hom(f.obj_map(objs[0]), g.obj_map(objs[-1]))
-            deg = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + degree
+            deg = tensor_degree(qa, objs, names) + degree
             el = mod.random_element(deg, rng)
             if not el.is_zero:
                 table[(tuple(objs), tuple(names))] = el
@@ -299,7 +299,7 @@ def _commutator_tail(r, k, objs, names):
     A = r.cat_source
     qa, qb = A.quiver, r.cat_target.quiver
     base = {(tuple(objs), tuple(names)): qa.ring.one}
-    degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) + r.degree + 1
+    degree = tensor_degree(qa, objs, names) + r.degree + 1
     pair = (r.source.obj_map(objs[0]), r.target.obj_map(objs[-1]))
     return state_element(qb, insertion_sum(A.b, r.component, k, base, {}),
                          pair, degree)
@@ -364,8 +364,7 @@ def theta_value(rs, k, objs, names, chain=None):
     B = chain[0].target
     qa, qb = A.quiver, B.quiver
     base = {(tuple(objs), tuple(names)): qa.ring.one}
-    degree = sum(qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)) \
-        + sum(r.degree for r in rs) + 1
+    degree = tensor_degree(qa, objs, names) + sum(r.degree for r in rs) + 1
     pair = (chain[0].obj_map(objs[0]), chain[-1].obj_map(objs[-1]))
     states = {}
     for split in _compositions(k, 2 * n + 1):
@@ -603,8 +602,7 @@ def hochschild_d(t):
             k = K - 1
             pair = (f.obj_map(objs[0]), g.obj_map(objs[-1]))
             mdeg = t.map_degree(k)
-            deg_out = sum(qa.degree(objs[i], objs[i + 1], names[i])
-                          for i in range(K)) + t.degree + 1 - k
+            deg_out = tensor_degree(qa, objs, names) + t.degree + 1 - k
             basis = [qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
                      for i in range(K)]
             out = qb.hom(*pair).zero(deg_out)

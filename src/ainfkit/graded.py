@@ -1,5 +1,11 @@
 """Exact graded linear algebra: scalars, graded modules, chain maps.
 
+Every sparse sum runs through one add-and-cancel loop, accumulate: the
+sums of elements, linear_combination, Echelon.reduce and the sums the
+other modules build by hand.  Three loops keep their own, each saying
+why: quiver.apply_stage, Echelon.insert and the Leibniz check of
+category.DGData.
+
 Every exact solve runs through one sparse elimination, Echelon: the
 relation spans of freecat, solve_linear and through it in_image,
 split_semisplit and the homotopy and preimage solves of the category
@@ -230,18 +236,8 @@ class Element:
             return other
         if self.module is not other.module or self.degree != other.degree:
             raise ValueError("sum of elements of different modules or degrees")
-        add = self.module.ring.add
-        terms = dict(self.terms)
-        for name, c in other.terms.items():
-            old = terms.get(name)
-            if old is None:
-                terms[name] = c
-                continue
-            v = add(old, c)
-            if v == 0:
-                del terms[name]
-            else:
-                terms[name] = v
+        terms = accumulate(self.module.ring, dict(self.terms),
+                           other.terms.items())
         return Element(self.module, terms, self.degree)
 
     def scale(self, c):
@@ -298,7 +294,7 @@ def linear_combination(module, degree, scaled):
     the given degree.
     """
     ring = module.ring
-    normalize, add, mul = ring.normalize, ring.add, ring.mul
+    normalize = ring.normalize
     parts = []
     for el, c in scaled:
         if not el.terms:
@@ -312,19 +308,29 @@ def linear_combination(module, degree, scaled):
         return parts[0][0]
     terms = {}
     for el, c in parts:
-        for name, v in el.terms.items():
-            if c != 1:
-                v = mul(v, c)
-            old = terms.get(name)
-            if old is None:
-                terms[name] = v
-                continue
-            v = add(old, v)
-            if v == 0:
-                del terms[name]
-            else:
-                terms[name] = v
+        accumulate(ring, terms, el.terms.items(), c)
     return Element(module, terms, degree)
+
+
+def accumulate(ring, acc, items, c=1):
+    """Add c times each (key, value) of items into the sparse map acc.
+
+    acc is changed in place and returned.  A key whose sum cancels is
+    deleted and a zero is never stored, so acc stays a map of nonzero
+    canonical scalars when items and c are canonical.
+    """
+    add, mul = ring.add, ring.mul
+    for key, v in items:
+        if c != 1:
+            v = mul(v, c)
+        old = acc.get(key)
+        if old is not None:
+            v = add(old, v)
+        if v == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = v
+    return acc
 
 
 def shift(module, n):
@@ -485,15 +491,8 @@ class Echelon:
         ring, rows = self.ring, self.rows
         vec = dict(vec)
         for pivot in [col for col in vec if col in rows]:
-            c = vec.pop(pivot)
-            for col, val in rows[pivot].items():
-                if col == pivot:
-                    continue
-                new = ring.sub(vec.get(col, ring.zero), ring.mul(c, val))
-                if ring.is_zero(new):
-                    vec.pop(col, None)
-                else:
-                    vec[col] = new
+            # the row's pivot entry is one, so the pivot itself cancels
+            accumulate(ring, vec, rows[pivot].items(), ring.neg(vec[pivot]))
         return vec
 
     def insert(self, vec):
@@ -505,6 +504,7 @@ class Echelon:
         pivot = min(vec, key=self.key)
         inv = ring.inv(vec[pivot])
         vec = {col: ring.mul(inv, val) for col, val in vec.items()}
+        # not accumulate: index must follow each entry that appears or cancels
         for q in index.pop(pivot, ()):
             row = rows[q]
             c = row.pop(pivot)

@@ -32,10 +32,10 @@ import random
 
 from .category import AInfCategory, opposite, verify_unit_homotopy
 from .functors import strict_functor
-from .graded import GradedModule, koszul_sign, linear_combination
+from .graded import GradedModule, accumulate, koszul_sign, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      bounded_tensors, evaluate, insert, insertion_sum,
-                     run_stages, state_element, unit_stage)
+                     run_stages, state_element, tensor_degree, unit_stage)
 from .report import Report, unless_zero
 from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
                     shape_counts, shape_table, tree_pipeline, tree_shapes,
@@ -131,8 +131,7 @@ def _build(C, bobjs, leaf_bound, reduced, name):
         table = shape_table(n, unary, reduced)
         for gobjs, gnames in bounded_tensors(gen, n):
             mask = sum(1 << i for i, X in enumerate(gobjs) if X in bobjs)
-            flat = sum([gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
-                        for i in range(n)])
+            flat = tensor_degree(gen, gobjs, gnames)
             names, degrees = basis.setdefault((gobjs[0], gobjs[-1]), ([], []))
             for t, offset, needs in table:
                 for need in needs:
@@ -156,8 +155,7 @@ def _build(C, bobjs, leaf_bound, reduced, name):
         if reduced and all(nm[0] == LEAF for nm in names):
             inner = C.b(k)
             if inner is None:
-                degree = sum(squiver.degree(objs[i], objs[i + 1], names[i])
-                             for i in range(k)) + 1
+                degree = tensor_degree(squiver, objs, names) + 1
                 return squiver.hom(*pair).zero(degree)
             val = inner.on_basis(objs, tuple(nm[2][0] for nm in names))
             return embed_leaf(squiver, pair, val)
@@ -288,6 +286,20 @@ def composite_defect(C, A, n):
     return MultiOp(C.quiver, A.quiver, n, 1, rule=rule, name="defect%d" % n)
 
 
+def defect_images(C, A):
+    """Every nonzero composite defect on a basis tensor of C, as
+    (X, Y, value), arity by arity from 2 to the leaf bound, each arity
+    in bounded_tensors order."""
+    gens = []
+    for n in range(2, A.leaf_bound + 1):
+        dop = composite_defect(C, A, n)
+        for objs, names in bounded_tensors(C.quiver, n):
+            v = dop.on_basis(objs, names)
+            if not v.is_zero:
+                gens.append((objs[0], objs[-1], v))
+    return gens
+
+
 def projection_functor(E, D, name="pi"):
     """The strict functor from the full tree category onto the reduced
     one, evaluating every tree through the reduced operations."""
@@ -310,13 +322,7 @@ def check_reduction(C, E, D, samples=20, seed=0):
     def dies(X, Y, w):
         return unless_zero(evaluate(p1, (X, Y), (w,)))
 
-    gens = []
-    for n in range(2, E.leaf_bound + 1):
-        dop = composite_defect(C, E, n)
-        for objs, names in bounded_tensors(C.quiver, n):
-            v = dop.on_basis(objs, names)
-            if not v.is_zero:
-                gens.append((objs[0], objs[-1], v))
+    gens = defect_images(C, E)
     rep.tally("defect images die",
               ((v, lambda: dies(X, Y, v)) for X, Y, v in gens), "images")
 
@@ -498,14 +504,8 @@ class OperadTerm:
         return not self.data
 
     def add(self, other):
-        out = dict(self.data)
-        for key, c in other.data.items():
-            v = self.ring.add(out.get(key, self.ring.zero), c)
-            if v == self.ring.zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return OperadTerm(self.ring, out)
+        return OperadTerm(self.ring, accumulate(self.ring, dict(self.data),
+                                                other.data.items()))
 
     def scale(self, c):
         return OperadTerm(self.ring, {k: self.ring.mul(self.ring.normalize(c), v)
@@ -661,7 +661,7 @@ def term_value(A, term, objs, names):
         n = leaf_count(tree) - len(caps)
         if n != len(names):
             raise ValueError("the term takes %d inputs, got %d" % (n, len(names)))
-        deg = sum(A.quiver.degree(objs[i], objs[i + 1], names[i]) for i in range(n)) \
+        deg = tensor_degree(A.quiver, objs, names) \
             + term_degree((tree, gobjs, caps))
         val = _capped_value(A, term_stages(tree, caps),
                             [gobjs[i] for i in sorted(caps)], objs, names, deg)

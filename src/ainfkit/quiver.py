@@ -8,7 +8,12 @@ block picks up the degrees of the input factors standing to its right.
 
 A state is a dict {(objs, names): coeff} of canonical coefficients;
 apply_stage adds into a given state `out` in place, deleting keys that
-cancel, so a defining sum (insertion_sum) builds one state.
+cancel, so a defining sum (insertion_sum) builds one state.  It keeps
+that add-and-cancel loop inline rather than call graded.accumulate, the
+one sparse sum everywhere else: it runs once per input term (over a
+hundred thousand in one Stasheff verdict on a bound-4 tree quotient),
+and the extra call per term made that verdict about 15% slower (1.13
+to 1.30 reference s over four pairs, Python 3.11 on a shared 2-vCPU VM).
 
 Single values go through evaluate.  A rule-less MultiOp's table is fixed
 at construction (only a rule memoises), so it is indexed there once by
@@ -26,7 +31,7 @@ CountedTensors counts the same walk without taking it, and finds the
 tensor at any position of it, so a sample costs what it draws.
 """
 
-from .graded import Element, GradedModule, linear_combination
+from .graded import Element, GradedModule, accumulate, linear_combination
 
 
 class BoundError(Exception):
@@ -68,6 +73,13 @@ class GradedQuiver:
     def __repr__(self):
         return "GradedQuiver(%d objects, %d nonzero homs)" % (
             len(self.objects), len(self.homs))
+
+
+def tensor_degree(quiver, objs, names):
+    """Degree of the basis tensor names along objs: the sum of its
+    factors' degrees."""
+    return sum(quiver.degree(objs[i], objs[i + 1], nm)
+               for i, nm in enumerate(names))
 
 
 class QuiverMap:
@@ -182,8 +194,7 @@ class MultiOp:
         if len(names) != self.arity or len(objs) != self.arity + 1:
             raise ValueError("%r takes %d arrows, got %r" % (self, self.arity, names))
         if self.rule is None:
-            deg = sum(self.source.degree(objs[i], objs[i + 1], names[i])
-                      for i in range(self.arity)) + self.degree
+            deg = tensor_degree(self.source, objs, names) + self.degree
             return self.out_module(objs).zero(deg)
         out = self.rule(objs, names)
         self.table[key] = out
@@ -361,6 +372,7 @@ def apply_stage(stage, state, out=None):
             else:
                 newobjs = piece
         else:
+            # inline, not accumulate: a call per term slows this hot loop ~15%
             for newnames, c in partial:
                 key = (newobjs, newnames)
                 old = out.get(key)
@@ -433,8 +445,7 @@ def compose_multi(stages, name=None):
 
     def rule(objs, names):
         state = run_stages(stages, {(tuple(objs), tuple(names)): source.ring.one})
-        deg = sum(source.degree(objs[i], objs[i + 1], names[i])
-                  for i in range(len(names))) + degree
+        deg = tensor_degree(source, objs, names) + degree
         return state_element(target, state, (lmap(objs[0]), rmap(objs[-1])), deg)
 
     return MultiOp(source, target, arity, degree, rule=rule,
@@ -553,7 +564,6 @@ def slot_values(op, objs, factors, slot):
                   for w in smod.names}
         return {w: linear_combination(out, deg + degrees[w], s)
                 for w, s in scaled.items()}
-    mul, add = ring.mul, ring.add
     index = op.slot_index(slot)
     terms = {w: {} for w in smod.names}
     for names, c in _products(ring, factors):
@@ -567,18 +577,7 @@ def slot_values(op, objs, factors, slot):
             if el.module is not out or el.degree != deg + degrees[w]:
                 raise ValueError(
                     "sum of elements of different modules or degrees")
-            for name, v in el.terms.items():
-                if c != 1:
-                    v = mul(v, c)
-                old = acc.get(name)
-                if old is None:
-                    acc[name] = v
-                    continue
-                v = add(old, v)
-                if v == 0:
-                    del acc[name]
-                else:
-                    acc[name] = v
+            accumulate(ring, acc, el.terms.items(), c)
     return {w: Element(out, t, deg + degrees[w]) for w, t in terms.items()}
 
 

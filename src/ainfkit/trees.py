@@ -14,7 +14,7 @@ left for the cyclic collector on every call.
 
 import itertools
 
-from .quiver import insert, run_stages, state_element
+from .quiver import insert, run_stages, state_element, tensor_degree
 
 LEAF = ()
 
@@ -149,8 +149,7 @@ def _postorder(sub, left, stages):
 def name_degree(gen, t, gobjs, gnames):
     """Degree of a tree name: the leaves' degrees, plus one per operation,
     minus one per unary vertex."""
-    flat = sum(gen.degree(gobjs[i], gobjs[i + 1], gnames[i])
-               for i in range(len(gnames)))
+    flat = tensor_degree(gen, gobjs, gnames)
     return flat + shape_counts(t)[2]
 
 
@@ -172,9 +171,7 @@ def root_split(gen, label):
         fnames.append((sub, tuple(gobjs[pos:pos + ln + 1]),
                        tuple(gnames[pos:pos + ln])))
         if j:
-            raw = sum(gen.degree(gobjs[pos + i], gobjs[pos + i + 1],
-                                 gnames[pos + i]) for i in range(ln))
-            par += left * raw
+            par += left * tensor_degree(gen, *fnames[-1][1:])
         left += vc
         pos += ln
         chain.append(gobjs[pos])
@@ -197,8 +194,7 @@ def tree_pipeline(A, tree, objs, names, order=None):
     """
     q = A.quiver
     schedule = tree_stages(tree) if order is None else order
-    degree = sum(q.degree(objs[i], objs[i + 1], names[i])
-                 for i in range(len(names))) \
+    degree = tensor_degree(q, objs, names) \
         + sum(1 if k > 1 else -1 for _, k in schedule)
     pair = (objs[0], objs[-1])
     width = len(names)

@@ -23,7 +23,8 @@ import itertools
 import random
 
 from .category import opposite, unit_then_op
-from .graded import ChainMap, Complex, GradedModule, in_image, koszul_sign
+from .graded import (ChainMap, Complex, GradedModule, accumulate, in_image,
+                     koszul_sign)
 from .quiver import bounded_tensors, evaluate, slot_values
 from .report import Report, unless_zero
 
@@ -503,10 +504,7 @@ class TruncatedTransComplex:
                 coeff = ring.mul(coeff, f.coeff(nm))
                 if coeff == ring.zero:
                     break
-            if coeff == ring.zero:
-                continue
-            prev = terms.setdefault(w, {})
-            prev[t] = ring.add(prev.get(t, ring.zero), coeff)
+            accumulate(ring, terms.setdefault(w, {}), ((t, coeff),))
         matrix = {}
         for w, cols in terms.items():
             val = tmod.element(cols, smod.degrees[w] + degree)
@@ -529,10 +527,8 @@ class TruncatedTransComplex:
                 val, _ = _transform_b1_terms(A, self.source, self.target,
                                              value, r, chain, zf)
                 for w, el in val.matrix.items():
-                    for t, c in el.items():
-                        out = (k, chain, znames, w, t)
-                        prev = terms.get(out, q.ring.zero)
-                        terms[out] = q.ring.add(prev, c)
+                    accumulate(q.ring, terms, (((k, chain, znames, w, t), c)
+                                               for t, c in el.items()))
             matrix[key] = self.module.element(terms, r + 1)
         return ChainMap(self.module, self.module, 1, matrix)
 
@@ -599,7 +595,8 @@ def opposite_facts(A, cap=4000):
     Aop = opposite(A)
     back = opposite(Aop)
     for n in sorted(A.ops):
-        tensors = list(itertools.islice(bounded_tensors(A.quiver, n), cap + 1))
+        tensors = list(itertools.islice(bounded_tensors(
+            A.quiver, n, A.size_of, A.size_bound), cap + 1))
         rep.tally("double reversal at arity %d" % n, (
             (t, lambda: unless_zero(A.ops[n].on_basis(*t)
                                     .sub(back.ops[n].on_basis(*t))))

@@ -11,6 +11,7 @@ from ainfkit.graded import (
     Element,
     GradedModule,
     Ring,
+    accumulate,
     cone,
     in_image,
     is_contracting_homotopy,
@@ -163,6 +164,39 @@ def test_element_arithmetic():
     assert s.sub(s).is_zero
     assert x.scale(0).is_zero
     assert M.zero(5).add(x) == x
+
+
+@st.composite
+def sparse_sums(draw):
+    """A ring, a sparse map of nonzero scalars, (key, scalar) items and a
+    multiplier, over four keys and small scalars (zero included), and
+    sometimes every item again negated, so that sums cancel."""
+    ring = draw(st.sampled_from([QQ, Ring("Fp", 2), Ring("Fp", 7), ZZ]))
+    raw = st.integers(-3, 3)
+    if ring.kind == "QQ":
+        raw = st.tuples(raw, st.integers(1, 3)).map(lambda t: Fraction(*t))
+    scalar = raw.map(ring.normalize)
+    keys = st.sampled_from("abcd")
+    acc = draw(st.dictionaries(keys, scalar.filter(lambda v: v != 0)))
+    items = draw(st.lists(st.tuples(keys, scalar), max_size=10))
+    if draw(st.booleans()):
+        items += [(k, ring.neg(v)) for k, v in items]
+    return ring, acc, items, draw(scalar)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_sums())
+def test_accumulate_agrees_with_dense_sum(case):
+    ring, acc, items, c = case
+    dense = dict(acc)
+    for k, v in items:
+        dense[k] = dense.get(k, 0) + c * v
+    want = {k: ring.normalize(v) for k, v in dense.items()
+            if ring.normalize(v) != 0}
+    got = accumulate(ring, acc, items, c)
+    assert got is acc
+    assert got == want
+    assert all(v != 0 for v in got.values())
 
 
 def test_module_basis_order_and_duplicates():

@@ -1,6 +1,6 @@
 """Source guards: input validation must survive python -O, no private
-helper is left without a caller, and the package has one elimination
-and one check loop."""
+helper is left without a caller, and the package has one elimination,
+one check loop and one sparse sum."""
 
 import ast
 import pathlib
@@ -28,6 +28,16 @@ INVERTERS = {
 # that turns an escaped bound into a skip.
 CATCHERS = {
     ("report", "Report"),
+}
+
+# The top-level functions and classes that add into a sparse map and
+# delete what cancels, by (module, name): graded.accumulate is the one
+# sparse sum, Echelon.insert keeps its column index in step with every
+# entry, and apply_stage keeps the engine's hottest loop inline.
+SUMMERS = {
+    ("graded", "accumulate"),
+    ("graded", "Echelon"),
+    ("quiver", "apply_stage"),
 }
 
 
@@ -109,3 +119,27 @@ def test_one_check_loop():
                     for node in ast.walk(top))}
     assert found == CATCHERS, "except handlers outside the allow-list: %r" % (
         sorted(found - CATCHERS),)
+
+
+def _two_arg_call(node, attr):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr and len(node.args) == 2)
+
+
+def _cancels(node):
+    """del d[k], d.pop(k, default), or .add/.sub applied to d.get(k, z)."""
+    if isinstance(node, ast.Delete):
+        return any(isinstance(t, ast.Subscript) for t in node.targets)
+    if _two_arg_call(node, "pop"):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("add", "sub")
+            and any(_two_arg_call(x, "get")
+                    for x in [node.func.value, *node.args]))
+
+
+def test_one_sparse_sum():
+    found = {(module, top.name) for module, top in top_level_defs()
+             if any(_cancels(node) for node in ast.walk(top))}
+    assert found == SUMMERS, "add-and-cancel loops outside the allow-list: %r" % (
+        sorted(found ^ SUMMERS),)

@@ -372,6 +372,9 @@ def test_opposite_facts_on_fixtures():
     assert rep.ok, rep.text()
     assert ("unit against reversal", True, "0 arrows, 0 skipped, vacuous") \
         in rep.checks
+    # only tensors within the size bound are walked, so none is skipped
+    assert ("double reversal at arity 3", True, "1 tensors, 0 skipped, all") \
+        in rep.checks
 
 
 def _validation_cases():
