@@ -1,8 +1,9 @@
 """Exact graded linear algebra: scalars, graded modules, chain maps.
 
 Every sparse sum runs through one add-and-cancel loop, accumulate: the
-sums of elements, linear_combination, Echelon.reduce and the sums the
-other modules build by hand.  Three loops keep their own, each saying
+sums of elements, linear_combination, the stored-map product
+ChainMap.compose and sum map_combination, Echelon.reduce and the sums
+the other modules build by hand.  Three loops keep their own, each saying
 why: quiver.apply_stage, Echelon.insert and the Leibniz check of
 category.DGData.
 
@@ -402,6 +403,9 @@ class ChainMap:
         for name, el in matrix.items():
             if el.is_zero:
                 continue
+            if el.module is not tmod:
+                raise ValueError("row at %r outside the map's target module"
+                                 % (name,))
             if el.degree != smod.degrees[name] + degree:
                 raise ValueError("map degree at %r" % (name,))
             self.matrix[name] = el
@@ -429,11 +433,26 @@ class ChainMap:
         return True
 
     def compose(self, other):
-        """self then other (right-operator order)."""
-        if _underlying(self.target) is not _underlying(other.source):
+        """self then other (right-operator order).
+
+        Each row of self is read once: other's rows at its names, scaled
+        by its entries, are summed into one dict.  Every stored row lies
+        in its map's target module, so no row is checked again here.
+        """
+        if self._tmod is not other._smod:
             raise ValueError("maps do not compose")
-        matrix = {n: other(el) for n, el in self.matrix.items()}
-        return ChainMap(self.source, other.target, self.degree + other.degree, matrix)
+        ring, rows, tmod = self._tmod.ring, other.matrix, other._tmod
+        shift = other.degree
+        matrix = {}
+        for n, el in self.matrix.items():
+            terms = {}
+            for m, c in el.terms.items():
+                row = rows.get(m)
+                if row is not None:
+                    accumulate(ring, terms, row.terms.items(), c)
+            if terms:
+                matrix[n] = Element(tmod, terms, el.degree + shift)
+        return ChainMap(self.source, other.target, self.degree + shift, matrix)
 
     def add(self, other):
         if self.degree != other.degree:
@@ -458,6 +477,32 @@ class ChainMap:
 
     def __repr__(self):
         return "ChainMap(degree %d, %d entries)" % (self.degree, len(self.matrix))
+
+
+def map_combination(source, target, degree, scaled):
+    """The stored map sum(c * F for F, c in scaled) in one pass.
+
+    The stored-map twin of linear_combination: every row of every map is
+    added, scaled, into one dict per source name, so no partial sum and
+    no scaled copy is ever built.  Each F must run between the modules
+    of source and target with the given degree.
+    """
+    smod, tmod = _underlying(source), _underlying(target)
+    ring = tmod.ring
+    rows = {}
+    for F, c in scaled:
+        if F._smod is not smod or F._tmod is not tmod or F.degree != degree:
+            raise ValueError("sum of maps between different modules "
+                             "or of different degrees")
+        c = ring.normalize(c)
+        if c == 0:
+            continue
+        for n, el in F.matrix.items():
+            accumulate(ring, rows.setdefault(n, {}), el.terms.items(), c)
+    degrees = smod.degrees
+    return ChainMap(source, target, degree,
+                    {n: Element(tmod, terms, degrees[n] + degree)
+                     for n, terms in rows.items() if terms})
 
 
 class Echelon:
@@ -654,7 +699,8 @@ def split_semisplit(alpha, beta, phi, H):
 
     # nu: the unique section of beta that psi kills.  Build a degree-0 section
     # sigma through ker(phi), then correct: nu = sigma (1 - psi alpha).
-    proj = ChainMap.identity(A).add(phi.compose(alpha).scale(-1))  # onto ker(phi)
+    proj = map_combination(A, A, 0, ((ChainMap.identity(A), 1),
+                                     (phi.compose(alpha), -1)))  # onto ker(phi)
     onto = proj.compose(beta)
     nu_matrix = {}
     for n in bmod.names:

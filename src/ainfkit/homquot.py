@@ -935,72 +935,125 @@ def _homotopy_value(D, t, gobjs, gnames):
     return linear_combination(D.hom(gobjs[0], Y), degree, parts)
 
 
+class MirrorImage:
+    """The mirror identification one name at a time, memoized.
+
+    image(label) is (mirrored name, sign): trivial names map to trivial
+    names, and homotopies and operations are carried through the
+    reversal with the engine's signs, each read off one on_basis value
+    of the arrow-reversed base's reduced category Dm.  Only the names
+    asked for, and the subtrees they are built from, are computed.
+    """
+
+    def __init__(self, D, Dm):
+        self.D, self.Dm = D, Dm
+        self.memo = {}
+
+    def image(self, label):
+        out = self.memo.get(label)
+        if out is not None:
+            return out
+        D, Dm = self.D, self.Dm
+        ring = D.quiver.ring
+        t, gobjs, gnames = label
+        X, Y = gobjs[0], gobjs[-1]
+        if t == LEAF:
+            out = ((LEAF, (Y, X), gnames), ring.one)
+        elif len(t) == 1:
+            inner, c = self.image((t[0], gobjs, gnames))
+            out = _single_name(Dm.homotopy.on_basis((Y, X), (inner,)), c,
+                               label)
+        else:
+            k, chain, fnames, eps = root_split(D.base.quiver, label)
+            q = D.quiver
+            degs = [q.degree(fn[1][0], fn[1][-1], fn) for fn in reversed(fnames)]
+            # the name's coefficient in opD.b(k) of the reversed factors
+            c = koszul_sign(range(k - 1, -1, -1), degs) * (-eps if k % 2 == 0 else eps)
+            names = []
+            for fn in reversed(fnames):
+                name, sign = self.image(fn)
+                names.append(name)
+                c = ring.mul(c, sign)
+            out = _single_name(Dm.b(k).on_basis(tuple(reversed(chain)),
+                                                tuple(names)), c, label)
+        self.memo[label] = out
+        return out
+
+    def preimage(self, mlabel):
+        """The name whose image is mlabel, with that image's sign: the
+        reversed tree on the reversed objects and arrows."""
+        t, mobjs, mnames = mlabel
+        label = (_reversed_tree(t), tuple(reversed(mobjs)),
+                 tuple(reversed(mnames)))
+        name, sign = self.image(label)
+        if name != mlabel:
+            raise ValueError("%r mirrors to %r, not %r" % (label, name, mlabel))
+        return label, sign
+
+
+def _reversed_tree(t):
+    return tuple(_reversed_tree(s) for s in reversed(t))
+
+
+def _single_name(el, c, label):
+    """(name, c * coefficient) of a one-term value whose coefficient
+    times c is a sign; anything else raises."""
+    ring = el.module.ring
+    if len(el.terms) != 1:
+        raise ValueError("the mirror of %r is not a single name" % (label,))
+    (name, v), = el.terms.items()
+    v = ring.mul(v, c)
+    if ring.mul(v, v) != ring.one:
+        raise ValueError("the mirror of %r carries %s, not a sign"
+                         % (label, ring.fmt(v)))
+    return name, v
+
+
 def mirror_map(D, Dm):
     """Identify the arrow-reversed reduced category with the reduced
     category of the arrow-reversed base.
 
-    Trivial names map to trivial names; homotopies and operations are
-    carried through the reversal with the engine's signs, so each basis
-    name lands on a single mirrored name up to sign.  Returns the
-    arrow-reversed category and the identification as a quiver map out
-    of it.
+    Each basis name lands on a single mirrored name up to sign; see
+    MirrorImage.  Returns the arrow-reversed category and the
+    identification as a quiver map out of it.
     """
     opD = opposite(D)
-    q, qm = D.quiver, Dm.quiver
-    memo = {}
-
-    def image(label):
-        if label in memo:
-            return memo[label]
-        t, gobjs, gnames = label
-        X, Y = gobjs[0], gobjs[-1]
-        if t == LEAF:
-            val = qm.hom(Y, X).basis_element((LEAF, (Y, X), gnames))
-        elif len(t) == 1:
-            inner = image((t[0], gobjs, gnames))
-            val = evaluate(Dm.homotopy, (Y, X), (inner,))
-        else:
-            k, chain, fnames, eps = root_split(D.base.quiver, label)
-            rev = tuple(reversed(chain))
-            degs = [q.degree(fn[1][0], fn[1][-1], fn) for fn in reversed(fnames)]
-            # the name's coefficient in opD.b(k) of the reversed factors
-            c = koszul_sign(range(k - 1, -1, -1), degs) * (-eps if k % 2 == 0 else eps)
-            mirrored = tuple(image(fn) for fn in reversed(fnames))
-            val = evaluate(Dm.b(k), rev, mirrored).scale(c)
-        memo[label] = val
-        return val
-
+    mirror = MirrorImage(D, Dm)
     comps = {}
-    for X, Y in q.pairs():
-        comps[(Y, X)] = {nm: image(nm) for nm in D.hom(X, Y).names}
-    return opD, QuiverMap(opD.quiver, qm, 0, comps)
+    for X, Y in D.quiver.pairs():
+        hom = Dm.hom(Y, X)
+        comps[(Y, X)] = {nm: hom.basis_element(*mirror.image(nm))
+                         for nm in D.hom(X, Y).names}
+    return opD, QuiverMap(opD.quiver, Dm.quiver, 0, comps)
 
 
 def left_unit_homotopy(D, Dm=None):
     """The left unit homotopy: the right one of the arrow-reversed
-    construction, transported through the mirror identification."""
+    construction, transported through the mirror identification.
+
+    Only the names with a value and the names their mirrored values
+    land on are mirrored.  A sign is its own inverse, so a mirrored
+    name's preimage carries the sign of its image.
+    """
     if Dm is None:
         Dm = homotopy_quotient(opposite(D.base), D.bobjs, D.leaf_bound,
                                name=D.name + ".mirror")
-    _, m = mirror_map(D, Dm)
+    mirror = MirrorImage(D, Dm)
     hm = unit_homotopy(Dm)
-    back = {}
-    for (Y, X), mat in m.components.items():
-        for nm, el in mat.items():
-            (mnm, c), = el.items()
-            back.setdefault((Y, X), {})[mnm] = \
-                D.hom(X, Y).basis_element(nm, D.quiver.ring.inv(c))
+    mul = D.quiver.ring.mul
     matrices = {}
     for (X, Y) in D.quiver.pairs():
+        hom, mhom = D.hom(X, Y), Dm.hom(Y, X)
         mat = {}
-        inv = back.get((Y, X), {})
-        for nm in D.hom(X, Y).names:
+        for nm in hom.names:
             if len(nm[2]) + 1 > D.leaf_bound:
                 continue
-            w = m.apply(Y, X, D.hom(X, Y).basis_element(nm))
-            hv = hm.apply(Y, X, w)
-            mat[nm] = linear_combination(D.hom(X, Y), hv.degree,
-                                         ((inv[mnm], c) for mnm, c in hv.items()))
+            hv = hm.apply(Y, X, mhom.basis_element(*mirror.image(nm)))
+            terms = {}
+            for mnm, c in hv.items():
+                pre, sign = mirror.preimage(mnm)
+                terms[pre] = mul(c, sign)
+            mat[nm] = hom.element(terms, hv.degree)
         matrices[(X, Y)] = mat
     return PartialHomotopy(D, matrices)
 

@@ -19,10 +19,11 @@ Single values go through evaluate.  A rule-less MultiOp's table is fixed
 at construction (only a rule memoises), so it is indexed there once by
 leading arguments and evaluate reads only the entries its factors reach.
 slot_values gives, in one pass, the values on every basis name of one
-slot with the other factors held fixed (a stored map's whole matrix):
+slot with the other factors held fixed (a stored map's whole matrix),
+each scaled by a sign chosen by the parity of the name's degree:
 a rule-less op keeps one index per slot, by the arguments outside it,
 so each product of the other factors reaches one row holding every
-name's entry, and the entries are summed as they are read.
+name's entry, and the entries are summed, signed, as they are read.
 
 Every walk over composable basis tensors is bounded_tensors: the arrows
 out of each object, sorted by a size function and indexed once per
@@ -537,11 +538,14 @@ def evaluate(op, objs, factors):
                               _meet_rows(op, objs, leading, factors[-1].terms))
 
 
-def slot_values(op, objs, factors, slot):
-    """{w: evaluate(op, objs, factors[:slot] + (e_w,) + factors[slot:])}
-    for every basis name w of the hom at the slot, in one pass.
+def slot_values(op, objs, factors, slot, signs=(1, 1)):
+    """{w: evaluate(op, objs, factors[:slot] + (e_w,) + factors[slot:])
+    * signs[|w| mod 2]} for every basis name w of the hom at the slot, in
+    one pass.
 
-    A rule is asked on the same basis tensors, in the same order, as the
+    signs gives one scalar per parity of w's degree; it is applied to
+    each term as it is summed, so no value is rescaled afterwards.  A
+    rule is asked on the same basis tensors, in the same order, as the
     per-name evaluations would ask it.  A rule-less op reads one row of
     its slot index per product of the other factors; the row holds every
     w's entry, and each is added into w's terms as it is read.  As in
@@ -555,11 +559,12 @@ def slot_values(op, objs, factors, slot):
     out = op.out_module(objs)
     deg = sum(f.degree for f in factors) + op.degree
     degrees = smod.degrees
+    mul = ring.mul
     if op.index is None:
-        mul = ring.mul
         before = _products(ring, factors[:slot])
         after = _products(ring, factors[slot:])
-        scaled = {w: [(op.on_basis(objs, pn + (w,) + sn), mul(pc, sc))
+        scaled = {w: [(op.on_basis(objs, pn + (w,) + sn),
+                       mul(mul(pc, sc), signs[degrees[w] % 2]))
                       for pn, pc in before for sn, sc in after]
                   for w in smod.names}
         return {w: linear_combination(out, deg + degrees[w], s)
@@ -570,14 +575,16 @@ def slot_values(op, objs, factors, slot):
         row = index.get((objs, names))
         if not row:
             continue
+        signed = (mul(c, signs[0]), mul(c, signs[1]))
         for w, el in row.items():
             acc = terms.get(w)
             if acc is None or not el.terms:
                 continue
-            if el.module is not out or el.degree != deg + degrees[w]:
+            d = degrees[w]
+            if el.module is not out or el.degree != deg + d:
                 raise ValueError(
                     "sum of elements of different modules or degrees")
-            accumulate(ring, acc, el.terms.items(), c)
+            accumulate(ring, acc, el.terms.items(), signed[d % 2])
     return {w: Element(out, t, deg + degrees[w]) for w, t in terms.items()}
 
 

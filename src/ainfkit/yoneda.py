@@ -17,6 +17,13 @@ of stored maps is written left to right and scaled by the parity of the
 second map's degree; the differential of a stored map is the map
 followed by the target differential, minus the source differential
 followed by the map, signed by the map's own degree.
+
+Stored maps are built and combined in one pass each.  A family value
+or hom differential is one slot_values call with its signs applied
+per parity of the basis name; a composite is one sparse product
+(ChainMap.compose); and each residual collects its terms with their
+signs as coefficients and sums them once (map_combination).  Whether a
+residual had content is read from its terms before that sum cancels.
 """
 
 import itertools
@@ -24,7 +31,7 @@ import random
 
 from .category import opposite, unit_then_op
 from .graded import (ChainMap, Complex, GradedModule, accumulate, in_image,
-                     koszul_sign)
+                     koszul_sign, map_combination)
 from .quiver import bounded_tensors, evaluate, slot_values
 from .report import Report, unless_zero
 
@@ -34,9 +41,8 @@ def hom_differential(A, pair):
     operation, as a stored map."""
     mod = A.hom(*pair)
     op = A.b(1)
-    values = {} if op is None else slot_values(op, pair, (), 0)
-    return ChainMap(mod, mod, 1, {w: el.scale(-1)
-                                  for w, el in values.items() if el.terms})
+    return ChainMap(mod, mod, 1, {} if op is None else
+                    slot_values(op, pair, (), 0, signs=(-1, -1)))
 
 
 def map_module(smod, tmod):
@@ -71,18 +77,20 @@ def map_differential(A, spair, tpair, F):
 
 def _differential_of(F, ds, dt):
     """F then dt, minus (-1)^{deg F} times ds then F."""
-    return F.compose(dt).add(ds.compose(F).scale(1 if F.degree % 2 else -1))
+    return map_combination(F.source, dt.target, F.degree + 1, (
+        (F.compose(dt), 1), (ds.compose(F), 1 if F.degree % 2 else -1)))
 
 
-def map_compose(F, G):
-    """Binary operation of the target on two stored maps.
+def _composite(F, G, sign=1):
+    """Binary operation of the target on two stored maps, as a term
+    (F then G, coefficient) of a map_combination.
 
     Left to right composition scaled by the parity of G's degree, the
     same sign that the DG import puts on its arity-2 operation; this is
-    the composition under which the functor equations close.
+    the composition under which the functor equations close.  sign is
+    any further sign the term carries.
     """
-    out = F.compose(G)
-    return out.scale(-1) if G.degree % 2 else out
+    return F.compose(G), -sign if G.degree % 2 else sign
 
 
 def _y_value(A, zobjs, zfactors, xobjs, xfactors):
@@ -105,14 +113,12 @@ def _y_value(A, zobjs, zfactors, xobjs, xfactors):
     op = A.b(n + k + 1)
     matrix = {}
     if op is not None:
-        values = slot_values(op, tuple(reversed(xobjs)) + tuple(zobjs),
-                             tuple(reversed(xfactors)) + tuple(zfactors), n)
         perm = list(range(k + n, k, -1)) + list(range(0, k + 1))
         even = koszul_sign(perm, [0] + zdegs + xdegs) * (-1 if n % 2 else 1)
         odd = -even if sum(xdegs) % 2 else even
-        degrees = smod.degrees
-        matrix = {w: val.scale(odd if degrees[w] % 2 else even)
-                  for w, val in values.items() if val.terms}
+        matrix = slot_values(op, tuple(reversed(xobjs)) + tuple(zobjs),
+                             tuple(reversed(xfactors)) + tuple(zfactors), n,
+                             signs=(even, odd))
     return ChainMap(smod, tmod, degree, matrix)
 
 
@@ -216,27 +222,27 @@ def _hx_residual(A, h, zobjs, zfactors):
     k = len(zfactors)
     X = h.base
     degree = sum(f.degree for f in zfactors) + 2
-    smod, tmod = A.hom(X, zobjs[0]), A.hom(X, zobjs[-1])
-    content = False
-    lhs = ChainMap(smod, tmod, degree, {})
+    terms = []
     for t in range(1, k + 1):
         for p in range(0, k - t + 1):
             res = _apply_inner(A, zobjs, zfactors, p, t)
             if res is None:
                 continue
             sign, nobjs, nfacs = res
-            term = h.value(nobjs, nfacs)
-            content = content or bool(term.matrix)
-            lhs = lhs.add(term.scale(sign))
-    rhs = _differential_of(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
-                           h.d_at(zobjs[-1]))
-    content = content or bool(rhs.matrix)
+            terms.append((h.value(nobjs, nfacs), sign))
+    terms.append((_differential_of(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
+                                   h.d_at(zobjs[-1])), -1))
     for i in range(1, k):
-        term = map_compose(h.value(zobjs[:i + 1], zfactors[:i]),
-                           h.value(zobjs[i:], zfactors[i:]))
-        content = content or bool(term.matrix)
-        rhs = rhs.add(term)
-    return lhs.add(rhs.scale(-1)), content
+        terms.append(_composite(h.value(zobjs[:i + 1], zfactors[:i]),
+                                h.value(zobjs[i:], zfactors[i:]), -1))
+    return _signed_sum(A.hom(X, zobjs[0]), A.hom(X, zobjs[-1]), degree, terms)
+
+
+def _signed_sum(smod, tmod, degree, terms):
+    """(the sum of the (map, sign) terms, whether any term was nonzero):
+    the residual and its content flag, taken before terms cancel."""
+    return (map_combination(smod, tmod, degree, terms),
+            any(term.matrix for term, _ in terms))
 
 
 def _first_entry(F):
@@ -325,28 +331,17 @@ def _transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors):
     """
     k = len(zfactors)
     X, W = hsrc.base, htgt.base
-    smod = A.hom(X, zobjs[0])
-    tmod = A.hom(W, zobjs[-1])
     degree = sum(f.degree for f in zfactors) + r + 2
-    total = ChainMap(smod, tmod, degree, {})
-    term = _differential_of(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
-                            htgt.d_at(zobjs[-1]))
-    content = bool(term.matrix)
-    total = total.add(term)
+    terms = [(_differential_of(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
+                               htgt.d_at(zobjs[-1])), 1)]
     for i in range(1, k + 1):
-        F = hsrc.value(zobjs[:i + 1], zfactors[:i])
-        G = value(zobjs[i:], zfactors[i:])
-        term = map_compose(F, G)
-        content = content or bool(term.matrix)
-        total = total.add(term)
+        terms.append(_composite(hsrc.value(zobjs[:i + 1], zfactors[:i]),
+                                value(zobjs[i:], zfactors[i:])))
     for i in range(0, k):
-        F = value(zobjs[:i + 1], zfactors[:i])
-        G = htgt.value(zobjs[i:], zfactors[i:])
-        term = map_compose(F, G)
-        if r % 2 and sum(f.degree for f in zfactors[i:]) % 2:
-            term = term.scale(-1)
-        content = content or bool(term.matrix)
-        total = total.add(term)
+        cross = r % 2 and sum(f.degree for f in zfactors[i:]) % 2
+        terms.append(_composite(value(zobjs[:i + 1], zfactors[:i]),
+                                htgt.value(zobjs[i:], zfactors[i:]),
+                                -1 if cross else 1))
     rsgn = -1 if r % 2 else 1
     for t in range(1, k + 1):
         for p in range(0, k - t + 1):
@@ -354,10 +349,8 @@ def _transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors):
             if res is None:
                 continue
             sign, nobjs, nfacs = res
-            term = value(nobjs, nfacs)
-            content = content or bool(term.matrix)
-            total = total.add(term.scale(-sign * rsgn))
-    return total, content
+            terms.append((value(nobjs, nfacs), -sign * rsgn))
+    return _signed_sum(A.hom(X, zobjs[0]), A.hom(W, zobjs[-1]), degree, terms)
 
 
 def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
@@ -377,6 +370,7 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
 
     lhs, content = _transform_b1_terms(A, hsrc, htgt, value, r,
                                        zobjs, zfactors)
+    terms = []
     for p in range(1, n):
         front = sum(f.degree for f in xfactors[:p])
         for i in range(0, k + 1):
@@ -384,12 +378,8 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
                          xobjs[:p + 1], xfactors[:p])
             G = _y_value(A, zobjs[i:], zfactors[i:],
                          xobjs[p:], xfactors[p:])
-            term = map_compose(F, G)
-            if front % 2 and sum(f.degree for f in zfactors[i:]) % 2:
-                term = term.scale(-1)
-            content = content or bool(term.matrix)
-            lhs = lhs.add(term)
-    rhs = ChainMap(lhs._smod, lhs._tmod, lhs.degree, {})
+            cross = front % 2 and sum(f.degree for f in zfactors[i:]) % 2
+            terms.append(_composite(F, G, -1 if cross else 1))
     for p in range(1, n + 1):
         op = Aop.b(p)
         if op is None:
@@ -402,10 +392,10 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
             sign = -1 if sum(f.degree for f in xfactors[a + p:]) % 2 else 1
             nxobjs = tuple(xobjs[:a + 1]) + tuple(xobjs[a + p:])
             nxfacs = tuple(xfactors[:a]) + (mid,) + tuple(xfactors[a + p:])
-            term = _y_value(A, zobjs, zfactors, nxobjs, nxfacs)
-            content = content or bool(term.matrix)
-            rhs = rhs.add(term.scale(sign))
-    return lhs.add(rhs.scale(-1)), content
+            terms.append((_y_value(A, zobjs, zfactors, nxobjs, nxfacs), -sign))
+    total = map_combination(lhs._smod, lhs._tmod, lhs.degree,
+                            [(lhs, 1)] + terms)
+    return total, content or any(term.matrix for term, _ in terms)
 
 
 def check_Y(A, bounds=(3, 3), samples=20, seed=0):
@@ -569,8 +559,9 @@ def unit_defect_preimage(h, Z):
     A = h.category
     u = A.units[Z]
     F = h.value((Z, Z), (u,))
-    D = F.add(ChainMap.identity(h.module_at(Z)).scale(-1))
     mod = h.module_at(Z)
+    D = map_combination(mod, mod, F.degree,
+                        ((F, 1), (ChainMap.identity(mod), -1)))
     mm = map_module(mod, mod)
     d = h.d_at(Z)
     bmatrix = {}

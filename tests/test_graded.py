@@ -268,6 +268,20 @@ def test_chain_map_add_rejects_other_modules():
     assert f.add(ChainMap.identity(cx)).matrix["a"] == M.basis_element("a", 2)
 
 
+def test_chain_map_rejects_rows_outside_its_target():
+    # a row of an equal-looking module is an error at construction, so
+    # flatten_map and compose never read it; a zero row of any module is
+    # dropped, and a complex and its own module are the same module
+    M = GradedModule(QQ, [("a", 0)])
+    N = GradedModule(QQ, [("b", 0)])
+    C = GradedModule(QQ, [("b", 0)])
+    with pytest.raises(ValueError, match="target module"):
+        ChainMap(M, N, 0, {"a": C.basis_element("b")})
+    assert not ChainMap(M, N, 0, {"a": C.zero(0)}).matrix
+    f = ChainMap(M, Complex(N, {}), 0, {"a": N.basis_element("b")})
+    assert f(M.basis_element("a")) == N.basis_element("b")
+
+
 def test_chain_map_call_rejects_other_modules():
     # a nonzero element of another module is an error, not a silent zero;
     # a zero of any module maps to zero, as Element.add accepts it

@@ -11,8 +11,8 @@ from ainfkit.category import (AInfCategory, _bounded_sample, check_stasheff,
 from ainfkit.freecat import LEAF
 from ainfkit.functors import check_functor, strict_functor
 from ainfkit.graded import Ring
-from ainfkit.homquot import (OperadTerm, admissible, check_action_chain,
-                             check_operad, check_reduction,
+from ainfkit.homquot import (MirrorImage, OperadTerm, admissible,
+                             check_action_chain, check_operad, check_reduction,
                              check_unit_homotopies, compose_terms,
                              composite_defect, filtration_level,
                              homotopy_quotient, leaf_count,
@@ -425,6 +425,24 @@ def test_mirror_map_is_an_isomorphism():
     F = strict_functor(opD, Dm, lambda X: X, m.components, name="mirror")
     rep = check_functor(F, samples=40, seed=0)
     assert rep.ok, rep.text()
+
+
+def test_mirror_preimage_is_checked_against_the_image():
+    C, _, D = tree_pair("path3", 1)
+    Dm = homotopy_quotient(opposite(C), frozenset([1]), D.leaf_bound,
+                           name="mirror")
+    mirror = MirrorImage(D, Dm)
+    for X, Y in D.quiver.pairs():
+        for nm in D.hom(X, Y).names:
+            mnm, sign = mirror.image(nm)
+            assert mirror.preimage(mnm) == (nm, sign)
+    # a memo that disagrees with the structural reversal is caught
+    nm = (ONE, (0, 1), ("f",))
+    mnm, sign = mirror.image(nm)
+    other = next(m for m in Dm.hom(1, 0).names if m != mnm)
+    mirror.memo[nm] = (other, sign)
+    with pytest.raises(ValueError, match="mirrors to"):
+        mirror.preimage(mnm)
 
 
 def test_scaled_homotopy_fails_the_law():

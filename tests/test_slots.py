@@ -16,6 +16,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ainfkit.category import AInfCategory
 from ainfkit.graded import ChainMap, Element, Ring, koszul_sign
 from ainfkit.homquot import homotopy_quotient
 from ainfkit.quiver import (BoundError, MultiOp, bounded_tensors,
@@ -38,6 +39,14 @@ def per_name_slot_values(op, objs, factors, slot):
             for w in mod.names}
 
 
+def per_name_sign(wdeg, zdegs, xdegs):
+    """The family's sign at a name of degree wdeg: the Koszul sign of
+    moving the x block past w and the z block, times the parity of n."""
+    n, k = len(xdegs), len(zdegs)
+    perm = list(range(k + n, k, -1)) + list(range(0, k + 1))
+    return (-1 if n % 2 else 1) * koszul_sign(perm, [wdeg] + zdegs + xdegs)
+
+
 def per_name_y_value(A, zobjs, zfactors, xobjs, xfactors):
     """The family's stored map, one evaluate and one sign per name."""
     n, k = len(xfactors), len(zfactors)
@@ -52,10 +61,8 @@ def per_name_y_value(A, zobjs, zfactors, xobjs, xfactors):
         rev = tuple(reversed(xfactors))
         zdegs = [f.degree for f in zfactors]
         xdegs = [f.degree for f in xfactors]
-        perm = list(range(k + n, k, -1)) + list(range(0, k + 1))
-        base = -1 if n % 2 else 1
         for w in smod.names:
-            sign = base * koszul_sign(perm, [smod.degrees[w]] + zdegs + xdegs)
+            sign = per_name_sign(smod.degrees[w], zdegs, xdegs)
             val = evaluate(op, chain,
                            rev + (smod.basis_element(w),) + tuple(zfactors))
             matrix[w] = val.scale(sign)
@@ -193,6 +200,30 @@ def test_odd_x_block_splits_signs_by_parity_of_w():
         if {got._smod.degrees[w] % 2 for w in got.matrix} == {0, 1}:
             return
     raise AssertionError("no odd x block reached both parities of w")
+
+
+def test_rule_branch_signs_reach_minus_one_at_both_parities_of_w():
+    # the same family with every operation behind a rule, so slot_values
+    # takes its rule branch; nonzero entries with sign -1 occur at an
+    # even and at an odd w, so a sign dropped there cannot pass
+    B = two_complexes(F7)
+    A = AInfCategory(B.quiver, {n: combine_ops([(op, 1)])
+                                for n, op in B.ops.items()},
+                     B.max_arity, units=B.units, name="cpx2 by rule")
+    assert all(op.index is None for op in A.ops.values())
+    q = A.quiver
+    minus = set()
+    for (yobjs, ynames), Z in ((y, Z) for y in bounded_tensors(q, 1)
+                               for Z in q.objects):
+        x = q.hom(*yobjs).basis_element(ynames[0])
+        xobjs = tuple(reversed(yobjs))
+        got = _y_value(A, (Z,), (), xobjs, (x,))
+        assert_same_map(got, per_name_y_value(A, (Z,), (), xobjs, (x,)))
+        for w in got.matrix:
+            wdeg = got._smod.degrees[w]
+            if per_name_sign(wdeg, [], [x.degree]) == -1:
+                minus.add(wdeg % 2)
+    assert minus == {0, 1}
 
 
 @pytest.mark.parametrize("which", sorted(FIXTURES))

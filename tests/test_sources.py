@@ -16,11 +16,9 @@ POST_CONDITIONS = {
 }
 
 # The top-level functions and classes that invert a scalar, by (module,
-# name): graded.Echelon is the one elimination, and left_unit_homotopy
-# inverts the coefficient of a mirrored name.
+# name): graded.Echelon is the one elimination.
 INVERTERS = {
     ("graded", "Echelon"),
-    ("homquot", "left_unit_homotopy"),
 }
 
 # The top-level functions and classes that hold an except handler, by

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfkit.category import complexes_category, opposite
-from ainfkit.graded import ChainMap, GradedModule, Ring, linear_combination
+from ainfkit.graded import (ChainMap, GradedModule, Ring, linear_combination,
+                            map_combination)
 from ainfkit.homquot import homotopy_quotient, mirror_map
 from ainfkit.quiver import (GradedQuiver, MultiOp, bounded_tensors,
                             combine_ops, evaluate, slot_values)
@@ -238,6 +239,62 @@ def test_chainmap_add_agrees_with_dense_oracle(ring, degree, seed):
         assert all(not el.is_zero for el in got.matrix.values())
     with pytest.raises(ValueError):
         F.add(random_map(smod, tmod, degree + 1, rng))
+
+
+def per_row_compose(F, G):
+    """F then G, with G applied to each row of F."""
+    return ChainMap(F.source, G.target, F.degree + G.degree,
+                    {n: G(el) for n, el in F.matrix.items()})
+
+
+def chained_combination(source, target, degree, scaled):
+    """sum(c * F), one scaled copy and one partial sum per term."""
+    total = ChainMap(source, target, degree, {})
+    for F, c in scaled:
+        total = total.add(F.scale(c))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Ring("QQ"), Ring("Fp", 5), Ring("Fp", 7)]),
+       st.integers(-1, 1), st.integers(0, 2 ** 16))
+def test_stored_map_sums_agree_with_per_row_oracles(ring, degree, seed):
+    rng = random.Random(seed)
+    smod = GradedModule(ring, [("x", 0), ("y", 0), ("z", 1), ("o", 2)])
+    mmod = GradedModule(ring, [("p", -1), ("q", 0), ("r", 1), ("s", 1), ("t", 2)])
+    tmod = GradedModule(ring, [("u", -1), ("v", 0), ("w", 1), ("k", 2), ("l", 3)])
+    F = random_map(smod, mmod, degree, rng)
+    G = random_map(mmod, tmod, rng.randint(-1, 1), rng)
+    # a row of F that G sends to zero: its entries at r and s cancel,
+    # since G's row at s is its row at r scaled
+    k, a = ring.random(rng, nonzero=True), ring.random(rng, nonzero=True)
+    grows = dict(G.matrix)
+    grows.pop("s", None)
+    if "r" in grows:
+        grows["s"] = grows["r"].scale(k)
+    G = ChainMap(mmod, tmod, G.degree, grows)
+    n = rng.choice([m for m in smod.names if smod.degrees[m] == 1 - degree])
+    frows = dict(F.matrix)
+    frows[n] = mmod.element({"r": a, "s": ring.neg(ring.mul(a, ring.inv(k)))}, 1)
+    F = ChainMap(smod, mmod, degree, frows)
+    got, want = F.compose(G), per_row_compose(F, G)
+    assert got.matrix == want.matrix and got.degree == want.degree
+    assert n not in got.matrix
+    assert all(not el.is_zero for el in got.matrix.values())
+
+    H = random_map(smod, mmod, degree, rng)
+    c = ring.random(rng, nonzero=True)
+    for scaled in ([], [(F, 1)], [(F, c), (F, ring.neg(c))],
+                   [(F, c), (H, ring.random(rng)), (F, 1)],
+                   [(H, 0), (F, c), (H, 1), (H, ring.neg(c))]):
+        got = map_combination(smod, mmod, degree, scaled)
+        want = chained_combination(smod, mmod, degree, scaled)
+        assert got.matrix == want.matrix
+        assert all(not el.is_zero for el in got.matrix.values())
+    with pytest.raises(ValueError):
+        map_combination(smod, mmod, degree + 1, [(F, 1)])
+    with pytest.raises(ValueError):
+        map_combination(smod, tmod, degree, [(F, 1)])
 
 
 def dense_mirror_components(D, Dm):

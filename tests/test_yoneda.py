@@ -276,6 +276,25 @@ def test_check_Y_catches_tampered_operation():
     assert "residual at" in detail
 
 
+def test_yoneda_line_details_are_pinned():
+    # a content flag is taken from each term before the residual's sum
+    # cancels, so these counts would drop if it were taken after
+    A = two_complexes(Ring("Fp", 7))
+    rep = check_Y(A, bounds=(3, 3), samples=12, seed=0)
+    nonzero = {(1, 0): 11, (1, 1): 12, (2, 0): 6}
+    for n in (1, 2, 3):
+        for k in (0, 1, 2, 3):
+            assert detail_counts(rep, "component (%d, %d)" % (n, k)) == {
+                "tensors": 12, "nonzero": nonzero.get((n, k), 0),
+                "skipped": 0}
+    for X in A.objects:
+        rep = check_hX(A, X, samples=40, seed=0)
+        for k, count in ((1, 25), (2, 22)):
+            assert detail_counts(rep, "arity %d" % k) == {
+                "tensors": 40, "nonzero": count, "skipped": 0}
+        assert len(rep.checks) == 2
+
+
 def test_check_Y_deterministic():
     A = two_complexes(F5)
     one = check_Y(A, bounds=(2, 2), samples=8, seed=7).text()
