@@ -13,9 +13,9 @@ from .graded import (ChainMap, Complex, GradedModule, accumulate, in_image,
                      koszul_sign, linear_combination, shift, solve_linear)
 from .quiver import (CountedTensors, GradedQuiver, MultiOp,
                      QuiverMap, _arrow_index, bounded_tensors, evaluate,
-                     insert, insertion_sum, run_stages, state_element,
-                     tensor_degree, unit_stage)
+                     insertion_sum, state_element, tensor_degree)
 from .report import Report, unless_zero
+from .trees import tree_pipeline
 
 
 class AInfCategory:
@@ -525,22 +525,14 @@ def _reversed_op(opq, op, n):
                    name=(op.name or "b%d" % n) + ".rev")
 
 
-def unit_then_op(A, objs, names, pos, outer):
-    """Insert the unit of objs[pos] at slot pos, then apply outer.
+def unit_then_op(A, objs, names, pos):
+    """Insert the unit of objs[pos] at slot pos, then apply
+    A.b(len(names) + 1).
 
-    Evaluates the composite stage on one basis tensor, Koszul signs
-    included; outer None is the zero operation.
+    One run of trees.tree_pipeline on a basis tensor, Koszul signs
+    included; a missing operation gives zero.
     """
-    q = A.quiver
-    n = len(names)
-    deg = tensor_degree(q, objs, names)
-    if outer is None:
-        return q.hom(objs[0], objs[-1]).zero(deg)
-    u = A.units[objs[pos]]
-    stages = [unit_stage(q, u, (objs[pos], objs[pos]), pos, n - pos),
-              insert(outer, 0, 0)]
-    state = run_stages(stages, {(tuple(objs), tuple(names)): q.ring.one})
-    return state_element(q, state, (objs[0], objs[-1]), deg)
+    return tree_pipeline(A, [(pos, 0), (0, len(names) + 1)], objs, names)
 
 
 def check_strict_unit(A, samples=60, seed=0):
@@ -564,14 +556,14 @@ def check_strict_unit(A, samples=60, seed=0):
             mod = q.hom(*pair)
             for nm in mod.names:
                 def run():
-                    got = unit_then_op(A, pair, (nm,), pos, b2)
+                    got = unit_then_op(A, pair, (nm,), pos)
                     return unless_zero(got.sub(mod.basis_element(nm, sign)))
                 yield nm, run if pair[pos] in A.units else None
 
     rep.tally("right unit law", arrows(1, 1), "arrows")
     rep.tally("left unit law", arrows(0, -1), "arrows")
 
-    def insertions(tensors, n, outer):
+    def insertions(tensors, n):
         for objs, names in tensors:
             for pos in (n, 0):
                 U = objs[pos]
@@ -579,16 +571,15 @@ def check_strict_unit(A, samples=60, seed=0):
                     objs, names, extra=A.unit_size(U))
 
                 def run():
-                    return unless_zero(unit_then_op(A, objs, names, pos, outer))
+                    return unless_zero(unit_then_op(A, objs, names, pos))
                 yield (objs, names, pos), run if applies else None
 
     for n in range(2, A.max_arity):
-        outer = A.b(n + 1)
         tensors, exhaustive = [], True
-        if outer is not None:
+        if A.b(n + 1) is not None:
             tensors, exhaustive = _bounded_sample(A, n, samples, rng)
         rep.tally("end insertions arity %02d" % (n + 1),
-                  insertions(tensors, n, outer), "insertions", exhaustive)
+                  insertions(tensors, n), "insertions", exhaustive)
     return rep
 
 
@@ -627,7 +618,7 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
 
                 def run():
                     x = q.hom(X, Y).basis_element(nm)
-                    u = unit_then_op(A, (X, Y), (nm,), pos, b2)
+                    u = unit_then_op(A, (X, Y), (nm,), pos)
                     lhs = x.sub(u) if pos else x.add(u)
                     return unless_zero(lhs.sub(boundary(hmap, X, Y, x)))
                 yield nm, run if (X, Y)[pos] in A.units else None

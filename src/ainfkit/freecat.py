@@ -25,7 +25,8 @@ from .quiver import (GradedQuiver, MultiOp, QuiverMap, bounded_tensors,
                      evaluate)
 from .report import Report, unless_zero
 # leaf_count and vertex_count are re-exported for callers.
-from .trees import LEAF, leaf_count, tree_pipeline, tree_shapes, vertex_count
+from .trees import (LEAF, leaf_count, tree_pipeline, tree_shapes, tree_stages,
+                    vertex_count)
 
 
 def corolla(k):
@@ -84,8 +85,8 @@ def normal_form(D, F, X, Y, el):
     category; the relation generators of structure_relations go to zero."""
     mod = D.hom(X, Y)
     return linear_combination(mod, el.degree, (
-        (mod.basis_element(label[2][0]) if label[0] == LEAF
-         else tree_pipeline(D, *label), c) for label, c in el.items()))
+        (tree_pipeline(D, tree_stages(t), gobjs, gnames), c)
+        for (t, gobjs, gnames), c in el.items()))
 
 
 def normal_form_map(D, F):
@@ -261,18 +262,12 @@ def _check_gen_chain(F, A, gen_images):
         for nm in gen.hom(X, Y).names:
             el = gen.hom(X, Y).basis_element(nm)
             img = gen_images.apply(X, Y, el)
-            left = None
-            if d1 is not None:
-                left = gen_images.apply(X, Y, evaluate(d1, (X, Y), (el,)))
-            right = None
-            if b1 is not None:
-                pair = (gen_images.obj_map(X), gen_images.obj_map(Y))
-                right = evaluate(b1, pair, (img,))
-            lz = left is None or left.is_zero
-            rz = right is None or right.is_zero
-            if lz and rz:
-                continue
-            if lz != rz or left != right:
+            pair = (gen_images.obj_map(X), gen_images.obj_map(Y))
+            zero = A.hom(*pair).zero(img.degree + 1)
+            left = zero if d1 is None else gen_images.apply(
+                X, Y, evaluate(d1, (X, Y), (el,)))
+            right = zero if b1 is None else evaluate(b1, pair, (img,))
+            if left != right:
                 raise ValueError("generator images do not commute with "
                                  "the differentials at %r" % (nm,))
 

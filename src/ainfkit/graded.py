@@ -716,11 +716,14 @@ def split_semisplit(alpha, beta, phi, H):
 
     for n in bmod.names:
         x = bmod.basis_element(n)
-        assert beta(nu(x)) == x, "nu beta != 1"
-    assert nu.is_chain(), "nu is not a chain map"
+        if beta(nu(x)) != x:
+            raise ValueError("nu beta != 1")
+    if not nu.is_chain():
+        raise ValueError("nu is not a chain map")
     for n in amod.names:
         x = amod.basis_element(n)
         lhs = x.sub(nu(beta(x)))
         rhs = A.apply_d(gamma(x)).add(gamma(A.apply_d(x)))
-        assert lhs == rhs, "homotopy identity fails"
+        if lhs != rhs:
+            raise ValueError("homotopy identity fails")
     return nu, gamma

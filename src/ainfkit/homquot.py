@@ -25,7 +25,10 @@ tree categories: their differential, the unit-insertion right
 derivation, and the unit homotopies built from it.  All signs come from
 the stage engine; a basis element is the value of its own vertex
 pipeline, and a formal term carries a canonical schedule, so any other
-schedule of the same term is compared through its engine sign.
+schedule of the same term is compared through its engine sign.  Every
+schedule, of a tree, a formal term or a unit insertion, is evaluated by
+trees.tree_pipeline, the one schedule runner; a capped leaf is its
+arity-0 unit step.
 """
 
 import random
@@ -34,8 +37,8 @@ from .category import AInfCategory, opposite, verify_unit_homotopy
 from .functors import strict_functor
 from .graded import GradedModule, accumulate, koszul_sign, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     bounded_tensors, evaluate, insert, insertion_sum,
-                     run_stages, state_element, tensor_degree, unit_stage)
+                     bounded_tensors, evaluate, insertion_sum, state_element,
+                     tensor_degree)
 from .report import Report, unless_zero
 from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
                     shape_counts, shape_table, tree_pipeline, tree_shapes,
@@ -261,7 +264,7 @@ def tree_value(A, t, gobjs, gnames):
     """
     names = tuple((LEAF, (gobjs[i], gobjs[i + 1]), (gnames[i],))
                   for i in range(len(gnames)))
-    return tree_pipeline(A, t, gobjs, names)
+    return tree_pipeline(A, tree_stages(t), gobjs, names)
 
 
 def composite_defect(C, A, n):
@@ -375,46 +378,6 @@ def filtration_level(label):
 
 # ---------------------------------------------------------------------------
 # Formal operations: trees with capped leaves, acting on tree categories.
-
-
-def term_stages(tree, caps):
-    """Canonical postorder schedule of a formal operation.
-
-    Returns (offset, arity) stages where arity 0 inserts a capped leaf,
-    1 is the homotopy, and higher arities are operations.  Offsets are
-    positions in the evolving strand tensor, whose initial width is the
-    number of uncapped leaves; a capped leaf's strand appears when the
-    walk reaches it.
-    """
-    intervals = [(i, i) for i in range(leaf_count(tree)) if i not in caps]
-    stages = []
-    _walk_term(tree, 0, caps, intervals, stages)
-    assert len(intervals) == 1
-    return stages
-
-
-def _locate(intervals, i):
-    """The strand position of leaf i: the intervals ending before it."""
-    return sum(1 for _, b in intervals if b < i)
-
-
-def _walk_term(sub, first_leaf, caps, intervals, stages):
-    # A module-level walker, not a closure that calls itself (a reference
-    # cycle per call).  Returns the leaves under sub.
-    if sub == LEAF:
-        if first_leaf in caps:
-            p = _locate(intervals, first_leaf)
-            stages.append((p, 0))
-            intervals.insert(p, (first_leaf, first_leaf))
-        return 1
-    used = 0
-    for child in sub:
-        used += _walk_term(child, first_leaf + used, caps, intervals, stages)
-    p = _locate(intervals, first_leaf)
-    k = len(sub)
-    intervals[p:p + k] = [(first_leaf, first_leaf + used - 1)]
-    stages.append((p, k))
-    return used
 
 
 def staging_sign(stages):
@@ -537,7 +500,7 @@ def _collect(ring, pieces):
     out = OperadTerm(ring)
     for coeff, stages, width, gobjs in pieces:
         tree, caps = stages_to_tree(stages, width)
-        sign = staging_sign(stages) * staging_sign(term_stages(tree, caps))
+        sign = staging_sign(stages) * staging_sign(tree_stages(tree, caps))
         out = out.add(OperadTerm(ring, {(tree, tuple(gobjs), caps):
                                         ring.mul(coeff, sign)}))
     return out
@@ -554,7 +517,7 @@ def operad_d(term):
     ring = term.ring
     pieces = []
     for (tree, gobjs, caps), coeff in term.data.items():
-        stages = term_stages(tree, caps)
+        stages = tree_stages(tree, caps)
         width = leaf_count(tree) - len(caps)
         for m, (off, ar) in enumerate(stages):
             if ar == 0:
@@ -576,31 +539,39 @@ def operad_d(term):
     return _collect(ring, pieces)
 
 
+def unit_insertions(tree):
+    """The unit insertions of a cap-free tree as (sign, schedule) pairs.
+
+    A fresh unit leaf after the last leaf is fed to each vertex on the
+    path from the root to the last leaf: an operation gains it as a
+    capped last input, a homotopy becomes homotopy, capped operation,
+    homotopy.  The sign counts the path vertices below the fed one.
+    """
+    stages = tree_stages(tree)
+    flags = path_flags(tree)
+    for m, (off, ar) in enumerate(stages):
+        if not flags[m]:
+            continue
+        if ar == 1:
+            repl = [(off, 1), (off + 1, 0), (off, 2), (off, 1)]
+        else:
+            repl = [(off + ar, 0), (off, ar + 1)]
+        yield (-1 if sum(flags[m + 1:]) % 2 else 1,
+               stages[:m] + repl + stages[m + 1:])
+
+
 def unit_derivation(term):
     """The right derivation that feeds a fresh unit leaf to every vertex
-    on the path from the root to the last leaf: an operation gains a
-    capped last input, a homotopy becomes homotopy, capped operation,
-    homotopy."""
+    on the path from the root to the last leaf (unit_insertions)."""
     ring = term.ring
     pieces = []
     for (tree, gobjs, caps), coeff in term.data.items():
         if caps:
             raise ValueError("the unit derivation acts on cap-free terms")
-        stages = term_stages(tree, caps)
-        flags = path_flags(tree)
-        width = leaf_count(tree)
         ext = gobjs + (gobjs[-1],)
-        for m, (off, ar) in enumerate(stages):
-            if not flags[m]:
-                continue
-            below = sum(1 for j in range(m + 1, len(stages)) if flags[j])
-            sgn = -1 if below % 2 else 1
-            if ar == 1:
-                repl = [(off, 1), (off + 1, 0), (off, 2), (off, 1)]
-            else:
-                repl = [(off + ar, 0), (off, ar + 1)]
-            pieces.append((ring.mul(coeff, sgn),
-                           stages[:m] + repl + stages[m + 1:], width, ext))
+        width = leaf_count(tree)
+        pieces.extend((ring.mul(coeff, sign), schedule, width, ext)
+                      for sign, schedule in unit_insertions(tree))
     return _collect(ring, pieces)
 
 
@@ -616,10 +587,10 @@ def compose_terms(inner, outer, slot):
             pos = uncapped[slot]
             if (go[pos], go[pos + 1]) != (gi[0], gi[-1]):
                 raise ValueError("slot objects do not match")
-            shifted = [(off + slot, ar) for off, ar in term_stages(ti, ci)]
+            shifted = [(off + slot, ar) for off, ar in tree_stages(ti, ci)]
             # the inner schedule runs first, closing its strands to one
             # at position slot; the outer schedule then applies verbatim
-            stages = shifted + term_stages(to, co)
+            stages = shifted + tree_stages(to, co)
             width = (len(uncapped) - 1) + ni
             gobjs = go[:pos] + gi + go[pos + 2:]
             pieces.append((ring.mul(cin, cout), stages, width, gobjs))
@@ -661,34 +632,12 @@ def term_value(A, term, objs, names):
         n = leaf_count(tree) - len(caps)
         if n != len(names):
             raise ValueError("the term takes %d inputs, got %d" % (n, len(names)))
-        deg = tensor_degree(A.quiver, objs, names) \
-            + term_degree((tree, gobjs, caps))
-        val = _capped_value(A, term_stages(tree, caps),
-                            [gobjs[i] for i in sorted(caps)], objs, names, deg)
+        if tuple(objs) != tuple(X for j, X in enumerate(gobjs)
+                                if j - 1 not in caps):
+            raise ValueError("the strands of %r are not %r" % (gobjs, objs))
+        val = tree_pipeline(A, tree_stages(tree, caps), objs, names)
         parts.append((val, coeff))
-    return linear_combination(A.hom(objs[0], objs[-1]), deg, parts)
-
-
-def _capped_value(A, schedule, cap_objs, objs, names, degree):
-    """Run a schedule on a basis tensor of a tree category: arity 0
-    inserts the embedded base unit at the next of cap_objs, arity 1 is
-    the homotopy, higher arities are operations."""
-    q = A.quiver
-    caps = iter(cap_objs)
-    width = len(names)
-    stages = []
-    for off, ar in schedule:
-        if ar == 0:
-            Z = next(caps)
-            u = embed_leaf(q, (Z, Z), A.base.units[Z])
-            stages.append(unit_stage(q, u, (Z, Z), off, width - off))
-            width += 1
-            continue
-        op = A.homotopy if ar == 1 else A.b(ar)
-        stages.append(insert(op, off, width - off - ar))
-        width -= ar - 1
-    state = run_stages(stages, {(tuple(objs), tuple(names)): q.ring.one})
-    return state_element(q, state, (objs[0], objs[-1]), degree)
+    return linear_combination(A.hom(objs[0], objs[-1]), val.degree, parts)
 
 
 def random_term(C, bobjs, rng, leaf_bound=3, with_caps=False):
@@ -914,25 +863,12 @@ def unit_homotopy(D):
 
 
 def _homotopy_value(D, t, gobjs, gnames):
-    Y = gobjs[-1]
     degree = name_degree(D.base.quiver, t, gobjs, gnames) - 1
-    stages = tree_stages(t)
-    flags = path_flags(t)
     seed = tuple((LEAF, (gobjs[i], gobjs[i + 1]), (gnames[i],))
                  for i in range(len(gnames)))
-    parts = []
-    for m, (off, ar) in enumerate(stages):
-        if not flags[m]:
-            continue
-        below = sum(1 for j in range(m + 1, len(stages)) if flags[j])
-        if ar == 1:
-            repl = [(off, 1), (off + 1, 0), (off, 2), (off, 1)]
-        else:
-            repl = [(off + ar, 0), (off, ar + 1)]
-        schedule = stages[:m] + repl + stages[m + 1:]
-        parts.append((_capped_value(D, schedule, [Y], gobjs, seed, degree),
-                      1 if below % 2 else -1))
-    return linear_combination(D.hom(gobjs[0], Y), degree, parts)
+    return linear_combination(D.hom(gobjs[0], gobjs[-1]), degree, (
+        (tree_pipeline(D, schedule, gobjs, seed), -sign)
+        for sign, schedule in unit_insertions(t)))
 
 
 class MirrorImage:

@@ -7,6 +7,11 @@ triple (tree, objects, arrow names): the leaves carry a composable
 chain of arrows of a generating quiver.  Free categories (freecat) are
 the trees with no unary vertex, so everything here serves both.
 
+tree_pipeline is the one schedule runner: every tree, formal term and
+unit insertion is evaluated by turning its (offset, arity) schedule into
+engine stages there.  Arity 0 is a unit step, arity 1 the homotopy, and
+arity k >= 2 the operation b_k.
+
 The walkers below recurse through module-level functions, not through
 closures that call themselves: such a closure is a reference cycle,
 left for the cyclic collector on every call.
@@ -14,7 +19,8 @@ left for the cyclic collector on every call.
 
 import itertools
 
-from .quiver import insert, run_stages, state_element, tensor_degree
+from .quiver import (insert, run_stages, state_element, tensor_degree,
+                     unit_stage)
 
 LEAF = ()
 
@@ -126,24 +132,33 @@ def shape_counts(t):
     return counts
 
 
-def tree_stages(t):
+def tree_stages(t, caps=()):
     """The vertices of a tree as (offset, arity) pairs, children first.
 
     Feeding these to the engine in order, each acting at its offset in
-    the shrinking tensor, rebuilds the tree element from its leaves;
-    arity one is a unary vertex.
+    the evolving tensor, rebuilds the tree element from its leaves;
+    arity one is a unary vertex.  A leaf whose index is in caps is fed a
+    unit instead of an input: the tensor starts with one strand per
+    uncapped leaf, and an arity-zero stage inserts a capped leaf's
+    strand when the walk reaches it.
     """
     stages = []
-    _postorder(t, 0, stages)
+    _postorder(t, 0, 0, caps, stages)
     return stages
 
 
-def _postorder(sub, left, stages):
+def _postorder(sub, left, leaf, caps, stages):
+    # left is sub's strand offset, leaf the index of its first leaf;
+    # returns the leaves under sub.
     if sub == LEAF:
-        return
+        if leaf in caps:
+            stages.append((left, 0))
+        return 1
+    used = 0
     for i, child in enumerate(sub):
-        _postorder(child, left + i, stages)
+        used += _postorder(child, left + i, leaf + used, caps, stages)
     stages.append((left, len(sub)))
+    return used
 
 
 def name_degree(gen, t, gobjs, gnames):
@@ -184,26 +199,32 @@ def embed_leaf(squiver, pair, el):
     return squiver.hom(*pair).element(terms, el.degree)
 
 
-def tree_pipeline(A, tree, objs, names, order=None):
-    """Evaluate the vertices of a tree through a category's operations.
+def tree_pipeline(A, schedule, objs, names):
+    """Run an (offset, arity) schedule on a basis tensor of a category.
 
-    order defaults to the canonical children-first schedule; any other
-    (offset, arity) schedule of the same tree evaluates an alternative
-    bracketing.  A unary vertex is A's homotopy; a missing operation
-    makes the result zero.
+    Arity 0 inserts the distinguished unit A.units[Z], Z being the
+    object at the offset in the chain the walk tracks; arity 1 is A's
+    homotopy and arity k >= 2 is A.b(k).  A missing operation makes the
+    result zero.  The degree is the tensor degree plus one per operation
+    and minus one per other step.
     """
     q = A.quiver
-    schedule = tree_stages(tree) if order is None else order
     degree = tensor_degree(q, objs, names) \
         + sum(1 if k > 1 else -1 for _, k in schedule)
     pair = (objs[0], objs[-1])
-    width = len(names)
+    chain = list(objs)
     stages = []
     for off, k in schedule:
+        if k == 0:
+            Z = chain[off]
+            stages.append(unit_stage(q, A.units[Z], (Z, Z), off,
+                                     len(chain) - 1 - off))
+            chain.insert(off, Z)
+            continue
         op = A.homotopy if k == 1 else A.b(k)
         if op is None:
             return q.hom(*pair).zero(degree)
-        stages.append(insert(op, off, width - off - k))
-        width -= k - 1
+        stages.append(insert(op, off, len(chain) - 1 - off - k))
+        chain[off + 1:off + k] = ()
     state = run_stages(stages, {(tuple(objs), tuple(names)): q.ring.one})
     return state_element(q, state, pair, degree)

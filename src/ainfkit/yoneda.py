@@ -606,8 +606,8 @@ def opposite_facts(A, cap=4000):
             Aop.b(1).on_basis((Y, X), (nm,)))
 
     def unit_law(W, X, nm):
-        return unit_then_op(Aop, (X, W), (nm,), 1, Aop.b(2)).add(
-            unit_then_op(A, (W, X), (nm,), 0, b2))
+        return unit_then_op(Aop, (X, W), (nm,), 1).add(
+            unit_then_op(A, (W, X), (nm,), 0))
 
     rep.tally("arity 1 under one reversal", arrows(
         once, A.quiver.objects if op1 is not None else ()), "arrows")

@@ -182,12 +182,12 @@ def test_strict_units_pass_and_scaled_fail():
 def test_unit_composites_frozen():
     A = path3()
     f = A.hom(0, 1).basis_element("f")
-    assert unit_then_op(A, (0, 1), ("f",), 1, A.b(2)) == f
-    assert unit_then_op(A, (0, 1), ("f",), 0, A.b(2)) == f.neg()
+    assert unit_then_op(A, (0, 1), ("f",), 1) == f
+    assert unit_then_op(A, (0, 1), ("f",), 0) == f.neg()
     # an even shifted degree flips the raw table value on the left
     P = augmented_point()
     w = P.hom("Q", "Q").basis_element("w")
-    assert unit_then_op(P, ("Q", "Q"), ("w",), 0, P.b(2)) == w.neg()
+    assert unit_then_op(P, ("Q", "Q"), ("w",), 0) == w.neg()
 
 
 def test_unit_homotopy_strict_and_broken():

@@ -184,7 +184,8 @@ def test_pipeline_rebuilds_every_basis_name():
         t, gobjs, gnames = nm
         if t == LEAF:
             continue
-        got = tree_pipeline(F, t, gobjs, _leaf_names(gobjs, gnames))
+        got = tree_pipeline(F, tree_stages(t), gobjs,
+                            _leaf_names(gobjs, gnames))
         assert got == mod.basis_element(nm)
 
 
@@ -198,7 +199,7 @@ def test_pipeline_alternative_order_sign():
     oo = ("*",) * 5
     for gnames in itertools.product(("a", "z"), repeat=4):
         want = tree_element(F, t, oo, gnames).neg()
-        got = tree_pipeline(F, t, oo, _leaf_names(oo, gnames), order=right_first)
+        got = tree_pipeline(F, right_first, oo, _leaf_names(oo, gnames))
         assert got == want
 
 

@@ -17,7 +17,7 @@ from ainfkit.homquot import (MirrorImage, OperadTerm, admissible,
                              composite_defect, filtration_level,
                              homotopy_quotient, leaf_count,
                              left_unit_homotopy, mirror_map, operad_d,
-                             projection_functor, reduced_tree, term_stages,
+                             projection_functor, reduced_tree,
                              term_value, tree_category, tree_shapes,
                              tree_value, unary_count, unary_spans,
                              unit_conjugation, unit_derivation,
@@ -494,6 +494,8 @@ def _validation_cases():
                        "empty term"),
         "term inputs": (lambda: term_value(
             D, fork, (0, 1), ((LEAF, (0, 1), ("f",)),)), "takes 2 inputs"),
+        "term strands": (lambda: term_value(
+            D, capped, (0, 1), ((LEAF, (0, 1), ("f",)),)), "strands of"),
         "no units": (lambda: unit_homotopy(homotopy_quotient(bare, {1}, 2)),
                      "distinguished units"),
     }
@@ -503,7 +505,7 @@ def _validation_cases():
     "unknown object", "leaf bound", "defect base", "defect arity",
     "projection bounds", "term objects", "term cap", "derivation caps",
     "compose slot", "conjugation caps", "empty term", "term inputs",
-    "no units"])
+    "term strands", "no units"])
 def test_homquot_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):

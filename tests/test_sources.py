@@ -10,8 +10,6 @@ import ainfkit
 # Internal post-conditions that may stay asserts, by (module, top-level
 # function) with their count; every input check raises instead.
 POST_CONDITIONS = {
-    ("graded", "split_semisplit"): 3,
-    ("homquot", "term_stages"): 1,
     ("homquot", "stages_to_tree"): 1,
 }
 
@@ -36,6 +34,18 @@ SUMMERS = {
     ("graded", "accumulate"),
     ("graded", "Echelon"),
     ("quiver", "apply_stage"),
+}
+
+
+# The top-level definitions that turn an (offset, arity) schedule into
+# engine stages, by (module, name): tree_pipeline is the one schedule
+# runner, and compose_multi runs the stages it is given.
+UNIT_STAGERS = {
+    ("trees", "tree_pipeline"),
+}
+STAGE_RUNNERS = {
+    ("trees", "tree_pipeline"),
+    ("quiver", "compose_multi"),
 }
 
 
@@ -141,3 +151,17 @@ def test_one_sparse_sum():
              if any(_cancels(node) for node in ast.walk(top))}
     assert found == SUMMERS, "add-and-cancel loops outside the allow-list: %r" % (
         sorted(found ^ SUMMERS),)
+
+
+def _callers(name):
+    """(module, top-level definition) for every definition calling name."""
+    return {(module, top.name) for module, top in top_level_defs()
+            if any(isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))
+                   for node in ast.walk(top))}
+
+
+def test_one_schedule_runner():
+    assert _callers("unit_stage") == UNIT_STAGERS, "unit stage outside"
+    assert _callers("run_stages") == STAGE_RUNNERS, "stages run outside"

@@ -3,13 +3,15 @@ that both tree builders rely on, and free categories as the tree
 categories with no marked objects."""
 
 import gc
+import itertools
 
 from ainfkit.category import AInfCategory
 from ainfkit.freecat import free_category
 from ainfkit.homquot import (homotopy_quotient, path_flags, stages_to_tree,
-                             term_stages, tree_category, tree_stages)
+                             tree_category)
 from ainfkit.quiver import bounded_tensors, evaluate
-from ainfkit.trees import LEAF, root_split, unary_count
+from ainfkit.trees import (LEAF, root_split, tree_shapes, tree_stages,
+                           unary_count)
 from test_category import arrow_with_differential, path3
 
 
@@ -45,13 +47,25 @@ def test_term_and_tensor_walkers_leave_no_cycles():
         assert gc.collect() == 0
         ends = list(bounded_tensors(F.quiver, 3, F.size_of, 3, end=1))
         assert gc.collect() == 0
-        stages = term_stages(tree, caps)
+        stages = tree_stages(tree, caps)
         assert gc.collect() == 0
         assert stages_to_tree(stages, 5 - len(caps)) == (tree, caps)
         assert gc.collect() == 0
     finally:
         gc.enable()
     assert tensors and ends
+
+
+def test_cap_walk_round_trips_every_shape():
+    # the capped post-order walk rebuilds its tree and caps, for every
+    # shape of 1-4 leaves (unary vertices included) and every cap set
+    for n in range(1, 5):
+        for t in tree_shapes(n):
+            for k in range(n + 1):
+                for caps in itertools.combinations(range(n), k):
+                    caps = frozenset(caps)
+                    stages = tree_stages(t, caps)
+                    assert stages_to_tree(stages, n - k) == (t, caps)
 
 
 def test_root_split_round_trip():
