@@ -58,22 +58,13 @@ def valid_tree(t):
 
 def unary_spans(t):
     """Leaf intervals (i, j) covered by each unary vertex, 0-based."""
+    strands = [(i, i + 1) for i in range(leaf_count(t))]
     spans = []
-    _walk_unary(t, 0, spans)
+    for off, k in tree_stages(t):
+        strands[off:off + k] = [(strands[off][0], strands[off + k - 1][1])]
+        if k == 1:
+            spans.append(strands[off])
     return spans
-
-
-def _walk_unary(sub, left, spans):
-    # A module-level helper, not a closure: a closure that calls itself
-    # is a reference cycle, left for the cyclic collector on every call.
-    if sub == LEAF:
-        return 1
-    used = 0
-    for child in sub:
-        used += _walk_unary(child, left + used, spans)
-    if len(sub) == 1:
-        spans.append((left, left + used))
-    return used
 
 
 def admissible(t, gobjs, bobjs):
@@ -618,6 +609,11 @@ def unit_conjugation(term):
     return total
 
 
+def strand_objects(gobjs, caps):
+    """The objects at the ends of a basis key's uncapped strands."""
+    return tuple(X for j, X in enumerate(gobjs) if j - 1 not in caps)
+
+
 def term_value(A, term, objs, names):
     """Act with a formal operation on a basis tensor of a tree category.
 
@@ -632,8 +628,7 @@ def term_value(A, term, objs, names):
         n = leaf_count(tree) - len(caps)
         if n != len(names):
             raise ValueError("the term takes %d inputs, got %d" % (n, len(names)))
-        if tuple(objs) != tuple(X for j, X in enumerate(gobjs)
-                                if j - 1 not in caps):
+        if tuple(objs) != strand_objects(gobjs, caps):
             raise ValueError("the strands of %r are not %r" % (gobjs, objs))
         val = tree_pipeline(A, tree_stages(tree, caps), objs, names)
         parts.append((val, coeff))
@@ -784,7 +779,7 @@ def check_action_chain(E, samples=40, seed=0):
                     for i, nm in zip(uncapped, names) if (i, i + 1) in spans):
                 yield key, None
                 continue
-            objs = (gobjs[uncapped[0]],) + tuple(gobjs[i + 1] for i in uncapped)
+            objs = strand_objects(gobjs, caps)
 
             def run():
                 val = term_value(E, term, objs, names)
