@@ -22,7 +22,7 @@ from .category import AInfCategory
 from .functors import (AInfFunctor, check_functor, resolve_at_root,
                        strict_functor)
 from .graded import GradedModule, linear_combination
-from .homquot import PartialHomotopy, homotopy_applies
+from .homquot import PartialHomotopy
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      apply_stage, evaluate, insert, tensor_degree)
 from .report import Report, unless_zero
@@ -329,8 +329,8 @@ def check_comparison(D, Q, samples=30, seed=0):
     verifies exactly: the comparison commutes with the differentials on
     every word, the contraction contracts, the extension satisfies the
     functor equation on sampled tensors, its arrow component turns the
-    tree homotopy into the contraction, and following the comparison
-    with that component returns every word.
+    tree homotopy into the contraction off unary roots, and following
+    the comparison with that component returns every word.
     """
     rep = Report("quotient comparison for %s" % D.name)
     psi = comparison_map(D, Q)
@@ -361,7 +361,9 @@ def check_comparison(D, Q, samples=30, seed=0):
                     capped = evaluate(Q.homotopy, (X, Y), (x,))
                     return unless_zero(evaluate(f1, (X, Y), (capped,)).sub(
                         chi.apply(X, Y, evaluate(f1, (X, Y), (x,)))))
-                yield nm, run if homotopy_applies(Q, X, Y, nm) else None
+                # on a unary root h o h = 0, which chi o chi need not match
+                fresh = (X in Q.bobjs or Y in Q.bobjs) and len(nm[0]) != 1
+                yield nm, run if fresh else None
 
     rep.tally("homotopy becomes the contraction", trees(), "trees")
 

@@ -37,8 +37,8 @@ from .category import AInfCategory, opposite, verify_unit_homotopy
 from .functors import strict_functor
 from .graded import GradedModule, accumulate, koszul_sign, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     bounded_tensors, evaluate, insertion_sum, state_element,
-                     tensor_degree)
+                     apply_stage, bounded_tensors, evaluate, insert,
+                     insertion_sum, state_element, tensor_degree)
 from .report import Report, unless_zero
 from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
                     shape_counts, shape_table, tree_pipeline, tree_shapes,
@@ -175,11 +175,12 @@ def _build(C, bobjs, leaf_bound, reduced, name):
         label = names[0]
         t = label[0]
         X, Y = objs
-        if t != LEAF and len(t) == 1:
-            raise ValueError("homotopy applied to a tree already capped by one")
         if X not in bobjs and Y not in bobjs:
             raise ValueError("homotopy needs an endpoint in the subcategory "
                              "at (%r, %r)" % (X, Y))
+        if t != LEAF and len(t) == 1:
+            # the basis has no stacked unary vertices: h o h = 0
+            return squiver.hom(X, Y).zero(squiver.degree(X, Y, label) - 1)
         return squiver.hom(X, Y).basis_element(((t,), label[1], label[2]))
 
     hop = MultiOp(squiver, squiver, 1, -1, rule=homotopy_rule, name="homotopy")
@@ -197,9 +198,12 @@ def _build(C, bobjs, leaf_bound, reduced, name):
                               inner.on_basis((X, Y), (label[2][0],)))
         if len(t) == 1:
             inner_label = (t[0], label[1], label[2])
-            inner = squiver.hom(X, Y).basis_element(inner_label)
             db = ops[1].on_basis((X, Y), (inner_label,))
-            return inner.sub(evaluate(hop, (X, Y), (db,)))
+            out = {((X, Y), (inner_label,)): ring.one}
+            apply_stage(insert(hop, 0, 0),
+                        {((X, Y), (nm,)): ring.neg(c) for nm, c in db.items()},
+                        out)
+            return state_element(squiver, out, (X, Y), degree)
         k, chain, fnames, eps = root_split(gen, label)
         out = insertion_sum(ops.get, ops.get, k,
                             {(chain, fnames): ring.normalize(-eps)}, {},
@@ -238,13 +242,6 @@ def homotopy_quotient(C, bobjs, leaf_bound=3, name=None):
     """The reduced tree category: only trees whose top vertices are all
     unary, with operations on purely trivial inputs contracting to C."""
     return _build(C, bobjs, leaf_bound, True, name or (C.name + ".hq"))
-
-
-def homotopy_applies(A, X, Y, nm):
-    """Whether the homotopy of a tree category applies to the name nm at
-    (X, Y): an end is marked and the root is not already unary."""
-    t = nm[0]
-    return (X in A.bobjs or Y in A.bobjs) and (t == LEAF or len(t) != 1)
 
 
 def tree_value(A, t, gobjs, gnames):
@@ -340,31 +337,6 @@ def check_reduction(C, E, D, samples=20, seed=0):
 
     return rep.tally("closure stays dead", closures(), "images",
                      exhaustive=False)
-
-
-def _is_tree(x):
-    return x == LEAF or (isinstance(x, tuple)
-                         and all(_is_tree(s) for s in x))
-
-
-def filtration_level(label):
-    """Relative filtration position of a reduced tree, by name or shape.
-
-    Returns (j, kind): j is the largest number of unary vertices on any
-    root-to-leaf path, and the kind marks whether the root vertex is
-    unary (a new stratum, N) or not (the settled part, D).
-    """
-    t = label if _is_tree(label) else label[0]
-
-    def depth(sub):
-        if sub == LEAF:
-            return 0
-        return (1 if len(sub) == 1 else 0) + max(depth(child) for child in sub)
-
-    j = depth(t)
-    if t != LEAF and len(t) == 1:
-        return j, "N%d" % j
-    return j, "D%d" % j
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +710,8 @@ def check_action_chain(E, samples=40, seed=0):
 
     Each drawn term has a hom on every uncapped strand, and each leaf
     name is drawn within the leaves the term's caps and its other
-    strands leave under the bound.  A draw that feeds the homotopy a name
-    whose root is already unary does not apply and is skipped.
+    strands leave under the bound; a draw with no such names is skipped.
+    A homotopy fed a name whose root is already unary gives zero.
     """
     rng = random.Random(seed)
     q = E.quiver
@@ -773,10 +745,7 @@ def check_action_chain(E, samples=40, seed=0):
             term, key, uncapped, mods = draw_term()
             tree, gobjs, caps = key
             names = draw_names(E.leaf_bound - len(caps), mods)
-            spans = unary_spans(tree)
-            if names is None or not all(
-                    homotopy_applies(E, gobjs[i], gobjs[i + 1], nm)
-                    for i, nm in zip(uncapped, names) if (i, i + 1) in spans):
+            if names is None:
                 yield key, None
                 continue
             objs = strand_objects(gobjs, caps)

@@ -15,6 +15,14 @@ hundred thousand in one Stasheff verdict on a bound-4 tree quotient),
 and the extra call per term made that verdict about 15% slower (1.13
 to 1.30 reference s over four pairs, Python 3.11 on a shared 2-vCPU VM).
 
+Every defining sum here is a coderivation component, sum over a of
+1^a tensor b_j tensor 1^c, fed into an outer operation.  A stage whose
+only non-identity block is one plain op (output between its input's
+ends, as for every b_j) takes apply_stage's direct path, and
+insertions(op, m) is a whole component as one stage.  Unit insertions,
+functor components that map objects and multi-block stages keep the
+per-block plan: only it tracks an object chain and multiplies blocks.
+
 Single values go through evaluate.  A rule-less MultiOp's table is fixed
 at construction (only a rule memoises), so it is indexed there once by
 leading arguments and evaluate reads only the entries its factors reach.
@@ -163,7 +171,7 @@ class MultiOp:
         self.lmap = lmap or _ident
         self.rmap = rmap or _ident
         self.name = name
-        # insert(self, a, c) by (a, c); see insert
+        # insert(self, a, c) by (a, c), insertions(self, m) by m
         self.stages = {}
 
     def slot_index(self, slot):
@@ -229,12 +237,14 @@ class Stage:
     """One tensor layer: identity slots, operations, and 0-ary insertions.
 
     blocks: sequence of ('id', k), ('op', MultiOp), ('el', Element, (U, V)).
-    The plan that apply_stage follows is worked out here, once: each
-    block's input segment, and the right ends of the odd-degree blocks,
-    whose Koszul signs depend on the input degrees.
+    With one plain op among identities, direct = (op, offsets right to
+    left): its own offset moved right by each of shifts (see insertions).
+    The general plan is worked out here, once: each block's input
+    segment, and the right ends of the odd-degree blocks, whose Koszul
+    signs depend on the input degrees.
     """
 
-    def __init__(self, source, blocks):
+    def __init__(self, source, blocks, shifts=(0,)):
         self.source = source
         self.blocks = tuple(blocks)
         arity_out = 0
@@ -275,16 +285,25 @@ class Stage:
         self.target = target if target is not None else source
         self.plan = tuple(plan)
         self.odd_ends = tuple(reversed(odd_ends))
+        self.shifts = shifts
+        self.direct = None
+        wide = [step for step in plan if step[0] != "id"]
+        if len(wide) == 1 and wide[0][0] == "op" and wide[0][3][1]:
+            at = wide[0][1]
+            self.direct = (wide[0][3][0], tuple(sorted(
+                (at + k for k in shifts), reverse=True)))
+        elif shifts != (0,):
+            raise ValueError("only a one-operation stage sums over offsets")
 
 
-def _padded(source, blocks, a, c):
+def _padded(source, blocks, a, c, shifts=(0,)):
     """The stage 1^a tensor blocks tensor 1^c."""
     blocks = list(blocks)
     if a:
         blocks.insert(0, ("id", a))
     if c:
         blocks.append(("id", c))
-    return Stage(source, blocks)
+    return Stage(source, blocks, shifts)
 
 
 def insert(op, a, c):
@@ -296,10 +315,23 @@ def insert(op, a, c):
     if a < 0 or c < 0:
         raise ValueError("negative identity width")
     if isinstance(op, Stage):
-        return _padded(op.source, op.blocks, a, c)
+        return _padded(op.source, op.blocks, a, c, op.shifts)
     stage = op.stages.get((a, c))
     if stage is None:
         stage = op.stages[(a, c)] = _padded(op.source, [("op", op)], a, c)
+    return stage
+
+
+def insertions(op, m):
+    """The stage sum over a < m of 1^a tensor op tensor 1^(m-1-a), for a
+    plain op: one coderivation component on m - 1 + arity inputs.  Kept
+    on op like insert's stages."""
+    if m < 1:
+        raise ValueError("insertions need an outer arity of at least 1")
+    stage = op.stages.get(m)
+    if stage is None:
+        stage = op.stages[m] = _padded(op.source, [("op", op)], 0, m - 1,
+                                       tuple(range(m)))
     return stage
 
 
@@ -316,6 +348,11 @@ def apply_stage(stage, state, out=None):
     Coefficients are taken and returned in the ring's canonical form.
     The result is added into `out` (a new state when None): a key whose
     coefficient cancels to zero is deleted, and `out` is returned.
+
+    A one-operation stage (Stage.direct) takes the direct path: per term
+    it reads op's memo (on_basis only on a rule's miss), takes the parity
+    right of each offset in one walk from the right, and writes its keys
+    straight into out.  Other stages follow their per-block plan.
     """
     quiver = stage.source
     ring = quiver.ring
@@ -323,11 +360,44 @@ def apply_stage(stage, state, out=None):
     one = ring.one
     mul, add = ring.mul, ring.add
     homs = quiver.homs
-    plan = stage.plan
-    odd_ends = stage.odd_ends
     arity_in = stage.arity_in
     if out is None:
         out = {}
+    if stage.direct is not None:
+        op, offsets = stage.direct
+        table, rule, arity, odd = op.table, op.rule, op.arity, op.degree & 1
+        for (objs, names), coeff in state.items():
+            if len(names) != arity_in:
+                raise ValueError("stage arity mismatch")
+            if coeff == 0:
+                continue
+            neg = -coeff if p is None else -coeff % p
+            parity, j = 0, arity_in
+            for a in offsets:
+                e = a + arity
+                while odd and j > e:
+                    j -= 1
+                    parity ^= homs[(objs[j], objs[j + 1])].degrees[names[j]] & 1
+                args = (objs[a:e + 1], names[a:e])
+                el = table.get(args)
+                if el is None:
+                    if rule is None:
+                        continue
+                    el = op.on_basis(*args)
+                pc = neg if parity else coeff
+                newobjs, head, tail = objs[:a + 1] + objs[e:], names[:a], names[e:]
+                for n, oc in el.terms.items():
+                    c = pc if oc == one else oc if pc == one else mul(pc, oc)
+                    key = (newobjs, head + (n,) + tail)
+                    old = out.get(key)
+                    v = c if old is None else add(old, c)
+                    if v == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = v
+        return out
+    plan = stage.plan
+    odd_ends = stage.odd_ends
     for (objs, names), coeff in state.items():
         if len(names) != arity_in:
             raise ValueError("stage arity mismatch")
@@ -398,59 +468,18 @@ def insertion_sum(inner, outer, k, base, out, root=True):
     """Add the sum over m, a of outer(m) o (1^a tensor inner(k-m+1) tensor
     1^(m-1-a)) on the arity-k state base into out, and return out.
 
-    inner, outer: arity -> MultiOp, or None for zero.  Per outer arity m
-    the insertions share one state, and outer(m) is applied to it once.
+    inner, outer: arity -> MultiOp, or None for zero; inner's are plain.
+    Per outer arity m the insertions are one stage (insertions), and
+    outer(m) is applied once to the state it gives.
     root=False leaves m = 1 out.  Signs ride on base's coefficients.
     """
     for m in range(1 if root else 2, k + 1):
         op, ins = outer(m), inner(k - m + 1)
         if op is None or ins is None:
             continue
-        state = {}
-        for a in range(m):
-            apply_stage(insert(ins, a, m - 1 - a), base, state)
-        apply_stage(insert(op, 0, 0), state, out)
+        apply_stage(insert(op, 0, 0), apply_stage(insertions(ins, m), base),
+                    out)
     return out
-
-
-def compose_multi(stages, name=None):
-    """The composite operation of a chain of stages (final arity one)."""
-    stages = list(stages)
-    if not stages:
-        raise ValueError("a composite needs at least one stage")
-    for prev, nxt in zip(stages, stages[1:]):
-        if prev.arity_out != nxt.arity_in:
-            raise ValueError("stage arities do not chain")
-    if stages[-1].arity_out != 1:
-        raise ValueError("a composite must end in arity one")
-    source = stages[0].source
-    target = stages[-1].target
-    degree = sum(st.degree for st in stages)
-    arity = stages[0].arity_in
-
-    # endpoint object maps: fold the outermost block maps over the stages
-    def chain2(g, h):
-        return lambda x: h(g(x))
-
-    lmap, rmap = _ident, _ident
-    for st in stages:
-        first, last = st.blocks[0], st.blocks[-1]
-        if first[0] == "op":
-            lmap = chain2(lmap, first[1].lmap)
-        elif first[0] == "el":
-            lmap = (lambda U: lambda x: U)(first[2][0])
-        if last[0] == "op":
-            rmap = chain2(rmap, last[1].rmap)
-        elif last[0] == "el":
-            rmap = (lambda V: lambda x: V)(last[2][1])
-
-    def rule(objs, names):
-        state = run_stages(stages, {(tuple(objs), tuple(names)): source.ring.one})
-        deg = tensor_degree(source, objs, names) + degree
-        return state_element(target, state, (lmap(objs[0]), rmap(objs[-1])), deg)
-
-    return MultiOp(source, target, arity, degree, rule=rule,
-                   lmap=lmap, rmap=rmap, name=name)
 
 
 def state_element(quiver, state, pair, degree):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (
@@ -12,15 +13,140 @@ from ainfkit.quiver import (
     bounded_tensors,
     apply_stage,
     combine_ops,
-    compose_multi,
     evaluate,
     expand_tensor,
     insert,
+    insertions,
     run_stages,
+    state_element,
+    tensor_degree,
     unit_stage,
 )
 
 QQ = Ring("QQ")
+F7 = Ring("Fp", 7)
+
+
+def _ident(x):
+    return x
+
+
+def compose_multi(stages, name=None):
+    """The composite operation of a chain of stages (final arity one)."""
+    stages = list(stages)
+    if not stages:
+        raise ValueError("a composite needs at least one stage")
+    for prev, nxt in zip(stages, stages[1:]):
+        if prev.arity_out != nxt.arity_in:
+            raise ValueError("stage arities do not chain")
+    if stages[-1].arity_out != 1:
+        raise ValueError("a composite must end in arity one")
+    source = stages[0].source
+    target = stages[-1].target
+    degree = sum(st.degree for st in stages)
+    arity = stages[0].arity_in
+
+    # endpoint object maps: fold the outermost block maps over the stages
+    def chain2(g, h):
+        return lambda x: h(g(x))
+
+    lmap, rmap = _ident, _ident
+    for st in stages:
+        first, last = st.blocks[0], st.blocks[-1]
+        if first[0] == "op":
+            lmap = chain2(lmap, first[1].lmap)
+        elif first[0] == "el":
+            lmap = (lambda U: lambda x: U)(first[2][0])
+        if last[0] == "op":
+            rmap = chain2(rmap, last[1].rmap)
+        elif last[0] == "el":
+            rmap = (lambda V: lambda x: V)(last[2][1])
+
+    def rule(objs, names):
+        state = run_stages(stages, {(tuple(objs), tuple(names)): source.ring.one})
+        deg = tensor_degree(source, objs, names) + degree
+        return state_element(target, state, (lmap(objs[0]), rmap(objs[-1])), deg)
+
+    return MultiOp(source, target, arity, degree, rule=rule,
+                   lmap=lmap, rmap=rmap, name=name)
+
+
+def reference_apply(source, blocks, state, out):
+    """apply_stage by the general per-block plan alone: the oracle for
+    the direct path of one-operation stages.
+
+    Every block's input segment and the right ends of the odd-degree
+    blocks are laid out first; each term's outputs are then built as a
+    list of partial products along the object chain, and added into out.
+    """
+    ring = source.ring
+    one = ring.one
+    plan, odd_ends, pos = [], [], 0
+    for blk in blocks:
+        if blk[0] == "id":
+            plan.append(("id", pos, pos + blk[1], None))
+            pos += blk[1]
+            continue
+        if blk[0] == "op":
+            end = pos + blk[1].arity
+            plan.append(("op", pos, end, blk[1]))
+            degree = blk[1].degree
+        else:
+            end = pos
+            plan.append(("el", pos, end, (tuple(blk[2]), list(blk[1].items()))))
+            degree = blk[1].degree
+        if degree % 2:
+            odd_ends.append(end)
+        pos = end
+    odd_ends.reverse()
+    for (objs, names), coeff in state.items():
+        if len(names) != pos:
+            raise ValueError("stage arity mismatch")
+        if coeff == 0:
+            continue
+        flip = parity = 0
+        j = pos
+        for e in odd_ends:
+            while j > e:
+                j -= 1
+                parity ^= source.degree(objs[j], objs[j + 1], names[j]) & 1
+            flip ^= parity
+        if flip:
+            coeff = ring.neg(coeff)
+        newobjs = ()
+        partial = [((), coeff)]
+        for kind, s, e, data in plan:
+            if kind == "id":
+                piece = objs[s:e + 1]
+                partial = [(pn + names[s:e], pc) for pn, pc in partial]
+            else:
+                if kind == "op":
+                    el = data.on_basis(objs[s:e + 1], names[s:e])
+                    piece = data.pair_map(objs[s:e + 1])
+                    options = list(el.items())
+                else:
+                    piece, options = data
+                partial = [(pn + (n,), ring.mul(pc, oc))
+                           for pn, pc in partial for n, oc in options]
+            if newobjs:
+                if newobjs[-1] != piece[0]:
+                    raise ValueError("object chain mismatch")
+                newobjs += piece[1:]
+            else:
+                newobjs = piece
+        for newnames, c in partial:
+            key = (newobjs, newnames)
+            v = ring.add(out.get(key, ring.zero), c)
+            if v == 0:
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return out
+
+
+def reference_insert(op, a, c, state, out):
+    blocks = [("id", a)] * bool(a) + [("op", op)] + [("id", c)] * bool(c)
+    return reference_apply(op.source, blocks, state, out)
 
 
 def loop_quiver(ring=QQ):
@@ -69,6 +195,10 @@ def test_insert_suffix_sign():
     # even suffix degree: no sign
     out = apply_stage(insert(t, 0, 1), state_of(q, ("a", "z")))
     assert out == {(("*",) * 3, ("z", "z")): QQ.one}
+    # both offsets in one stage: the two insertions, each with its sign
+    out = apply_stage(insertions(t, 2), state_of(q, ("a", "a")))
+    assert out == {(("*",) * 3, ("z", "a")): QQ.normalize(-1),
+                   (("*",) * 3, ("a", "z")): QQ.one}
 
 
 def test_insert_reuses_stages():
@@ -77,6 +207,8 @@ def test_insert_reuses_stages():
     assert insert(t, 1, 2) is insert(t, 1, 2)
     assert insert(t, 1, 2) is not insert(t, 2, 1)
     assert insert(t, 0, 0) is not insert(op_t(q), 0, 0)
+    assert insertions(t, 2) is insertions(t, 2)
+    assert insertions(t, 1) is not insert(t, 0, 0)
 
 
 def test_stage_cache_does_not_leak_into_copies():
@@ -349,3 +481,136 @@ def test_obj_mapped_stage_continuity():
     st = Stage(q, [("op", f1), ("op", f1)])
     out = apply_stage(st, {((0, 1, 2), ("f", "g")): QQ.one})
     assert out == {(("a0", "a1", "a2"), ("f", "g")): QQ.one}
+    # the direct path is taken by one plain op among identities only
+    assert st.direct is None and insert(f1, 0, 0).direct is None
+    assert insert(b2, 0, 1).direct == (b2, (0,))
+    assert insertions(b2, 3).direct == (b2, (2, 1, 0))
+    with pytest.raises(ValueError):
+        insertions(f1, 2)
+
+
+# Two objects, every hom nonzero and with the same names, two in each
+# degree from -1 to 5.  Inputs are drawn in degrees 0 and 1, so a value
+# of an op of degree -1 to 2 on up to three of them always has names
+# to land on.
+ORACLE_NAMES = [("%s%d" % (x, d), d) for d in range(-1, 6) for x in "xy"]
+INPUT_NAMES = [nm for nm, d in ORACLE_NAMES if d in (0, 1)]
+
+
+def oracle_quiver(ring):
+    homs = {(X, Y): GradedModule(ring, ORACLE_NAMES)
+            for X in (0, 1) for Y in (0, 1)}
+    return GradedQuiver(ring, [0, 1], homs)
+
+
+def draw_tensor(data, length, start=None, end=None):
+    objs = data.draw(st.lists(st.sampled_from((0, 1)), min_size=length + 1,
+                              max_size=length + 1))
+    if start is not None:
+        objs[0] = start
+    if end is not None:
+        objs[-1] = end
+    names = data.draw(st.lists(st.sampled_from(INPUT_NAMES),
+                               min_size=length, max_size=length))
+    return tuple(objs), tuple(names)
+
+
+def draw_coeff(data, ring, zero=True):
+    if ring.kind == "QQ":
+        c = data.draw(st.fractions(-6, 6, max_denominator=4))
+    else:
+        c = data.draw(st.integers(-6, 6))
+    c = ring.normalize(c)
+    return ring.one if c == 0 and not zero else c
+
+
+def draw_op(data, q):
+    """(make, keys): make() builds a fresh MultiOp, with a cold memo, of
+    a random arity and degree whose values sit in a fixed table or
+    behind a rule, some of them stored zeros; keys are the tensors it
+    has a value on."""
+    arity = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(-1, 2))
+    values = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        objs, names = draw_tensor(data, arity)
+        mod = q.hom(objs[0], objs[-1])
+        deg = tensor_degree(q, objs, names) + degree
+        fits = [nm for nm in mod.names if mod.degrees[nm] == deg]
+        picked = data.draw(st.lists(st.sampled_from(fits), min_size=1,
+                                    max_size=2, unique=True)) \
+            if data.draw(st.integers(0, 3)) else []  # else a stored zero
+        values[(objs, names)] = mod.element(
+            {nm: draw_coeff(data, q.ring, zero=False) for nm in picked}, deg)
+    fixed = data.draw(st.booleans())
+
+    def rule(objs, names):
+        got = values.get((objs, names))
+        if got is None:
+            deg = tensor_degree(q, objs, names) + degree
+            return q.hom(objs[0], objs[-1]).zero(deg)
+        return got
+
+    def make():
+        if fixed:
+            return MultiOp(q, q, arity, degree, table=values, name="fixed")
+        return MultiOp(q, q, arity, degree, rule=rule, name="ruled")
+
+    return make, list(values)
+
+
+def draw_state(data, q, arity, keys, width):
+    """Up to six terms of a width, most of them a tensor the op has a
+    value on, padded by random factors on both sides."""
+    state = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.integers(0, 3)):
+            objs, names = data.draw(st.sampled_from(keys))
+            a = data.draw(st.integers(0, width - arity))
+            lo, ln = draw_tensor(data, a, end=objs[0])
+            ro, rn = draw_tensor(data, width - arity - a, start=objs[-1])
+            key = (lo + objs[1:] + ro[1:], ln + names + rn)
+        else:
+            key = draw_tensor(data, width)
+        state[key] = draw_coeff(data, q.ring)
+    return state
+
+
+def canonical(ring, out):
+    return all(type(ring.normalize(c)) is type(c) and ring.normalize(c) == c
+               for c in out.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_direct_path_agrees_with_the_per_block_plan(data):
+    # QQ and F_7; ops of both parities on factors of both parities, with
+    # stored zeros and rules; states with zero coefficients, added into
+    # an out that the result partly cancels
+    ring = data.draw(st.sampled_from((QQ, F7)))
+    q = oracle_quiver(ring)
+    make, keys = draw_op(data, q)
+    ref = make()
+    m = data.draw(st.integers(1, 3))
+    width = m - 1 + ref.arity
+    state = draw_state(data, q, ref.arity, keys, width)
+    a = data.draw(st.integers(0, m - 1))
+    got = apply_stage(insert(make(), a, m - 1 - a), state)
+    assert got == reference_insert(ref, a, m - 1 - a, state, {})
+    assert canonical(ring, got)
+
+    whole = {}
+    for b in range(m):
+        reference_insert(ref, b, m - 1 - b, state, whole)
+    seed = {key: ring.neg(c) if data.draw(st.booleans()) else c
+            for key, c in whole.items() if data.draw(st.booleans())}
+    got = apply_stage(insertions(make(), m), state, dict(seed))
+    for b in range(m):
+        reference_insert(ref, b, m - 1 - b, state, seed)
+    assert got == seed and canonical(ring, got)
+
+    bad = {draw_tensor(data, width + 1): ring.one}
+    with pytest.raises(ValueError, match="arity mismatch"):
+        apply_stage(insert(ref, a, m - 1 - a), bad)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        apply_stage(insertions(ref, m), bad)

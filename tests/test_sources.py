@@ -39,13 +39,12 @@ SUMMERS = {
 
 # The top-level definitions that turn an (offset, arity) schedule into
 # engine stages, by (module, name): tree_pipeline is the one schedule
-# runner, and compose_multi runs the stages it is given.
+# runner.
 UNIT_STAGERS = {
     ("trees", "tree_pipeline"),
 }
 STAGE_RUNNERS = {
     ("trees", "tree_pipeline"),
-    ("quiver", "compose_multi"),
 }
 
 
