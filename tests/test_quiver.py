@@ -43,7 +43,7 @@ def compose_multi(stages, name=None):
         raise ValueError("a composite must end in arity one")
     source = stages[0].source
     target = stages[-1].target
-    degree = sum(st.degree for st in stages)
+    degree = sum(stage.degree for stage in stages)
     arity = stages[0].arity_in
 
     # endpoint object maps: fold the outermost block maps over the stages
@@ -51,8 +51,8 @@ def compose_multi(stages, name=None):
         return lambda x: h(g(x))
 
     lmap, rmap = _ident, _ident
-    for st in stages:
-        first, last = st.blocks[0], st.blocks[-1]
+    for stage in stages:
+        first, last = stage.blocks[0], stage.blocks[-1]
         if first[0] == "op":
             lmap = chain2(lmap, first[1].lmap)
         elif first[0] == "el":
