@@ -40,9 +40,9 @@ from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      apply_stage, bounded_tensors, evaluate, insert,
                      insertion_sum, state_element, tensor_degree)
 from .report import Report, unless_zero
-from .trees import (LEAF, embed_leaf, leaf_count, name_degree, root_split,
-                    shape_counts, shape_table, tree_pipeline, tree_shapes,
-                    tree_stages, unary_count, wide_count)
+from .trees import (LEAF, embed_leaf, interned, leaf_count, name_degree,
+                    root_split, shape_counts, shape_table, tree_pipeline,
+                    tree_shapes, tree_stages, unary_count, wide_count)
 
 _CAP = "cap"
 
@@ -121,11 +121,20 @@ def _build(C, bobjs, leaf_bound, reduced, name):
     # shapes without them rather than filter them out.
     unary = bool(bobjs)
     basis = {}
+    # Degrees are shared ints, one list per flat degree (most lie below
+    # CPython's small ints): ladder[offset] is the degree at an offset,
+    # negative offsets indexing from the end.
     for n in range(1, leaf_bound + 1):
         table = shape_table(n, unary, reduced)
+        offsets = [row[1] for row in table] or [0]
+        steps = list(range(max(offsets) + 1)) + list(range(min(offsets), 0))
+        ladders = {}
         for gobjs, gnames in bounded_tensors(gen, n):
             mask = sum(1 << i for i, X in enumerate(gobjs) if X in bobjs)
             flat = tensor_degree(gen, gobjs, gnames)
+            ladder = ladders.get(flat)
+            if ladder is None:
+                ladder = ladders[flat] = [flat + o for o in steps]
             names, degrees = basis.setdefault((gobjs[0], gobjs[-1]), ([], []))
             for t, offset, needs in table:
                 for need in needs:
@@ -133,7 +142,7 @@ def _build(C, bobjs, leaf_bound, reduced, name):
                         break
                 else:
                     names.append((t, gobjs, gnames))
-                    degrees.append(flat + offset)
+                    degrees.append(ladder[offset])
     # Zipped one pair at a time: no (name, degree) tuple per name is kept.
     homs = {pair: GradedModule(ring, zip(*cols)) for pair, cols in basis.items()}
     squiver = GradedQuiver(ring, list(gen.objects), homs)
@@ -141,7 +150,9 @@ def _build(C, bobjs, leaf_bound, reduced, name):
     ops = {}
 
     def graft_rule(objs, names, k):
-        total = sum(len(nm[2]) for nm in names)
+        total = 0
+        for nm in names:
+            total += len(nm[2])
         if total > leaf_bound:
             raise BoundError("grafting %d leaves exceeds the bound %d"
                              % (total, leaf_bound))
@@ -153,7 +164,7 @@ def _build(C, bobjs, leaf_bound, reduced, name):
                 return squiver.hom(*pair).zero(degree)
             val = inner.on_basis(objs, tuple(nm[2][0] for nm in names))
             return embed_leaf(squiver, pair, val)
-        tree = tuple(nm[0] for nm in names)
+        tree = interned(tuple([nm[0] for nm in names]))
         gobjs = names[0][1]
         gnames = names[0][2]
         for nm in names[1:]:
@@ -181,7 +192,8 @@ def _build(C, bobjs, leaf_bound, reduced, name):
         if t != LEAF and len(t) == 1:
             # the basis has no stacked unary vertices: h o h = 0
             return squiver.hom(X, Y).zero(squiver.degree(X, Y, label) - 1)
-        return squiver.hom(X, Y).basis_element(((t,), label[1], label[2]))
+        return squiver.hom(X, Y).basis_element(
+            (interned((t,)), label[1], label[2]))
 
     hop = MultiOp(squiver, squiver, 1, -1, rule=homotopy_rule, name="homotopy")
 

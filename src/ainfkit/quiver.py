@@ -19,7 +19,9 @@ Every defining sum here is a coderivation component, sum over a of
 1^a tensor b_j tensor 1^c, fed into an outer operation.  A stage whose
 only non-identity block is one plain op (output between its input's
 ends, as for every b_j) takes apply_stage's direct path, and
-insertions(op, m) is a whole component as one stage.  Unit insertions,
+insertions(op, m) is a whole component as one stage.  The outer
+operation insert(op, 0, 0) is a whole stage: it reads the op's memo
+with the term's own key, and slices and signs nothing.  Unit insertions,
 functor components that map objects and multi-block stages keep the
 per-block plan: only it tracks an object chain and multiplies blocks.
 
@@ -86,9 +88,11 @@ class GradedQuiver:
 
 def tensor_degree(quiver, objs, names):
     """Degree of the basis tensor names along objs: the sum of its
-    factors' degrees."""
-    return sum(quiver.degree(objs[i], objs[i + 1], nm)
-               for i, nm in enumerate(names))
+    factors' degrees.  A name of no nonzero hom raises KeyError."""
+    homs, total = quiver.homs, 0
+    for i, nm in enumerate(names):
+        total += homs[(objs[i], objs[i + 1])].degrees[nm]
+    return total
 
 
 class QuiverMap:
@@ -239,6 +243,9 @@ class Stage:
     blocks: sequence of ('id', k), ('op', MultiOp), ('el', Element, (U, V)).
     With one plain op among identities, direct = (op, offsets right to
     left): its own offset moved right by each of shifts (see insertions).
+    whole is true when that op spans the whole input, as in
+    insert(op, 0, 0): a term's key is then the op's argument, and no
+    factor stands right of the op to sign it.
     The general plan is worked out here, once: each block's input
     segment, and the right ends of the odd-degree blocks, whose Koszul
     signs depend on the input degrees.
@@ -287,11 +294,13 @@ class Stage:
         self.odd_ends = tuple(reversed(odd_ends))
         self.shifts = shifts
         self.direct = None
+        self.whole = False
         wide = [step for step in plan if step[0] != "id"]
         if len(wide) == 1 and wide[0][0] == "op" and wide[0][3][1]:
             at = wide[0][1]
             self.direct = (wide[0][3][0], tuple(sorted(
                 (at + k for k in shifts), reverse=True)))
+            self.whole = len(self.blocks) == 1 and shifts == (0,)
         elif shifts != (0,):
             raise ValueError("only a one-operation stage sums over offsets")
 
@@ -325,9 +334,11 @@ def insert(op, a, c):
 def insertions(op, m):
     """The stage sum over a < m of 1^a tensor op tensor 1^(m-1-a), for a
     plain op: one coderivation component on m - 1 + arity inputs.  Kept
-    on op like insert's stages."""
+    on op like insert's stages; m = 1 is insert(op, 0, 0) itself."""
     if m < 1:
         raise ValueError("insertions need an outer arity of at least 1")
+    if m == 1:
+        return insert(op, 0, 0)
     stage = op.stages.get(m)
     if stage is None:
         stage = op.stages[m] = _padded(op.source, [("op", op)], 0, m - 1,
@@ -352,7 +363,9 @@ def apply_stage(stage, state, out=None):
     A one-operation stage (Stage.direct) takes the direct path: per term
     it reads op's memo (on_basis only on a rule's miss), takes the parity
     right of each offset in one walk from the right, and writes its keys
-    straight into out.  Other stages follow their per-block plan.
+    straight into out.  A whole stage (Stage.whole) reads the memo with
+    the term's own key and writes (ends, (n,)) keys: no factor stands
+    right of its op.  Other stages follow their per-block plan.
     """
     quiver = stage.source
     ring = quiver.ring
@@ -366,33 +379,41 @@ def apply_stage(stage, state, out=None):
     if stage.direct is not None:
         op, offsets = stage.direct
         table, rule, arity, odd = op.table, op.rule, op.arity, op.degree & 1
-        for (objs, names), coeff in state.items():
+        whole = stage.whole
+        for args, coeff in state.items():
+            objs, names = args
             if len(names) != arity_in:
                 raise ValueError("stage arity mismatch")
             if coeff == 0:
                 continue
-            neg = -coeff if p is None else -coeff % p
             parity, j = 0, arity_in
             for a in offsets:
-                e = a + arity
-                while odd and j > e:
-                    j -= 1
-                    parity ^= homs[(objs[j], objs[j + 1])].degrees[names[j]] & 1
-                args = (objs[a:e + 1], names[a:e])
+                if whole:
+                    ends, head, tail = (objs[0], objs[-1]), (), ()
+                else:
+                    e = a + arity
+                    while odd and j > e:
+                        j -= 1
+                        parity ^= homs[(objs[j], objs[j + 1])].degrees[names[j]] & 1
+                    args = (objs[a:e + 1], names[a:e])
+                    ends, head, tail = objs[:a + 1] + objs[e:], names[:a], names[e:]
                 el = table.get(args)
                 if el is None:
                     if rule is None:
                         continue
                     el = op.on_basis(*args)
-                pc = neg if parity else coeff
-                newobjs, head, tail = objs[:a + 1] + objs[e:], names[:a], names[e:]
+                pc = (-coeff if p is None else -coeff % p) if parity else coeff
                 for n, oc in el.terms.items():
                     c = pc if oc == one else oc if pc == one else mul(pc, oc)
-                    key = (newobjs, head + (n,) + tail)
-                    old = out.get(key)
-                    v = c if old is None else add(old, c)
+                    key = (ends, head + (n,) + tail)
+                    # one hash for a new key: setdefault grew out
+                    size = len(out)
+                    old = out.setdefault(key, c)
+                    if len(out) != size:
+                        continue
+                    v = add(old, c)
                     if v == 0:
-                        out.pop(key, None)
+                        del out[key]
                     else:
                         out[key] = v
         return out
@@ -486,9 +507,12 @@ def state_element(quiver, state, pair, degree):
     """Assemble a one-factor state into an Element of hom(pair).
 
     The state's keys are distinct and its coefficients canonical, so the
-    nonzero ones become the element's terms as they stand.
+    nonzero ones become the element's terms as they stand.  An empty
+    state, as most defining sums are, is the zero at once.
     """
     mod = quiver.hom(*pair)
+    if not state:
+        return mod.zero(degree)
     degrees = mod.degrees
     pair = tuple(pair)
     terms = {}

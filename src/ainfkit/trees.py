@@ -15,6 +15,11 @@ arity k >= 2 the operation b_k.
 The walkers below recurse through module-level functions, not through
 closures that call themselves: such a closure is a reference cycle,
 left for the cyclic collector on every call.
+
+Shapes are shared: shape_table and homquot's tree rules take each from
+one registry (interned), so a memo lookup compares equal names' shapes
+by identity, not element by element.  Names stay plain tuples, with a
+tuple's hash and repr, and literal tuples still find them.
 """
 
 import itertools
@@ -59,8 +64,18 @@ def positive_splits(n, k):
             yield (first,) + rest
 
 
+# shape -> the one object of that shape; see interned
 _SHAPES = {}
 _TABLES = {}
+
+
+def interned(t):
+    """The registry's object equal to the shape t, registering t if new.
+
+    Shapes built from interned children, as shape_table and the tree
+    rules build them, are interned all the way down.
+    """
+    return _SHAPES.setdefault(t, t)
 
 
 def tree_shapes(n, unary=True):
@@ -70,10 +85,7 @@ def tree_shapes(n, unary=True):
     or of any subtree whose root is not itself unary; with it off there
     are no unary vertices at all.
     """
-    key = (n, unary)
-    if key not in _SHAPES:
-        _SHAPES[key] = tuple(row[0] for row in shape_table(n, unary))
-    return _SHAPES[key]
+    return tuple(row[0] for row in shape_table(n, unary))
 
 
 def shape_table(n, unary=True, reduced=False):
@@ -104,13 +116,14 @@ def shape_table(n, unary=True, reduced=False):
                     needs = tuple(sorted([need << start for kid, start
                                           in zip(kids, starts)
                                           for need in kid[2]]))
-                    rows.append((shape, 1 + sum([kid[1] for kid in kids]),
+                    rows.append((interned(shape),
+                                 1 + sum([kid[1] for kid in kids]),
                                  shared.setdefault(needs, needs)))
         if unary:
             top = 1 | 1 << n
             for shape, offset, needs in rows[:]:
                 needs = tuple(sorted(needs + (top,)))
-                rows.append(((shape,), offset - 1,
+                rows.append((interned((shape,)), offset - 1,
                              shared.setdefault(needs, needs)))
         rows = _TABLES[key] = tuple(rows)
     return rows

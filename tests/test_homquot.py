@@ -1,11 +1,15 @@
 """Tree categories over a base with a marked subcategory: basis shape,
 structure identities, the formal operation calculus, unit homotopies."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 
+import ainfkit
+from ainfkit import quiver
 from ainfkit.category import (AInfCategory, _bounded_sample, check_stasheff,
                               max_arity_within, opposite, stasheff_defect)
 from ainfkit.freecat import LEAF
@@ -23,8 +27,8 @@ from ainfkit.homquot import (MirrorImage, OperadTerm, admissible,
                              unit_conjugation, unit_derivation,
                              unit_homotopy, valid_tree, wide_count,
                              PartialHomotopy)
-from ainfkit.quiver import BoundError, bounded_tensors, evaluate
-from ainfkit.trees import positive_splits, shape_table
+from ainfkit.quiver import BoundError, MultiOp, bounded_tensors, evaluate
+from ainfkit.trees import interned, positive_splits, shape_table
 from test_category import arrow_with_differential, path3
 from test_yoneda import two_complexes
 
@@ -48,6 +52,61 @@ def tree_pair(which, bobj, bound=3):
 def within_bound(A, length):
     """Every basis tensor of A of a length within its size bound."""
     return list(bounded_tensors(A.quiver, length, A.size_of, A.size_bound))
+
+
+def test_stasheff_sweep_work_is_pinned(monkeypatch):
+    # the engine work of building a model and sweeping it, counted
+    # without a clock: a lost memo, a lost whole-stage path or an extra
+    # stage changes a count
+    counts = {"stages": 0, "whole": 0, "on_basis": 0}
+    apply_stage = quiver.apply_stage
+    on_basis = MultiOp.on_basis
+
+    def counted_stage(stage, state, out=None):
+        counts["stages"] += 1
+        counts["whole"] += stage.whole
+        return apply_stage(stage, state, out)
+
+    def counted_on_basis(op, objs, names):
+        counts["on_basis"] += 1
+        return on_basis(op, objs, names)
+
+    for info in pkgutil.iter_modules(ainfkit.__path__):
+        module = importlib.import_module("ainfkit." + info.name)
+        for attr, value in list(vars(module).items()):
+            if value is apply_stage:
+                monkeypatch.setattr(module, attr, counted_stage)
+    monkeypatch.setattr(MultiOp, "on_basis", counted_on_basis)
+    A = homotopy_quotient(path3(), {1}, 3)
+    tensors = 0
+    for k in (1, 2, 3):
+        for objs, names in within_bound(A, k):
+            tensors += 1
+            assert stasheff_defect(A, k, objs, names).is_zero, names
+    assert tensors == 550
+    assert counts == {"stages": 2247, "whole": 1743, "on_basis": 824}
+
+
+def interned_down(t):
+    return interned(t) is t and all(interned_down(s) for s in t)
+
+
+def test_memo_names_share_the_registry_shapes():
+    # after a sweep, every name the memos hold, as key or as value term,
+    # has the registry's shape objects all the way down
+    A = homotopy_quotient(path3(), {1}, 4)
+    for objs, names in within_bound(A, 2):
+        stasheff_defect(A, 2, objs, names)
+    seen = 0
+    for op in list(A.ops.values()) + [A.homotopy]:
+        for (_, names), value in op.table.items():
+            for name in names + tuple(value.terms):
+                assert interned_down(name[0]), name
+                seen += 1
+    assert seen > 1000
+    # the basis itself, built from shape_table's rows
+    for X, Y in A.quiver.pairs():
+        assert all(interned_down(name[0]) for name in A.hom(X, Y).names)
 
 
 def test_stasheff_exhaustive_within_bound():

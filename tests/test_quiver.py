@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (
+    BoundError,
     CountedTensors,
     GradedQuiver,
     MultiOp,
@@ -208,7 +209,10 @@ def test_insert_reuses_stages():
     assert insert(t, 1, 2) is not insert(t, 2, 1)
     assert insert(t, 0, 0) is not insert(op_t(q), 0, 0)
     assert insertions(t, 2) is insertions(t, 2)
-    assert insertions(t, 1) is not insert(t, 0, 0)
+    # the one-offset component is the whole stage itself
+    assert insertions(t, 1) is insert(t, 0, 0)
+    assert insert(t, 0, 0).whole and not insertions(t, 2).whole
+    assert not insert(t, 1, 0).whole
 
 
 def test_stage_cache_does_not_leak_into_copies():
@@ -393,6 +397,10 @@ def test_tensor_enumeration():
     assert chains == [((0, 1, 2), ("f", "g"))]
     singles = sorted(bounded_tensors(q, 1))
     assert len(singles) == 3
+    assert tensor_degree(q, (0, 1, 2), ("f", "g")) == -2
+    for objs, names in (((0, 1), ("g",)), ((1, 0), ("f",))):
+        with pytest.raises(KeyError):
+            tensor_degree(q, objs, names)
 
 
 def naive_tensors(q, length):
@@ -591,7 +599,8 @@ def test_direct_path_agrees_with_the_per_block_plan(data):
     q = oracle_quiver(ring)
     make, keys = draw_op(data, q)
     ref = make()
-    m = data.draw(st.integers(1, 3))
+    # m = 1 in about half the examples: insertions(op, 1) is the whole stage
+    m = 1 if data.draw(st.booleans()) else data.draw(st.integers(2, 3))
     width = m - 1 + ref.arity
     state = draw_state(data, q, ref.arity, keys, width)
     a = data.draw(st.integers(0, m - 1))
@@ -614,3 +623,49 @@ def test_direct_path_agrees_with_the_per_block_plan(data):
         apply_stage(insert(ref, a, m - 1 - a), bad)
     with pytest.raises(ValueError, match="arity mismatch"):
         apply_stage(insertions(ref, m), bad)
+
+
+def test_whole_stage_passes_a_rule_error_through():
+    # a rule that escapes its bound raises through a whole stage unchanged
+    q = loop_quiver()
+    err = BoundError("past the bound")
+
+    def rule(objs, names):
+        raise err
+
+    op = MultiOp(q, q, 1, 1, rule=rule, name="escapes")
+    assert insert(op, 0, 0).whole
+    with pytest.raises(BoundError) as caught:
+        apply_stage(insert(op, 0, 0), state_of(q, ("a",)))
+    assert caught.value is err
+
+
+def test_whole_stage_miss_without_a_rule_is_zero():
+    q = loop_quiver()
+    t = op_t(q)
+    assert apply_stage(insert(t, 0, 0), state_of(q, ("w",))) == {}
+    out = {(("*", "*"), ("z",)): QQ.one}
+    assert apply_stage(insert(t, 0, 0), state_of(q, ("w",)), out) is out
+    assert out == {(("*", "*"), ("z",)): QQ.one}
+
+
+def test_whole_stage_reads_a_tampered_copy():
+    # a copy of a rule's op with one memo entry doubled, as the
+    # benchmark's control builds it: the whole path reads the copy's
+    # entry before the rule, so the copy minus the original shows a defect
+    q = loop_quiver()
+    t = op_t(q)
+    ruled = MultiOp(q, q, 1, 1, rule=t.on_basis, name="t.ruled")
+    key = (("*", "*"), ("a",))
+    table = dict(ruled.table)
+    table[key] = ruled.on_basis(*key).scale(2)
+    bad = MultiOp(ruled.source, ruled.target, ruled.arity, ruled.degree,
+                  table=table, rule=ruled.rule, lmap=ruled.lmap,
+                  rmap=ruled.rmap, name="t.bad")
+    state = {key: QQ.one, (("*", "*"), ("z",)): QQ.one}
+    good = apply_stage(insert(ruled, 0, 0), state)
+    assert good == {(("*", "*"), ("z",)): QQ.one, (("*", "*"), ("w",)): QQ.one}
+    minus = {k: QQ.neg(c) for k, c in good.items()}
+    assert apply_stage(insert(bad, 0, 0), state, minus) == {
+        (("*", "*"), ("z",)): QQ.one}
+    assert apply_stage(insert(ruled, 0, 0), state) == good

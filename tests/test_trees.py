@@ -6,12 +6,12 @@ import gc
 import itertools
 
 from ainfkit.category import AInfCategory
-from ainfkit.freecat import free_category
+from ainfkit.freecat import corolla, free_category
 from ainfkit.homquot import (homotopy_quotient, path_flags, stages_to_tree,
                              tree_category)
 from ainfkit.quiver import bounded_tensors, evaluate
-from ainfkit.trees import (LEAF, root_split, tree_shapes, tree_stages,
-                           unary_count)
+from ainfkit.trees import (LEAF, interned, root_split, shape_table,
+                           tree_shapes, tree_stages, unary_count)
 from test_category import arrow_with_differential, path3
 
 
@@ -97,3 +97,34 @@ def test_free_category_is_the_tree_category_without_marked_objects():
         assert F.hom(X, Y).degrees == T.hom(X, Y).degrees
         for name in F.hom(X, Y).names:
             assert unary_count(name[0]) == 0
+
+
+def test_interned_shapes_are_the_shape_tables_own():
+    # interned is idempotent and hands back the very objects the shape
+    # tables hold, whatever flavour of table first built them
+    for n in range(1, 5):
+        for unary in (False, True):
+            for reduced in (False, True):
+                for t, _, _ in shape_table(n, unary, reduced):
+                    assert interned(t) is t
+                    assert interned(interned(t)) is t
+                    copy = tuple(list(t))
+                    assert copy is not t or t == LEAF
+                    assert interned(copy) is t
+    assert interned((LEAF, LEAF)) is interned(corolla(2))
+
+
+def test_literal_names_match_interned_names():
+    # names keep their tuple form: a name built from literal tuples is
+    # equal to the basis name, hashes alike, finds it, and prints alike
+    T = tree_category(path3(), {1}, 3)
+    hom = T.hom(0, 2)
+    for literal in ((LEAF, LEAF), corolla(2), ((LEAF,), LEAF),
+                    (LEAF, (LEAF,))):
+        name = (literal, (0, 1, 2), ("f", "g"))
+        basis_name, = [nm for nm in hom.names if nm == name]
+        assert basis_name[0] is interned(literal)
+        assert hash(name) == hash(basis_name)
+        assert repr(name) == repr(basis_name)
+        assert hom.degrees[name] == hom.degrees[basis_name]
+        assert hom.basis_element(name) == hom.basis_element(basis_name)
