@@ -195,18 +195,18 @@ class IdealSpec:
 
 def check_ideal(R):
     """Differential closure of a relation span: the unary operation sends
-    every generator back into the span."""
-    rep = Report("ideal %s" % R.name)
-    F = R.category
-    b1 = F.b(1)
-    for i, (X, Y, v) in enumerate(R.generators):
-        if b1 is None:
-            rep.add("generator %02d" % i, True, "no differential")
-            continue
+    every generator back into the span.  A defect is the image of a
+    generator that leaves it."""
+    b1 = R.category.b(1)
+
+    def outside(X, Y, v):
         img = evaluate(b1, (X, Y), (v,))
-        ok = img.is_zero or R.contains(X, Y, img)
-        rep.add("generator %02d" % i, ok, "pair (%r, %r)" % (X, Y))
-    return rep
+        return None if R.contains(X, Y, img) else img
+
+    return Report("ideal %s" % R.name).tally(
+        "differential closure",
+        (((X, Y), lambda: outside(X, Y, v)) for X, Y, v in R.generators),
+        "generators")
 
 
 def quotient(F, R, name=None):

@@ -5,9 +5,13 @@ stage engine as the structure operations, so every placement sum below
 inherits its Koszul signs from evaluation.  The differential of a
 coderivation is the commutator with the structure operations, written
 componentwise with functor matrix elements on the outside.
+
+_placements is the one enumeration of those sums' blocks: functor
+components, with each coderivation placed once between them.  The
+functor equation, composition, the root solve and the insertion sums
+of B1 and Bn all read it through _chain_into.
 """
 
-import itertools
 import random
 
 from .category import sampled_cases
@@ -70,28 +74,49 @@ def identity_functor(A, name="id"):
     return AInfFunctor(A, A, lambda X: X, {1: op}, name=name)
 
 
-def _functor_blocks(f, a):
-    """Tuples of components of f whose arities sum to a (each at least 1)."""
-    if a == 0:
+def _placements(chain, rs, objs, i=0, pos=0):
+    """Every tuple of blocks on the inputs of objs from pos on: chain[i]'s
+    components, then rs[i] placed once, then chain[i + 1]'s, and so on.
+    An arity-0 placement of rs[i] is its per-object element where it
+    sits, left out when zero."""
+    left = len(objs) - 1 - pos
+    if not left and i == len(rs):
         yield ()
         return
-    for i in range(1, a + 1):
-        op = f.components.get(i)
-        if op is None:
-            continue
-        for rest in _functor_blocks(f, a - i):
-            yield (op,) + rest
-
-
-def _compositions(total, parts):
-    """All tuples of the given length of nonnegative integers with that sum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+    f = chain[i]
+    for j, op in f.components.items():
+        if j <= left:
+            for rest in _placements(chain, rs, objs, i, pos + j):
+                yield (("op", op),) + rest
+    if i == len(rs):
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    X = objs[pos]
+    el = rs[i].component0(X)
+    if not el.is_zero:
+        pair = (f.obj_map(X), chain[i + 1].obj_map(X))
+        for rest in _placements(chain, rs, objs, i + 1, pos):
+            yield (("el", el, pair),) + rest
+    for j, op in rs[i].components.items():
+        if j <= left:
+            for rest in _placements(chain, rs, objs, i + 1, pos + j):
+                yield (("op", op),) + rest
+
+
+def _chain_into(chain, rs, outer, base, out):
+    """Add every placement of rs along chain on the one-key state base,
+    fed into outer(number of blocks) when not None, into out, and return
+    out.  Placements of one block count share a state that outer is
+    applied to once."""
+    [(objs, _)] = base
+    states = {}
+    for blocks in _placements(chain, rs, objs):
+        n = len(blocks)
+        if outer(n) is not None:
+            apply_stage(Stage(chain[0].source.quiver, blocks), base,
+                        states.setdefault(n, {}))
+    for n, state in states.items():
+        apply_stage(insert(outer(n), 0, 0), state, out)
+    return out
 
 
 def functor_defect(f, k, objs, names):
@@ -106,24 +131,9 @@ def functor_defect(f, k, objs, names):
     key = (tuple(objs), tuple(names))
     degree = tensor_degree(qa, objs, names) + 1
     pair = (f.obj_map(objs[0]), f.obj_map(objs[-1]))
-    out = _blocks_into(f, B.b, k, {key: qa.ring.one}, {})
+    out = _chain_into([f], (), B.b, {key: qa.ring.one}, {})
     insertion_sum(A.b, f.component, k, {key: qa.ring.normalize(-1)}, out)
     return state_element(B.quiver, out, pair, degree)
-
-
-def _blocks_into(f, outer, k, base, out):
-    """Add the tuples of blocks of f's components covering k inputs, each
-    fed into outer(number of blocks) when not None, into out; tuples of
-    one block count share a state that outer is applied to once."""
-    states = {}
-    for blocks in _functor_blocks(f, k):
-        n = len(blocks)
-        if outer(n) is not None:
-            apply_stage(Stage(f.source.quiver, [("op", b) for b in blocks]),
-                        base, states.setdefault(n, {}))
-    for n, state in states.items():
-        apply_stage(insert(outer(n), 0, 0), state, out)
-    return out
 
 
 def check_functor(f, arity_bound=None, samples=30, seed=0):
@@ -163,7 +173,7 @@ def compose_functors(f, g, name=None):
             degree = tensor_degree(qa, objs, names)
             pair = (omap(objs[0]), omap(objs[-1]))
             return state_element(g.target.quiver,
-                                 _blocks_into(f, g.component, n, base, {}),
+                                 _chain_into([f], (), g.component, base, {}),
                                  pair, degree)
 
         comps[n] = MultiOp(f.source.quiver, g.target.quiver, n, 0, rule=rule,
@@ -330,7 +340,7 @@ def resolve_at_root(f, label, head=None):
     pair = (lmap(chain[0]), rmap(chain[-1]))
     degree = A.quiver.degree(chain[0], chain[-1], label) + shift
     if head is None:
-        out = _blocks_into(f, B.b, k, {key: normalize(eps)}, {})
+        out = _chain_into([f], (), B.b, {key: normalize(eps)}, {})
     else:
         out = {(pair, (nm,)): c
                for nm, c in head(k, chain, fnames).scale(eps).items()}
@@ -356,56 +366,16 @@ def theta_value(rs, k, objs, names, chain=None):
     rs = list(rs)
     if chain is None:
         chain = [rs[0].source] + [r.target for r in rs]
-    n = len(rs)
-    for i in range(n):
-        if rs[i].source is not chain[i] or rs[i].target is not chain[i + 1]:
+    for i, r in enumerate(rs):
+        if r.source is not chain[i] or r.target is not chain[i + 1]:
             raise ValueError("coderivations do not chain")
-    A = chain[0].source
-    B = chain[0].target
-    qa, qb = A.quiver, B.quiver
+    A, B = chain[0].source, chain[0].target
+    qa = A.quiver
     base = {(tuple(objs), tuple(names)): qa.ring.one}
     degree = tensor_degree(qa, objs, names) + sum(r.degree for r in rs) + 1
     pair = (chain[0].obj_map(objs[0]), chain[-1].obj_map(objs[-1]))
-    states = {}
-    for split in _compositions(k, 2 * n + 1):
-        fas = split[0::2]
-        ps = split[1::2]
-        mids = []
-        ok = True
-        pos = 0
-        for i in range(n):
-            pos += fas[i]
-            if ps[i] == 0:
-                X = objs[pos]
-                el = rs[i].component0(X)
-                if el.is_zero:
-                    ok = False
-                    break
-                mids.append(("el", el, (chain[i].obj_map(X), chain[i + 1].obj_map(X))))
-            else:
-                op = rs[i].component(ps[i])
-                if op is None:
-                    ok = False
-                    break
-                mids.append(("op", op))
-            pos += ps[i]
-        if not ok:
-            continue
-        per = [list(_functor_blocks(chain[i], fas[i])) for i in range(n + 1)]
-        for fblocks in itertools.product(*per):
-            m = sum(len(fb) for fb in fblocks) + n
-            if B.b(m) is None:
-                continue
-            blocks = []
-            for i in range(n):
-                blocks.extend(("op", op) for op in fblocks[i])
-                blocks.append(mids[i])
-            blocks.extend(("op", op) for op in fblocks[n])
-            apply_stage(Stage(qa, blocks), base, states.setdefault(m, {}))
-    out = {}
-    for m, state in states.items():
-        apply_stage(insert(B.b(m), 0, 0), state, out)
-    return state_element(qb, out, pair, degree)
+    return state_element(B.quiver, _chain_into(chain, rs, B.b, base, {}),
+                         pair, degree)
 
 
 def Bn(rs, category=None, arity_bound=None, name=None):

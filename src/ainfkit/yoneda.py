@@ -381,18 +381,12 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
             cross = front % 2 and sum(f.degree for f in zfactors[i:]) % 2
             terms.append(_composite(F, G, -1 if cross else 1))
     for p in range(1, n + 1):
-        op = Aop.b(p)
-        if op is None:
-            continue
         for a in range(0, n - p + 1):
-            mid = evaluate(op, tuple(xobjs[a:a + p + 1]),
-                           tuple(xfactors[a:a + p]))
-            if mid.is_zero:
-                continue
-            sign = -1 if sum(f.degree for f in xfactors[a + p:]) % 2 else 1
-            nxobjs = tuple(xobjs[:a + 1]) + tuple(xobjs[a + p:])
-            nxfacs = tuple(xfactors[:a]) + (mid,) + tuple(xfactors[a + p:])
-            terms.append((_y_value(A, zobjs, zfactors, nxobjs, nxfacs), -sign))
+            res = _apply_inner(Aop, xobjs, xfactors, a, p)
+            if res is not None:
+                sign, nxobjs, nxfacs = res
+                terms.append((_y_value(A, zobjs, zfactors, nxobjs, nxfacs),
+                              -sign))
     total = map_combination(lhs._smod, lhs._tmod, lhs.degree,
                             [(lhs, 1)] + terms)
     return total, content or any(term.matrix for term, _ in terms)

@@ -251,6 +251,21 @@ def test_relation_span_is_differential_closed():
             assert normal_form(D, F, X, Y, el).is_zero
 
 
+def test_ideal_check_names_the_image_leaving_the_span():
+    # the span of the one-leaf u alone: b1(u) = v lies outside it
+    F = free_over(arrow_with_differential(), 3)
+    u = F.hom(0, 1).basis_element((LEAF, (0, 1), ("u",)))
+    v = F.hom(0, 1).basis_element((LEAF, (0, 1), ("v",)))
+    rep = check_ideal(IdealSpec(F, [(0, 1, u)], name="U"))
+    assert not rep.ok, rep.text()
+    assert rep.failures() == [("differential closure",
+                               "defect %s at (0, 1)" % (v,))]
+    closed = check_ideal(IdealSpec(F, [(0, 1, u), (0, 1, v)], name="UV"))
+    assert closed.ok, closed.text()
+    assert closed.checks == [("differential closure", True,
+                              "2 generators, 0 skipped, all")]
+
+
 def test_span_elements_keep_their_order():
     for build in (arrow_with_differential, triple_product, path3):
         D = build()

@@ -1,6 +1,7 @@
 """Source guards: input validation must survive python -O, no private
 helper is left without a caller, and the package has one elimination,
-one check loop and one sparse sum."""
+one check loop, one sparse sum, one schedule runner and one placement
+walk."""
 
 import ast
 import pathlib
@@ -45,6 +46,15 @@ UNIT_STAGERS = {
 }
 STAGE_RUNNERS = {
     ("trees", "tree_pipeline"),
+}
+
+# The top-level definitions that build a Stage from a list of blocks, by
+# (module, name): _padded pads one block list with identities, and
+# _chain_into feeds every placement of functor and coderivation blocks,
+# from the one placement walk functors._placements, into one operation.
+STAGE_BUILDERS = {
+    ("quiver", "_padded"),
+    ("functors", "_chain_into"),
 }
 
 
@@ -164,3 +174,7 @@ def _callers(name):
 def test_one_schedule_runner():
     assert _callers("unit_stage") == UNIT_STAGERS, "unit stage outside"
     assert _callers("run_stages") == STAGE_RUNNERS, "stages run outside"
+
+
+def test_one_placement_walk():
+    assert _callers("Stage") == STAGE_BUILDERS, "stages built outside"

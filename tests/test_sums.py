@@ -5,20 +5,34 @@ outer o (1^a tensor b_m tensor 1^c) terms through one shared state per
 outer arity (quiver.insertion_sum).  The oracles below are the per-term
 forms they replaced: one two-stage run, one Element and one entry of a
 linear_combination per term.
+
+The block sums (component blocks fed into one operation, and the
+insertion sum of a chain of coderivations) are enumerated in the
+library by one placement walk, functors._placements.  The oracles here
+enumerate them on their own: oracle_functor_blocks splits an arity
+into component arities, and oracle_theta splits the inputs into
+2n + 1 segments, one per coderivation and one per functor around them,
+and takes the product of the functor blocks of each segment.
 """
+
+import itertools
+import random
 
 import pytest
 
 from ainfkit.barquot import (bar_quotient, extend_functor, unit_contraction,
                              word_embedding)
 from ainfkit.category import dg_to_ainf, stasheff_defect
-from ainfkit.functors import AInfFunctor, _functor_blocks, functor_defect
+from ainfkit.functors import (AInfFunctor, Bn, functor_defect,
+                              identity_functor, random_coderivation,
+                              theta_value)
 from ainfkit.graded import GradedModule, Ring, linear_combination
 from ainfkit.homquot import homotopy_quotient
-from ainfkit.quiver import (BoundError, Stage, combine_ops, insert,
-                            run_stages, state_element)
+from ainfkit.quiver import (BoundError, Stage, bounded_tensors, combine_ops,
+                            insert, run_stages, state_element)
 from ainfkit.trees import LEAF, root_split
 from test_barquot import models
+from test_category import path3
 from test_freecat import random_binary_extension
 from test_homquot import within_bound
 
@@ -62,8 +76,73 @@ def oracle_tree_b1(D, X, Y, label):
     return linear_combination(q.hom(X, Y), degree, parts)
 
 
+def oracle_functor_blocks(f, a):
+    """Tuples of components of f whose arities sum to a (each at least 1)."""
+    if a == 0:
+        yield ()
+        return
+    for i in range(1, a + 1):
+        op = f.components.get(i)
+        if op is None:
+            continue
+        for rest in oracle_functor_blocks(f, a - i):
+            yield (op,) + rest
+
+
+def compositions(total, parts):
+    """All tuples of the given length of nonnegative integers with that sum."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def oracle_theta(rs, k, objs, names):
+    """theta_value by segments: functor blocks, then rs[0] (an element at
+    arity 0), then functor blocks, ...; one run per placement."""
+    chain = [rs[0].source] + [r.target for r in rs]
+    A, B = chain[0].source, chain[0].target
+    n = len(rs)
+    base = {(tuple(objs), tuple(names)): A.quiver.ring.one}
+    degree = sum(A.quiver.degree(objs[i], objs[i + 1], names[i])
+                 for i in range(k)) + sum(r.degree for r in rs) + 1
+    pair = (chain[0].obj_map(objs[0]), chain[-1].obj_map(objs[-1]))
+    parts = []
+    for split in compositions(k, 2 * n + 1):
+        fas, ps = split[0::2], split[1::2]
+        mids, pos = [], 0
+        for i in range(n):
+            pos += fas[i]
+            if ps[i] == 0:
+                X = objs[pos]
+                mids.append(("el", rs[i].component0(X),
+                             (chain[i].obj_map(X), chain[i + 1].obj_map(X))))
+            else:
+                mids.append(("op", rs[i].component(ps[i])))
+            pos += ps[i]
+        if any(m[1] is None for m in mids):
+            continue
+        per = [list(oracle_functor_blocks(chain[i], fas[i]))
+               for i in range(n + 1)]
+        for fblocks in itertools.product(*per):
+            op = B.b(sum(map(len, fblocks)) + n)
+            if op is None:
+                continue
+            blocks = []
+            for i in range(n):
+                blocks += [("op", b) for b in fblocks[i]] + [mids[i]]
+            blocks += [("op", b) for b in fblocks[n]]
+            state = run_stages([Stage(A.quiver, blocks), insert(op, 0, 0)],
+                               base)
+            parts.append((state_element(B.quiver, state, pair, degree), 1))
+    return linear_combination(B.quiver.hom(*pair), degree, parts)
+
+
 def oracle_blocks_into(f, outer, k, base, target, pair, degree, sign=1):
-    for blocks in _functor_blocks(f, k):
+    for blocks in oracle_functor_blocks(f, k):
         op = outer(len(blocks))
         if op is not None:
             st = Stage(f.source.quiver, [("op", b) for b in blocks])
@@ -252,3 +331,30 @@ def test_sums_over_f7_are_canonical():
         assert got is None or got.is_zero
         checked += got is not None
     assert checked > 0
+
+
+@pytest.mark.parametrize("build", [path3, lambda: arrow_over(Ring("QQ"))],
+                         ids=["path3", "arrow"])
+def test_two_coderivation_chain_matches_segment_oracle(build):
+    A = build()
+    ident = identity_functor(A)
+    checked = nonzero = 0
+    # nonzero per-object components live on the shifted units, degree -1
+    for seed, degrees in enumerate(((-1, -1), (-1, 0), (0, -1), (-1, 1),
+                                    (1, -1))):
+        rng = random.Random(40 + seed)
+        r, s = (random_coderivation(ident, ident, d, 3, rng, 1.0, name=nm)
+                for d, nm in zip(degrees, "rs"))
+        assert r.r0 or s.r0, degrees
+        composed = Bn([r, s])
+        cases = [(0, (X,), ()) for X in A.quiver.objects]
+        cases += [(k, objs, names) for k in (1, 2, 3)
+                  for objs, names in bounded_tensors(A.quiver, k)]
+        for k, objs, names in cases:
+            want = oracle_theta([r, s], k, objs, names)
+            assert theta_value([r, s], k, objs, names) == want, names
+            got = composed.component_value(k, objs, names)
+            assert got == want, (degrees, names)
+            checked += 1
+            nonzero += not want.is_zero
+    assert nonzero > 10, (checked, nonzero)
