@@ -6,7 +6,9 @@ graft trees under a new root, the differential expands one root vertex
 at a time, and two-sided relation spans cut the result back down.  A
 basis element is by definition the value of its own vertex pipeline on
 its leaves, so all signs come out of the stage engine and none are
-stored with the basis.
+stored with the basis, nor with a relation span: a span row fills the
+hole of each one-hole context (_contexts) as one state through the
+engine, and the quotient reads each name's image off the rows.
 
 A free category is the tree category of homquot with no marked objects:
 nothing is adjoined, so no unary vertex is admissible, and the tree
@@ -21,8 +23,9 @@ from .functors import (AInfFunctor, Coderivation, resolve_at_root,
                        strict_functor, theta_value)
 from .graded import Echelon, GradedModule, linear_combination
 from .homquot import defect_images, tree_category
-from .quiver import (GradedQuiver, MultiOp, QuiverMap, bounded_tensors,
-                     evaluate)
+from .quiver import (GradedQuiver, MultiOp, QuiverMap, apply_stage,
+                     bounded_tensors, evaluate, insert, state_element,
+                     tensor_degree)
 from .report import Report, unless_zero
 # leaf_count and vertex_count are re-exported for callers.
 from .trees import (LEAF, leaf_count, tree_pipeline, tree_shapes, tree_stages,
@@ -116,18 +119,25 @@ def _saturate(F, generators):
     bound.  Returns one Echelon under _col_key per (pair, degree), so the
     rows do not depend on the order in which vectors are pushed or
     chains are walked.
+
+    A row in the hole of a context (_contexts) is one state through the
+    stage insert(b_k, 0, 0).  Column keys are cached for the call only.
     """
     ring = F.quiver.ring
     if not ring.is_field:
         raise ValueError("relation spans need field coefficients")
     spans = {}
     work = []
+    walks, cols = {}, {}
+
+    def col_key(label):
+        return cols.get(label) or cols.setdefault(label, _col_key(label))
 
     def push(X, Y, degree, terms):
         key = ((X, Y), degree)
         span = spans.get(key)
         if span is None:
-            span = spans[key] = Echelon(ring, _col_key)
+            span = spans[key] = Echelon(ring, col_key)
         red = span.insert(terms)
         if red is not None:
             work.append((X, Y, degree, dict(red)))
@@ -137,13 +147,18 @@ def _saturate(F, generators):
 
     while work:
         X, Y, degree, vec = work.pop()
-        el = F.hom(X, Y).element(dict(vec), degree)
         budget = F.leaf_bound - max(len(nm[2]) for nm in vec)
         for k in range(2, min(F.max_arity, budget + 1) + 1):
-            for objs, factors in _mixed_tensors(F, k, X, Y, el, budget):
-                w = evaluate(F.b(k), objs, factors)
-                if not w.is_zero:
-                    push(objs[0], objs[-1], w.degree, dict(w.items()))
+            stage = insert(F.b(k), 0, 0)
+            for objs, lnames, rnames, cdeg in _contexts(F, k, X, Y, budget,
+                                                         walks):
+                out = apply_stage(stage, {(objs, lnames + (n,) + rnames): c
+                                          for n, c in vec.items()})
+                if out:
+                    push(objs[0], objs[-1], cdeg + degree + stage.degree,
+                         {names[0]: c for (_, names), c in out.items()})
+    for span in spans.values():
+        span.key = _col_key
     return spans
 
 
@@ -214,7 +229,8 @@ def quotient(F, R, name=None):
 
     Basis names that lead a span row are eliminated; the others survive
     with the same labels.  Operations act on representatives and reduce.
-    Returns the quotient category and the strict projection functor.
+    Returns the quotient category and the strict projection functor: a
+    pivot goes to minus the rest of its row, any other name to itself.
     """
     if R.category is not F:
         raise ValueError("the relation span lives in another category")
@@ -245,11 +261,13 @@ def quotient(F, R, name=None):
     label = name or (F.name + "/" + R.name)
     E = AInfCategory(equiver, eops, F.max_arity,
                      size_of=F.size_of, size_bound=F.size_bound, name=label)
-    images = {}
-    for pair in F.quiver.pairs():
-        mod = F.hom(*pair)
-        images[pair] = {nm: project(pair[0], pair[1], mod.basis_element(nm))
-                        for nm in mod.names}
+    images = {pair: {nm: mod.basis_element(nm) for nm in mod.names}
+              for pair, mod in homs.items()}
+    for (pair, degree), bucket in R.rows().items():
+        images.setdefault(pair, {}).update(
+            (pivot, equiver.hom(*pair).element(
+                {nm: ring.neg(c) for nm, c in row.items() if nm != pivot},
+                degree)) for pivot, row in bucket.items())
     proj = strict_functor(F, E, lambda X: X, images, name="pi")
     return E, proj
 
@@ -395,36 +413,45 @@ def extend_homotopy(phi, psi, degree, target, part0=None, part1=None,
                               [(1, target), (-1, image_d)], name)
 
 
-def _mixed_tensors(F, k, X, Y, el, budget):
-    """Tensors of k factors: el, from X to Y, in one slot and basis names
-    using at most budget leaves in the others.  Yields (objects, factors)."""
-    q, size_of = F.quiver, F.size_of
+def _contexts(F, k, X, Y, budget, walks):
+    """One-hole contexts of arity k around a factor from X to Y: basis
+    names in the other k - 1 slots using at most budget leaves.  Yields
+    (objects, names left of the hole, names right of it, their degree).
+    walks keeps each chain walk by (length, budget, start, end), so a
+    caller that passes one dict walks each chain once."""
+
+    def chains(length, most, start, end):
+        key = (length, most, start, end)
+        if key not in walks:
+            walks[key] = [(objs, names, sum(len(nm[2]) for nm in names),
+                           tensor_degree(F.quiver, objs, names))
+                          for objs, names in bounded_tensors(
+                              F.quiver, length, F.size_of, most, start, end)]
+        return walks[key]
+
     for slot in range(k):
-        for lobjs, lnames in bounded_tensors(q, slot, size_of, budget, end=X):
-            rest = budget  # a plain loop: sum() of a generator costs more
-            for nm in lnames:
-                rest -= len(nm[2])
-            for robjs, rnames in bounded_tensors(q, k - 1 - slot, size_of,
-                                                 rest, start=Y):
-                factors = [F.hom(lobjs[i], lobjs[i + 1]).basis_element(lnames[i])
-                           for i in range(slot)]
-                factors.append(el)
-                factors.extend(
-                    F.hom(robjs[i], robjs[i + 1]).basis_element(rnames[i])
-                    for i in range(k - 1 - slot))
-                yield lobjs + robjs, factors
+        for lobjs, lnames, used, ldeg in chains(slot, budget, None, X):
+            for robjs, rnames, _, rdeg in chains(k - 1 - slot, budget - used,
+                                                 Y, None):
+                yield lobjs + robjs, lnames, rnames, ldeg + rdeg
 
 
 def _mixed_cases(op, k, R):
     """Tally cases for an arity-k component with one span element per
     slot in turn, basis names elsewhere, inside the leaf bound."""
     F = R.category
+    stage = insert(op, 0, 0)
+    walks = {}
     for ((X, Y), degree), bucket in R.rows().items():
         for row in bucket.values():
-            el = F.hom(X, Y).element(dict(row), degree)
             budget = F.leaf_bound - max(len(nm[2]) for nm in row)
-            for objs, factors in _mixed_tensors(F, k, X, Y, el, budget):
-                yield objs, lambda: unless_zero(evaluate(op, objs, factors))
+            for objs, lnames, rnames, cdeg in _contexts(F, k, X, Y, budget,
+                                                         walks):
+                state = {(objs, lnames + (n,) + rnames): c
+                         for n, c in row.items()}
+                yield objs, lambda: unless_zero(state_element(
+                    op.target, apply_stage(stage, state), op.pair_map(objs),
+                    cdeg + degree + stage.degree))
 
 
 def check_factorizes(f, R):

@@ -93,6 +93,8 @@ class Ring:
         return self.normalize(x) == 0
 
     def inv(self, x):
+        if type(x) is int and (x == 1 or x == -1 and self.p is None):
+            return x  # a canonical unit that is its own inverse
         x = self.normalize(x)
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -548,7 +550,8 @@ class Echelon:
             return None
         pivot = min(vec, key=self.key)
         inv = ring.inv(vec[pivot])
-        vec = {col: ring.mul(inv, val) for col, val in vec.items()}
+        if inv != 1:
+            vec = {col: ring.mul(inv, val) for col, val in vec.items()}
         # not accumulate: index must follow each entry that appears or cancels
         for q in index.pop(pivot, ()):
             row = rows[q]
@@ -557,7 +560,7 @@ class Echelon:
                 if col == pivot:
                     continue
                 new = ring.sub(row.get(col, ring.zero), ring.mul(c, val))
-                if ring.is_zero(new):
+                if new == 0:  # sub returns the canonical value
                     del row[col]
                     holders = index[col]
                     holders.discard(q)

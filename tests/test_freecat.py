@@ -1,13 +1,17 @@
 """Free categories: grafting, differential, relation spans, quotients,
 and the three extension constructions over tree names."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ainfkit
+from ainfkit import quiver
 from ainfkit.category import AInfCategory, check_stasheff, dg_to_ainf
 from ainfkit.freecat import (LEAF, IdealSpec, _col_key, check_factorizes,
                              check_ideal, corolla, extend_functor,
@@ -751,6 +755,112 @@ def test_saturated_span_matches_dense_oracle(build):
     got = R.rows()
     assert any(got.values())
     assert span_entries(got) == span_entries(dense_saturation(F, R.generators))
+
+
+def reference_saturation(F, generators):
+    """The saturation as one Element per factor and one evaluate per
+    one-hole tensor, pushed into the library Echelon under _col_key.
+    Unlike dense_saturation it is fast enough for leaf bound 5."""
+    q, ring = F.quiver, F.quiver.ring
+    spans, work = {}, []
+
+    def push(X, Y, degree, terms):
+        span = spans.get(((X, Y), degree))
+        if span is None:
+            span = spans[((X, Y), degree)] = Echelon(ring, _col_key)
+        red = span.insert(terms)
+        if red is not None:
+            work.append((X, Y, degree, dict(red)))
+
+    for X, Y, el in generators:
+        push(X, Y, el.degree, dict(el.items()))
+    while work:
+        X, Y, degree, vec = work.pop()
+        el = F.hom(X, Y).element(dict(vec), degree)
+        budget = F.leaf_bound - max(len(nm[2]) for nm in vec)
+        for k in range(2, min(F.max_arity, budget + 1) + 1):
+            for slot in range(k):
+                for lobjs, lnames in bounded_tensors(q, slot, F.size_of,
+                                                     budget, end=X):
+                    rest = budget - sum(len(nm[2]) for nm in lnames)
+                    for robjs, rnames in bounded_tensors(
+                            q, k - 1 - slot, F.size_of, rest, start=Y):
+                        objs = lobjs + robjs
+                        factors = [F.hom(*objs[i:i + 2]).basis_element(nm)
+                                   for i, nm in enumerate(lnames)]
+                        factors.append(el)
+                        factors += [F.hom(*robjs[i:i + 2]).basis_element(nm)
+                                    for i, nm in enumerate(rnames)]
+                        w = evaluate(F.b(k), objs, factors)
+                        if not w.is_zero:
+                            push(objs[0], objs[-1], w.degree, dict(w.items()))
+    return {key: span.rows for key, span in spans.items()}
+
+
+@pytest.mark.parametrize("build", [arrow_with_differential, path3])
+def test_saturation_and_quotient_match_reference_at_bound_5(build):
+    D = build()
+    F = free_over(D, 5)
+    R = structure_relations(D, F)
+    want = reference_saturation(F, R.generators)
+    assert span_entries(R.rows()) == span_entries(want)
+    E, proj = quotient(F, R)
+    f1 = proj.component(1)
+    for pair in F.quiver.pairs():
+        mod = F.hom(*pair)
+        dead = {pivot for (p, _), bucket in want.items() if p == pair
+                for pivot in bucket}
+        assert E.hom(*pair).names == tuple(nm for nm in mod.names
+                                           if nm not in dead)
+        for nm in mod.names:
+            got = f1.on_basis(pair, (nm,))
+            red = R.reduce(*pair, mod.basis_element(nm))
+            assert got.degree == red.degree
+            # repr keeps the scalar type, as in span_entries
+            assert list(map(repr, got.items())) == list(map(repr, red.items()))
+
+
+def test_saturation_work_is_pinned(monkeypatch):
+    # the saturation's work counted without a clock: pushes into the spans,
+    # the independent rows among them and graft rules run are those of the
+    # per-tensor evaluate loop of reference_saturation; every product is one
+    # whole stage, and no column-key memo outlives the call
+    D = path3()
+    F = free_over(D, 4)
+    R = structure_relations(D, F)
+    counts = {"stages": 0, "whole": 0, "pushes": 0, "rows": 0, "misses": 0}
+    apply_stage = quiver.apply_stage
+    on_basis = MultiOp.on_basis
+    insert_row = Echelon.insert
+
+    def counted_stage(stage, state, out=None):
+        counts["stages"] += 1
+        counts["whole"] += stage.whole
+        return apply_stage(stage, state, out)
+
+    def counted_on_basis(op, objs, names):
+        if op.rule is not None and (tuple(objs), tuple(names)) not in op.table:
+            counts["misses"] += 1
+        return on_basis(op, objs, names)
+
+    def counted_insert(span, vec):
+        counts["pushes"] += 1
+        red = insert_row(span, vec)
+        counts["rows"] += red is not None
+        return red
+
+    for info in pkgutil.iter_modules(ainfkit.__path__):
+        module = importlib.import_module("ainfkit." + info.name)
+        for attr, value in list(vars(module).items()):
+            if value is apply_stage:
+                monkeypatch.setattr(module, attr, counted_stage)
+    monkeypatch.setattr(MultiOp, "on_basis", counted_on_basis)
+    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    R.rows()
+    assert counts == {"stages": 261, "whole": 261, "pushes": 307,
+                      "rows": 286, "misses": 240}
+    assert sum(len(bucket) for bucket in R.rows().values()) == 286
+    assert all(span.key is _col_key for span in R._spans.values())
 
 
 @pytest.mark.parametrize("build", [arrow_with_differential, path3])

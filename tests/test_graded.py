@@ -43,6 +43,27 @@ def test_ring_zz_rejects_nonunits():
         ZZ.inv(2)
 
 
+def test_inverse_of_units_is_canonical():
+    # ±1 may be returned as given, but only in canonical form: an int
+    # when integral, an int in range(p) over F_p
+    F7 = Ring("Fp", 7)
+    want = {
+        QQ: [1, -1, Fraction(1, 2), Fraction(3, 2), -3],
+        F7: [1, 6, 4, 5, 4],
+        ZZ: [1, -1, None, None, None],
+    }
+    for ring, inverses in want.items():
+        for x, inv in zip((1, -1, 2, Fraction(2, 3), Fraction(-1, 3)),
+                          inverses):
+            for arg in (x, Fraction(x)):
+                if inv is None:
+                    with pytest.raises(ValueError):
+                        ring.inv(arg)
+                    continue
+                got = ring.inv(arg)
+                assert got == inv and type(got) is type(inv), (ring, arg)
+
+
 def test_ring_rejects_bad_input():
     with pytest.raises(ValueError):
         Ring("RR")

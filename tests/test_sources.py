@@ -1,7 +1,7 @@
 """Source guards: input validation must survive python -O, no private
 helper is left without a caller, and the package has one elimination,
-one check loop, one sparse sum, one schedule runner and one placement
-walk."""
+one check loop, one sparse sum, one schedule runner, one placement
+walk and one context walk."""
 
 import ast
 import pathlib
@@ -55,6 +55,14 @@ STAGE_RUNNERS = {
 STAGE_BUILDERS = {
     ("quiver", "_padded"),
     ("functors", "_chain_into"),
+}
+
+# The top-level definitions that walk chains from or to a given object
+# (bounded_tensors with start or end), by (module, name): freecat._contexts
+# is the one walk of one-hole contexts, read by the span saturation and by
+# check_factorizes.
+END_WALKERS = {
+    ("freecat", "_contexts"),
 }
 
 
@@ -178,3 +186,19 @@ def test_one_schedule_runner():
 
 def test_one_placement_walk():
     assert _callers("Stage") == STAGE_BUILDERS, "stages built outside"
+
+
+def _walks_from_an_end(node):
+    """A bounded_tensors call given start or end, by keyword or position."""
+    return (isinstance(node, ast.Call)
+            and "bounded_tensors" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))
+            and (len(node.args) > 4
+                 or any(kw.arg in ("start", "end") for kw in node.keywords)))
+
+
+def test_one_context_walk():
+    found = {(module, top.name) for module, top in top_level_defs()
+             if any(_walks_from_an_end(node) for node in ast.walk(top))}
+    assert found == END_WALKERS, "end-anchored walks outside: %r" % (
+        sorted(found ^ END_WALKERS),)
