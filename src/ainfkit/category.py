@@ -90,15 +90,8 @@ class AInfCategory:
 
 def hom_complex(A, X, Y, check=True):
     """The shifted hom module at (X, Y) with its arity-1 operation."""
-    mod = A.quiver.hom(X, Y)
-    b1 = A.b(1)
-    d = {}
-    if b1 is not None:
-        for nm in mod.names:
-            img = b1.on_basis((X, Y), (nm,))
-            if not img.is_zero:
-                d[nm] = img
-    return Complex(mod, d, check=check)
+    return Complex(A.quiver.hom(X, Y), b1_chain_map(A, X, Y).matrix,
+                   check=check)
 
 
 def b1_chain_map(A, X, Y):
@@ -599,6 +592,9 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
     b1, b2 = A.b(1), A.b(2)
     if b2 is None:
         raise ValueError("unit homotopies need an arity-2 operation")
+    if max_size is not None and A.size_of is None:
+        raise ValueError("max_size needs a size function (size_of) on %s"
+                         % A.name)
 
     def d1(X, Y, el):
         if b1 is None or el.is_zero:

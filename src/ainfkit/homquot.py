@@ -22,7 +22,10 @@ vertices; the samplers and enumerators downstream rely on both.
 The second half of the module is the calculus of formal operations
 (unary homotopies, higher operations, unit insertions) acting on the
 tree categories: their differential, the unit-insertion right
-derivation, and the unit homotopies built from it.  All signs come from
+derivation, and the right and left unit homotopies.  Each homotopy is
+minus the sum of the unit insertions after the last leaf or before the
+first, signed by -1 to the path vertices after the fed one (right) or
+to the fed stage and all stages after it (left).  All signs come from
 the stage engine; a basis element is the value of its own vertex
 pipeline, and a formal term carries a canonical schedule, so any other
 schedule of the same term is compared through its engine sign.  Every
@@ -33,10 +36,10 @@ arity-0 unit step.
 
 import random
 
-from .category import AInfCategory, opposite, verify_unit_homotopy
+from .category import AInfCategory, verify_unit_homotopy
 from .functors import strict_functor
-from .graded import GradedModule, accumulate, koszul_sign, linear_combination
-from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
+from .graded import GradedModule, accumulate, linear_combination
+from .quiver import (BoundError, GradedQuiver, MultiOp,
                      apply_stage, bounded_tensors, evaluate, insert,
                      insertion_sum, state_element, tensor_degree)
 from .report import Report, unless_zero
@@ -514,30 +517,33 @@ def operad_d(term):
     return _collect(ring, pieces)
 
 
-def unit_insertions(tree):
+def _unit_insertions(tree, left):
     """The unit insertions of a cap-free tree as (sign, schedule) pairs.
 
-    A fresh unit leaf after the last leaf is fed to each vertex on the
-    path from the root to the last leaf: an operation gains it as a
-    capped last input, a homotopy becomes homotopy, capped operation,
-    homotopy.  The sign counts the path vertices below the fed one.
+    A fresh unit leaf after the last leaf, or with left before the first,
+    is fed to each vertex on the path from the root to that leaf (on the
+    left, the stages at offset 0): an operation gains it as a capped
+    input, a homotopy becomes homotopy, capped operation, homotopy.  The
+    sign is -1 to the path vertices after the fed one in stage order
+    (right), or to the fed stage and all stages after it (left).
     """
     stages = tree_stages(tree)
-    flags = path_flags(tree)
+    on_path = [off == 0 for off, _ in stages] if left else path_flags(tree)
     for m, (off, ar) in enumerate(stages):
-        if not flags[m]:
+        if not on_path[m]:
             continue
+        unit = (off if left else off + ar, 0)
         if ar == 1:
-            repl = [(off, 1), (off + 1, 0), (off, 2), (off, 1)]
+            repl = [(off, 1), unit, (off, 2), (off, 1)]
         else:
-            repl = [(off + ar, 0), (off, ar + 1)]
-        yield (-1 if sum(flags[m + 1:]) % 2 else 1,
-               stages[:m] + repl + stages[m + 1:])
+            repl = [unit, (off, ar + 1)]
+        after = len(stages) - m if left else sum(on_path[m + 1:])
+        yield -1 if after % 2 else 1, stages[:m] + repl + stages[m + 1:]
 
 
 def unit_derivation(term):
     """The right derivation that feeds a fresh unit leaf to every vertex
-    on the path from the root to the last leaf (unit_insertions)."""
+    on the path from the root to the last leaf (_unit_insertions)."""
     ring = term.ring
     pieces = []
     for (tree, gobjs, caps), coeff in term.data.items():
@@ -546,7 +552,7 @@ def unit_derivation(term):
         ext = gobjs + (gobjs[-1],)
         width = leaf_count(tree)
         pieces.extend((ring.mul(coeff, sign), schedule, width, ext)
-                      for sign, schedule in unit_insertions(tree))
+                      for sign, schedule in _unit_insertions(tree, False))
     return _collect(ring, pieces)
 
 
@@ -818,155 +824,40 @@ class PartialHomotopy:
 
 
 def unit_homotopy(D):
-    """The right unit homotopy of a reduced tree category.
+    """The right unit homotopy of a reduced tree category."""
+    return _unit_homotopy(D, False)
 
-    The value on a basis tree inserts a unit next to each vertex on the
-    path from the root to the last leaf, as in the unit-insertion
-    derivation, and evaluates back in the category.  Only names with a
-    spare leaf under the bound have values; trivial trees go to zero.
+
+def left_unit_homotopy(D):
+    """The left unit homotopy of a reduced tree category."""
+    return _unit_homotopy(D, True)
+
+
+def _unit_homotopy(D, left):
+    """The unit homotopy on the given side of a reduced tree category.
+
+    The value on a basis tree is minus the signed sum of its unit
+    insertions on that side (_unit_insertions), evaluated back in the
+    category.  Only names with a spare leaf under the bound have values;
+    trivial trees go to zero.
     """
     if not D.units:
         raise ValueError("the unit homotopy needs distinguished units")
     matrices = {}
     for pair in D.quiver.pairs():
-        mat = {}
-        for nm in D.hom(*pair).names:
-            if len(nm[2]) + 1 > D.leaf_bound:
-                continue
-            mat[nm] = _homotopy_value(D, *nm)
-        matrices[pair] = mat
-    return PartialHomotopy(D, matrices)
-
-
-def _homotopy_value(D, t, gobjs, gnames):
-    degree = name_degree(D.base.quiver, t, gobjs, gnames) - 1
-    seed = tuple((LEAF, (gobjs[i], gobjs[i + 1]), (gnames[i],))
-                 for i in range(len(gnames)))
-    return linear_combination(D.hom(gobjs[0], gobjs[-1]), degree, (
-        (tree_pipeline(D, schedule, gobjs, seed), -sign)
-        for sign, schedule in unit_insertions(t)))
-
-
-class MirrorImage:
-    """The mirror identification one name at a time, memoized.
-
-    image(label) is (mirrored name, sign): trivial names map to trivial
-    names, and homotopies and operations are carried through the
-    reversal with the engine's signs, each read off one on_basis value
-    of the arrow-reversed base's reduced category Dm.  Only the names
-    asked for, and the subtrees they are built from, are computed.
-    """
-
-    def __init__(self, D, Dm):
-        self.D, self.Dm = D, Dm
-        self.memo = {}
-
-    def image(self, label):
-        out = self.memo.get(label)
-        if out is not None:
-            return out
-        D, Dm = self.D, self.Dm
-        ring = D.quiver.ring
-        t, gobjs, gnames = label
-        X, Y = gobjs[0], gobjs[-1]
-        if t == LEAF:
-            out = ((LEAF, (Y, X), gnames), ring.one)
-        elif len(t) == 1:
-            inner, c = self.image((t[0], gobjs, gnames))
-            out = _single_name(Dm.homotopy.on_basis((Y, X), (inner,)), c,
-                               label)
-        else:
-            k, chain, fnames, eps = root_split(D.base.quiver, label)
-            q = D.quiver
-            degs = [q.degree(fn[1][0], fn[1][-1], fn) for fn in reversed(fnames)]
-            # the name's coefficient in opD.b(k) of the reversed factors
-            c = koszul_sign(range(k - 1, -1, -1), degs) * (-eps if k % 2 == 0 else eps)
-            names = []
-            for fn in reversed(fnames):
-                name, sign = self.image(fn)
-                names.append(name)
-                c = ring.mul(c, sign)
-            out = _single_name(Dm.b(k).on_basis(tuple(reversed(chain)),
-                                                tuple(names)), c, label)
-        self.memo[label] = out
-        return out
-
-    def preimage(self, mlabel):
-        """The name whose image is mlabel, with that image's sign: the
-        reversed tree on the reversed objects and arrows."""
-        t, mobjs, mnames = mlabel
-        label = (_reversed_tree(t), tuple(reversed(mobjs)),
-                 tuple(reversed(mnames)))
-        name, sign = self.image(label)
-        if name != mlabel:
-            raise ValueError("%r mirrors to %r, not %r" % (label, name, mlabel))
-        return label, sign
-
-
-def _reversed_tree(t):
-    return tuple(_reversed_tree(s) for s in reversed(t))
-
-
-def _single_name(el, c, label):
-    """(name, c * coefficient) of a one-term value whose coefficient
-    times c is a sign; anything else raises."""
-    ring = el.module.ring
-    if len(el.terms) != 1:
-        raise ValueError("the mirror of %r is not a single name" % (label,))
-    (name, v), = el.terms.items()
-    v = ring.mul(v, c)
-    if ring.mul(v, v) != ring.one:
-        raise ValueError("the mirror of %r carries %s, not a sign"
-                         % (label, ring.fmt(v)))
-    return name, v
-
-
-def mirror_map(D, Dm):
-    """Identify the arrow-reversed reduced category with the reduced
-    category of the arrow-reversed base.
-
-    Each basis name lands on a single mirrored name up to sign; see
-    MirrorImage.  Returns the arrow-reversed category and the
-    identification as a quiver map out of it.
-    """
-    opD = opposite(D)
-    mirror = MirrorImage(D, Dm)
-    comps = {}
-    for X, Y in D.quiver.pairs():
-        hom = Dm.hom(Y, X)
-        comps[(Y, X)] = {nm: hom.basis_element(*mirror.image(nm))
-                         for nm in D.hom(X, Y).names}
-    return opD, QuiverMap(opD.quiver, Dm.quiver, 0, comps)
-
-
-def left_unit_homotopy(D, Dm=None):
-    """The left unit homotopy: the right one of the arrow-reversed
-    construction, transported through the mirror identification.
-
-    Only the names with a value and the names their mirrored values
-    land on are mirrored.  A sign is its own inverse, so a mirrored
-    name's preimage carries the sign of its image.
-    """
-    if Dm is None:
-        Dm = homotopy_quotient(opposite(D.base), D.bobjs, D.leaf_bound,
-                               name=D.name + ".mirror")
-    mirror = MirrorImage(D, Dm)
-    hm = unit_homotopy(Dm)
-    mul = D.quiver.ring.mul
-    matrices = {}
-    for (X, Y) in D.quiver.pairs():
-        hom, mhom = D.hom(X, Y), Dm.hom(Y, X)
+        hom = D.hom(*pair)
         mat = {}
         for nm in hom.names:
-            if len(nm[2]) + 1 > D.leaf_bound:
+            t, gobjs, gnames = nm
+            if len(gnames) + 1 > D.leaf_bound:
                 continue
-            hv = hm.apply(Y, X, mhom.basis_element(*mirror.image(nm)))
-            terms = {}
-            for mnm, c in hv.items():
-                pre, sign = mirror.preimage(mnm)
-                terms[pre] = mul(c, sign)
-            mat[nm] = hom.element(terms, hv.degree)
-        matrices[(X, Y)] = mat
+            seed = tuple((LEAF, (gobjs[i], gobjs[i + 1]), (gnames[i],))
+                         for i in range(len(gnames)))
+            mat[nm] = linear_combination(
+                hom, name_degree(D.base.quiver, *nm) - 1, (
+                    (tree_pipeline(D, schedule, gobjs, seed), -sign)
+                    for sign, schedule in _unit_insertions(t, left)))
+        matrices[pair] = mat
     return PartialHomotopy(D, matrices)
 
 

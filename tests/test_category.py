@@ -545,6 +545,9 @@ def _validation_cases():
         "strict unit b2": (lambda: check_strict_unit(bare), "arity-2 operation"),
         "unit homotopy b2": (lambda: verify_unit_homotopy(bare, None, None),
                              "arity-2 operation"),
+        "unit homotopy sizes": (lambda: verify_unit_homotopy(A, None, None,
+                                                             max_size=1),
+                                "size function"),
         "contractible field": (lambda: check_contractible_functor(over_zz),
                                "field coefficients"),
         "pseudounital field": (lambda: check_pseudounital_functor(over_zz),
@@ -555,7 +558,7 @@ def _validation_cases():
 @pytest.mark.parametrize("case", [
     "arity range", "op arity", "op quiver", "unit degree", "unit module",
     "unit cycle", "no homs", "strict unit b2", "unit homotopy b2",
-    "contractible field", "pseudounital field"])
+    "unit homotopy sizes", "contractible field", "pseudounital field"])
 def test_category_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):

@@ -9,26 +9,27 @@ import random
 import pytest
 
 import ainfkit
-from ainfkit import quiver
+from ainfkit import homquot, quiver
 from ainfkit.category import (AInfCategory, _bounded_sample, check_stasheff,
                               max_arity_within, opposite, stasheff_defect)
 from ainfkit.freecat import LEAF
 from ainfkit.functors import check_functor, strict_functor
-from ainfkit.graded import Ring
-from ainfkit.homquot import (MirrorImage, OperadTerm, admissible,
+from ainfkit.graded import Ring, koszul_sign
+from ainfkit.homquot import (OperadTerm, admissible,
                              check_action_chain, check_operad, check_reduction,
                              check_unit_homotopies, compose_terms,
                              composite_defect,
                              homotopy_quotient, leaf_count,
-                             left_unit_homotopy, mirror_map, operad_d,
+                             left_unit_homotopy, operad_d,
                              projection_functor, reduced_tree,
                              term_value, tree_category, tree_shapes,
                              tree_value, unary_count, unary_spans,
                              unit_conjugation, unit_derivation,
                              unit_homotopy, valid_tree, wide_count,
                              PartialHomotopy)
-from ainfkit.quiver import BoundError, MultiOp, bounded_tensors, evaluate
-from ainfkit.trees import interned, positive_splits, shape_table
+from ainfkit.quiver import (BoundError, MultiOp, QuiverMap, bounded_tensors,
+                            evaluate)
+from ainfkit.trees import interned, positive_splits, root_split, shape_table
 from test_category import arrow_with_differential, path3
 from test_yoneda import two_complexes
 
@@ -491,13 +492,191 @@ def test_unit_homotopy_values():
         h.apply(0, 2, D.hom(0, 2).basis_element(big[0]))
 
 
+def marked_quotient(which, bobjs, bound=3):
+    """The reduced tree category of a fixture over a set of marks."""
+    key = (which, tuple(sorted(bobjs)), bound)
+    if key not in _CACHE:
+        C = path3() if which == "path3" else arrow_with_differential()
+        _CACHE[key] = homotopy_quotient(C, frozenset(bobjs), bound)
+    return _CACHE[key]
+
+
+# one mark on each fixture, then two
+LAW_MODELS = [("path3", {1}), ("arrow", {1}), ("arrow", {0}),
+              ("path3", {0, 2}), ("arrow", {0, 1})]
+
+
 def test_unit_homotopy_laws():
-    for which, bobj in (("path3", 1), ("arrow", 1), ("arrow", 0)):
-        _, _, D = tree_pair(which, bobj)
+    for which, bobjs in LAW_MODELS:
+        D = marked_quotient(which, bobjs)
         h = unit_homotopy(D)
         hp = left_unit_homotopy(D)
         rep = check_unit_homotopies(D, h, hp)
-        assert rep.ok, (which, bobj, rep.text())
+        assert rep.ok, (which, bobjs, rep.text())
+
+
+# The mirror identification: the reference oracle for the left unit
+# homotopy, which the arrow-reversed construction's right unit homotopy
+# gives once transported back name by name.
+
+
+class MirrorImage:
+    """The mirror identification one name at a time, memoized.
+
+    image(label) is (mirrored name, sign): trivial names map to trivial
+    names, and homotopies and operations are carried through the
+    reversal with the engine's signs, each read off one on_basis value
+    of the arrow-reversed base's reduced category Dm.  Only the names
+    asked for, and the subtrees they are built from, are computed.
+    """
+
+    def __init__(self, D, Dm):
+        self.D, self.Dm = D, Dm
+        self.memo = {}
+
+    def image(self, label):
+        out = self.memo.get(label)
+        if out is not None:
+            return out
+        D, Dm = self.D, self.Dm
+        ring = D.quiver.ring
+        t, gobjs, gnames = label
+        X, Y = gobjs[0], gobjs[-1]
+        if t == LEAF:
+            out = ((LEAF, (Y, X), gnames), ring.one)
+        elif len(t) == 1:
+            inner, c = self.image((t[0], gobjs, gnames))
+            out = _single_name(Dm.homotopy.on_basis((Y, X), (inner,)), c,
+                               label)
+        else:
+            k, chain, fnames, eps = root_split(D.base.quiver, label)
+            q = D.quiver
+            degs = [q.degree(fn[1][0], fn[1][-1], fn) for fn in reversed(fnames)]
+            # the name's coefficient in opD.b(k) of the reversed factors
+            c = koszul_sign(range(k - 1, -1, -1), degs) * (-eps if k % 2 == 0 else eps)
+            names = []
+            for fn in reversed(fnames):
+                name, sign = self.image(fn)
+                names.append(name)
+                c = ring.mul(c, sign)
+            out = _single_name(Dm.b(k).on_basis(tuple(reversed(chain)),
+                                                tuple(names)), c, label)
+        self.memo[label] = out
+        return out
+
+    def preimage(self, mlabel):
+        """The name whose image is mlabel, with that image's sign: the
+        reversed tree on the reversed objects and arrows."""
+        t, mobjs, mnames = mlabel
+        label = (_reversed_tree(t), tuple(reversed(mobjs)),
+                 tuple(reversed(mnames)))
+        name, sign = self.image(label)
+        if name != mlabel:
+            raise ValueError("%r mirrors to %r, not %r" % (label, name, mlabel))
+        return label, sign
+
+
+def _reversed_tree(t):
+    return tuple(_reversed_tree(s) for s in reversed(t))
+
+
+def _single_name(el, c, label):
+    """(name, c * coefficient) of a one-term value whose coefficient
+    times c is a sign; anything else raises."""
+    ring = el.module.ring
+    if len(el.terms) != 1:
+        raise ValueError("the mirror of %r is not a single name" % (label,))
+    (name, v), = el.terms.items()
+    v = ring.mul(v, c)
+    if ring.mul(v, v) != ring.one:
+        raise ValueError("the mirror of %r carries %s, not a sign"
+                         % (label, ring.fmt(v)))
+    return name, v
+
+
+def mirror_map(D, Dm):
+    """Identify the arrow-reversed reduced category with the reduced
+    category of the arrow-reversed base.
+
+    Each basis name lands on a single mirrored name up to sign; see
+    MirrorImage.  Returns the arrow-reversed category and the
+    identification as a quiver map out of it.
+    """
+    opD = opposite(D)
+    mirror = MirrorImage(D, Dm)
+    comps = {}
+    for X, Y in D.quiver.pairs():
+        hom = Dm.hom(Y, X)
+        comps[(Y, X)] = {nm: hom.basis_element(*mirror.image(nm))
+                         for nm in D.hom(X, Y).names}
+    return opD, QuiverMap(opD.quiver, Dm.quiver, 0, comps)
+
+
+def mirrored_left_homotopy(D):
+    """The left unit homotopy as the right one of the arrow-reversed
+    construction, transported through the mirror identification.
+
+    A sign is its own inverse, so a mirrored name's preimage carries the
+    sign of its image.
+    """
+    Dm = homotopy_quotient(opposite(D.base), D.bobjs, D.leaf_bound,
+                           name=D.name + ".mirror")
+    mirror = MirrorImage(D, Dm)
+    hm = unit_homotopy(Dm)
+    mul = D.quiver.ring.mul
+    matrices = {}
+    for (X, Y) in D.quiver.pairs():
+        hom, mhom = D.hom(X, Y), Dm.hom(Y, X)
+        mat = {}
+        for nm in hom.names:
+            if len(nm[2]) + 1 > D.leaf_bound:
+                continue
+            hv = hm.apply(Y, X, mhom.basis_element(*mirror.image(nm)))
+            terms = {}
+            for mnm, c in hv.items():
+                pre, sign = mirror.preimage(mnm)
+                terms[pre] = mul(c, sign)
+            mat[nm] = hom.element(terms, hv.degree)
+        matrices[(X, Y)] = mat
+    return PartialHomotopy(D, matrices)
+
+
+# every nonempty mark set of both fixtures at bounds 2 and 3, and one
+# model at bound 4
+MIRROR_CASES = {"%s-%s-%d" % (which, ",".join(map(str, marks)), bound):
+                (which, marks, bound)
+                for which, objs in (("path3", (0, 1, 2)), ("arrow", (0, 1)))
+                for r in range(1, len(objs) + 1)
+                for marks in itertools.combinations(objs, r)
+                for bound in (2, 3)}
+MIRROR_CASES["path3-1-4"] = ("path3", (1,), 4)
+
+
+@pytest.mark.parametrize("case", list(MIRROR_CASES))
+def test_left_unit_homotopy_is_the_mirrored_right_one(case):
+    D = marked_quotient(*MIRROR_CASES[case])
+    assert left_unit_homotopy(D).matrices == mirrored_left_homotopy(D).matrices
+
+
+def test_left_rule_with_the_path_count_sign_fails_the_left_law(monkeypatch):
+    # each left schedule's coefficient in the value is (-1)^(stages
+    # after the fed vertex); the mutant counts only the path vertices
+    # after it, as the right side does
+    insertions = homquot._unit_insertions
+
+    def path_count_signs(tree, left):
+        pairs = list(insertions(tree, left))
+        if not left:
+            return pairs
+        return [(-1 if (len(pairs) - i) % 2 else 1, schedule)
+                for i, (_, schedule) in enumerate(pairs)]
+
+    monkeypatch.setattr(homquot, "_unit_insertions", path_count_signs)
+    for which, bobjs in LAW_MODELS:
+        D = marked_quotient(which, bobjs)
+        rep = check_unit_homotopies(D, unit_homotopy(D), left_unit_homotopy(D))
+        laws = {name: ok for name, ok, _ in rep.checks}
+        assert laws["right law"] and not laws["left law"], (which, bobjs)
 
 
 def test_mirror_map_is_an_isomorphism():
@@ -588,6 +767,8 @@ def _validation_cases():
             D, capped, (0, 1), ((LEAF, (0, 1), ("f",)),)), "strands of"),
         "no units": (lambda: unit_homotopy(homotopy_quotient(bare, {1}, 2)),
                      "distinguished units"),
+        "left no units": (lambda: left_unit_homotopy(
+            homotopy_quotient(bare, {1}, 2)), "distinguished units"),
     }
 
 
@@ -595,7 +776,7 @@ def _validation_cases():
     "unknown object", "leaf bound", "defect base", "defect arity",
     "projection bounds", "term objects", "term cap", "derivation caps",
     "compose slot", "conjugation caps", "empty term", "term inputs",
-    "term strands", "no units"])
+    "term strands", "no units", "left no units"])
 def test_homquot_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):

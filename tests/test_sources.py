@@ -1,7 +1,8 @@
 """Source guards: input validation must survive python -O, no private
 helper is left without a caller, and the package has one elimination,
 one check loop, one sparse sum, one schedule runner, one placement
-walk and one context walk."""
+walk and one context walk, and builds tree categories only in their
+constructors."""
 
 import ast
 import pathlib
@@ -182,6 +183,13 @@ def _callers(name):
 def test_one_schedule_runner():
     assert _callers("unit_stage") == UNIT_STAGERS, "unit stage outside"
     assert _callers("run_stages") == STAGE_RUNNERS, "stages run outside"
+
+
+def test_tree_categories_built_only_by_constructors():
+    # a tree category comes only from its constructors, never from a
+    # check or a homotopy built on another one
+    assert _callers("homotopy_quotient") == set(), "a second tree category"
+    assert _callers("tree_category") == {("freecat", "free_category")}
 
 
 def test_one_placement_walk():

@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 from ainfkit.category import complexes_category, opposite
 from ainfkit.graded import (ChainMap, GradedModule, Ring, linear_combination,
                             map_combination)
-from ainfkit.homquot import homotopy_quotient, mirror_map
+from ainfkit.homquot import homotopy_quotient
 from ainfkit.quiver import (GradedQuiver, MultiOp, bounded_tensors,
                             combine_ops, evaluate, slot_values)
 from ainfkit.trees import LEAF, root_split
 from test_category import arrow_with_differential, path3
+from test_homquot import mirror_map
 
 RINGS = [Ring("QQ"), Ring("Fp", 2), Ring("Fp", 7)]
 
