@@ -9,8 +9,9 @@ separate bookkeeping.
 
 import random
 
-from .graded import (ChainMap, Complex, GradedModule, accumulate, in_image,
-                     koszul_sign, linear_combination, shift, solve_linear)
+from .graded import (ChainMap, Complex, GradedModule, accumulate,
+                     flatten_map, in_image, koszul_sign, linear_combination,
+                     map_boundary, map_module, null_homotopy, shift)
 from .quiver import (CountedTensors, GradedQuiver, MultiOp,
                      QuiverMap, _arrow_index, bounded_tensors, evaluate,
                      insertion_sum, state_element, tensor_degree)
@@ -402,14 +403,13 @@ def complexes_dg_data(ring, complexes):
     complexes maps an object label to a pair (basis, d): basis lists
     (generator, degree) rows of the underlying graded module, and d
     sends a generator to the {generator: coefficient} column of its
-    differential.  Hom modules get one generator (a, b) per pair of a
-    source and a target generator, standing for the map that sends a to
-    b and every other generator to zero.  The differential of such a map
-    is post-composition with the target differential minus, signed by
-    the parity of the map degree, pre-composition with the source one;
-    binary composition substitutes matching middle generators with no
-    sign.  The identity maps are strict units.  Each complex is checked
-    to be one (differential of degree one, squaring to zero).
+    differential.  Hom modules are graded.map_module: one generator
+    (a, b) per pair of a source and a target generator, standing for the
+    map that sends a to b and every other generator to zero.  Its
+    differential is graded.map_boundary; binary composition substitutes
+    matching middle generators with no sign.  The identity maps are
+    strict units.  Each complex is checked to be one (differential of
+    degree one, squaring to zero).
 
     Returns (data, homs, m1, m2, units): data maps each object to
     (generators, degrees, differential columns), and the rest are the
@@ -446,28 +446,20 @@ def complexes_dg_data(ring, complexes):
         data[obj] = (gens, degs, cols)
 
     objects = list(complexes)
-    homs = {}
+    ds = {}
+    for obj, (gens, degs, cols) in data.items():
+        mod = GradedModule(ring, [(g, degs[g]) for g in gens])
+        ds[obj] = ChainMap(mod, mod, 1, {a: mod.element(col, degs[a] + 1)
+                                         for a, col in cols.items()})
+    homs, m1 = {}, {}
     for M in objects:
         for N in objects:
-            rows = [((a, b), data[N][1][b] - data[M][1][a])
-                    for a in data[M][0] for b in data[N][0]]
-            homs[(M, N)] = GradedModule(ring, rows)
-
-    m1 = {}
-    for M in objects:
-        _, mdegs, mcols = data[M]
-        for N in objects:
-            _, ndegs, ncols = data[N]
-            mod = homs[(M, N)]
-            mat = {}
-            for (a, b) in mod.names:
-                terms = {(a, b2): c for b2, c in ncols.get(b, {}).items()}
-                sgn = -1 if (ndegs[b] - mdegs[a]) % 2 else 1
-                accumulate(ring, terms, (((a2, b), col[a])
-                                         for a2, col in mcols.items()
-                                         if a in col), -sgn)
-                mat[(a, b)] = mod.element(terms, ndegs[b] - mdegs[a] + 1)
-            m1[(M, N)] = mat
+            smod, tmod = ds[M].source, ds[N].source
+            mod = homs[(M, N)] = map_module(smod, tmod)
+            m1[(M, N)] = {(a, b): flatten_map(map_boundary(
+                ChainMap(smod, tmod, mod.degrees[(a, b)],
+                         {a: tmod.basis_element(b)}), ds[M], ds[N]), mod)
+                for a, b in mod.names}
 
     m2 = {}
     for M in objects:
@@ -628,50 +620,27 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
 def check_contractible_functor(g):
     """Null-homotope the arity-1 component of a functor, pair by pair.
 
-    Solves g1 = H b1 + b1 H for a degree -1 map H by exact linear
-    algebra over a field.  Returns (report, H); H is a QuiverMap when
-    every pair has a solution and None otherwise.
+    Solves g1 = H b1 + b1 H for a degree -1 map H, one
+    graded.null_homotopy per pair, exactly over a field.  Returns
+    (report, H); H is a QuiverMap when every pair has a solution and
+    None otherwise.
     """
     B, A = g.source, g.target
-    ring = A.quiver.ring
     rep = Report("contractible functor check")
     g1 = g.component(1)
     comps = {}
-    allok = True
     for (X, Y) in B.quiver.pairs():
-        smod = B.quiver.hom(X, Y)
         U, V = g.obj_map(X), g.obj_map(Y)
-        tmod = A.quiver.hom(U, V)
-        dBmap = b1_chain_map(B, X, Y)
-        dB = {n: dBmap(smod.basis_element(n)) for n in smod.names}
-        dA = b1_chain_map(A, U, V)
-        unknowns = [(n, m) for n in smod.names for m in tmod.names
-                    if tmod.degrees[m] == smod.degrees[n] - 1]
-        rows = []
-        for n, m in unknowns:
-            row = {(n, o): c for o, c in dA(tmod.basis_element(m)).items()}
-            rows.append(accumulate(ring, row, (((n2, m), dB[n2].coeff(n))
-                                               for n2 in smod.names)))
-        rhs = {}
-        for n in smod.names:
-            img = (g1.on_basis((X, Y), (n,)) if g1 is not None
-                   else tmod.zero(smod.degrees[n]))
-            for o, c in img.items():
-                rhs[(n, o)] = c
-        sol = solve_linear(ring, rows, rhs)
-        if sol is None:
-            rep.add("pair %r" % ((X, Y),), False, "g1 is not a boundary for the hom differentials")
-            allok = False
-            continue
-        mat = {}
-        for (n, m), c in zip(unknowns, sol):
-            if c == ring.zero:
-                continue
-            cur = mat.get(n, tmod.zero(smod.degrees[n] - 1))
-            mat[n] = cur.add(tmod.basis_element(m, c))
-        comps[(X, Y)] = mat
-        rep.add("pair %r" % ((X, Y),), True, "homotopy found")
-    if not allok:
+        smod = B.quiver.hom(X, Y)
+        F = ChainMap(smod, A.quiver.hom(U, V), 0, {} if g1 is None else
+                     {n: g1.on_basis((X, Y), (n,)) for n in smod.names})
+        H = null_homotopy(F, b1_chain_map(B, X, Y), b1_chain_map(A, U, V))
+        if H is not None:
+            comps[(X, Y)] = H.matrix
+        rep.add("pair %r" % ((X, Y),), H is not None, "homotopy found"
+                if H is not None else
+                "g1 is not a boundary for the hom differentials")
+    if not rep.ok:
         return rep, None
     return rep, QuiverMap(B.quiver, A.quiver, -1, comps, obj_map=g.obj_map)
 

@@ -272,24 +272,6 @@ def quotient(F, R, name=None):
     return E, proj
 
 
-def _check_gen_chain(F, A, gen_images):
-    gen = F.gen
-    d1 = F.gen_d1
-    b1 = A.b(1)
-    for X, Y in gen.pairs():
-        for nm in gen.hom(X, Y).names:
-            el = gen.hom(X, Y).basis_element(nm)
-            img = gen_images.apply(X, Y, el)
-            pair = (gen_images.obj_map(X), gen_images.obj_map(Y))
-            zero = A.hom(*pair).zero(img.degree + 1)
-            left = zero if d1 is None else gen_images.apply(
-                X, Y, evaluate(d1, (X, Y), (el,)))
-            right = zero if b1 is None else evaluate(b1, pair, (img,))
-            if left != right:
-                raise ValueError("generator images do not commute with "
-                                 "the differentials at %r" % (nm,))
-
-
 def extend_functor(F, A, gen_images, higher=None, name="f"):
     """Extend a chain map on generators to a functor on the free category.
 
@@ -305,7 +287,13 @@ def extend_functor(F, A, gen_images, higher=None, name="f"):
                          "into the target")
     if gen_images.degree != 0:
         raise ValueError("generator images must have degree 0")
-    _check_gen_chain(F, A, gen_images)
+
+    def d(op):
+        return lambda X, Y, el: (el.module.zero(el.degree + 1) if op is None
+                                 else evaluate(op, (X, Y), (el,)))
+    if not gen_images.is_chain(d(F.gen_d1), d(A.b(1))):
+        raise ValueError("generator images do not commute with the "
+                         "differentials")
     omap = gen_images.obj_map
 
     def f1_rule(objs, names):

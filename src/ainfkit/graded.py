@@ -8,9 +8,15 @@ why: quiver.apply_stage, Echelon.insert and the Leibniz check of
 category.DGData.
 
 Every exact solve runs through one sparse elimination, Echelon: the
-relation spans of freecat, solve_linear and through it in_image,
-split_semisplit and the homotopy and preimage solves of the category
-checks.
+relation spans of freecat and solve_linear, whose two callers are
+in_image and null_homotopy.
+
+Stored maps between complexes form the Hom complex of the DG category
+of complexes: map_module spans it by elementary maps, flatten_map reads
+a stored map in that basis, and map_boundary is its differential, the
+one place that sign is written.  null_homotopy solves map_boundary(H) =
+F for H; it serves the contractible-functor check and the unit defect
+of the Yoneda family.
 """
 
 from fractions import Fraction
@@ -367,6 +373,9 @@ class Complex:
         for name, el in d.items():
             if el.is_zero:
                 continue
+            if name not in module.degrees:
+                raise ValueError("differential row %r outside the module"
+                                 % (name,))
             if el.degree != module.degrees[name] + 1:
                 raise ValueError("differential has the wrong degree at %r" % (name,))
             self.d[name] = el
@@ -393,6 +402,11 @@ def _underlying(obj):
     return obj.module if isinstance(obj, Complex) else obj
 
 
+def _d_map(cx):
+    """The differential of a complex as a stored map of degree one."""
+    return ChainMap(cx, cx, 1, cx.d)
+
+
 class ChainMap:
     """Graded map between complexes, stored as a sparse matrix on the basis."""
 
@@ -408,6 +422,9 @@ class ChainMap:
             if el.module is not tmod:
                 raise ValueError("row at %r outside the map's target module"
                                  % (name,))
+            if name not in smod.degrees:
+                raise ValueError("row at %r outside the map's source module"
+                                 % (name,))
             if el.degree != smod.degrees[name] + degree:
                 raise ValueError("map degree at %r" % (name,))
             self.matrix[name] = el
@@ -422,17 +439,12 @@ class ChainMap:
             ((matrix[n], c) for n, c in el.items() if n in matrix))
 
     def is_chain(self):
-        """Whether f d_target = (-1)^deg(f) d_source f holds on the basis."""
+        """Whether f d_target = (-1)^deg(f) d_source f, that is whether
+        the map boundary of f vanishes."""
         if not (isinstance(self.source, Complex) and isinstance(self.target, Complex)):
             raise TypeError("is_chain needs complexes at both ends")
-        sign = -1 if self.degree % 2 else 1
-        for name in self._smod.names:
-            x = self._smod.basis_element(name)
-            lhs = self.target.apply_d(self(x))
-            rhs = self(self.source.apply_d(x)).scale(sign)
-            if lhs != rhs:
-                return False
-        return True
+        return not map_boundary(self, _d_map(self.source),
+                                _d_map(self.target)).matrix
 
     def compose(self, other):
         """self then other (right-operator order).
@@ -505,6 +517,34 @@ def map_combination(source, target, degree, scaled):
     return ChainMap(source, target, degree,
                     {n: Element(tmod, terms, degrees[n] + degree)
                      for n, terms in rows.items() if terms})
+
+
+def map_module(smod, tmod):
+    """Free module spanned by elementary maps between two graded modules.
+
+    The generator (a, b) stands for the map sending basis name a to b
+    and every other name to zero; its degree is the degree difference.
+    """
+    rows = [((a, b), tmod.degrees[b] - smod.degrees[a])
+            for a in smod.names for b in tmod.names]
+    return GradedModule(smod.ring, rows)
+
+
+def flatten_map(F, module):
+    """The stored map F as an element of the matching map_module."""
+    return module.element({(a, b): c for a, el in F.matrix.items()
+                           for b, c in el.items()}, F.degree)
+
+
+def map_boundary(F, ds, dt):
+    """The differential of the stored map F in the Hom complex.
+
+    ds and dt are the differentials of F's source and target as stored
+    maps of degree one; the boundary is F then dt, minus (-1)^{deg F}
+    times ds then F.  F is a chain map when it vanishes.
+    """
+    return map_combination(F.source, dt.target, F.degree + 1, (
+        (F.compose(dt), 1), (ds.compose(F), 1 if F.degree % 2 else -1)))
 
 
 class Echelon:
@@ -593,9 +633,9 @@ def _tags_last(col):
 def solve_linear(ring, rows, rhs):
     """Find coefficients c with sum c_i row_i = rhs over a field, else None.
 
-    rows are {column: scalar} maps; rhs likewise.  Each row enters an
-    Echelon with a tag column of its own, ordered after every real
-    column, so no tag becomes a pivot and a stored row's tags record
+    rows are {column: scalar} maps or elements; rhs likewise.  Each row
+    enters an Echelon with a tag column of its own, ordered after every
+    real column, so no tag becomes a pivot and a stored row's tags record
     which inputs it combines; a row whose real columns reduce to zero is
     dependent and dropped.  rhs is in the span exactly when it reduces to
     tags alone, and then its coefficients are the negated tag entries.
@@ -622,11 +662,36 @@ def in_image(v, f):
     smod = f._smod
     deg = v.degree - f.degree
     names = smod.basis_of_degree(deg)
-    rows = [dict(f(smod.basis_element(n)).items()) for n in names]
-    sol = solve_linear(smod.ring, rows, dict(v.items()))
+    sol = solve_linear(smod.ring, [f(smod.basis_element(n)) for n in names], v)
     if sol is None:
         return None
     return smod.element({n: c for n, c in zip(names, sol)}, deg)
+
+
+def null_homotopy(F, ds, dt):
+    """A stored map H with map_boundary(H, ds, dt) = F, or None.
+
+    One exact solve over the map_module generators of degree deg F - 1:
+    each row is the flattened boundary of one elementary map, the right
+    side is F flattened, and the solution is read back as H's matrix.
+    Field coefficients required.
+    """
+    smod, tmod = F._smod, F._tmod
+    mm = map_module(smod, tmod)
+    deg = F.degree - 1
+    gens = mm.basis_of_degree(deg)
+    rows = [flatten_map(map_boundary(ChainMap(F.source, F.target, deg,
+                                              {a: tmod.basis_element(b)}),
+                                     ds, dt), mm) for a, b in gens]
+    sol = solve_linear(smod.ring, rows, flatten_map(F, mm))
+    if sol is None:
+        return None
+    cols = {}
+    for (a, b), c in zip(gens, sol):
+        if c != 0:
+            cols.setdefault(a, {})[b] = c
+    return ChainMap(F.source, F.target, deg, {
+        a: Element(tmod, col, smod.degrees[a] + deg) for a, col in cols.items()})
 
 
 def cone(alpha):
@@ -663,13 +728,10 @@ def cone(alpha):
 
 
 def is_contracting_homotopy(cx, h):
-    """Whether h (degree -1 matrix map on cx) satisfies hd + dh = 1."""
-    for name in cx.module.names:
-        x = cx.module.basis_element(name)
-        lhs = cx.apply_d(h(x)).add(h(cx.apply_d(x)))
-        if lhs != x:
-            return False
-    return True
+    """Whether h (degree -1 matrix map on cx) satisfies hd + dh = 1, that
+    is whether its map boundary is the identity."""
+    d = _d_map(cx)
+    return map_boundary(h, d, d).matrix == ChainMap.identity(cx).matrix
 
 
 def split_semisplit(alpha, beta, phi, H):
@@ -683,7 +745,7 @@ def split_semisplit(alpha, beta, phi, H):
     C, A, B = alpha.source, alpha.target, beta.target
     if not (alpha.is_chain() and beta.is_chain()):
         raise ValueError("alpha and beta must be chain maps")
-    cmod, amod, bmod = _underlying(C), _underlying(A), _underlying(B)
+    cmod, bmod = _underlying(C), _underlying(B)
     for n in cmod.names:
         x = cmod.basis_element(n)
         if phi(alpha(x)) != x:
@@ -694,11 +756,8 @@ def split_semisplit(alpha, beta, phi, H):
         raise ValueError("H is not a contracting homotopy")
 
     # psi = (phi H)d = phi H d + d phi H : A -> C, a chain map with alpha psi = 1
-    psi_matrix = {}
-    for n in amod.names:
-        x = amod.basis_element(n)
-        psi_matrix[n] = C.apply_d(H(phi(x))).add(H(phi(A.apply_d(x))))
-    psi = ChainMap(A, C, 0, psi_matrix)
+    phiH, dA = phi.compose(H), _d_map(A)
+    psi = map_boundary(phiH, dA, _d_map(C))
 
     # nu: the unique section of beta that psi kills.  Build a degree-0 section
     # sigma through ker(phi), then correct: nu = sigma (1 - psi alpha).
@@ -714,8 +773,7 @@ def split_semisplit(alpha, beta, phi, H):
         nu_matrix[n] = x.sub(alpha(psi(x)))
     nu = ChainMap(B, A, 0, nu_matrix)
 
-    gamma_matrix = {n: alpha(H(phi(amod.basis_element(n)))) for n in amod.names}
-    gamma = ChainMap(A, A, -1, gamma_matrix)
+    gamma = phiH.compose(alpha)
 
     for n in bmod.names:
         x = bmod.basis_element(n)
@@ -723,10 +781,7 @@ def split_semisplit(alpha, beta, phi, H):
             raise ValueError("nu beta != 1")
     if not nu.is_chain():
         raise ValueError("nu is not a chain map")
-    for n in amod.names:
-        x = amod.basis_element(n)
-        lhs = x.sub(nu(beta(x)))
-        rhs = A.apply_d(gamma(x)).add(gamma(A.apply_d(x)))
-        if lhs != rhs:
-            raise ValueError("homotopy identity fails")
+    if map_boundary(gamma, dA, dA).matrix != map_combination(A, A, 0, (
+            (ChainMap.identity(A), 1), (beta.compose(nu), -1))).matrix:
+        raise ValueError("homotopy identity fails")
     return nu, gamma

@@ -1,7 +1,7 @@
 """Graded quivers and arity-graded multilinear operations.
 
-All operator composites are evaluated through one engine (`apply_stage`),
-which computes every Koszul sign at evaluation time from input degrees.
+Operator composites run through one engine (`apply_stage`), which computes
+each Koszul sign from input degrees (evaluate and slot_values do not use it).
 The convention is the right-operator middle interchange
 (u tensor v)(f tensor g) = (-1)^(|v||f|) (uf) tensor (vg): an operator
 block picks up the degrees of the input factors standing to its right.

@@ -16,7 +16,9 @@ a tensor picks up the parity of the factors to its right; composition
 of stored maps is written left to right and scaled by the parity of the
 second map's degree; the differential of a stored map is the map
 followed by the target differential, minus the source differential
-followed by the map, signed by the map's own degree.
+followed by the map, signed by the map's own degree.  That differential
+is graded.map_boundary, and the unit defect is solved against it by
+graded.null_homotopy; neither is written here.
 
 Stored maps are built and combined in one pass each.  A family value
 or hom differential is one slot_values call with its signs applied
@@ -30,8 +32,9 @@ import itertools
 import random
 
 from .category import opposite, unit_then_op
-from .graded import (ChainMap, Complex, GradedModule, accumulate, in_image,
-                     koszul_sign, map_combination)
+from .graded import (ChainMap, Complex, GradedModule, accumulate,
+                     flatten_map, koszul_sign, map_boundary, map_combination,
+                     map_module, null_homotopy)
 from .quiver import bounded_tensors, evaluate, slot_values
 from .report import Report, unless_zero
 
@@ -45,40 +48,14 @@ def hom_differential(A, pair):
                     slot_values(op, pair, (), 0, signs=(-1, -1)))
 
 
-def map_module(smod, tmod):
-    """Free module spanned by elementary maps between two graded modules.
-
-    The generator (a, b) stands for the map sending basis name a to b
-    and every other name to zero; its degree is the degree difference.
-    """
-    rows = [((a, b), tmod.degrees[b] - smod.degrees[a])
-            for a in smod.names for b in tmod.names]
-    return GradedModule(smod.ring, rows)
-
-
-def flatten_map(F, module):
-    """The stored map F as an element of the matching map_module."""
-    terms = {}
-    for a, el in F.matrix.items():
-        for b, c in el.items():
-            terms[(a, b)] = c
-    return module.element(terms, F.degree)
-
-
 def map_differential(A, spair, tpair, F):
     """Differential of a stored map between two hom complexes.
 
     Returns the map w -> d(F w) - (-1)^{deg F} F(d w), both differentials
     being minus the arity-1 operation of A on the respective pair.
     """
-    return _differential_of(F, hom_differential(A, spair),
-                            hom_differential(A, tpair))
-
-
-def _differential_of(F, ds, dt):
-    """F then dt, minus (-1)^{deg F} times ds then F."""
-    return map_combination(F.source, dt.target, F.degree + 1, (
-        (F.compose(dt), 1), (ds.compose(F), 1 if F.degree % 2 else -1)))
+    return map_boundary(F, hom_differential(A, spair),
+                        hom_differential(A, tpair))
 
 
 def _composite(F, G, sign=1):
@@ -192,22 +169,25 @@ def _random_factor(mod, rng, density=0.8):
     return mod.basis_element(rng.choice(mod.names))
 
 
-def _apply_inner(A, zobjs, zfactors, p, t):
-    """Insert the arity-t operation at offset p into an element tuple.
+def _apply_inner(A, objs, factors):
+    """Every nonzero insertion of an operation into a tensor of elements.
 
-    Returns (sign, objs, factors) with the engine's suffix sign, or
-    None when the operation is absent or the value vanishes.
+    Yields (sign, objs, factors) with the engine's suffix sign, one per
+    arity t and offset p whose operation exists and whose value on the
+    t factors from p is nonzero.
     """
-    op = A.b(t)
-    if op is None:
-        return None
-    mid = evaluate(op, tuple(zobjs[p:p + t + 1]), tuple(zfactors[p:p + t]))
-    if mid.is_zero:
-        return None
-    sign = -1 if sum(f.degree for f in zfactors[p + t:]) % 2 else 1
-    nobjs = tuple(zobjs[:p + 1]) + tuple(zobjs[p + t:])
-    nfacs = tuple(zfactors[:p]) + (mid,) + tuple(zfactors[p + t:])
-    return sign, nobjs, nfacs
+    k = len(factors)
+    for t in range(1, k + 1):
+        op = A.b(t)
+        if op is None:
+            continue
+        for p in range(0, k - t + 1):
+            mid = evaluate(op, tuple(objs[p:p + t + 1]), tuple(factors[p:p + t]))
+            if mid.is_zero:
+                continue
+            sign = -1 if sum(f.degree for f in factors[p + t:]) % 2 else 1
+            yield (sign, tuple(objs[:p + 1]) + tuple(objs[p + t:]),
+                   tuple(factors[:p]) + (mid,) + tuple(factors[p + t:]))
 
 
 def _hx_residual(A, h, zobjs, zfactors):
@@ -222,16 +202,10 @@ def _hx_residual(A, h, zobjs, zfactors):
     k = len(zfactors)
     X = h.base
     degree = sum(f.degree for f in zfactors) + 2
-    terms = []
-    for t in range(1, k + 1):
-        for p in range(0, k - t + 1):
-            res = _apply_inner(A, zobjs, zfactors, p, t)
-            if res is None:
-                continue
-            sign, nobjs, nfacs = res
-            terms.append((h.value(nobjs, nfacs), sign))
-    terms.append((_differential_of(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
-                                   h.d_at(zobjs[-1])), -1))
+    terms = [(h.value(nobjs, nfacs), sign)
+             for sign, nobjs, nfacs in _apply_inner(A, zobjs, zfactors)]
+    terms.append((map_boundary(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
+                               h.d_at(zobjs[-1])), -1))
     for i in range(1, k):
         terms.append(_composite(h.value(zobjs[:i + 1], zfactors[:i]),
                                 h.value(zobjs[i:], zfactors[i:]), -1))
@@ -332,8 +306,8 @@ def _transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors):
     k = len(zfactors)
     X, W = hsrc.base, htgt.base
     degree = sum(f.degree for f in zfactors) + r + 2
-    terms = [(_differential_of(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
-                               htgt.d_at(zobjs[-1])), 1)]
+    terms = [(map_boundary(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
+                           htgt.d_at(zobjs[-1])), 1)]
     for i in range(1, k + 1):
         terms.append(_composite(hsrc.value(zobjs[:i + 1], zfactors[:i]),
                                 value(zobjs[i:], zfactors[i:])))
@@ -343,13 +317,8 @@ def _transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors):
                                 htgt.value(zobjs[i:], zfactors[i:]),
                                 -1 if cross else 1))
     rsgn = -1 if r % 2 else 1
-    for t in range(1, k + 1):
-        for p in range(0, k - t + 1):
-            res = _apply_inner(A, zobjs, zfactors, p, t)
-            if res is None:
-                continue
-            sign, nobjs, nfacs = res
-            terms.append((value(nobjs, nfacs), -sign * rsgn))
+    terms.extend((value(nobjs, nfacs), -sign * rsgn)
+                 for sign, nobjs, nfacs in _apply_inner(A, zobjs, zfactors))
     return _signed_sum(A.hom(X, zobjs[0]), A.hom(W, zobjs[-1]), degree, terms)
 
 
@@ -380,13 +349,8 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
                          xobjs[p:], xfactors[p:])
             cross = front % 2 and sum(f.degree for f in zfactors[i:]) % 2
             terms.append(_composite(F, G, -1 if cross else 1))
-    for p in range(1, n + 1):
-        for a in range(0, n - p + 1):
-            res = _apply_inner(Aop, xobjs, xfactors, a, p)
-            if res is not None:
-                sign, nxobjs, nxfacs = res
-                terms.append((_y_value(A, zobjs, zfactors, nxobjs, nxfacs),
-                              -sign))
+    terms.extend((_y_value(A, zobjs, zfactors, nxobjs, nxfacs), -sign)
+                 for sign, nxobjs, nxfacs in _apply_inner(Aop, xobjs, xfactors))
     total = map_combination(lhs._smod, lhs._tmod, lhs.degree,
                             [(lhs, 1)] + terms)
     return total, content or any(term.matrix for term, _ in terms)
@@ -544,27 +508,20 @@ class TruncatedTransComplex:
 def unit_defect_preimage(h, Z):
     """Certify that the unit lands on the identity up to a boundary.
 
-    Flattens the difference between the arity-1 component on the
-    distinguished unit at Z and the identity of the complex there, and
-    solves for a preimage under the boundary of the elementary-map
-    module.  Returns (defect_map, preimage_element_or_None); exact
-    solve, field coefficients required.
+    The defect is the difference between the arity-1 component on the
+    distinguished unit at Z and the identity of the complex there; one
+    graded.null_homotopy against the differential at Z looks for its
+    preimage.  Returns (defect_map, preimage_or_None), the preimage
+    flattened into the elementary-map module (map_module); exact solve,
+    field coefficients required.
     """
     A = h.category
-    u = A.units[Z]
-    F = h.value((Z, Z), (u,))
+    F = h.value((Z, Z), (A.units[Z],))
     mod = h.module_at(Z)
     D = map_combination(mod, mod, F.degree,
                         ((F, 1), (ChainMap.identity(mod), -1)))
-    mm = map_module(mod, mod)
-    d = h.d_at(Z)
-    bmatrix = {}
-    for (a, b) in mm.names:
-        E = ChainMap(mod, mod, mm.degrees[(a, b)],
-                     {a: mod.basis_element(b)})
-        bmatrix[(a, b)] = flatten_map(_differential_of(E, d, d), mm)
-    boundary = ChainMap(mm, mm, 1, bmatrix)
-    return D, in_image(flatten_map(D, mm), boundary)
+    H = null_homotopy(D, h.d_at(Z), h.d_at(Z))
+    return D, None if H is None else flatten_map(H, map_module(mod, mod))
 
 
 def opposite_facts(A, cap=4000):

@@ -1,5 +1,6 @@
 """Category layer: structure checks, units, opposites, functor-level checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from ainfkit.category import (AInfCategory, b1_chain_map, check_contractible_fun
                               hom_complex, max_arity_within, opposite,
                               stasheff_defect, unit_then_op,
                               verify_unit_homotopy)
-from ainfkit.graded import GradedModule, Ring
+from ainfkit.graded import (GradedModule, Ring, accumulate,
+                            linear_combination, solve_linear)
 from ainfkit.quiver import GradedQuiver, MultiOp, QuiverMap, evaluate
 
 QQ = Ring("QQ")
@@ -435,6 +437,29 @@ def dense_dg_failures(homs, m1, m2):
 RINGS = [QQ, Ring("Fp", 2), Ring("Fp", 3), Ring("Fp", 7)]
 
 
+def _coeffs(ring):
+    coeffs = [1, -1, 2, 3] + ([Fraction(1, 2)] if ring.kind == "QQ" else [])
+    return sorted({ring.normalize(c) for c in coeffs} - {0})
+
+
+@st.composite
+def complex_specs(draw):
+    """(ring, spec) for complexes_dg_data: one or two objects, each a
+    two-term complex a -> b, plus a free generator on one object."""
+    ring = draw(st.sampled_from(RINGS))
+    spec = {}
+    objects = draw(st.sampled_from([["M"], ["M", "N"]]))
+    for obj in objects:
+        low = draw(st.integers(0, 1))
+        basis = [(obj + "a", low), (obj + "b", low + 1)]
+        c = draw(st.sampled_from(_coeffs(ring) + [0]))
+        diff = {obj + "a": {obj + "b": c}} if c else {}
+        if len(objects) == 1 and draw(st.booleans()):
+            basis.append((obj + "c", draw(st.integers(0, 2))))
+        spec[obj] = (basis, diff)
+    return ring, spec
+
+
 @st.composite
 def damaged_dg_data(draw):
     """DG data of a small complexes category, with at most one entry damaged.
@@ -443,20 +468,8 @@ def damaged_dg_data(draw):
     drops or adds a term to one m1 or m2 entry, or gives a zero product
     a nonzero value.
     """
-    ring = draw(st.sampled_from(RINGS))
-    coeffs = [1, -1, 2, 3] + ([Fraction(1, 2)] if ring.kind == "QQ" else [])
-    coeffs = sorted({ring.normalize(c) for c in coeffs} - {0})
-    spec = {}
-    objects = draw(st.sampled_from([["M"], ["M", "N"]]))
-    for obj in objects:
-        # a two-term complex a -> b, plus a free generator on one object
-        low = draw(st.integers(0, 1))
-        basis = [(obj + "a", low), (obj + "b", low + 1)]
-        c = draw(st.sampled_from(coeffs + [0]))
-        diff = {obj + "a": {obj + "b": c}} if c else {}
-        if len(objects) == 1 and draw(st.booleans()):
-            basis.append((obj + "c", draw(st.integers(0, 2))))
-        spec[obj] = (basis, diff)
+    ring, spec = draw(complex_specs())
+    coeffs = _coeffs(ring)
     _, homs, m1, m2, _ = complexes_dg_data(ring, spec)
     m1 = {pair: {n: el for n, el in mat.items() if not el.is_zero}
           for pair, mat in m1.items()}
@@ -509,6 +522,133 @@ def test_dg_to_ainf_agrees_with_dense_oracle(data):
         assert str(err.value) in fails
     else:
         dg_to_ainf(homs, m1, m2)
+
+
+def reference_homs_and_m1(ring, data):
+    """The homs and m1 of complexes_dg_data from its validated data, by
+    the hand-written sign rule it used before graded.map_boundary."""
+    objects = list(data)
+    homs = {}
+    for M in objects:
+        for N in objects:
+            rows = [((a, b), data[N][1][b] - data[M][1][a])
+                    for a in data[M][0] for b in data[N][0]]
+            homs[(M, N)] = GradedModule(ring, rows)
+    m1 = {}
+    for M in objects:
+        _, mdegs, mcols = data[M]
+        for N in objects:
+            _, ndegs, ncols = data[N]
+            mod = homs[(M, N)]
+            mat = {}
+            for (a, b) in mod.names:
+                terms = {(a, b2): c for b2, c in ncols.get(b, {}).items()}
+                sgn = -1 if (ndegs[b] - mdegs[a]) % 2 else 1
+                accumulate(ring, terms, (((a2, b), col[a])
+                                         for a2, col in mcols.items()
+                                         if a in col), -sgn)
+                mat[(a, b)] = mod.element(terms, ndegs[b] - mdegs[a] + 1)
+            m1[(M, N)] = mat
+    return homs, m1
+
+
+def assert_hom_dg_matches_reference(ring, spec):
+    data, homs, m1, _, _ = complexes_dg_data(ring, spec)
+    ref_homs, ref_m1 = reference_homs_and_m1(ring, data)
+    assert list(homs) == list(ref_homs) and list(m1) == list(ref_m1)
+    for pair, mod in homs.items():
+        assert mod.names == ref_homs[pair].names
+        assert mod.degrees == ref_homs[pair].degrees
+        assert list(m1[pair]) == list(ref_m1[pair])
+        for key, el in m1[pair].items():
+            ref = ref_m1[pair][key]
+            assert (el.degree, el.terms) == (ref.degree, ref.terms), key
+
+
+def reference_contractible_solve(g):
+    """check_contractible_functor's report lines and H, by the unknown
+    system it built by hand before graded.null_homotopy."""
+    B, A = g.source, g.target
+    ring = A.quiver.ring
+    lines, comps = [], {}
+    g1 = g.component(1)
+    for (X, Y) in B.quiver.pairs():
+        smod = B.quiver.hom(X, Y)
+        U, V = g.obj_map(X), g.obj_map(Y)
+        tmod = A.quiver.hom(U, V)
+        dBmap = b1_chain_map(B, X, Y)
+        dB = {n: dBmap(smod.basis_element(n)) for n in smod.names}
+        dA = b1_chain_map(A, U, V)
+        unknowns = [(n, m) for n in smod.names for m in tmod.names
+                    if tmod.degrees[m] == smod.degrees[n] - 1]
+        rows = []
+        for n, m in unknowns:
+            row = {(n, o): c for o, c in dA(tmod.basis_element(m)).items()}
+            rows.append(accumulate(ring, row, (((n2, m), dB[n2].coeff(n))
+                                               for n2 in smod.names)))
+        rhs = {}
+        for n in smod.names:
+            img = (g1.on_basis((X, Y), (n,)) if g1 is not None
+                   else tmod.zero(smod.degrees[n]))
+            for o, c in img.items():
+                rhs[(n, o)] = c
+        sol = solve_linear(ring, rows, rhs)
+        if sol is None:
+            lines.append(("pair %r" % ((X, Y),), False,
+                          "g1 is not a boundary for the hom differentials"))
+            continue
+        mat = {}
+        for (n, m), c in zip(unknowns, sol):
+            if c == ring.zero:
+                continue
+            cur = mat.get(n, tmod.zero(smod.degrees[n] - 1))
+            mat[n] = cur.add(tmod.basis_element(m, c))
+        comps[(X, Y)] = mat
+        lines.append(("pair %r" % ((X, Y),), True, "homotopy found"))
+    if not all(ok for _, ok, _ in lines):
+        return lines, None
+    return lines, QuiverMap(B.quiver, A.quiver, -1, comps, obj_map=g.obj_map)
+
+
+def endo_functors(B, rng):
+    """Identity-on-objects stub functors on B whose arity-1 part is the
+    identity, a random degree-0 map, and the boundary H b1 + b1 H of a
+    random degree -1 map H, in that order."""
+    q = B.quiver
+    ident, rand, bound = {}, {}, {}
+    for X, Y in q.pairs():
+        mod = q.hom(X, Y)
+        d = b1_chain_map(B, X, Y)
+        H = {n: mod.random_element(mod.degrees[n] - 1, rng)
+             for n in mod.names}
+        ident[(X, Y)] = {n: mod.basis_element(n) for n in mod.names}
+        rand[(X, Y)] = {n: mod.random_element(mod.degrees[n], rng)
+                        for n in mod.names}
+        bound[(X, Y)] = {n: linear_combination(
+            mod, mod.degrees[n], [(d(H[n]), 1)] + [
+                (H[m], c) for m, c in d(mod.basis_element(n)).items()])
+            for n in mod.names}
+    omap = {X: X for X in q.objects}
+    return [stub_functor(B, B, omap, images) for images in (ident, rand, bound)]
+
+
+def assert_contractible_matches_reference(B, rng):
+    for g in endo_functors(B, rng):
+        rep, H = check_contractible_functor(g)
+        lines, ref = reference_contractible_solve(g)
+        assert rep.checks == lines
+        assert (H is None) == (ref is None)
+        if H is not None:
+            assert H.components == ref.components
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_specs(), st.integers(0, 2 ** 16))
+def test_hom_complex_data_matches_hand_written_reference(drawn, seed):
+    ring, spec = drawn
+    assert_hom_dg_matches_reference(ring, spec)
+    assert_contractible_matches_reference(complexes_category(ring, spec),
+                                          random.Random(seed))
 
 
 def _validation_cases():

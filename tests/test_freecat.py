@@ -898,6 +898,9 @@ def _validation_cases():
     FZ = free_category(GradedQuiver(zz, ["*"], {("*", "*"): zmod}), leaf_bound=2)
     zel = FZ.hom("*", "*").basis_element((LEAF, ("*", "*"), ("a",)))
     wrong_degree = random_coderivation(phi, psi, 0, 1, rng, name="w")
+    # the identity images without u's, so d(u) = v is no longer matched
+    dropped_u = identity_images(D)
+    del dropped_u.components[(0, 1)]["u"]
     return {
         "corolla": (lambda: corolla(1), "at least two leaves"),
         "leaf bound": (lambda: free_category(gen, d1, leaf_bound=0),
@@ -916,6 +919,8 @@ def _validation_cases():
             F, D, QuiverMap(D.quiver, G.quiver, 0, {})), "generating quiver"),
         "images degree": (lambda: extend_functor(
             F, D, QuiverMap(D.quiver, D.quiver, 1, {})), "degree 0"),
+        "images chain": (lambda: extend_functor(F, D, dropped_u),
+                         "do not commute with the differentials"),
         "functor higher": (lambda: extend_functor(
             F, D, identity_images(D), higher={2: D.b(2)}), "must have arity"),
         "functor sources": (lambda: extend_transformation(phi, phi2, 0),
@@ -945,9 +950,9 @@ def _validation_cases():
 @pytest.mark.parametrize("case", [
     "corolla", "leaf bound", "d1 degree", "d1 quiver", "delta base",
     "delta arity", "span field", "quotient span", "images quiver",
-    "images degree", "functor higher", "functor sources", "part1 hom",
-    "part1 degree", "coderivation higher", "image_d", "homotopy target",
-    "factorizes span", "descends span"])
+    "images degree", "images chain", "functor higher", "functor sources",
+    "part1 hom", "part1 degree", "coderivation higher", "image_d",
+    "homotopy target", "factorizes span", "descends span"])
 def test_freecat_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):

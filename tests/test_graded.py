@@ -243,6 +243,9 @@ def test_complex_rejects_bad_differential():
     M = GradedModule(QQ, [("a", 0), ("b", 1), ("c", 2)])
     with pytest.raises(ValueError, match="d\\^2"):
         Complex(M, {"a": M.basis_element("b"), "b": M.basis_element("c")})
+    # a row keyed by a name outside the module is refused by name
+    with pytest.raises(ValueError, match="row 'zz' outside the module"):
+        Complex(M, {"zz": M.basis_element("b")})
 
 
 def test_chain_map_flag():
@@ -298,6 +301,8 @@ def test_chain_map_rejects_rows_outside_its_target():
     C = GradedModule(QQ, [("b", 0)])
     with pytest.raises(ValueError, match="target module"):
         ChainMap(M, N, 0, {"a": C.basis_element("b")})
+    with pytest.raises(ValueError, match="'zz' outside the map's source module"):
+        ChainMap(M, N, 0, {"zz": N.basis_element("b")})
     assert not ChainMap(M, N, 0, {"a": C.zero(0)}).matrix
     f = ChainMap(M, Complex(N, {}), 0, {"a": N.basis_element("b")})
     assert f(M.basis_element("a")) == N.basis_element("b")

@@ -1,8 +1,8 @@
 """Source guards: input validation must survive python -O, no private
 helper is left without a caller, and the package has one elimination,
 one check loop, one sparse sum, one schedule runner, one placement
-walk and one context walk, and builds tree categories only in their
-constructors."""
+walk, one context walk and one null-homotopy solve, and builds tree
+categories only in their constructors."""
 
 import ast
 import pathlib
@@ -56,6 +56,14 @@ STAGE_RUNNERS = {
 STAGE_BUILDERS = {
     ("quiver", "_padded"),
     ("functors", "_chain_into"),
+}
+
+# The top-level definitions that call solve_linear, by (module, name):
+# in_image solves for a preimage under one stored map, and null_homotopy
+# is the one solve against the Hom-complex differential (map_boundary).
+SOLVERS = {
+    ("graded", "in_image"),
+    ("graded", "null_homotopy"),
 }
 
 # The top-level definitions that walk chains from or to a given object
@@ -190,6 +198,10 @@ def test_tree_categories_built_only_by_constructors():
     # check or a homotopy built on another one
     assert _callers("homotopy_quotient") == set(), "a second tree category"
     assert _callers("tree_category") == {("freecat", "free_category")}
+
+
+def test_one_null_homotopy_solve():
+    assert _callers("solve_linear") == SOLVERS, "solves outside"
 
 
 def test_one_placement_walk():

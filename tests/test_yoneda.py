@@ -7,26 +7,54 @@ import pytest
 from ainfkit.category import (AInfCategory, check_stasheff,
                               complexes_category, opposite)
 from ainfkit.freecat import free_category
-from ainfkit.graded import ChainMap, GradedModule, Ring, in_image
+from ainfkit.graded import (ChainMap, GradedModule, Ring, flatten_map,
+                            in_image, map_module)
 from ainfkit.quiver import GradedQuiver, MultiOp, evaluate
 from ainfkit.yoneda import (RepresentedFunctor, TruncatedTransComplex,
-                            check_hX, check_Y, flatten_map, h_functor,
-                            hom_differential, map_differential, map_module, opposite_facts,
+                            check_hX, check_Y, h_functor,
+                            hom_differential, map_differential, opposite_facts,
                             unit_defect_preimage, yoneda_components,
                             _hx_residual, _transform_b1_terms, _y_residual)
-from test_category import arrow_with_differential, augmented_point, path3
+from test_category import (arrow_with_differential,
+                           assert_contractible_matches_reference,
+                           assert_hom_dg_matches_reference, augmented_point,
+                           path3)
 
 QQ = Ring("QQ")
 F5 = Ring("Fp", 5)
 
 
+# Two complexes; the second has composable differentials that cancel.
+TWO_COMPLEXES = {
+    "M": ([("m0", 0), ("m1", 1), ("m3", 3)], {"m0": {"m1": 2}}),
+    "P": ([("p0", 0), ("p1", 1), ("q1", 1), ("p2", 2)],
+          {"p0": {"p1": 1, "q1": 1}, "p1": {"p2": 3}, "q1": {"p2": -3}}),
+}
+
+
+# The shape of the yoneda-fp benchmark's complexes over F_7, at fixed
+# coefficients: M = (m0 -> m1) + (n1 -> n2) + (m3), and P a square whose
+# two composites cancel (2*6 + 4*4 = 0 mod 7) plus (s0) and (t2).
+FIVE_PIECES = {
+    "M": ([("m0", 0), ("m1", 1), ("n1", 1), ("n2", 2), ("m3", 3)],
+          {"m0": {"m1": 3}, "n1": {"n2": 5}}),
+    "P": ([("p0", 0), ("p1", 1), ("q1", 1), ("p2", 2), ("s0", 0), ("t2", 2)],
+          {"p0": {"p1": 2, "q1": 4}, "p1": {"p2": 6}, "q1": {"p2": 4}}),
+}
+
+
 def two_complexes(ring):
-    """Two complexes; the second has composable differentials that cancel."""
-    return complexes_category(ring, {
-        "M": ([("m0", 0), ("m1", 1), ("m3", 3)], {"m0": {"m1": 2}}),
-        "P": ([("p0", 0), ("p1", 1), ("q1", 1), ("p2", 2)],
-              {"p0": {"p1": 1, "q1": 1}, "p1": {"p2": 3}, "q1": {"p2": -3}}),
-    }, name="cpx2")
+    return complexes_category(ring, TWO_COMPLEXES, name="cpx2")
+
+
+def test_two_complexes_hom_data_matches_hand_written_reference():
+    F7 = Ring("Fp", 7)
+    for ring, spec in ((QQ, TWO_COMPLEXES), (F5, TWO_COMPLEXES),
+                       (F7, TWO_COMPLEXES), (F7, FIVE_PIECES)):
+        assert_hom_dg_matches_reference(ring, spec)
+        for seed in range(2):
+            assert_contractible_matches_reference(
+                complexes_category(ring, spec), random.Random(seed))
 
 
 def homotopy_path(ring):
@@ -380,6 +408,9 @@ def test_unit_lands_on_identity_up_to_boundary():
     bmap = ChainMap(mm, mm, 1, bmatrix)
     stray = ChainMap(mod, mod, 0, {"one": mod.basis_element("one")})
     assert in_image(flatten_map(stray, mm), bmap) is None
+    # the preimage is the one this boundary matrix gives
+    want = in_image(flatten_map(defect, mm), bmap)
+    assert (pre.degree, pre.terms) == (want.degree, want.terms)
 
 
 def test_opposite_facts_on_fixtures():
