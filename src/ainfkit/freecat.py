@@ -118,7 +118,8 @@ def _saturate(F, generators):
     one marked slot, arbitrary basis elements elsewhere, within the leaf
     bound.  Returns one Echelon under _col_key per (pair, degree), so the
     rows do not depend on the order in which vectors are pushed or
-    chains are walked.
+    chains are walked, and leaves each one's rows in _col_key order of
+    their pivots.
 
     A row in the hole of a context (_contexts) is one state through the
     stage insert(b_k, 0, 0).  Column keys are cached for the call only.
@@ -159,6 +160,8 @@ def _saturate(F, generators):
                          {names[0]: c for (_, names), c in out.items()})
     for span in spans.values():
         span.key = _col_key
+        span.rows = {pivot: span.rows[pivot]
+                     for pivot in sorted(span.rows, key=col_key)}
     return spans
 
 
@@ -168,8 +171,9 @@ class IdealSpec:
     Holds the generators; the full span within the leaf bound is
     saturated on first use.  rows() gives {(pair, degree): {pivot: row}},
     the rows of one Echelon under _col_key per bucket, a form unique for
-    the span.  reduce gives the canonical representative modulo the
-    span; contains tests membership.
+    the span; each bucket lists its rows in _col_key order of their
+    pivots.  reduce gives the canonical representative modulo the span;
+    contains tests membership.
     """
 
     def __init__(self, category, generators, name="R"):
@@ -186,13 +190,14 @@ class IdealSpec:
         return self._rows
 
     def span_elements(self):
-        """The reduced span, one element per row."""
+        """The reduced span, one element per row: buckets by the repr of
+        their key, rows in bucket order."""
         out = []
         for (pair, degree), bucket in sorted(self.rows().items(),
                                              key=lambda item: repr(item[0])):
             mod = self.category.hom(*pair)
-            for pivot in sorted(bucket, key=_col_key):
-                out.append((pair[0], pair[1], mod.element(dict(bucket[pivot]), degree)))
+            for row in bucket.values():
+                out.append((pair[0], pair[1], mod.element(dict(row), degree)))
         return out
 
     def reduce(self, X, Y, el):
@@ -445,15 +450,23 @@ def _mixed_cases(op, k, R):
 def check_factorizes(f, R):
     """Whether a functor, or coderivation data, on the free category kills
     a relation span: the span under the arity-one component, and mixed
-    tensors with one span slot under every higher component."""
+    tensors with one span slot under every higher component.
+
+    Each span row, in span_elements order, is one state through the
+    stage insert(f1, 0, 0), as the mixed slots are through their
+    component's; the first row with a nonzero image fails its line."""
     source = f.cat_source if isinstance(f, Coderivation) else f.source
     if R.category is not source:
         raise ValueError("the relation span lives in another category")
     rep = Report("%s kills %s" % (f.name, R.name))
     f1 = f.component(1)
     rows = R.span_elements() if f1 is not None else ()
+    stage = insert(f1, 0, 0) if f1 is not None else None
     rep.tally("span under arity 1", (
-        (el, lambda: unless_zero(evaluate(f1, (X, Y), (el,))))
+        (el, lambda: unless_zero(state_element(
+            f1.target,
+            apply_stage(stage, {((X, Y), (n,)): c for n, c in el.items()}),
+            f1.pair_map((X, Y)), el.degree + f1.degree)))
         for X, Y, el in rows), "rows")
     for k in sorted(f.components):
         if k > 1:

@@ -181,29 +181,46 @@ def name_degree(gen, t, gobjs, gnames):
     return flat + shape_counts(t)[2]
 
 
+_SPLITS = {}
+
+
 def root_split(gen, label):
     """Split a tree name at the root.
 
     Returns the root arity, the chain of junction objects, the names of
     the subtree factors, and the sign the engine produces when the root
-    grafting rebuilds the name from those factors.
+    grafting rebuilds the name from those factors.  A one-leaf name has
+    no root vertex and is refused with ValueError.
+
+    The sign is (-1) to the sum, over the factors, of the factor's leaf
+    degree times the vertices left of it, so only a factor with an odd
+    vertex count to its left has its degree read.  Which factors those
+    are, and where each one's leaves start and end, depends on the shape
+    alone: that split plan is memoised by shape, like shape_counts.
     """
     t, gobjs, gnames = label
+    plan = _SPLITS.get(t)
+    if plan is None:
+        if t == LEAF:
+            raise ValueError("the one-leaf name %r has no root to split"
+                             % (label,))
+        parts, left, pos = [], 0, 0
+        for sub in t:
+            ln, vc, _ = shape_counts(sub)
+            parts.append((sub, pos, pos + ln, left % 2 == 1))
+            left += vc
+            pos += ln
+        plan = _SPLITS[t] = tuple(parts)
     chain = [gobjs[0]]
     fnames = []
     par = 0
-    left = 0
-    pos = 0
-    for j, sub in enumerate(t):
-        ln, vc, _ = shape_counts(sub)
-        fnames.append((sub, tuple(gobjs[pos:pos + ln + 1]),
-                       tuple(gnames[pos:pos + ln])))
-        if j:
-            par += left * tensor_degree(gen, *fnames[-1][1:])
-        left += vc
-        pos += ln
-        chain.append(gobjs[pos])
-    return len(t), tuple(chain), tuple(fnames), -1 if par % 2 else 1
+    for sub, start, end, odd in plan:
+        objs, names = gobjs[start:end + 1], gnames[start:end]
+        fnames.append((sub, objs, names))
+        if odd:
+            par += tensor_degree(gen, objs, names)
+        chain.append(gobjs[end])
+    return len(plan), tuple(chain), tuple(fnames), -1 if par % 2 else 1
 
 
 def embed_leaf(squiver, pair, el):

@@ -21,8 +21,9 @@ from ainfkit.freecat import (LEAF, IdealSpec, _col_key, check_factorizes,
                              structure_relations, tree_element,
                              tree_pipeline, trees_with_leaf_count,
                              trivial_embedding, vertex_count)
-from ainfkit.functors import (Bn, check_functor, compose_functors,
-                              identity_functor, random_coderivation,
+from ainfkit.functors import (AInfFunctor, Bn, check_functor,
+                              compose_functors, identity_functor,
+                              random_coderivation, resolve_at_root,
                               strict_functor)
 from ainfkit.graded import Echelon, GradedModule, Ring
 from ainfkit.homquot import composite_defect
@@ -901,6 +902,18 @@ def _validation_cases():
     # the identity images without u's, so d(u) = v is no longer matched
     dropped_u = identity_images(D)
     del dropped_u.components[(0, 1)]["u"]
+    collapse = extend_functor(F, D, identity_images(D))
+    f1 = collapse.component(1)
+    u = (LEAF, (0, 1), ("u",))
+
+    def v_at_u(objs, names):
+        # the one-leaf name u goes to v, one degree too high
+        if names[0] == u:
+            return D.hom(0, 1).basis_element("v")
+        return f1.on_basis(objs, names)
+
+    wrong_f1 = AInfFunctor(F, D, collapse.obj_map, {1: MultiOp(
+        F.quiver, D.quiver, 1, 0, rule=v_at_u, lmap=f1.lmap, rmap=f1.rmap)})
     return {
         "corolla": (lambda: corolla(1), "at least two leaves"),
         "leaf bound": (lambda: free_category(gen, d1, leaf_bound=0),
@@ -944,6 +957,10 @@ def _validation_cases():
             "another category"),
         "descends span": (lambda: check_factorizes(wrong_degree, IdealSpec(G, [])),
                           "another category"),
+        "one-leaf root": (lambda: resolve_at_root(collapse, u),
+                          r"one-leaf name \(\(\), \(0, 1\), \('u',\)\)"),
+        "span image degree": (lambda: check_factorizes(
+            wrong_f1, structure_relations(D, F)), "degree"),
     }
 
 
@@ -952,7 +969,8 @@ def _validation_cases():
     "delta arity", "span field", "quotient span", "images quiver",
     "images degree", "images chain", "functor higher", "functor sources",
     "part1 hom", "part1 degree", "coderivation higher", "image_d",
-    "homotopy target", "factorizes span", "descends span"])
+    "homotopy target", "factorizes span", "descends span", "one-leaf root",
+    "span image degree"])
 def test_freecat_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):

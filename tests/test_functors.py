@@ -1,19 +1,21 @@
-"""Functor equation, coderivation differential, insertions, cochain comparison."""
+"""Functor equation, coderivation differential, insertions, and the
+cochain comparison, whose Hochschild-form oracle lives here."""
 
 import random
 
 import pytest
 
 from ainfkit.category import AInfCategory, dg_to_ainf, opposite
-from ainfkit.functors import (AInfFunctor, Bn, B1, Coderivation, HochschildCochain,
+from ainfkit.functors import (AInfFunctor, Bn, B1, Coderivation,
                               _commutator_tail, check_b1_square, check_functor,
-                              check_hochschild_square, coderivations_equal,
-                              compose_functors, functor_defect, hochschild_d,
-                              identity_functor, random_coderivation, strict_functor,
-                              theta_value, to_hochschild, unit_transformation)
+                              coderivations_equal, compose_functors,
+                              functor_defect, identity_functor,
+                              random_coderivation, strict_functor,
+                              theta_value, unit_transformation)
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (MultiOp, Stage, bounded_tensors, evaluate, insert,
-                            run_stages, state_element)
+                            run_stages, state_element, tensor_degree)
+from ainfkit.report import Report, unless_zero
 from test_category import arrow_with_differential, one_object_unit, path3
 
 QQ = Ring("QQ")
@@ -306,6 +308,184 @@ def test_unit_transformation_is_absorbed():
     z = const_zero_functor(A)
     rz = random_coderivation(idA, z, 0, 2, random.Random(33))
     assert coderivations_equal(Bn([rz, unit_transformation(z)]), rz)
+
+
+# The cochain comparison: B1 restated in the classical shift-conjugated
+# Hochschild form, an oracle for its signs.  check_b1_square stays the
+# library's coderivation certificate.
+
+class HochschildCochain:
+    """Cochain data on the unshifted homs through two strict functors.
+
+    Component k maps plain k-tensors of source arrows into the target
+    hom between the image objects; component 0 is per-object.  degree is
+    shared with the corresponding coderivation, so component k has map
+    degree equal to degree + 1 - k.
+    """
+
+    def __init__(self, source, target, degree, components, t0=None,
+                 arity_bound=None, name="t"):
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.components = dict(components)
+        self.t0 = dict(t0) if t0 else {}
+        if arity_bound is None:
+            arity_bound = max(self.components) if self.components else 0
+        self.arity_bound = arity_bound
+        self.name = name
+
+    def map_degree(self, k):
+        return self.degree + 1 - k
+
+    def eval(self, k, objs, factors):
+        """Apply component k to a tensor of unshifted elements."""
+        B = self.source.target
+        qb = B.dg.quiver
+        pair = (self.source.obj_map(objs[0]), self.target.obj_map(objs[-1]))
+        if k == 0:
+            el = self.t0.get(objs[0])
+            if el is None:
+                return qb.hom(*pair).zero(self.map_degree(0))
+            return el
+        op = self.components.get(k)
+        if op is None:
+            deg = sum(f.degree for f in factors) + self.map_degree(k)
+            return qb.hom(*pair).zero(deg)
+        return evaluate(op, objs, factors)
+
+
+def _require_dg(f, g):
+    A, B = f.source, f.target
+    if A.dg is None or B.dg is None:
+        raise ValueError("cochain comparison needs categories built from unshifted data")
+    if f.arity_top > 1 or g.arity_top > 1:
+        raise ValueError("cochain comparison needs strict functors")
+    return A.dg, B.dg
+
+
+def dg_arrow_image(f, X, Y, el):
+    """Arity-1 action on an unshifted arrow: the same matrix as shifted."""
+    smod = f.source.quiver.hom(X, Y)
+    op = f.component(1)
+    tmod = f.target.dg.quiver.hom(f.obj_map(X), f.obj_map(Y))
+    if op is None:
+        return tmod.zero(el.degree)
+    sval = evaluate(op, (X, Y), (smod.element(dict(el.items()), el.degree - 1),))
+    return tmod.element(dict(sval.items()), el.degree)
+
+
+def to_hochschild(r):
+    """Conjugate a coderivation by the shift, componentwise.
+
+    Component k picks up the sign of the weighted sum of unshifted input
+    degrees, with weight i - 1 on the i-th factor; the output loses one
+    shift with no extra sign.
+    """
+    f, g = r.source, r.target
+    dga, dgb = _require_dg(f, g)
+    qa, qb = dga.quiver, dgb.quiver
+    comps = {}
+    for k in range(1, r.arity_bound + 1):
+        def rule(objs, names, k=k):
+            degs = [qa.degree(objs[i], objs[i + 1], names[i]) for i in range(k)]
+            par = sum(i * degs[i] for i in range(k))
+            pair = (f.obj_map(objs[0]), g.obj_map(objs[-1]))
+            deg_out = sum(degs) + r.degree + 1 - k
+            rk = r.component(k)
+            if rk is None:
+                return qb.hom(*pair).zero(deg_out)
+            sval = rk.on_basis(objs, names)
+            out = qb.hom(*pair).element(dict(sval.items()), deg_out)
+            return out.neg() if par % 2 else out
+
+        comps[k] = MultiOp(qa, qb, k, r.degree + 1 - k, rule=rule,
+                           lmap=f.obj_map, rmap=g.obj_map,
+                           name="%s_t%d" % (r.name, k))
+    t0 = {}
+    for X, el in r.r0.items():
+        mod = qb.hom(f.obj_map(X), g.obj_map(X))
+        t0[X] = mod.element(dict(el.items()), el.degree + 1)
+    return HochschildCochain(f, g, r.degree, comps, t0=t0,
+                             arity_bound=r.arity_bound, name=r.name + "t")
+
+
+def hochschild_d(t):
+    """The cochain differential for composition-only data.
+
+    Defined when both categories carry no differential on the unshifted
+    arrows: functor image times the cochain, minus-signed inner
+    multiplications, and the cochain times the functor image with the
+    arity-dependent sign.  On arrows of degree 0 this is the classical
+    three-term sum; in general degrees the whole component is scaled by
+    the parity of the cochain's map degree, and the last term moves the
+    final arrow past the cochain, because the differential is really
+    the shift conjugate of the coderivation differential.
+    """
+    f, g = t.source, t.target
+    dga, dgb = _require_dg(f, g)
+    if dga.m1 or dgb.m1:
+        raise ValueError("cochain differential needs vanishing differentials")
+    qa, qb = dga.quiver, dgb.quiver
+    comps = {}
+    for K in range(1, t.arity_bound + 2):
+        def rule(objs, names, K=K):
+            k = K - 1
+            pair = (f.obj_map(objs[0]), g.obj_map(objs[-1]))
+            mdeg = t.map_degree(k)
+            deg_out = tensor_degree(qa, objs, names) + t.degree + 1 - k
+            basis = [qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
+                     for i in range(K)]
+            out = qb.hom(*pair).zero(deg_out)
+            lead = dg_arrow_image(f, objs[0], objs[1], basis[0])
+            rest = t.eval(k, objs[1:], basis[1:])
+            out = out.add(dgb.mul(f.obj_map(objs[0]), f.obj_map(objs[1]), pair[1],
+                                  lead, rest))
+            for a in range(k):
+                prod = dga.mul(objs[a], objs[a + 1], objs[a + 2], basis[a], basis[a + 1])
+                val = t.eval(k, objs[:a + 1] + objs[a + 2:],
+                             basis[:a] + [prod] + basis[a + 2:])
+                out = out.add(val.scale(-1 if (a + 1) % 2 else 1))
+            tail = dg_arrow_image(g, objs[-2], objs[-1], basis[-1])
+            head = t.eval(k, objs[:-1], basis[:-1])
+            val = dgb.mul(pair[0], g.obj_map(objs[-2]), g.obj_map(objs[-1]), head, tail)
+            swap = qa.degree(objs[-2], objs[-1], names[-1]) * mdeg
+            sign = (-1 if (k + 1) % 2 else 1) * (-1 if swap % 2 else 1)
+            out = out.add(val.scale(sign))
+            return out.neg() if mdeg % 2 else out
+
+        comps[K] = MultiOp(qa, qb, K, t.degree + 2 - K, rule=rule,
+                           lmap=f.obj_map, rmap=g.obj_map,
+                           name="%sd_%d" % (t.name, K))
+    return HochschildCochain(f, g, t.degree + 1, comps, t0={},
+                             arity_bound=t.arity_bound + 1, name=t.name + "d")
+
+
+def check_hochschild_square(r):
+    """The shift conjugation intertwines the two differentials, exactly.
+
+    Compares the conjugate of the coderivation differential with the
+    cochain differential of the conjugate on every basis tensor up to
+    the coderivation's arity bound.
+    """
+    t = to_hochschild(r)
+    lhs = to_hochschild(B1(r))
+    rhs = hochschild_d(t)
+    rep = Report("conjugation square for %s" % r.name)
+    qa = r.cat_source.dg.quiver
+
+    def mismatch(k, objs, basis):
+        return unless_zero(lhs.eval(k, objs, basis).sub(rhs.eval(k, objs, basis)))
+
+    rep.tally("arity 00", ((X, lambda: mismatch(0, (X,), ()))
+                           for X in qa.objects), "objects")
+    for k in range(1, r.arity_bound + 1):
+        rep.tally("arity %02d" % k, (
+            (names, lambda: mismatch(k, objs, [
+                qa.hom(objs[i], objs[i + 1]).basis_element(names[i])
+                for i in range(k)]))
+            for objs, names in bounded_tensors(qa, k)), "tensors")
+    return rep
 
 
 def test_to_hochschild_frozen_sign():

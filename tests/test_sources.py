@@ -1,8 +1,9 @@
 """Source guards: input validation must survive python -O, no private
 helper is left without a caller, and the package has one elimination,
 one check loop, one sparse sum, one schedule runner, one placement
-walk, one context walk and one null-homotopy solve, and builds tree
-categories only in their constructors."""
+walk, one context walk and one null-homotopy solve, builds tree
+categories only in their constructors, and writes functor and
+coderivation components only there too."""
 
 import ast
 import pathlib
@@ -52,7 +53,8 @@ STAGE_RUNNERS = {
 # The top-level definitions that build a Stage from a list of blocks, by
 # (module, name): _padded pads one block list with identities, and
 # _chain_into feeds every placement of functor and coderivation blocks,
-# from the one placement walk functors._placements, into one operation.
+# from the one placement walk functors._placements, into one operation,
+# building one Stage per distinct block list.
 STAGE_BUILDERS = {
     ("quiver", "_padded"),
     ("functors", "_chain_into"),
@@ -73,6 +75,20 @@ SOLVERS = {
 END_WALKERS = {
     ("freecat", "_contexts"),
 }
+
+
+# The classes whose constructors write a components or r0 attribute, by
+# (module, class); nothing else writes one.  A functor's and a
+# coderivation's components and r0 are fixed once constructed, which the
+# placement plans that functors._chain_into keeps rely on.  QuiverMap
+# fills its own per-pair components in its constructor.
+COMPONENT_WRITERS = {
+    ("functors", "AInfFunctor"),
+    ("functors", "Coderivation"),
+    ("quiver", "QuiverMap"),
+}
+FIXED_ATTRS = ("components", "r0")
+DICT_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear")
 
 
 def package_trees():
@@ -222,3 +238,54 @@ def test_one_context_walk():
              if any(_walks_from_an_end(node) for node in ast.walk(top))}
     assert found == END_WALKERS, "end-anchored walks outside: %r" % (
         sorted(found ^ END_WALKERS),)
+
+
+def _fixed_attr(node):
+    """x.components or x.r0, or an item of one, at any depth."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in FIXED_ATTRS
+
+
+def _writes_fixed(node):
+    """An assignment to, a del of, or a mutating call on _fixed_attr."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return (node.func.attr in DICT_MUTATORS
+                and _fixed_attr(node.func.value))
+    else:
+        return False
+    return any(_fixed_attr(t) for target in targets
+               for t in (target.elts if isinstance(target, (ast.Tuple, ast.List))
+                         else [target]))
+
+
+def component_writes(tree, module):
+    """(module, class or None, function) for every write of a components
+    or r0 attribute in a parsed module."""
+    found = set()
+    for top in tree.body:
+        owners = ([(top.name, item) for item in top.body]
+                  if isinstance(top, ast.ClassDef) else [(None, top)])
+        for cls, fn in owners:
+            if any(_writes_fixed(node) for node in ast.walk(fn)):
+                found.add((module, cls, getattr(fn, "name", None)))
+    return found
+
+
+def test_components_written_only_by_constructors():
+    found = set()
+    for module, tree in package_trees():
+        found |= component_writes(tree, module)
+    want = {(module, cls, "__init__") for module, cls in COMPONENT_WRITERS}
+    assert found == want, "components written outside constructors: %r" % (
+        sorted(found ^ want, key=repr),)
+    # the guard sees each kind of write
+    for line in ("f.components[2] = op", "del r.r0[X]", "f.components = {}",
+                 "r.r0.update(more)", "f.components.pop(2, None)",
+                 "f.components[2], x = op, 1"):
+        tree = ast.parse("def g(f, r, op, X, more):\n    %s\n" % line)
+        assert component_writes(tree, "m") == {("m", None, "g")}, line

@@ -13,6 +13,8 @@ enumerate them on their own: oracle_functor_blocks splits an arity
 into component arities, and oracle_theta splits the inputs into
 2n + 1 segments, one per coderivation and one per functor around them,
 and takes the product of the functor blocks of each segment.
+_chain_into keeps its placements as cached plans; fresh_chain_into is
+the sum without them, one fresh walk and one new Stage per placement.
 """
 
 import itertools
@@ -22,18 +24,22 @@ import pytest
 
 from ainfkit.barquot import (bar_quotient, extend_functor, unit_contraction,
                              word_embedding)
+from ainfkit import functors
 from ainfkit.category import dg_to_ainf, stasheff_defect
-from ainfkit.functors import (AInfFunctor, Bn, functor_defect,
-                              identity_functor, random_coderivation,
-                              theta_value)
+from ainfkit.freecat import check_factorizes, structure_relations
+from ainfkit.freecat import extend_functor as free_extension
+from ainfkit.functors import (AInfFunctor, Bn, Coderivation, _chain_into,
+                              _placements, functor_defect, identity_functor,
+                              random_coderivation, theta_value)
 from ainfkit.graded import GradedModule, Ring, linear_combination
 from ainfkit.homquot import homotopy_quotient
-from ainfkit.quiver import (BoundError, Stage, bounded_tensors, combine_ops,
-                            insert, run_stages, state_element)
+from ainfkit.quiver import (BoundError, MultiOp, Stage, apply_stage,
+                            bounded_tensors, combine_ops, insert, run_stages,
+                            state_element)
 from ainfkit.trees import LEAF, root_split
 from test_barquot import models
 from test_category import path3
-from test_freecat import random_binary_extension
+from test_freecat import free_over, identity_images, random_binary_extension
 from test_homquot import within_bound
 
 F7 = Ring("Fp", 7)
@@ -184,6 +190,38 @@ def oracle_resolve_at_root(f, label):
         oracle_blocks_into(f, B.b, k, base, B.quiver, pair, degree, eps))
         + list(oracle_inner_ops(A, f.component, k, base, B.quiver, pair,
                                 degree, -eps, root=False)))
+
+
+def fresh_chain_into(chain, rs, outer, base):
+    """_chain_into without its plans: a fresh placement walk, one new
+    Stage per placement, summed per block count and fed into outer."""
+    [(objs, _)] = base
+    states = {}
+    for blocks in _placements(chain, rs, objs):
+        if outer(len(blocks)) is not None:
+            apply_stage(Stage(chain[0].source.quiver, blocks), base,
+                        states.setdefault(len(blocks), {}))
+    out = {}
+    for n, state in states.items():
+        apply_stage(insert(outer(n), 0, 0), state, out)
+    return out
+
+
+def plans_agree(chain, rs, outer, cases):
+    """The cached sum equals the fresh one on every (objs, names) case,
+    when the plan is first built and when it is read back; returns how
+    many cases were nonzero."""
+    one = chain[0].source.quiver.ring.one
+    nonzero = 0
+    for objs, names in cases:
+        base = {(tuple(objs), tuple(names)): one}
+        want = fresh_chain_into(chain, rs, outer, base)
+        assert _chain_into(chain, rs, outer, base, {}) == want, names
+        known = len(chain[0].plans)
+        assert _chain_into(chain, rs, outer, base, {}) == want, names
+        assert len(chain[0].plans) == known
+        nonzero += bool(want)
+    return nonzero
 
 
 class Skewed:
@@ -358,3 +396,70 @@ def test_two_coderivation_chain_matches_segment_oracle(build):
             checked += 1
             nonzero += not want.is_zero
     assert nonzero > 10, (checked, nonzero)
+
+
+@pytest.mark.parametrize("build", [path3, lambda: arrow_over(Ring("QQ"))],
+                         ids=["path3", "arrow"])
+def test_cached_plans_match_a_fresh_walk_on_functor_chains(build):
+    # functors of one, two and three random degree-0 components, fed
+    # into the target operations and into their own components; no
+    # degree-0 table is nonzero at arity 3 here, so that one is empty
+    A = build()
+    ident = identity_functor(A)
+    g = random_coderivation(ident, ident, 0, 3, random.Random(50), name="g")
+    comps = {n: g.component(n) or MultiOp(A.quiver, A.quiver, n, 0,
+                                          lmap=ident.obj_map,
+                                          rmap=ident.obj_map)
+             for n in (1, 2, 3)}
+    cases = [case for k in (1, 2, 3, 4)
+             for case in bounded_tensors(A.quiver, k)]
+    for top in (1, 2, 3):
+        f = AInfFunctor(A, A, ident.obj_map,
+                        {n: comps[n] for n in range(1, top + 1)},
+                        name="f%d" % top)
+        assert len(f.components) == top
+        assert plans_agree([f], (), A.b, cases) > 0
+        assert plans_agree([f], (), f.component, cases) > 0
+
+
+@pytest.mark.parametrize("build", [path3, lambda: arrow_over(Ring("QQ"))],
+                         ids=["path3", "arrow"])
+def test_cached_plans_match_a_fresh_walk_on_coderivation_chains(build):
+    # two coderivations with per-object components, the second one zero
+    # at the first object, at arities 0-3
+    A = build()
+    ident = identity_functor(A)
+    X0 = A.quiver.objects[0]
+    cases = [((X,), ()) for X in A.quiver.objects]
+    cases += [case for k in (1, 2, 3) for case in bounded_tensors(A.quiver, k)]
+    for seed, degrees in enumerate(((-1, -1), (-1, 0), (-1, 1))):
+        rng = random.Random(60 + seed)
+        r, s = (random_coderivation(ident, ident, d, 3, rng, 1.0, name=nm)
+                for d, nm in zip(degrees, "rs"))
+        s = Coderivation(ident, ident, s.degree, s.components,
+                         r0={X: el for X, el in s.r0.items() if X != X0},
+                         arity_bound=3, name="s")
+        assert r.r0 and s.component0(X0).is_zero, degrees
+        chain = [ident, ident, ident]
+        assert plans_agree(chain, [r, s], A.b, cases) > 0, degrees
+
+
+def test_one_stage_per_block_list(monkeypatch):
+    # one span check on a free category builds each block list's Stage
+    # once, however many names share it
+    D = path3()
+    F = free_over(D, 4)
+    R = structure_relations(D, F)
+    R.rows()
+    built = []
+    real = functors.Stage
+
+    def counting(source, blocks, *args):
+        built.append(tuple(blocks))
+        return real(source, blocks, *args)
+
+    monkeypatch.setattr(functors, "Stage", counting)
+    f = free_extension(F, D, identity_images(D), name="c")
+    assert check_factorizes(f, R).ok
+    assert built and len(built) == len(set(built)), (len(built),
+                                                     len(set(built)))

@@ -5,14 +5,25 @@ categories with no marked objects."""
 import gc
 import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from ainfkit.category import AInfCategory
 from ainfkit.freecat import corolla, free_category
+from ainfkit.graded import GradedModule, Ring
 from ainfkit.homquot import (homotopy_quotient, path_flags, stages_to_tree,
                              tree_category)
-from ainfkit.quiver import bounded_tensors, evaluate
-from ainfkit.trees import (LEAF, interned, root_split, shape_table,
-                           tree_shapes, tree_stages, unary_count)
+from ainfkit.quiver import (GradedQuiver, bounded_tensors, evaluate,
+                            tensor_degree)
+from ainfkit.trees import (LEAF, interned, leaf_count, root_split,
+                           shape_counts, shape_table, tree_shapes,
+                           tree_stages, unary_count)
 from test_category import arrow_with_differential, path3
+
+# Every shape of 1-5 leaves, unary vertices included.
+SPLIT_SHAPES = [t for n in range(1, 6) for t in tree_shapes(n)]
+# Generators of one loop, of even and odd degrees.
+GENERATORS = {"a": 0, "b": 1, "c": -1, "d": 2}
 
 
 def free_arrow(bound):
@@ -85,6 +96,76 @@ def test_root_split_round_trip():
                 assert got == A.hom(X, Y).basis_element(name, eps), name
                 grafted += 1
         assert grafted > 0
+
+
+def oracle_root_split(gen, label):
+    """The root split as a walk over the root's children: every factor's
+    degree is read and weighted by the vertices to its left."""
+    t, gobjs, gnames = label
+    chain = [gobjs[0]]
+    fnames = []
+    par = 0
+    left = 0
+    pos = 0
+    for j, sub in enumerate(t):
+        ln, vc, _ = shape_counts(sub)
+        objs, names = tuple(gobjs[pos:pos + ln + 1]), tuple(gnames[pos:pos + ln])
+        fnames.append((sub, objs, names))
+        if j:
+            par += left * tensor_degree(gen, objs, names)
+        left += vc
+        pos += ln
+        chain.append(gobjs[pos])
+    return len(t), tuple(chain), tuple(fnames), -1 if par % 2 else 1
+
+
+def loop_gen():
+    mod = GradedModule(Ring("QQ"), list(GENERATORS.items()))
+    return GradedQuiver(Ring("QQ"), ["*"], {("*", "*"): mod})
+
+
+def loop_label(t, letters):
+    n = leaf_count(t)
+    return (t, ("*",) * (n + 1), tuple(letters[:n]))
+
+
+def test_root_split_matches_the_walk_on_every_shape():
+    # every shape of 1-5 leaves, under two fillings that put even and
+    # odd generators at every leaf; a one-leaf name has no root
+    gen = loop_gen()
+    for letters in ("abcda", "bcdab", "bbbbb"):
+        for t in SPLIT_SHAPES:
+            label = loop_label(t, letters)
+            if t == LEAF:
+                with pytest.raises(ValueError, match="one-leaf name"):
+                    root_split(gen, label)
+            else:
+                assert root_split(gen, label) == oracle_root_split(gen, label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([t for t in SPLIT_SHAPES if t != LEAF]),
+       st.lists(st.sampled_from(sorted(GENERATORS)), min_size=5, max_size=5))
+def test_root_split_matches_the_walk_on_drawn_degrees(t, letters):
+    gen = loop_gen()
+    label = loop_label(t, letters)
+    assert root_split(gen, label) == oracle_root_split(gen, label)
+
+
+def test_root_split_matches_the_walk_on_grafted_names():
+    # every name with a root vertex of the bound-4 tree quotient of path3
+    A = homotopy_quotient(path3(), {1}, 4)
+    gen = A.base.quiver
+    split = 0
+    for X, Y in A.quiver.pairs():
+        for name in A.hom(X, Y).names:
+            if name[0] == LEAF:
+                with pytest.raises(ValueError, match="one-leaf name"):
+                    root_split(gen, name)
+                continue
+            assert root_split(gen, name) == oracle_root_split(gen, name), name
+            split += 1
+    assert split > 4000
 
 
 def test_free_category_is_the_tree_category_without_marked_objects():
