@@ -191,23 +191,22 @@ def unit_contraction(D):
 
 
 def check_contraction(D, chi):
-    """The contracting identity on every stored pair, at every word.
+    """The contracting identity on every pair chi was given, at every word.
 
     For each word x short enough to contract, the boundary of the
-    contraction plus the contraction of the boundary must return x; a
-    word whose contraction leaves the bound is skipped.
+    contraction plus the contraction of the boundary (chi's commutator
+    with the differential) must return x; a word whose contraction
+    leaves the bound is skipped.
     """
     rep = Report("unit contraction for %s" % D.name)
     b1 = D.b(1)
 
     def words():
-        for X, Y in sorted(chi.matrices, key=repr):
+        for X, Y in sorted(chi.pairs, key=repr):
             for nm in D.hom(X, Y).names:
                 def run():
                     x = D.hom(X, Y).basis_element(nm)
-                    cx = chi.apply(X, Y, x)
-                    return unless_zero(evaluate(b1, (X, Y), (cx,)).add(
-                        chi.apply(X, Y, evaluate(b1, (X, Y), (x,)))).sub(x))
+                    return unless_zero(chi.commutator(X, Y, x, b1, b1).sub(x))
                 yield (nm, (X, Y)), run
 
     return rep.tally("contracting identity", words(), "words")
@@ -258,26 +257,23 @@ def comparison_map(D, Q):
         memo[nm] = out
         return out
 
-    components = {}
-    for pair in D.quiver.pairs():
-        components[pair] = {nm: value(nm)
-                            for nm in D.quiver.hom(*pair).names}
-    return QuiverMap(D.quiver, Q.quiver, 0, components)
+    return QuiverMap(D.quiver, Q.quiver, 0, {
+        pair: {nm: value(nm) for nm in D.quiver.hom(*pair).names}
+        for pair in D.quiver.pairs()})
 
 
 def extend_functor(f, Q, chi, extras=None, name=None):
     """Extend a functor on the base category over the tree quotient.
 
-    f goes from Q's base into any category; chi supplies contracting
-    homotopies on the touched target homs, as an object with an apply
-    method taking a pair of target objects and an element.  The higher
-    components of the extension may be supplied through extras, a map
-    from arity to a rule on tuples of junction objects and tree names;
-    by default they extend by zero, keeping f's own components on
-    trivial tensors.  The arrow component is then forced: trivial trees
-    go through f, a capped tree goes through the contraction, and a
-    grafted tree is resolved by the functor equation for its root,
-    whose grafting is invertible.
+    f goes from Q's base into any category; chi, a quiver map such as
+    unit_contraction's, supplies contracting homotopies on the touched
+    target homs.  The higher components of the extension may be supplied
+    through extras, a map from arity to a rule on tuples of junction
+    objects and tree names; by default they extend by zero, keeping f's
+    own components on trivial tensors.  The arrow component is then
+    forced: trivial trees go through f, a capped tree goes through the
+    contraction, and a grafted tree is resolved by the functor equation
+    for its root, whose grafting is invertible.
     """
     C, A = f.source, f.target
     if Q.base is not C:
@@ -286,7 +282,6 @@ def extend_functor(f, Q, chi, extras=None, name=None):
     f1 = f.component(1)
     if f1 is None:
         raise ValueError("the functor needs an arrow component")
-    applied = chi.apply if hasattr(chi, "apply") else chi
 
     def higher(m, robjs, rnames):
         if extras and m in extras:
@@ -304,7 +299,7 @@ def extend_functor(f, Q, chi, extras=None, name=None):
             return f1.on_basis(objs, gnames)
         if len(t) == 1:
             inner = fext.component(1).on_basis(objs, ((t[0], gobjs, gnames),))
-            return applied(omap(objs[0]), omap(objs[1]), inner)
+            return chi.apply(omap(objs[0]), omap(objs[1]), inner)
         return resolve_at_root(fext, nm)
 
     tag = name or (f.name + ".ext")
@@ -340,12 +335,8 @@ def check_comparison(D, Q, samples=30, seed=0):
             for nm in D.hom(X, Y).names:
                 yield nm, lambda: check(X, Y, D.hom(X, Y).basis_element(nm))
 
-    def chain(X, Y, x):
-        return unless_zero(
-            evaluate(Q.b(1), (X, Y), (psi.apply(X, Y, x),))
-            .sub(psi.apply(X, Y, evaluate(D.b(1), (X, Y), (x,)))))
-
-    rep.tally("comparison is a chain map", words(chain), "words")
+    rep.tally("comparison is a chain map", words(lambda X, Y, x: unless_zero(
+        psi.commutator(X, Y, x, D.b(1), Q.b(1)))), "words")
 
     chi = unit_contraction(D)
     rep.merge(check_contraction(D, chi))

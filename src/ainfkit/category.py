@@ -14,7 +14,8 @@ from .graded import (ChainMap, Complex, GradedModule, accumulate,
                      map_boundary, map_module, null_homotopy, shift)
 from .quiver import (CountedTensors, GradedQuiver, MultiOp,
                      QuiverMap, _arrow_index, bounded_tensors, evaluate,
-                     insertion_sum, state_element, tensor_degree)
+                     insertion_sum, slot_values, state_element,
+                     tensor_degree)
 from .report import Report, unless_zero
 from .trees import tree_pipeline
 
@@ -95,14 +96,13 @@ def hom_complex(A, X, Y, check=True):
                    check=check)
 
 
-def b1_chain_map(A, X, Y):
-    """The arity-1 operation at (X, Y) as a degree +1 matrix map."""
+def b1_chain_map(A, X, Y, sign=1):
+    """The arity-1 operation at (X, Y), times sign (1 or -1), as a degree
+    +1 matrix map: one slot_values call."""
     mod = A.quiver.hom(X, Y)
     b1 = A.b(1)
-    matrix = {}
-    if b1 is not None:
-        matrix = {nm: b1.on_basis((X, Y), (nm,)) for nm in mod.names}
-    return ChainMap(mod, mod, 1, matrix)
+    return ChainMap(mod, mod, 1, {} if b1 is None else
+                    slot_values(b1, (X, Y), (), 0, signs=(sign, sign)))
 
 
 def stasheff_defect(A, k, objs, names):
@@ -182,17 +182,10 @@ class DGData:
 
     def __init__(self, quiver, m1, m2):
         self.quiver = quiver
-        self.m1 = {}
-        for pair, mat in m1.items():
-            clean = {n: el for n, el in mat.items() if not el.is_zero}
-            if clean:
-                self.m1[pair] = clean
+        # m1: the nonzero entries of the degree 1 map d, per pair
+        differential = QuiverMap(quiver, quiver, 1, m1)
+        self.m1, self.d = differential.components, differential.apply
         self.m2 = m2
-
-    def d(self, X, Y, el):
-        mat = self.m1.get((X, Y), {})
-        return linear_combination(self.quiver.hom(X, Y), el.degree + 1,
-                                  ((mat[n], c) for n, c in el.items() if n in mat))
 
     def mul(self, X, Y, Z, x, y):
         table = self.m2.get((X, Y, Z), {})
@@ -588,16 +581,6 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
         raise ValueError("max_size needs a size function (size_of) on %s"
                          % A.name)
 
-    def d1(X, Y, el):
-        if b1 is None or el.is_zero:
-            return q.hom(X, Y).zero(el.degree + 1)
-        return evaluate(b1, (X, Y), (el,))
-
-    def boundary(hmap, X, Y, x):
-        if hmap is None:
-            return q.hom(X, Y).zero(x.degree)
-        return hmap.apply(X, Y, d1(X, Y, x)).add(d1(X, Y, hmap.apply(X, Y, x)))
-
     def names(hmap, pos):
         for X, Y in q.pairs():
             for nm in q.hom(X, Y).names:
@@ -608,7 +591,9 @@ def verify_unit_homotopy(A, h, h_prime, max_size=None):
                     x = q.hom(X, Y).basis_element(nm)
                     u = unit_then_op(A, (X, Y), (nm,), pos)
                     lhs = x.sub(u) if pos else x.add(u)
-                    return unless_zero(lhs.sub(boundary(hmap, X, Y, x)))
+                    if hmap is not None:  # its boundary at x
+                        lhs = lhs.sub(hmap.commutator(X, Y, x, b1, b1))
+                    return unless_zero(lhs)
                 yield nm, run if (X, Y)[pos] in A.units else None
 
     noun = "names" if max_size is None else "names of size <= %d" % max_size

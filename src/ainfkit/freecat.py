@@ -292,11 +292,7 @@ def extend_functor(F, A, gen_images, higher=None, name="f"):
                          "into the target")
     if gen_images.degree != 0:
         raise ValueError("generator images must have degree 0")
-
-    def d(op):
-        return lambda X, Y, el: (el.module.zero(el.degree + 1) if op is None
-                                 else evaluate(op, (X, Y), (el,)))
-    if not gen_images.is_chain(d(F.gen_d1), d(A.b(1))):
+    if not gen_images.is_chain(F.gen_d1, A.b(1)):
         raise ValueError("generator images do not commute with the "
                          "differentials")
     omap = gen_images.obj_map
@@ -452,22 +448,23 @@ def check_factorizes(f, R):
     a relation span: the span under the arity-one component, and mixed
     tensors with one span slot under every higher component.
 
-    Each span row, in span_elements order, is one state through the
-    stage insert(f1, 0, 0), as the mixed slots are through their
-    component's; the first row with a nonzero image fails its line."""
+    Each row of R.rows() is one state through the stage insert(f1, 0, 0),
+    as the mixed slots are through their component's; the first row with
+    a nonzero image fails its line, at its pair and pivot."""
     source = f.cat_source if isinstance(f, Coderivation) else f.source
     if R.category is not source:
         raise ValueError("the relation span lives in another category")
     rep = Report("%s kills %s" % (f.name, R.name))
     f1 = f.component(1)
-    rows = R.span_elements() if f1 is not None else ()
+    rows = R.rows().items() if f1 is not None else ()
     stage = insert(f1, 0, 0) if f1 is not None else None
     rep.tally("span under arity 1", (
-        (el, lambda: unless_zero(state_element(
+        ((pair, pivot), lambda: unless_zero(state_element(
             f1.target,
-            apply_stage(stage, {((X, Y), (n,)): c for n, c in el.items()}),
-            f1.pair_map((X, Y)), el.degree + f1.degree)))
-        for X, Y, el in rows), "rows")
+            apply_stage(stage, {(pair, (n,)): c for n, c in row.items()}),
+            f1.pair_map(pair), degree + f1.degree)))
+        for (pair, degree), bucket in rows
+        for pivot, row in bucket.items()), "rows")
     for k in sorted(f.components):
         if k > 1:
             rep.tally("arity %02d mixed slots" % k,

@@ -350,7 +350,8 @@ def resolve_at_root(f, label, head=None):
     head(k, objs, names) is the rest of the equation on the factors; for
     a functor it defaults to the component blocks fed into a target
     operation.  The source must be a tree category over a base, and the
-    name must have a root vertex: a one-leaf name raises ValueError.
+    name must have a root operation: a one-leaf or unary-rooted name
+    raises ValueError (trees.root_split).
     """
     if isinstance(f, Coderivation):
         A, B = f.cat_source, f.cat_target

@@ -39,7 +39,7 @@ import random
 from .category import AInfCategory, verify_unit_homotopy
 from .functors import strict_functor
 from .graded import GradedModule, accumulate, linear_combination
-from .quiver import (BoundError, GradedQuiver, MultiOp,
+from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      apply_stage, bounded_tensors, evaluate, insert,
                      insertion_sum, state_element, tensor_degree)
 from .report import Report, unless_zero
@@ -795,32 +795,30 @@ def check_action_chain(E, samples=40, seed=0):
 # Unit homotopies.
 
 
-class PartialHomotopy:
-    """Degree -1 endomap of a truncated category, stored per pair on the
-    names with room for one more leaf or letter under the size bound.
+class PartialHomotopy(QuiverMap):
+    """Degree -1 endomap of a truncated category A, given per pair on the
+    names with room for one more leaf or letter under the size bound:
+    the unit homotopies here and the unit contraction of the word model.
 
-    Serves the unit homotopies here and the unit contraction of the word
-    model.  apply raises ValueError at a pair it has no matrix for and
-    BoundError on a name without a stored value.
-    """
+    A quiver map on A's quiver but for apply, which refuses with
+    ValueError at a pair not given (pairs holds those given) and with
+    BoundError on a name whose size plus one leaves A's bound, the rule
+    by which its builders leave names out."""
 
     def __init__(self, A, matrices):
-        self.A = A
-        self.matrices = matrices
-        self.degree = -1
+        super().__init__(A.quiver, A.quiver, -1, matrices)
+        self.A, self.pairs = A, frozenset(matrices)
 
     def apply(self, X, Y, el):
-        mat = self.matrices.get((X, Y))
-        if mat is None:
+        if (X, Y) not in self.pairs:
             raise ValueError("no value at (%r, %r): neither endpoint is "
                              "marked" % (X, Y))
+        A = self.A
         for nm, _ in el.items():
-            if nm not in mat:
+            if A.size_of(X, Y, nm) + 1 > A.size_bound:
                 raise BoundError("the value on %r needs size %d, bound is %d"
-                                 % (nm, self.A.size_of(X, Y, nm) + 1,
-                                    self.A.size_bound))
-        return linear_combination(self.A.hom(X, Y), el.degree - 1,
-                                  ((mat[nm], c) for nm, c in el.items()))
+                                 % (nm, A.size_of(X, Y, nm) + 1, A.size_bound))
+        return super().apply(X, Y, el)
 
 
 def unit_homotopy(D):

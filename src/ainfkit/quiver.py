@@ -40,6 +40,12 @@ out of each object, sorted by a size function and indexed once per
 function on the quiver, are walked depth first within a size budget.
 CountedTensors counts the same walk without taking it, and finds the
 tensor at any position of it, so a sample costs what it draws.
+
+QuiverMap is the one linear map of quivers stored per pair, and
+QuiverMap.commutator is its Hom differential taken one name at a time,
+for maps that may be partial or bound-aware (homquot.PartialHomotopy);
+graded.map_boundary stays the Hom differential of stored maps between
+finite modules.
 """
 
 from .graded import Element, GradedModule, accumulate, linear_combination
@@ -126,21 +132,28 @@ class QuiverMap:
         return MultiOp(self.source, self.target, 1, self.degree, rule=rule,
                        lmap=f, rmap=f, name=name)
 
-    def is_chain(self, d_source, d_target):
-        """Check f d = (-1)^deg(f) d f against per-pair differentials.
+    def commutator(self, X, Y, el, d_source, d_target):
+        """The Hom differential of f at el of (X, Y): d_target f(el) -
+        (-1)^deg(f) f d_source(el), the d's arity-1 MultiOps (None: zero).
+        f(el) comes first, so a refusing apply refuses before any
+        evaluation; no d is evaluated on a zero element."""
+        U, V = self.obj_map(X), self.obj_map(Y)
+        fx = self.apply(X, Y, el)
+        out = self.target.hom(U, V).zero(fx.degree + 1)
+        if d_source is not None and el.terms:
+            fd = self.apply(X, Y, evaluate(d_source, (X, Y), (el,)))
+            out = fd if self.degree % 2 else fd.neg()
+        if d_target is not None and fx.terms:
+            out = evaluate(d_target, (U, V), (fx,)).add(out)
+        return out
 
-        d_source/d_target: callables (X, Y, element) -> element.
-        """
-        sign = -1 if self.degree % 2 else 1
-        f = self.obj_map
-        for X, Y in self.source.pairs():
-            for n in self.source.hom(X, Y).names:
-                x = self.source.hom(X, Y).basis_element(n)
-                lhs = d_target(f(X), f(Y), self.apply(X, Y, x))
-                rhs = self.apply(X, Y, d_source(X, Y, x)).scale(sign)
-                if lhs != rhs:
-                    return False
-        return True
+    def is_chain(self, d_source, d_target):
+        """Whether the commutator with the differentials (arity-1
+        MultiOps, None for zero) vanishes on every basis name."""
+        return all(self.commutator(X, Y, self.source.hom(X, Y).basis_element(n),
+                                   d_source, d_target).is_zero
+                   for X, Y in self.source.pairs()
+                   for n in self.source.hom(X, Y).names)
 
 
 class MultiOp:

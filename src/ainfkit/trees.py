@@ -190,7 +190,8 @@ def root_split(gen, label):
     Returns the root arity, the chain of junction objects, the names of
     the subtree factors, and the sign the engine produces when the root
     grafting rebuilds the name from those factors.  A one-leaf name has
-    no root vertex and is refused with ValueError.
+    no root vertex and a unary-rooted one a homotopy at its root: both
+    are refused with ValueError as the shape's plan is built.
 
     The sign is (-1) to the sum, over the factors, of the factor's leaf
     degree times the vertices left of it, so only a factor with an odd
@@ -201,9 +202,9 @@ def root_split(gen, label):
     t, gobjs, gnames = label
     plan = _SPLITS.get(t)
     if plan is None:
-        if t == LEAF:
-            raise ValueError("the one-leaf name %r has no root to split"
-                             % (label,))
+        if len(t) < 2:
+            raise ValueError("the %s name %r has no root operation to split"
+                             % ("unary-rooted" if t else "one-leaf", label))
         parts, left, pos = [], 0, 0
         for sub in t:
             ln, vc, _ = shape_counts(sub)

@@ -21,17 +21,18 @@ is graded.map_boundary, and the unit defect is solved against it by
 graded.null_homotopy; neither is written here.
 
 Stored maps are built and combined in one pass each.  A family value
-or hom differential is one slot_values call with its signs applied
-per parity of the basis name; a composite is one sparse product
-(ChainMap.compose); and each residual collects its terms with their
-signs as coefficients and sums them once (map_combination).  Whether a
-residual had content is read from its terms before that sum cancels.
+is one slot_values call with its signs applied per parity of the basis
+name, and a hom differential is minus category.b1_chain_map; a
+composite is one sparse product (ChainMap.compose); and each residual
+collects its terms with their signs as coefficients and sums them once
+(map_combination).  Whether a residual had content is read from its
+terms before that sum cancels.
 """
 
 import itertools
 import random
 
-from .category import opposite, unit_then_op
+from .category import b1_chain_map, opposite, unit_then_op
 from .graded import (ChainMap, Complex, GradedModule, accumulate,
                      flatten_map, koszul_sign, map_boundary, map_combination,
                      map_module, null_homotopy)
@@ -40,12 +41,9 @@ from .report import Report, unless_zero
 
 
 def hom_differential(A, pair):
-    """Differential of the complex at a hom pair, minus the arity-1
-    operation, as a stored map."""
-    mod = A.hom(*pair)
-    op = A.b(1)
-    return ChainMap(mod, mod, 1, {} if op is None else
-                    slot_values(op, pair, (), 0, signs=(-1, -1)))
+    """Differential of the complex at a hom pair as a stored map: minus
+    the arity-1 operation (category.b1_chain_map)."""
+    return b1_chain_map(A, *pair, sign=-1)
 
 
 def map_differential(A, spair, tpair, F):

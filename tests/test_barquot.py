@@ -9,7 +9,7 @@ from ainfkit.barquot import (bar_quotient, check_comparison,
                              word_embedding)
 from ainfkit.category import check_stasheff, check_strict_unit
 from ainfkit.freecat import LEAF
-from ainfkit.functors import AInfFunctor, check_functor
+from ainfkit.functors import AInfFunctor, check_functor, resolve_at_root
 from ainfkit.homquot import homotopy_quotient
 from ainfkit.quiver import (BoundError, evaluate, insert, run_stages,
                             state_element)
@@ -152,9 +152,7 @@ def test_comparison_embeds_letters_and_is_a_chain_map():
             for nm in C.quiver.hom(X, Y).names:
                 got = psi.apply(X, Y, word(D, (X, Y), (nm,)))
                 assert got == Q.hom(X, Y).basis_element((LEAF, (X, Y), (nm,)))
-        dD = lambda X, Y, el: evaluate(D.b(1), (X, Y), (el,))
-        dQ = lambda X, Y, el: evaluate(Q.b(1), (X, Y), (el,))
-        assert psi.is_chain(dD, dQ)
+        assert psi.is_chain(D.b(1), Q.b(1))
 
 
 def test_comparison_closed_forms():
@@ -199,6 +197,19 @@ def test_extension_values():
         word(D, (0, 1, 2), ("f", "g")).scale(-1)
 
 
+def test_resolve_at_root_refuses_unary_roots():
+    # a unary root is the homotopy, not an operation, so the equation at
+    # the root does not hold the arrow component's value there
+    C, D, Q = models("path3", 1)
+    f = extend_functor(word_embedding(D), Q, unit_contraction(D))
+    unary = [nm for X, Y in Q.quiver.pairs() for nm in Q.hom(X, Y).names
+             if len(nm[0]) == 1]
+    assert unary
+    for nm in unary:
+        with pytest.raises(ValueError, match="unary-rooted name"):
+            resolve_at_root(f, nm)
+
+
 def test_extension_is_a_functor():
     for which, bobj in [("path3", 1), ("arrow", 0), ("arrow", 1)]:
         C, D, Q = models(which, bobj)
@@ -217,12 +228,10 @@ def test_round_trip_bundle():
 def test_tampered_comparison_fails_the_chain_test():
     C, D, Q = models("path3", 1)
     psi = comparison_map(D, Q)
-    dD = lambda X, Y, el: evaluate(D.b(1), (X, Y), (el,))
-    dQ = lambda X, Y, el: evaluate(Q.b(1), (X, Y), (el,))
-    assert psi.is_chain(dD, dQ)
+    assert psi.is_chain(D.b(1), Q.b(1))
     nm = ((0, 1, 2), ("f", "g"))
     psi.components[(0, 2)][nm] = psi.components[(0, 2)][nm].scale(2)
-    assert not psi.is_chain(dD, dQ)
+    assert not psi.is_chain(D.b(1), Q.b(1))
 
 
 def _validation_cases():

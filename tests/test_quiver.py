@@ -384,11 +384,35 @@ def test_quiver_map_apply_and_chain():
     )
     x = q.hom(0, 1).basis_element("f")
     assert ident.apply(0, 1, x) == x
+    assert ident.is_chain(None, None)
 
-    def zero_d(X, Y, el):
-        return q.hom(X, Y).zero(el.degree + 1)
 
-    assert ident.is_chain(zero_d, zero_d)
+def test_commutator_of_a_degree_minus_one_map():
+    # d: a0 -> a1, b1 -> b2 on one object; each d h + h d is worked out
+    # by hand
+    q = GradedQuiver(QQ, ["*"], {("*", "*"): GradedModule(
+        QQ, [("a0", 0), ("a1", 1), ("b1", 1), ("b2", 2)])})
+    mod = q.hom("*", "*")
+    e = mod.basis_element
+    d = MultiOp(q, q, 1, 1, table={(("*", "*"), ("a0",)): e("a1"),
+                                   (("*", "*"), ("b1",)): e("b2")})
+
+    def commutators(values):
+        h = QuiverMap(q, q, -1, {("*", "*"): values})
+        return {n: h.commutator("*", "*", e(n), d, d) for n in mod.names}
+
+    # a contraction of the a's: d h + h d is the identity there
+    got = commutators({"a1": e("a0")})
+    assert got == {"a0": e("a0"), "a1": e("a1"),
+                   "b1": mod.zero(1), "b2": mod.zero(2)}
+    # h(b1) = -a0, h(b2) = a1 anticommutes with d: every commutator is 0
+    chain = {"b1": e("a0", -1), "b2": e("a1")}
+    assert all(c.is_zero for c in commutators(chain).values())
+    assert QuiverMap(q, q, -1, {("*", "*"): chain}).is_chain(d, d)
+    # a tampered entry leaves d h(b1) + h d(b1) = -a1 + 2 a1
+    bad = dict(chain, b2=e("a1", 2))
+    assert commutators(bad)["b1"] == e("a1")
+    assert not QuiverMap(q, q, -1, {("*", "*"): bad}).is_chain(d, d)
 
 
 def test_tensor_enumeration():

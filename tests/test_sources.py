@@ -1,9 +1,10 @@
 """Source guards: input validation must survive python -O, no private
 helper is left without a caller, and the package has one elimination,
 one check loop, one sparse sum, one schedule runner, one placement
-walk, one context walk and one null-homotopy solve, builds tree
-categories only in their constructors, and writes functor and
-coderivation components only there too."""
+walk, one context walk, one null-homotopy solve, one per-pair map and
+one per-name commutator, builds tree categories only in their
+constructors, and writes functor and coderivation components only
+there too."""
 
 import ast
 import pathlib
@@ -76,6 +77,24 @@ END_WALKERS = {
     ("freecat", "_contexts"),
 }
 
+
+# The top-level classes that define apply, by (module, class): QuiverMap
+# is the one linear map of quivers stored per pair, and PartialHomotopy
+# is a QuiverMap that adds only apply's refusals (its constructor takes
+# the truncated category whose bound apply reads).
+APPLIERS = {
+    ("quiver", "QuiverMap"),
+    ("homquot", "PartialHomotopy"),
+}
+
+# The top-level definitions that call QuiverMap.commutator, the one Hom
+# differential of a per-pair map taken name by name, by (module, name).
+COMMUTATOR_CALLERS = {
+    ("quiver", "QuiverMap"),
+    ("category", "verify_unit_homotopy"),
+    ("barquot", "check_contraction"),
+    ("barquot", "check_comparison"),
+}
 
 # The classes whose constructors write a components or r0 attribute, by
 # (module, class); nothing else writes one.  A functor's and a
@@ -289,3 +308,64 @@ def test_components_written_only_by_constructors():
                  "f.components[2], x = op, 1"):
         tree = ast.parse("def g(f, r, op, X, more):\n    %s\n" % line)
         assert component_writes(tree, "m") == {("m", None, "g")}, line
+
+
+def _methods(top):
+    return {item.name for item in top.body if isinstance(item, ast.FunctionDef)}
+
+
+def _returns(node):
+    """The expressions a def or lambda returns, both arms of a condition."""
+    values = ([node.body] if isinstance(node, ast.Lambda) else
+              [r.value for r in ast.walk(node) if isinstance(r, ast.Return)])
+    while any(isinstance(v, ast.IfExp) for v in values):
+        values = [arm for v in values for arm in (
+            (v.body, v.orelse) if isinstance(v, ast.IfExp) else (v,))]
+    return values
+
+
+def _differential_callable(node):
+    """A def or lambda (X, Y, el) returning evaluate(op, (X, Y), (el,)):
+    an arity-one operation made into a per-name callable."""
+    if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        return False
+    params = [a.arg for a in node.args.args]
+    if len(params) != 3:
+        return False
+    for value in _returns(node):
+        if (isinstance(value, ast.Call) and len(value.args) == 3
+                and "evaluate" in (getattr(value.func, "id", None),
+                                   getattr(value.func, "attr", None))):
+            pair, factors = value.args[1], value.args[2]
+            names = [getattr(x, "id", None) for x in
+                     getattr(pair, "elts", []) + getattr(factors, "elts", [])]
+            if names == params:
+                return True
+    return False
+
+
+def test_one_per_pair_map_and_one_commutator():
+    classes = {(module, top.name): top for module, top in top_level_defs()
+               if isinstance(top, ast.ClassDef)}
+    found = {key for key, top in classes.items() if "apply" in _methods(top)}
+    assert found == APPLIERS, "apply outside the allow-list: %r" % (
+        sorted(found ^ APPLIERS),)
+    partial = classes[("homquot", "PartialHomotopy")]
+    assert [base.id for base in partial.bases] == ["QuiverMap"]
+    assert _methods(partial) == {"__init__", "apply"}
+    # DGData's differential is a QuiverMap: no d or cleaning loop of its own
+    assert "d" not in _methods(classes[("category", "DGData")])
+    assert _callers("commutator") == COMMUTATOR_CALLERS, "commutator outside"
+    # a differential reaches commutator as an operation, never as a
+    # callable of its own
+    found = {(module, top.name) for module, top in top_level_defs()
+             if any(_differential_callable(node) for node in ast.walk(top))}
+    assert not found, "per-name differential callables: %r" % (sorted(found),)
+    # the guard sees the forms commutator replaced
+    for line in ("return lambda X, Y, el: (el.module.zero(el.degree + 1) if "
+                 "op is None else evaluate(op, (X, Y), (el,)))",
+                 "def d1(X, Y, el):\n        if b1 is None:\n            "
+                 "return zero\n        return evaluate(b1, (X, Y), (el,))"):
+        tree = ast.parse("def g(op, b1, zero):\n    %s\n" % line)
+        assert any(_differential_callable(node)
+                   for node in ast.walk(tree)), line
