@@ -9,9 +9,9 @@ separate bookkeeping.
 
 import random
 
-from .graded import (ChainMap, Complex, GradedModule, accumulate,
-                     flatten_map, in_image, koszul_sign, linear_combination,
-                     map_boundary, map_module, null_homotopy, shift)
+from .graded import (ChainMap, Complex, GradedModule, flatten_map,
+                     in_image, koszul_sign, linear_combination, map_boundary,
+                     map_module, null_homotopy, shift)
 from .quiver import (CountedTensors, GradedQuiver, MultiOp,
                      QuiverMap, _arrow_index, bounded_tensors, evaluate,
                      insertion_sum, slot_values, state_element,
@@ -90,10 +90,9 @@ class AInfCategory:
             self.name, len(self.quiver.objects), self.max_arity)
 
 
-def hom_complex(A, X, Y, check=True):
+def hom_complex(A, X, Y):
     """The shifted hom module at (X, Y) with its arity-1 operation."""
-    return Complex(A.quiver.hom(X, Y), b1_chain_map(A, X, Y).matrix,
-                   check=check)
+    return Complex(A.quiver.hom(X, Y), b1_chain_map(A, X, Y).matrix)
 
 
 def b1_chain_map(A, X, Y, sign=1):
@@ -401,53 +400,28 @@ def complexes_dg_data(ring, complexes):
     map that sends a to b and every other generator to zero.  Its
     differential is graded.map_boundary; binary composition substitutes
     matching middle generators with no sign.  The identity maps are
-    strict units.  Each complex is checked to be one (differential of
-    degree one, squaring to zero).
+    strict units.  Each complex is validated by building it as a
+    graded.Complex, which refuses a duplicate or unknown generator, an
+    inhomogeneous column, a differential not of degree one and one that
+    does not square to zero.
 
     Returns (data, homs, m1, m2, units): data maps each object to
     (generators, degrees, differential columns), and the rest are the
     arguments dg_to_ainf takes.
     """
-    data = {}
+    data, ds = {}, {}
     for obj, (basis, diff) in complexes.items():
-        gens = [g for g, _ in basis]
-        degs = dict(basis)
-        if len(gens) != len(degs):
-            raise ValueError("duplicate generator in %r" % (obj,))
-        cols = {}
-        for src, col in diff.items():
-            if src not in degs:
-                raise ValueError("differential of unknown generator %r in %r"
-                                 % (src, obj))
-            clean = {}
-            for tgt, c in col.items():
-                if tgt not in degs or degs[tgt] != degs[src] + 1:
-                    raise ValueError("differential entry %r -> %r in %r is "
-                                     "not of degree one" % (src, tgt, obj))
-                c = ring.normalize(c)
-                if c != ring.zero:
-                    clean[tgt] = c
-            if clean:
-                cols[src] = clean
-        for src, col in cols.items():
-            square = {}
-            for mid, c in col.items():
-                accumulate(ring, square, cols.get(mid, {}).items(), c)
-            if square:
-                raise ValueError("differential of %r does not square to zero"
-                                 % (obj,))
-        data[obj] = (gens, degs, cols)
+        mod = GradedModule(ring, basis)
+        cx = Complex(mod, {a: mod.element(col) for a, col in diff.items()})
+        ds[obj] = cx.differential
+        data[obj] = (list(mod.names), dict(mod.degrees),
+                     {a: dict(el.terms) for a, el in cx.d.items()})
 
     objects = list(complexes)
-    ds = {}
-    for obj, (gens, degs, cols) in data.items():
-        mod = GradedModule(ring, [(g, degs[g]) for g in gens])
-        ds[obj] = ChainMap(mod, mod, 1, {a: mod.element(col, degs[a] + 1)
-                                         for a, col in cols.items()})
     homs, m1 = {}, {}
     for M in objects:
         for N in objects:
-            smod, tmod = ds[M].source, ds[N].source
+            smod, tmod = ds[M].source.module, ds[N].source.module
             mod = homs[(M, N)] = map_module(smod, tmod)
             m1[(M, N)] = {(a, b): flatten_map(map_boundary(
                 ChainMap(smod, tmod, mod.degrees[(a, b)],

@@ -11,12 +11,17 @@ Every exact solve runs through one sparse elimination, Echelon: the
 relation spans of freecat and solve_linear, whose two callers are
 in_image and null_homotopy.
 
+A complex is a module and one stored differential: Complex keeps its
+differential as a degree-1 ChainMap, which drops zero rows and checks
+degrees, and checks d^2 = 0 as one product of that map with itself.
+
 Stored maps between complexes form the Hom complex of the DG category
 of complexes: map_module spans it by elementary maps, flatten_map reads
-a stored map in that basis, and map_boundary is its differential, the
-one place that sign is written.  null_homotopy solves map_boundary(H) =
-F for H; it serves the contractible-functor check and the unit defect
-of the Yoneda family.
+a stored map in that basis, unflatten_map is its read-back (the one
+place coordinates become a stored map again), and map_boundary is its
+differential, the one place that sign is written.  null_homotopy solves
+map_boundary(H) = F for H; it serves the contractible-functor check and
+the unit defect of the Yoneda family.
 """
 
 from fractions import Fraction
@@ -172,15 +177,6 @@ class GradedModule:
 
     def degree(self, name):
         return self.degrees[name]
-
-    def ensure(self, name, degree):
-        """Confirm a basis name carries the given degree."""
-        have = self.degrees.get(name)
-        if have is None:
-            raise ValueError("unknown basis name %r" % (name,))
-        if have != degree:
-            raise ValueError("degree clash at %r" % (name,))
-        return name
 
     def basis_of_degree(self, d):
         return [n for n in self.names if self.degrees[n] == d]
@@ -365,34 +361,28 @@ def koszul_sign(perm, degrees):
 
 
 class Complex:
-    """Graded module with a degree +1 differential given on the basis."""
+    """Graded module with a degree +1 differential: one stored map,
+    differential, whose matrix d is given on the basis."""
 
-    def __init__(self, module, d, check=True):
+    def __init__(self, module, d):
         self.module = module
-        self.d = {}
-        for name, el in d.items():
-            if el.is_zero:
-                continue
+        for name in d:
             if name not in module.degrees:
                 raise ValueError("differential row %r outside the module"
                                  % (name,))
-            if el.degree != module.degrees[name] + 1:
-                raise ValueError("differential has the wrong degree at %r" % (name,))
-            self.d[name] = el
-        if check:
-            for name in module.names:
-                dd = self.apply_d(self.apply_d(module.basis_element(name)))
-                if not dd.is_zero:
-                    raise ValueError("d^2 != 0 at %r" % (name,))
+        self.differential = ChainMap(self, self, 1, d)
+        self.d = self.differential.matrix
+        square = self.differential.compose(self.differential).matrix
+        if square:
+            raise ValueError("d^2 != 0 at %r" % (
+                next(n for n in module.names if n in square),))
 
     @property
     def ring(self):
         return self.module.ring
 
     def apply_d(self, el):
-        d = self.d
-        return linear_combination(self.module, el.degree + 1,
-                                  ((d[n], c) for n, c in el.items() if n in d))
+        return self.differential(el)
 
     def __repr__(self):
         return "Complex(%d basis elements)" % len(self.module.names)
@@ -400,11 +390,6 @@ class Complex:
 
 def _underlying(obj):
     return obj.module if isinstance(obj, Complex) else obj
-
-
-def _d_map(cx):
-    """The differential of a complex as a stored map of degree one."""
-    return ChainMap(cx, cx, 1, cx.d)
 
 
 class ChainMap:
@@ -443,8 +428,8 @@ class ChainMap:
         the map boundary of f vanishes."""
         if not (isinstance(self.source, Complex) and isinstance(self.target, Complex)):
             raise TypeError("is_chain needs complexes at both ends")
-        return not map_boundary(self, _d_map(self.source),
-                                _d_map(self.target)).matrix
+        return not map_boundary(self, self.source.differential,
+                                self.target.differential).matrix
 
     def compose(self, other):
         """self then other (right-operator order).
@@ -534,6 +519,19 @@ def flatten_map(F, module):
     """The stored map F as an element of the matching map_module."""
     return module.element({(a, b): c for a, el in F.matrix.items()
                            for b, c in el.items()}, F.degree)
+
+
+def unflatten_map(source, target, degree, coords):
+    """The stored map of a degree with the given map_module coordinates,
+    an iterable of ((a, b), c) pairs; the inverse of flatten_map.
+    Coordinates at the same (a, b) are summed."""
+    smod, tmod = _underlying(source), _underlying(target)
+    ring, rows = tmod.ring, {}
+    for (a, b), c in coords:
+        accumulate(ring, rows.setdefault(a, {}), ((b, c),))
+    return ChainMap(source, target, degree, {
+        a: Element(tmod, col, smod.degrees[a] + degree)
+        for a, col in rows.items()})
 
 
 def map_boundary(F, ds, dt):
@@ -673,7 +671,7 @@ def null_homotopy(F, ds, dt):
 
     One exact solve over the map_module generators of degree deg F - 1:
     each row is the flattened boundary of one elementary map, the right
-    side is F flattened, and the solution is read back as H's matrix.
+    side is F flattened, and unflatten_map reads the solution back as H.
     Field coefficients required.
     """
     smod, tmod = F._smod, F._tmod
@@ -686,12 +684,7 @@ def null_homotopy(F, ds, dt):
     sol = solve_linear(smod.ring, rows, flatten_map(F, mm))
     if sol is None:
         return None
-    cols = {}
-    for (a, b), c in zip(gens, sol):
-        if c != 0:
-            cols.setdefault(a, {})[b] = c
-    return ChainMap(F.source, F.target, deg, {
-        a: Element(tmod, col, smod.degrees[a] + deg) for a, col in cols.items()})
+    return unflatten_map(F.source, F.target, deg, zip(gens, sol))
 
 
 def cone(alpha):
@@ -730,7 +723,7 @@ def cone(alpha):
 def is_contracting_homotopy(cx, h):
     """Whether h (degree -1 matrix map on cx) satisfies hd + dh = 1, that
     is whether its map boundary is the identity."""
-    d = _d_map(cx)
+    d = cx.differential
     return map_boundary(h, d, d).matrix == ChainMap.identity(cx).matrix
 
 
@@ -756,8 +749,8 @@ def split_semisplit(alpha, beta, phi, H):
         raise ValueError("H is not a contracting homotopy")
 
     # psi = (phi H)d = phi H d + d phi H : A -> C, a chain map with alpha psi = 1
-    phiH, dA = phi.compose(H), _d_map(A)
-    psi = map_boundary(phiH, dA, _d_map(C))
+    phiH, dA = phi.compose(H), A.differential
+    psi = map_boundary(phiH, dA, C.differential)
 
     # nu: the unique section of beta that psi kills.  Build a degree-0 section
     # sigma through ker(phi), then correct: nu = sigma (1 - psi alpha).

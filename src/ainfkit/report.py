@@ -64,9 +64,8 @@ class Report:
         return self.add(label, True, "%d %s, %d skipped, %s"
                         % (checked, noun, skipped, coverage))
 
-    def merge(self, other, prefix=""):
-        for name, ok, detail in other.checks:
-            self.checks.append((prefix + name, ok, detail))
+    def merge(self, other):
+        self.checks.extend(other.checks)
         return self
 
     @property

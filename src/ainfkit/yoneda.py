@@ -35,7 +35,7 @@ import random
 from .category import b1_chain_map, opposite, unit_then_op
 from .graded import (ChainMap, Complex, GradedModule, accumulate,
                      flatten_map, koszul_sign, map_boundary, map_combination,
-                     map_module, null_homotopy)
+                     map_module, null_homotopy, unflatten_map)
 from .quiver import bounded_tensors, evaluate, slot_values
 from .report import Report, unless_zero
 
@@ -397,13 +397,18 @@ def check_Y(A, bounds=(3, 3), samples=20, seed=0):
 class TruncatedTransComplex:
     """Arity-truncated complex of transformations between two hom functors.
 
-    Components up to the bound are materialized as one free module: the
-    generator (k, chain, znames, w, t) is the cochain whose component at
-    that z-chain sends the named basis tensor to the elementary map
-    w -> t and everything else to zero.  The boundary never consults
-    components above the input's index, so its restriction to the
-    window is exact and squares to zero on the nose; components above
-    the bound are not stored, and the report says untested, not passed.
+    Components up to the bound are materialized as one free module: at
+    each tensor (chain, znames) of bounded_tensors(q, k), k up to the
+    bound, every generator (w, t) of the map_module between the hom
+    modules at the chain's ends gives the generator (k, chain, znames,
+    w, t), the cochain whose component at that z-chain sends the named
+    basis tensor to the elementary map w -> t and everything else to
+    zero; value_of reads a cochain back through unflatten_map.  The
+    complex is the pair (module, differential).  The boundary never
+    consults components above the input's index, so its restriction to
+    the window is exact and squares to zero on the nose; components
+    above the bound are not stored, and the report says untested, not
+    passed.
     """
 
     def __init__(self, A, X, W, arity_bound):
@@ -412,22 +417,17 @@ class TruncatedTransComplex:
         self.target = RepresentedFunctor(A, W)
         self.arity_bound = arity_bound
         q = A.quiver
-        rows = []
-        slots = []
+        rows, slots = [], []
         for k in range(arity_bound + 1):
-            for chain in _hom_chains(q, k):
-                smod = q.hom(X, chain[0])
-                tmod = q.hom(W, chain[-1])
-                if not smod.names or not tmod.names:
+            for chain, znames in bounded_tensors(q, k):
+                mm = map_module(q.hom(X, chain[0]), q.hom(W, chain[-1]))
+                if not mm.names:
                     continue
                 mods = [q.hom(chain[i], chain[i + 1]) for i in range(k)]
-                for znames in itertools.product(*(m.names for m in mods)):
-                    zdeg = sum(mods[i].degrees[znames[i]] for i in range(k))
-                    slots.append((k, chain, znames, mods))
-                    for w in smod.names:
-                        for t in tmod.names:
-                            deg = tmod.degrees[t] - smod.degrees[w] - zdeg - 1
-                            rows.append(((k, chain, znames, w, t), deg))
+                zdeg = sum(m.degrees[nm] for m, nm in zip(mods, znames))
+                slots.append((k, chain, znames, mods))
+                rows.extend(((k, chain, znames, w, t), deg - zdeg - 1)
+                            for (w, t), deg in mm.degrees.items())
         self.module = GradedModule(q.ring, rows)
         self._slots = slots
         self.differential = self._boundary_matrix()
@@ -435,27 +435,21 @@ class TruncatedTransComplex:
     def value_of(self, el, zobjs, zfactors):
         """Stored map of a cochain element at one tensor of elements."""
         q = self.category.quiver
-        k = len(zfactors)
-        smod = q.hom(self.source.base, zobjs[0])
-        tmod = q.hom(self.target.base, zobjs[-1])
-        degree = sum(f.degree for f in zfactors) + el.degree + 1
-        ring = q.ring
-        terms = {}
-        for key, c in el.items():
-            k0, chain, znames, w, t = key
-            if k0 != k or tuple(zobjs) != chain:
-                continue
-            coeff = c
-            for f, nm in zip(zfactors, znames):
-                coeff = ring.mul(coeff, f.coeff(nm))
-                if coeff == ring.zero:
-                    break
-            accumulate(ring, terms.setdefault(w, {}), ((t, coeff),))
-        matrix = {}
-        for w, cols in terms.items():
-            val = tmod.element(cols, smod.degrees[w] + degree)
-            matrix[w] = val
-        return ChainMap(smod, tmod, degree, matrix)
+        k, zobjs, mul = len(zfactors), tuple(zobjs), q.ring.mul
+
+        def coords():
+            for (k0, chain, znames, w, t), c in el.items():
+                if k0 == k and chain == zobjs:
+                    for f, nm in zip(zfactors, znames):
+                        c = mul(c, f.coeff(nm))
+                        if c == 0:
+                            break
+                    yield (w, t), c
+
+        return unflatten_map(q.hom(self.source.base, zobjs[0]),
+                             q.hom(self.target.base, zobjs[-1]),
+                             sum(f.degree for f in zfactors) + el.degree + 1,
+                             coords())
 
     def _boundary_matrix(self):
         A, q = self.category, self.category.quiver

@@ -437,6 +437,33 @@ def dense_dg_failures(homs, m1, m2):
 RINGS = [QQ, Ring("Fp", 2), Ring("Fp", 3), Ring("Fp", 7)]
 
 
+BAD_COMPLEXES = {
+    "duplicate generator": ([("a", 0), ("a", 1)], {}),
+    "unknown source": ([("a", 0), ("b", 1)], {"z": {"b": 1}}),
+    "unknown target": ([("a", 0), ("b", 1)], {"a": {"z": 1}}),
+    "wrong-degree entry": ([("a", 0), ("b", 0)], {"a": {"b": 1}}),
+    "mixed-degree column": ([("a", 0), ("b", 1), ("c", 2)],
+                            {"a": {"b": 1, "c": 1}}),
+    "d squared nonzero": ([("a", 0), ("b", 1), ("c", 2)],
+                          {"a": {"b": 1}, "b": {"c": 1}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMPLEXES))
+def test_complexes_dg_data_refuses_each_bad_complex(case):
+    good = ([("g", 0), ("h", 1)], {"g": {"h": 1}})
+    with pytest.raises(ValueError):
+        complexes_dg_data(QQ, {"A": good, "B": BAD_COMPLEXES[case]})
+
+
+def test_complexes_dg_data_keeps_zero_columns_out_and_reads_fractions():
+    data = complexes_dg_data(QQ, {"B": (
+        [("a", 0), ("b", 1), ("c", 1)],
+        {"a": {"b": "2/4", "c": 0}, "b": {}, "c": {}})})[0]
+    assert data == {"B": (["a", "b", "c"], {"a": 0, "b": 1, "c": 1},
+                          {"a": {"b": Fraction(1, 2)}})}
+
+
 def _coeffs(ring):
     coeffs = [1, -1, 2, 3] + ([Fraction(1, 2)] if ring.kind == "QQ" else [])
     return sorted({ring.normalize(c) for c in coeffs} - {0})

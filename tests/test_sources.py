@@ -1,10 +1,11 @@
 """Source guards: input validation must survive python -O, no private
-helper is left without a caller, and the package has one elimination,
-one check loop, one sparse sum, one schedule runner, one placement
-walk, one context walk, one null-homotopy solve, one per-pair map and
-one per-name commutator, builds tree categories only in their
-constructors, and writes functor and coderivation components only
-there too."""
+helper is left without a caller, every import is used, and the package
+has one elimination, one check loop, one sparse sum, one schedule
+runner, one placement walk, one context walk, one null-homotopy solve,
+one per-pair map and one per-name commutator, one shape of a complex
+and one read-back of elementary-map coordinates, builds tree categories
+only in their constructors, and writes functor and coderivation
+components only there too."""
 
 import ast
 import pathlib
@@ -94,6 +95,26 @@ COMMUTATOR_CALLERS = {
     ("category", "verify_unit_homotopy"),
     ("barquot", "check_contraction"),
     ("barquot", "check_comparison"),
+}
+
+# The top-level definitions that call unflatten_map, the one read-back of
+# elementary-map coordinates as a stored map, by (module, name).
+UNFLATTENERS = {
+    ("graded", "null_homotopy"),
+    ("yoneda", "TruncatedTransComplex"),
+}
+
+# The top-level definitions that list object chains by _hom_chains, by
+# (module, name); the truncated window walks bounded_tensors instead.
+CHAIN_LISTERS = {
+    ("yoneda", "check_hX"),
+    ("yoneda", "check_Y"),
+}
+
+# The names a module imports only for its callers, by (module, name).
+RE_EXPORTS = {
+    ("freecat", "leaf_count"),
+    ("freecat", "vertex_count"),
 }
 
 # The classes whose constructors write a components or r0 attribute, by
@@ -369,3 +390,45 @@ def test_one_per_pair_map_and_one_commutator():
         tree = ast.parse("def g(op, b1, zero):\n    %s\n" % line)
         assert any(_differential_callable(node)
                    for node in ast.walk(tree)), line
+
+
+def test_one_shape_of_a_complex_and_one_read_back():
+    defs = dict(((module, top.name), top) for module, top in top_level_defs())
+    assert ("graded", "_d_map") not in defs, "a second differential map"
+    # a Complex is its module and one stored differential
+    cx = defs[("graded", "Complex")]
+    assert _methods(cx) == {"__init__", "ring", "apply_d", "__repr__"}
+    assert {("graded", "Complex")} <= _callers("ChainMap")
+    init = next(item for item in cx.body if getattr(item, "name", None)
+                == "__init__")
+    for fn in (init, defs[("category", "hom_complex")]):
+        assert "check" not in [a.arg for a in fn.args.args], fn.name
+    # complexes_dg_data validates through Complex, with no loop of its own
+    assert ("category", "complexes_dg_data") in _callers("Complex")
+    assert ("category", "complexes_dg_data") not in _callers("accumulate")
+    assert _callers("unflatten_map") == UNFLATTENERS, "read-backs outside"
+    assert _callers("_hom_chains") == CHAIN_LISTERS, "chain listings outside"
+
+
+def unused_imports(tree, module):
+    """(module, name) for every name the parsed module imports and never
+    reads."""
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {(module, name) for name in imported - read}
+
+
+def test_every_import_is_used():
+    found = set()
+    for module, tree in package_trees():
+        found |= unused_imports(tree, module)
+    assert found == RE_EXPORTS, "unused imports: %r" % (
+        sorted(found ^ RE_EXPORTS),)
+    # the guard sees an unused import of either form, and a used one
+    tree = ast.parse("import os.path\nimport random\n"
+                     "from .graded import accumulate, shift as sh\n"
+                     "def f():\n    return random.random() + sh\n")
+    assert unused_imports(tree, "m") == {("m", "os"), ("m", "accumulate")}

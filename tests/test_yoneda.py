@@ -1,11 +1,12 @@
 """Represented functors, the contravariant family, truncated transformations."""
 
+import itertools
 import random
 
 import pytest
 
 from ainfkit.category import (AInfCategory, check_stasheff,
-                              complexes_category, opposite)
+                              complexes_category, dg_to_ainf, opposite)
 from ainfkit.freecat import free_category
 from ainfkit.graded import (ChainMap, GradedModule, Ring, flatten_map,
                             in_image, map_module)
@@ -365,6 +366,75 @@ def test_truncated_complex_boundary_matches_template():
                 D, T.source, T.target,
                 lambda zo, z: T.value_of(t, zo, z), r, chain, zf)
             assert maps_equal(T.value_of(bt, chain, zf), direct)
+
+
+def chain_major_window(A, X, W, bound):
+    """The window's (generator, degree) rows and its z-tensors, listed
+    chain by chain: every object chain first, then every name tuple on
+    it, then every elementary map w -> t."""
+    q = A.quiver
+    rows, slots = [], []
+    for k in range(bound + 1):
+        for chain in itertools.product(q.objects, repeat=k + 1):
+            smod, tmod = q.hom(X, chain[0]), q.hom(W, chain[-1])
+            mods = [q.hom(chain[i], chain[i + 1]) for i in range(k)]
+            if not smod.names or not tmod.names:
+                continue
+            for znames in itertools.product(*(m.names for m in mods)):
+                zdeg = sum(m.degrees[nm] for m, nm in zip(mods, znames))
+                slots.append((k, chain, znames, tuple(
+                    m.basis_element(nm) for m, nm in zip(mods, znames))))
+                rows += [((k, chain, znames, w, t),
+                          tmod.degrees[t] - smod.degrees[w] - zdeg - 1)
+                         for w in smod.names for t in tmod.names]
+    return rows, slots
+
+
+def doubled_path():
+    """Objects 0, 1, 2: arrows u and v = d(u) from 0 to 1, one arrow g
+    from 1 to 2, their composites ug and vg = d(ug), strict units."""
+    degree = {"u": 0, "v": 1, "g": 0, "ug": 0, "vg": 1}
+    names = {(0, 0): ["e0"], (1, 1): ["e1"], (2, 2): ["e2"],
+             (0, 1): ["u", "v"], (1, 2): ["g"], (0, 2): ["ug", "vg"]}
+    homs = {pair: GradedModule(QQ, [(n, degree.get(n, 0)) for n in ns])
+            for pair, ns in names.items()}
+
+    def b(pair, name):
+        return homs[pair].basis_element(name)
+
+    m1 = {(0, 1): {"u": b((0, 1), "v")}, (0, 2): {"ug": b((0, 2), "vg")}}
+    m2 = {(0, 1, 2): {("u", "g"): b((0, 2), "ug"),
+                      ("v", "g"): b((0, 2), "vg")}}
+    for (X, Y), mod in homs.items():
+        for n in mod.names:
+            m2.setdefault((X, X, Y), {})[("e%d" % X, n)] = b((X, Y), n)
+            m2.setdefault((X, Y, Y), {})[(n, "e%d" % Y)] = b((X, Y), n)
+    return dg_to_ainf(homs, m1, m2, units={X: "e%d" % X for X in range(3)},
+                      name="doubled path")
+
+
+def test_window_walk_agrees_with_a_chain_major_listing():
+    # a two-name hom 0 -> 1 and a second step that branches (1 -> 1 and
+    # 1 -> 2): the depth-first walk interleaves the chains (0, 1, 1) and
+    # (0, 1, 2) that a chain-major listing keeps apart, so only the order
+    # of the generators may differ
+    A = doubled_path()
+    T = TruncatedTransComplex(A, 0, 0, 2)
+    rows, slots = chain_major_window(A, 0, 0, 2)
+    assert list(T.module.names) != [key for key, _ in rows]
+    assert T.module.degrees == dict(rows)
+    for key, r in rows:
+        unit = T.module.basis_element(key)
+        want = {}
+        for k, chain, znames, zf in slots:
+            val, _ = _transform_b1_terms(
+                A, T.source, T.target,
+                lambda zo, z: T.value_of(unit, zo, z), r, chain, zf)
+            want.update(((k, chain, znames, w, t), c)
+                        for w, el in val.matrix.items() for t, c in el.items())
+        got = T.differential.matrix.get(key)
+        assert (got.terms if got else {}) == want, key
+    assert any(T.differential.matrix.values())
 
 
 def test_unit_lands_on_identity_exactly_when_strict():
