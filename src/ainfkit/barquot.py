@@ -18,6 +18,8 @@ are inverse on words, and the checks here certify all of it by exact
 computation.
 """
 
+import itertools
+
 from .category import AInfCategory
 from .functors import (AInfFunctor, check_functor, resolve_at_root,
                        strict_functor)
@@ -167,7 +169,8 @@ def unit_contraction(D):
             {((X, X, X), (n1, n2)): ring.mul(c1, c2)
              for n1, c1 in u.items() for n2, c2 in u.items()}, -2)
     matrices = {}
-    for X, Y in D.quiver.pairs():
+    # every pair with a marked end, an empty hom too: its value is zero
+    for X, Y in itertools.product(D.quiver.objects, repeat=2):
         left = X in doubled
         right = Y in D.bobjs and Y in C.units
         if not (left or right):

@@ -16,8 +16,7 @@ import random
 
 from .category import sampled_cases
 from .quiver import (MultiOp, QuiverMap, Stage, bounded_tensors,
-                     apply_stage, insert, insertion_sum, state_element,
-                     tensor_degree)
+                     apply_stage, insertion_sum, state_element, tensor_degree)
 from .report import Report, unless_zero
 from .trees import root_split
 
@@ -44,7 +43,8 @@ class AInfFunctor:
                                  "source quiver to the target quiver" % (op,))
             self.components[n] = op
         self.name = name
-        # _chain_into's placement plans, and their stages by block list
+        # _chain_into's placement plans, and their fed stages by
+        # (block list, outer op)
         self.plans = {}
         self.block_stages = {}
 
@@ -108,36 +108,35 @@ def _placements(chain, rs, objs, i=0, pos=0):
 def _chain_into(chain, rs, outer, base, out):
     """Add every placement of rs along chain on the one-key state base,
     fed into outer(number of blocks) when not None, into out, and return
-    out.  Placements of one block count share a state that outer is
-    applied to once.
+    out.  Each placement is one stage fed into that outer op (Stage's
+    outer), applied once: no middle state is built.
 
     The placements depend only on the chain, the coderivations and the
     object chain of base, so they are walked once: chain[0].plans keeps,
-    per (chain, rs, objects), the placements grouped by block count in
-    the order of the walk, each as its Stage, and chain[0].block_stages
-    keeps one Stage per distinct block list.  That is sound because a
-    functor's and a coderivation's components and r0 are fixed once
-    constructed: nothing writes them outside the constructors.
+    per (chain, rs, objects, outer), the fed stages in the order of the
+    walk, and chain[0].block_stages keeps one Stage per distinct (block
+    list, outer op).  That is sound because a functor's and a
+    coderivation's components and r0, and a category's operations, are
+    fixed once constructed: nothing writes them outside the constructors.
     """
     [(objs, _)] = base
     plans = chain[0].plans
-    key = (tuple(chain), tuple(rs), objs)
+    key = (tuple(chain), tuple(rs), objs, outer)
     plan = plans.get(key)
     if plan is None:
-        stages, groups = chain[0].block_stages, {}
+        stages, plan = chain[0].block_stages, []
         for blocks in _placements(chain, rs, objs):
-            stage = stages.get(blocks)
+            op = outer(len(blocks))
+            if op is None:
+                continue
+            stage = stages.get((blocks, op))
             if stage is None:
-                stage = stages[blocks] = Stage(chain[0].source.quiver, blocks)
-            groups.setdefault(len(blocks), []).append(stage)
-        plan = plans[key] = tuple(groups.items())
-    for n, group in plan:
-        op = outer(n)
-        if op is not None:
-            state = {}
-            for stage in group:
-                apply_stage(stage, base, state)
-            apply_stage(insert(op, 0, 0), state, out)
+                stage = stages[(blocks, op)] = Stage(
+                    chain[0].source.quiver, blocks, outer=op)
+            plan.append(stage)
+        plan = plans[key] = tuple(plan)
+    for stage in plan:
+        apply_stage(stage, base, out)
     return out
 
 

@@ -391,7 +391,8 @@ def stages_to_tree(stages, width):
             strands[off] = (strands[off],)
         else:
             strands[off:off + ar] = [tuple(strands[off:off + ar])]
-    assert len(strands) == 1, "schedule does not close to one strand"
+    if len(strands) != 1:
+        raise ValueError("schedule %r leaves %d strands" % (stages, len(strands)))
     caps = []
     tree = _strip_caps(strands[0], caps, [0])
     return tree, frozenset(caps)

@@ -19,11 +19,13 @@ Every defining sum here is a coderivation component, sum over a of
 1^a tensor b_j tensor 1^c, fed into an outer operation.  A stage whose
 only non-identity block is one plain op (output between its input's
 ends, as for every b_j) takes apply_stage's direct path, and
-insertions(op, m) is a whole component as one stage.  The outer
-operation insert(op, 0, 0) is a whole stage: it reads the op's memo
-with the term's own key, and slices and signs nothing.  Unit insertions,
+insertions(op, m) is a whole component as one stage.  Unit insertions,
 functor components that map objects and multi-block stages keep the
 per-block plan: only it tracks an object chain and multiplies blocks.
+A stage may carry the outer operation (Stage.outer): on either path
+each term its blocks produce goes straight to the outer op's memo, so
+a defining sum is one engine call per stage and builds no middle state:
+a middle term is hashed once, as the key of that memo.
 
 Single values go through evaluate.  A rule-less MultiOp's table is fixed
 at construction (only a rule memoises), so it is indexed there once by
@@ -188,7 +190,7 @@ class MultiOp:
         self.lmap = lmap or _ident
         self.rmap = rmap or _ident
         self.name = name
-        # insert(self, a, c) by (a, c), insertions(self, m) by m
+        # insert's stages by (a, c), insertions' by m or (m, outer)
         self.stages = {}
 
     def slot_index(self, slot):
@@ -251,7 +253,8 @@ def combine_ops(weighted, name=None):
 
 
 class Stage:
-    """One tensor layer: identity slots, operations, and 0-ary insertions.
+    """One tensor layer: identity slots, operations, and 0-ary insertions,
+    fed into one outer operation or not.
 
     blocks: sequence of ('id', k), ('op', MultiOp), ('el', Element, (U, V)).
     With one plain op among identities, direct = (op, offsets right to
@@ -259,12 +262,14 @@ class Stage:
     whole is true when that op spans the whole input, as in
     insert(op, 0, 0): a term's key is then the op's argument, and no
     factor stands right of the op to sign it.
+    outer, if given, is an op of arity the block count that takes every
+    output term (see apply_stage); the stage then gives one factor.
     The general plan is worked out here, once: each block's input
     segment, and the right ends of the odd-degree blocks, whose Koszul
     signs depend on the input degrees.
     """
 
-    def __init__(self, source, blocks, shifts=(0,)):
+    def __init__(self, source, blocks, shifts=(0,), outer=None):
         self.source = source
         self.blocks = tuple(blocks)
         arity_out = 0
@@ -299,6 +304,11 @@ class Stage:
             pos = end
             arity_out += 1
             degree += blk_degree
+        if outer is not None:
+            if outer.arity != arity_out:
+                raise ValueError("%r cannot take %d outputs" % (outer, arity_out))
+            arity_out, degree, target = 1, degree + outer.degree, outer.target
+        self.outer = outer
         self.arity_in = pos
         self.arity_out = arity_out
         self.degree = degree
@@ -318,18 +328,18 @@ class Stage:
             raise ValueError("only a one-operation stage sums over offsets")
 
 
-def _padded(source, blocks, a, c, shifts=(0,)):
-    """The stage 1^a tensor blocks tensor 1^c."""
+def _padded(source, blocks, a, c, shifts=(0,), outer=None):
+    """The stage 1^a tensor blocks tensor 1^c, fed into outer if given."""
     blocks = list(blocks)
     if a:
         blocks.insert(0, ("id", a))
     if c:
         blocks.append(("id", c))
-    return Stage(source, blocks, shifts)
+    return Stage(source, blocks, shifts, outer)
 
 
 def insert(op, a, c):
-    """The stage 1^a tensor op tensor 1^c (op: MultiOp or Stage).
+    """The stage 1^a tensor op tensor 1^c (op: MultiOp or unfed Stage).
 
     Stages of a MultiOp are built once and kept on it, so repeated
     insertions of one operation share their plan.
@@ -337,6 +347,8 @@ def insert(op, a, c):
     if a < 0 or c < 0:
         raise ValueError("negative identity width")
     if isinstance(op, Stage):
+        if op.outer is not None:
+            raise ValueError("a fed stage gives one factor; pad its blocks")
         return _padded(op.source, op.blocks, a, c, op.shifts)
     stage = op.stages.get((a, c))
     if stage is None:
@@ -344,18 +356,20 @@ def insert(op, a, c):
     return stage
 
 
-def insertions(op, m):
+def insertions(op, m, outer=None):
     """The stage sum over a < m of 1^a tensor op tensor 1^(m-1-a), for a
-    plain op: one coderivation component on m - 1 + arity inputs.  Kept
-    on op like insert's stages; m = 1 is insert(op, 0, 0) itself."""
+    plain op: one coderivation component on m - 1 + arity inputs, fed
+    into the arity-m op outer if given.  Kept on op like insert's stages,
+    by m or by (m, outer); m = 1 unfed is insert(op, 0, 0) itself."""
     if m < 1:
         raise ValueError("insertions need an outer arity of at least 1")
-    if m == 1:
+    if m == 1 and outer is None:
         return insert(op, 0, 0)
-    stage = op.stages.get(m)
+    key = m if outer is None else (m, outer)
+    stage = op.stages.get(key)
     if stage is None:
-        stage = op.stages[m] = _padded(op.source, [("op", op)], 0, m - 1,
-                                       tuple(range(m)))
+        stage = op.stages[key] = _padded(op.source, [("op", op)], 0, m - 1,
+                                         tuple(range(m)), outer)
     return stage
 
 
@@ -377,8 +391,13 @@ def apply_stage(stage, state, out=None):
     it reads op's memo (on_basis only on a rule's miss), takes the parity
     right of each offset in one walk from the right, and writes its keys
     straight into out.  A whole stage (Stage.whole) reads the memo with
-    the term's own key and writes (ends, (n,)) keys: no factor stands
-    right of its op.  Other stages follow their per-block plan.
+    the term's own key: no factor stands right of its op.  Other stages
+    follow their per-block plan.  A fed stage (Stage.outer) sends each
+    term its blocks produce, on either path, straight to the outer op:
+    it reads outer's memo with that term as the key (on_basis only on a
+    rule's miss) and adds the value's terms into out at (lmap(first),
+    rmap(last)).  No middle state is built, so outer is asked on every
+    such term, also on one that a middle sum would have cancelled.
     """
     quiver = stage.source
     ring = quiver.ring
@@ -387,6 +406,9 @@ def apply_stage(stage, state, out=None):
     mul, add = ring.mul, ring.add
     homs = quiver.homs
     arity_in = stage.arity_in
+    outer = stage.outer
+    if outer is not None:
+        otable, orule, lmap, rmap = outer.table, outer.rule, outer.lmap, outer.rmap
     if out is None:
         out = {}
     if stage.direct is not None:
@@ -399,6 +421,8 @@ def apply_stage(stage, state, out=None):
                 raise ValueError("stage arity mismatch")
             if coeff == 0:
                 continue
+            if outer is not None:
+                pair = (lmap(objs[0]), rmap(objs[-1]))
             parity, j = 0, arity_in
             for a in offsets:
                 if whole:
@@ -416,6 +440,28 @@ def apply_stage(stage, state, out=None):
                         continue
                     el = op.on_basis(*args)
                 pc = (-coeff if p is None else -coeff % p) if parity else coeff
+                if outer is not None:
+                    for n, oc in el.terms.items():
+                        c = pc if oc == one else oc if pc == one else mul(pc, oc)
+                        key = (ends, head + (n,) + tail)
+                        val = otable.get(key)
+                        if val is None:
+                            if orule is None:
+                                continue
+                            val = outer.on_basis(*key)
+                        for n, fo in val.terms.items():
+                            fc = c if fo == one else fo if c == one else mul(c, fo)
+                            key = (pair, (n,))
+                            size = len(out)
+                            old = out.setdefault(key, fc)
+                            if len(out) != size:
+                                continue
+                            v = add(old, fc)
+                            if v == 0:
+                                del out[key]
+                            else:
+                                out[key] = v
+                    continue
                 for n, oc in el.terms.items():
                     c = pc if oc == one else oc if pc == one else mul(pc, oc)
                     key = (ends, head + (n,) + tail)
@@ -477,6 +523,17 @@ def apply_stage(stage, state, out=None):
             else:
                 newobjs = piece
         else:
+            if outer is not None:
+                fed = []
+                for pn, pc in partial:
+                    val = otable.get((newobjs, pn))
+                    if val is None:
+                        if orule is None:
+                            continue
+                        val = outer.on_basis(newobjs, pn)
+                    fed += [((n,), pc if fo == one else fo if pc == one else mul(pc, fo))
+                            for n, fo in val.terms.items()]
+                newobjs, partial = (lmap(newobjs[0]), rmap(newobjs[-1])), fed
             # inline, not accumulate: a call per term slows this hot loop ~15%
             for newnames, c in partial:
                 key = (newobjs, newnames)
@@ -503,16 +560,15 @@ def insertion_sum(inner, outer, k, base, out, root=True):
     1^(m-1-a)) on the arity-k state base into out, and return out.
 
     inner, outer: arity -> MultiOp, or None for zero; inner's are plain.
-    Per outer arity m the insertions are one stage (insertions), and
-    outer(m) is applied once to the state it gives.
+    Per outer arity m the insertions fed into outer(m) are one stage
+    (insertions), applied once: no middle state is built.
     root=False leaves m = 1 out.  Signs ride on base's coefficients.
     """
     for m in range(1 if root else 2, k + 1):
         op, ins = outer(m), inner(k - m + 1)
         if op is None or ins is None:
             continue
-        apply_stage(insert(op, 0, 0), apply_stage(insertions(ins, m), base),
-                    out)
+        apply_stage(insertions(ins, m, op), base, out)
     return out
 
 

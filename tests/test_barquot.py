@@ -7,13 +7,14 @@ from ainfkit.barquot import (bar_quotient, check_comparison,
                              check_contraction, comparison_map,
                              extend_functor, unit_contraction,
                              word_embedding)
-from ainfkit.category import check_stasheff, check_strict_unit
+from ainfkit.category import check_stasheff, check_strict_unit, dg_to_ainf
 from ainfkit.freecat import LEAF
+from ainfkit.graded import GradedModule
 from ainfkit.functors import AInfFunctor, check_functor, resolve_at_root
 from ainfkit.homquot import homotopy_quotient
 from ainfkit.quiver import (BoundError, evaluate, insert, run_stages,
                             state_element)
-from test_category import arrow_with_differential, path3
+from test_category import QQ, arrow_with_differential, path3
 
 ONE = (LEAF,)
 
@@ -223,6 +224,34 @@ def test_round_trip_bundle():
         C, D, Q = models(which, bobj)
         rep = check_comparison(D, Q)
         assert rep.ok, rep.text()
+
+
+def path3z():
+    """path3 with f.g = 0: the hom (0, 2) is empty."""
+    homs = {(X, X): GradedModule(QQ, [("e%d" % X, 0)]) for X in range(3)}
+    homs[(0, 1)] = GradedModule(QQ, [("f", 0)])
+    homs[(1, 2)] = GradedModule(QQ, [("g", 0)])
+    m2 = {(X, X, X): {("e%d" % X,) * 2: homs[(X, X)].basis_element("e%d" % X)}
+          for X in range(3)}
+    for X, Y, nm in ((0, 1, "f"), (1, 2, "g")):
+        el = homs[(X, Y)].basis_element(nm)
+        m2[(X, X, Y)] = {("e%d" % X, nm): el}
+        m2[(X, Y, Y)] = {(nm, "e%d" % Y): el}
+    return dg_to_ainf(homs, {}, m2, units={X: "e%d" % X for X in range(3)},
+                      name="path3z")
+
+
+@pytest.mark.parametrize("bobj", [0, 2])
+@pytest.mark.parametrize("bound", [3, 4])
+def test_comparison_with_an_empty_marked_hom(bobj, bound):
+    # marking an end of the empty hom (0, 2): the contraction holds the
+    # zero value there, and every line of the comparison passes
+    C = path3z()
+    D = bar_quotient(C, {bobj}, bound)
+    chi = unit_contraction(D)
+    assert (0, 2) in chi.pairs and chi.apply(0, 2, D.hom(0, 2).zero(-1)).is_zero
+    rep = check_comparison(D, homotopy_quotient(C, {bobj}, bound))
+    assert rep.ok, rep.text()
 
 
 def test_tampered_comparison_fails_the_chain_test():

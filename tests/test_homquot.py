@@ -23,6 +23,7 @@ from ainfkit.homquot import (OperadTerm, admissible,
                              homotopy_quotient, leaf_count,
                              left_unit_homotopy, operad_d,
                              projection_functor, reduced_tree,
+                             stages_to_tree,
                              term_value, tree_category, tree_shapes,
                              tree_value, unary_count, unary_spans,
                              unit_conjugation, unit_derivation,
@@ -86,7 +87,7 @@ def test_stasheff_sweep_work_is_pinned(monkeypatch):
             tensors += 1
             assert stasheff_defect(A, k, objs, names).is_zero, names
     assert tensors == 550
-    assert counts == {"stages": 2247, "whole": 1743, "on_basis": 824}
+    assert counts == {"stages": 1193, "whole": 689, "on_basis": 824}
 
 
 def test_unit_homotopy_and_contraction_work_is_pinned(monkeypatch):
@@ -802,6 +803,9 @@ def _validation_cases():
                      "distinguished units"),
         "left no units": (lambda: left_unit_homotopy(
             homotopy_quotient(bare, {1}, 2)), "distinguished units"),
+        # a schedule that leaves two strands, or never joins its inputs
+        "open schedule": (lambda: stages_to_tree([(0, 2)], 3), "2 strands"),
+        "empty schedule": (lambda: stages_to_tree([], 2), "2 strands"),
     }
 
 
@@ -809,7 +813,8 @@ def _validation_cases():
     "unknown object", "leaf bound", "defect base", "defect arity",
     "projection bounds", "term objects", "term cap", "derivation caps",
     "compose slot", "conjugation caps", "empty term", "term inputs",
-    "term strands", "no units", "left no units"])
+    "term strands", "no units", "left no units", "open schedule",
+    "empty schedule"])
 def test_homquot_validation_raises(case):
     call, message = _validation_cases()[case]
     with pytest.raises(ValueError, match=message):

@@ -693,3 +693,200 @@ def test_whole_stage_reads_a_tampered_copy():
     assert apply_stage(insert(bad, 0, 0), state, minus) == {
         (("*", "*"), ("z",)): QQ.one}
     assert apply_stage(insert(ruled, 0, 0), state) == good
+
+
+def swap(X):
+    return 1 - X
+
+
+def draw_outer(data, q, arity, mids):
+    """A fresh-memo make() for an outer op of an arity, with lmap/rmap
+    drawn from the identity and the swap of the two objects, and the
+    keys its rule refuses with BoundError.  Each middle key gets a
+    value, a stored zero or nothing (a miss); in a quarter of the rule
+    ops the rule refuses one of them."""
+    degree = data.draw(st.integers(-1, 1))
+    lmap = data.draw(st.sampled_from((None, swap)))
+    rmap = data.draw(st.sampled_from((None, swap)))
+    fixed = data.draw(st.booleans())
+    values, refused = {}, set()
+    mids = sorted(mids, key=repr)
+    for objs, names in mids:
+        kind = data.draw(st.integers(0, 3))
+        mod = q.hom((lmap or _ident)(objs[0]), (rmap or _ident)(objs[-1]))
+        deg = tensor_degree(q, objs, names) + degree
+        fits = [nm for nm in mod.names if mod.degrees[nm] == deg]
+        if kind == 1 or kind > 1 and not fits:
+            values[(objs, names)] = mod.zero(deg)
+        elif kind > 1:
+            picked = data.draw(st.lists(st.sampled_from(fits), min_size=1,
+                                        max_size=2, unique=True))
+            values[(objs, names)] = mod.element(
+                {nm: draw_coeff(data, q.ring, zero=False) for nm in picked}, deg)
+    if mids and not fixed and not data.draw(st.integers(0, 3)):
+        refused.add(data.draw(st.sampled_from(mids)))
+
+    def rule(objs, names):
+        if (objs, names) in refused:
+            raise BoundError("refused %r" % (names,))
+        got = values.get((objs, names))
+        if got is None:
+            deg = tensor_degree(q, objs, names) + degree
+            return q.hom((lmap or _ident)(objs[0]),
+                         (rmap or _ident)(objs[-1])).zero(deg)
+        return got
+
+    def make():
+        if fixed:
+            return MultiOp(q, q, arity, degree, table=values, lmap=lmap,
+                           rmap=rmap, name="outer.fixed")
+        return MultiOp(q, q, arity, degree, rule=rule, lmap=lmap, rmap=rmap,
+                       name="outer.ruled")
+
+    return make, refused
+
+
+def draw_chain(data, blocks, keys):
+    """A composable tensor for a list of op and id blocks, each op's
+    segment most often a tensor it has a value on (keys: op -> list)."""
+    objs, names = None, ()
+    for blk in blocks:
+        start = None if objs is None else objs[-1]
+        width = blk[1] if blk[0] == "id" else blk[1].arity
+        fits = [k for k in keys.get(blk[1], ()) if start in (None, k[0][0])]
+        if fits and data.draw(st.integers(0, 3)):
+            o, n = data.draw(st.sampled_from(fits))
+        else:
+            o, n = draw_tensor(data, width, start=start)
+        objs = o if objs is None else objs + o[1:]
+        names += n
+    return objs, names
+
+
+def collapsing(q, arity, degree):
+    """make() for an op that sends every tensor to the first name of its
+    degree between its ends: distinct inputs share their middle terms."""
+    def rule(objs, names):
+        mod = q.hom(objs[0], objs[-1])
+        deg = tensor_degree(q, objs, names) + degree
+        return mod.basis_element(min(nm for nm in mod.names
+                                     if mod.degrees[nm] == deg))
+
+    return lambda: MultiOp(q, q, arity, degree, rule=rule, name="collapse")
+
+
+def cancelling_term(ring, q, parts, state, candidates):
+    """(key, coeff): a candidate term whose middle terms meet the state's
+    at some key, scaled so that the middle sum there cancels, or None."""
+    mid = {}
+    for blocks in parts:
+        reference_apply(q, blocks, state, mid)
+    for key in candidates:
+        if key in state:
+            continue
+        more = {}
+        for blocks in parts:
+            reference_apply(q, blocks, {key: ring.one}, more)
+        for k, c in more.items():
+            if k in mid:
+                return key, ring.neg(ring.mul(mid[k], ring.inv(c)))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fed_stage_agrees_with_the_two_call_form(data):
+    # a stage fed into an outer op against its blocks by the per-block
+    # plan, then a whole outer stage: insertions(op, m) on the direct
+    # path and multi-block stages on the plan, QQ and F_7, stored zeros
+    # and rule misses on both sides, an outer op that maps objects,
+    # middle terms that cancel, and an outer rule that refuses
+    ring = data.draw(st.sampled_from((QQ, F7)))
+    q = oracle_quiver(ring)
+    make, keys = draw_op(data, q)
+    inner = make()
+    if data.draw(st.booleans()):
+        make = collapsing(q, inner.arity, inner.degree)
+        inner = make()
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(1, 3))
+        parts = [[("id", b)] * bool(b) + [("op", inner)]
+                 + [("id", m - 1 - b)] * bool(m - 1 - b) for b in range(m)]
+        state = draw_state(data, q, inner.arity, keys, m - 1 + inner.arity)
+        fed = lambda outer: insertions(make(), m, outer)
+    else:
+        make2, keys2 = draw_op(data, q)
+        second = make2()
+        parts = [[("op", inner), ("id", 1), ("op", second)]]
+        if data.draw(st.booleans()):
+            parts = [[("op", second), ("op", inner)]]
+        m = len(parts[0])
+        state = {draw_chain(data, parts[0], {inner: keys, second: keys2}):
+                 draw_coeff(data, ring)
+                 for _ in range(data.draw(st.integers(1, 4)))}
+        fed = lambda outer: Stage(q, parts[0], outer=outer)
+    if data.draw(st.booleans()):
+        # a term with one name's letter flipped has the same ends and
+        # degree, so a collapsing op gives it the same middle terms
+        flips = [(objs, names[:i] + ("yx"[nm[0] == "y"] + nm[1:],)
+                  + names[i + 1:])
+                 for objs, names in state for i, nm in enumerate(names)]
+        term = cancelling_term(ring, q, parts, state, flips)
+        if term is not None:
+            state[term[0]] = term[1]
+    asked = set()
+    for key, c in state.items():
+        if c != 0:
+            for blocks in parts:
+                asked |= set(reference_apply(q, blocks, {key: c}, {}))
+    make_outer, refused = draw_outer(data, q, m, asked)
+    mid = {}
+    for blocks in parts:
+        reference_apply(q, blocks, state, mid)
+    if asked & refused:
+        # the fed stage asks outer on every middle term, cancelled or not
+        with pytest.raises(BoundError):
+            apply_stage(fed(make_outer()), state)
+        return
+    want = reference_insert(make_outer(), 0, 0, mid, {})
+    seed = {key: ring.neg(c) if data.draw(st.booleans()) else c
+            for key, c in want.items() if data.draw(st.booleans())}
+    got = apply_stage(fed(make_outer()), state, dict(seed))
+    reference_insert(make_outer(), 0, 0, mid, seed)
+    assert got == seed and canonical(ring, got)
+
+
+def test_fed_stage_asks_outer_on_a_cancelled_middle_term():
+    # p(a, z) = w = -p(z, a): the state (a, z) + (z, a) cancels in the
+    # middle, so the two-call form never asks outer, while the fed
+    # stage does
+    q = loop_quiver()
+    w = q.hom("*", "*").basis_element("w")
+    objs = ("*",) * 3
+    p = MultiOp(q, q, 2, 0, table={(objs, ("a", "z")): w,
+                                    (objs, ("z", "a")): w.neg()}, name="p")
+
+    def rule(objs, names):
+        raise BoundError("outer asked")
+
+    outer = MultiOp(q, q, 1, 1, rule=rule, name="refuses")
+    state = {(objs, ("a", "z")): QQ.one, (objs, ("z", "a")): QQ.one}
+    assert apply_stage(insertions(p, 1), state) == {}
+    with pytest.raises(BoundError, match="outer asked"):
+        apply_stage(insertions(p, 1, outer), state)
+    with pytest.raises(ValueError, match="cannot take"):
+        insertions(p, 2, outer)
+
+
+def test_fed_stages_are_kept_per_outer_op():
+    q = loop_quiver()
+    t, u = op_t(q), op_u(q)
+    v = MultiOp(q, q, 2, 0, name="v")
+    assert insertions(t, 2, v) is insertions(t, 2, v)
+    assert insertions(t, 1, u) is not insertions(t, 1, t)
+    assert insertions(t, 1, u) is not insertions(t, 1)
+    fed = insertions(t, 1, u)
+    assert fed.whole and fed.outer is u and fed.arity_out == 1
+    assert fed.degree == t.degree + u.degree
+    with pytest.raises(ValueError, match="fed stage"):
+        insert(fed, 1, 0)

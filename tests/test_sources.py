@@ -1,22 +1,18 @@
-"""Source guards: input validation must survive python -O, no private
-helper is left without a caller, every import is used, and the package
-has one elimination, one check loop, one sparse sum, one schedule
-runner, one placement walk, one context walk, one null-homotopy solve,
-one per-pair map and one per-name commutator, one shape of a complex
-and one read-back of elementary-map coordinates, builds tree categories
-only in their constructors, and writes functor and coderivation
-components only there too."""
+"""Source guards: no assert in the package (a stand-in for a lint rule:
+python -O strips them), no private helper is left without a caller,
+every import is used, and the package has one elimination, one check
+loop, one sparse sum, one schedule runner, one placement walk, one
+context walk, one null-homotopy solve, one per-pair map and one
+per-name commutator, one shape of a complex and one read-back of
+elementary-map coordinates, builds tree categories only in their
+constructors, writes functor and coderivation components and category
+operations only there too, and feeds no whole outer stage with another
+stage's output."""
 
 import ast
 import pathlib
 
 import ainfkit
-
-# Internal post-conditions that may stay asserts, by (module, top-level
-# function) with their count; every input check raises instead.
-POST_CONDITIONS = {
-    ("homquot", "stages_to_tree"): 1,
-}
 
 # The top-level functions and classes that invert a scalar, by (module,
 # name): graded.Echelon is the one elimination.
@@ -117,17 +113,19 @@ RE_EXPORTS = {
     ("freecat", "vertex_count"),
 }
 
-# The classes whose constructors write a components or r0 attribute, by
-# (module, class); nothing else writes one.  A functor's and a
-# coderivation's components and r0 are fixed once constructed, which the
-# placement plans that functors._chain_into keeps rely on.  QuiverMap
+# The classes whose constructors write a components, r0 or ops attribute,
+# by (module, class); nothing else writes one.  A functor's and a
+# coderivation's components and r0, and a category's operations, are
+# fixed once constructed, which the placement plans that
+# functors._chain_into keeps, per outer operation, rely on.  QuiverMap
 # fills its own per-pair components in its constructor.
 COMPONENT_WRITERS = {
+    ("category", "AInfCategory"),
     ("functors", "AInfFunctor"),
     ("functors", "Coderivation"),
     ("quiver", "QuiverMap"),
 }
-FIXED_ATTRS = ("components", "r0")
+FIXED_ATTRS = ("components", "r0", "ops")
 DICT_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear")
 
 
@@ -137,25 +135,12 @@ def package_trees():
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
-def assert_counts():
-    """(module, top-level function or None) -> asserts in the package."""
-    counts = {}
-    for module, tree in package_trees():
-        for top in tree.body:
-            owner = top.name if isinstance(
-                top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Assert):
-                    key = (module, owner)
-                    counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def test_no_validation_asserts():
-    counts = assert_counts()
-    extra = {key: n for key, n in counts.items()
-             if n > POST_CONDITIONS.get(key, 0)}
-    assert not extra, "asserts outside the post-condition allow-list: %r" % (extra,)
+def test_no_assert_in_src():
+    # every check in the package raises, so none is lost under python -O
+    found = sorted("%s:%d" % (module, node.lineno)
+                   for module, tree in package_trees()
+                   for node in ast.walk(tree) if isinstance(node, ast.Assert))
+    assert not found, "asserts in the package: %r" % (found,)
 
 
 def test_no_unreferenced_private_helpers():
@@ -432,3 +417,65 @@ def test_every_import_is_used():
                      "from .graded import accumulate, shift as sh\n"
                      "def f():\n    return random.random() + sh\n")
     assert unused_imports(tree, "m") == {("m", "os"), ("m", "accumulate")}
+
+
+def _called(node, name):
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _whole_insert(node):
+    """insert(x, 0, 0): the whole stage of one operation."""
+    return (_called(node, "insert") and len(node.args) == 3
+            and all(isinstance(a, ast.Constant) and a.value == 0
+                    for a in node.args[1:]))
+
+
+def stage_fed_wholes(tree, module):
+    """(module, top-level definition) for every apply_stage of a whole
+    stage (insert(x, 0, 0), or a name assigned one) whose input is another
+    apply_stage's output: that call, a name assigned it, or a name some
+    apply_stage adds into.  A fed stage does that in one call."""
+    found = set()
+    for top in tree.body:
+        nodes = list(ast.walk(top))
+        calls = [n for n in nodes if _called(n, "apply_stage")]
+        wholes, outputs = set(), set()
+        for n in nodes:
+            if isinstance(n, ast.Assign):
+                names = {t.id for t in n.targets if isinstance(t, ast.Name)}
+                if _whole_insert(n.value):
+                    wholes |= names
+                if _called(n.value, "apply_stage"):
+                    outputs |= names
+        outputs |= {c.args[2].id for c in calls
+                    if len(c.args) > 2 and isinstance(c.args[2], ast.Name)}
+        for c in calls:
+            if len(c.args) < 2:
+                continue
+            stage, state = c.args[:2]
+            if not (_whole_insert(stage) or getattr(stage, "id", None) in wholes):
+                continue
+            if _called(state, "apply_stage") or getattr(state, "id", None) in outputs:
+                found.add((module, getattr(top, "name", None)))
+    return found
+
+
+def test_no_whole_stage_reads_a_middle_state():
+    found = set()
+    for module, tree in package_trees():
+        found |= stage_fed_wholes(tree, module)
+    assert not found, "whole stages fed a middle state: %r" % (sorted(found),)
+    # the guard sees the two-call forms that fed stages replaced
+    for body in ("apply_stage(insert(op, 0, 0), apply_stage(ins, base), out)",
+                 "state = {}\n    for st in group:\n"
+                 "        apply_stage(st, base, state)\n"
+                 "    apply_stage(insert(op, 0, 0), state, out)",
+                 "mid = apply_stage(ins, base)\n    whole = insert(op, 0, 0)\n"
+                 "    apply_stage(whole, mid, out)"):
+        tree = ast.parse("def g(op, ins, base, group, out):\n    %s\n" % body)
+        assert stage_fed_wholes(tree, "m") == {("m", "g")}, body
+    # and passes a whole stage fed a state built otherwise
+    tree = ast.parse("def g(op, db, out):\n    apply_stage(insert(op, 0, 0), "
+                     "{k: -c for k, c in db.items()}, out)\n")
+    assert not stage_fed_wholes(tree, "m")

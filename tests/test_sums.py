@@ -445,8 +445,8 @@ def test_cached_plans_match_a_fresh_walk_on_coderivation_chains(build):
 
 
 def test_one_stage_per_block_list(monkeypatch):
-    # one span check on a free category builds each block list's Stage
-    # once, however many names share it
+    # one span check on a free category builds each (block list, outer
+    # op)'s fed Stage once, however many names share it
     D = path3()
     F = free_over(D, 4)
     R = structure_relations(D, F)
@@ -454,9 +454,9 @@ def test_one_stage_per_block_list(monkeypatch):
     built = []
     real = functors.Stage
 
-    def counting(source, blocks, *args):
-        built.append(tuple(blocks))
-        return real(source, blocks, *args)
+    def counting(source, blocks, outer):
+        built.append((tuple(blocks), outer))
+        return real(source, blocks, outer=outer)
 
     monkeypatch.setattr(functors, "Stage", counting)
     f = free_extension(F, D, identity_images(D), name="c")
