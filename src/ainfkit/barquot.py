@@ -26,7 +26,8 @@ from .functors import (AInfFunctor, check_functor, resolve_at_root,
 from .graded import GradedModule, linear_combination
 from .homquot import PartialHomotopy
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     apply_stage, evaluate, insert, tensor_degree)
+                     apply_stage, bounded_tensors, evaluate, insert,
+                     tensor_degree)
 from .report import Report, unless_zero
 from .trees import LEAF, embed_leaf
 
@@ -41,7 +42,9 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
 
     Basis names are pairs (objects, arrow names) describing a composable
     word of length 1 up to word_bound whose interior objects all lie in
-    bobjs; one-letter words are the arrows of C.  The differential
+    bobjs; one-letter words are the arrows of C.  Each hom lists its
+    words by length, then in the order of the quiver.bounded_tensors
+    walk, which keeps the words of each length.  The differential
     applies every operation of C to every consecutive window of a word.
     An operation of arity two or more concatenates its arguments and
     applies the windows that start inside the first word and end inside
@@ -59,26 +62,11 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
                          % (word_bound,))
 
     rows = {}
-    level = []
-    for X, Y in gen.pairs():
-        for nm in gen.hom(X, Y).names:
-            level.append(((X, Y), (nm,)))
-    for word in level:
-        rows.setdefault((word[0][0], word[0][-1]), []).append(word)
-    for _ in range(word_bound - 1):
-        grown = []
-        for gobjs, gnames in level:
-            Z = gobjs[-1]
-            if Z not in bobjs:
-                continue
-            for X, Y in gen.pairs():
-                if X != Z:
-                    continue
-                for nm in gen.hom(X, Y).names:
-                    grown.append((gobjs + (Y,), gnames + (nm,)))
-        for word in grown:
-            rows.setdefault((word[0][0], word[0][-1]), []).append(word)
-        level = grown
+    for n in range(1, word_bound + 1):
+        for gobjs, gnames in bounded_tensors(gen, n):
+            if all(X in bobjs for X in gobjs[1:-1]):
+                rows.setdefault((gobjs[0], gobjs[-1]), []).append(
+                    (gobjs, gnames))
     homs = {pair: GradedModule(ring, [(w, tensor_degree(gen, *w))
                                       for w in words])
             for pair, words in rows.items()}
@@ -265,18 +253,16 @@ def comparison_map(D, Q):
         for pair in D.quiver.pairs()})
 
 
-def extend_functor(f, Q, chi, extras=None, name=None):
+def extend_functor(f, Q, chi, name=None):
     """Extend a functor on the base category over the tree quotient.
 
     f goes from Q's base into any category; chi, a quiver map such as
     unit_contraction's, supplies contracting homotopies on the touched
-    target homs.  The higher components of the extension may be supplied
-    through extras, a map from arity to a rule on tuples of junction
-    objects and tree names; by default they extend by zero, keeping f's
-    own components on trivial tensors.  The arrow component is then
-    forced: trivial trees go through f, a capped tree goes through the
-    contraction, and a grafted tree is resolved by the functor equation
-    for its root, whose grafting is invertible.
+    target homs.  The higher components of the extension extend f's by
+    zero: f's own components on trivial tensors, zero on any other.  The
+    arrow component is then forced: trivial trees go through f, a capped
+    tree goes through the contraction, and a grafted tree is resolved by
+    the functor equation for its root, whose grafting is invertible.
     """
     C, A = f.source, f.target
     if Q.base is not C:
@@ -287,12 +273,9 @@ def extend_functor(f, Q, chi, extras=None, name=None):
         raise ValueError("the functor needs an arrow component")
 
     def higher(m, robjs, rnames):
-        if extras and m in extras:
-            return extras[m](robjs, rnames)
-        op = f.component(m)
-        if op is not None and all(nm[0] == LEAF for nm in rnames):
-            return op.on_basis(tuple(robjs),
-                               tuple(nm[2][0] for nm in rnames))
+        if all(nm[0] == LEAF for nm in rnames):
+            return f.component(m).on_basis(tuple(robjs),
+                                           tuple(nm[2][0] for nm in rnames))
         degree = tensor_degree(Q.quiver, robjs, rnames)
         return A.hom(omap(robjs[0]), omap(robjs[-1])).zero(degree)
 
@@ -308,9 +291,7 @@ def extend_functor(f, Q, chi, extras=None, name=None):
     tag = name or (f.name + ".ext")
     comps = {1: MultiOp(Q.quiver, A.quiver, 1, 0, rule=arrow,
                         lmap=omap, rmap=omap, name=tag + "1")}
-    tops = set(extras or ())
-    tops.update(m for m in f.components if m > 1)
-    for m in sorted(tops):
+    for m in sorted(m for m in f.components if m > 1):
         comps[m] = MultiOp(Q.quiver, A.quiver, m, 0,
                            rule=lambda objs, names, m=m: higher(
                                m, tuple(objs), tuple(names)),

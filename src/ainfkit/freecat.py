@@ -20,7 +20,7 @@ more leaves than the bound raises BoundError rather than dropping terms.
 
 from .category import AInfCategory
 from .functors import (AInfFunctor, Coderivation, resolve_at_root,
-                       strict_functor, theta_value)
+                       strict_functor)
 from .graded import Echelon, GradedModule, linear_combination
 from .homquot import defect_images, tree_category
 from .quiver import (GradedQuiver, MultiOp, QuiverMap, apply_stage,
@@ -66,10 +66,10 @@ def free_category(gen, d1=None, leaf_bound=3, name=None):
     return F
 
 
-def tree_element(F, tree, gobjs, gnames, coeff=1):
+def tree_element(F, tree, gobjs, gnames):
     """The basis element of a free category with the given tree and leaves."""
     label = (tree, tuple(gobjs), tuple(gnames))
-    return F.hom(gobjs[0], gobjs[-1]).basis_element(label, coeff)
+    return F.hom(gobjs[0], gobjs[-1]).basis_element(label)
 
 
 def trivial_embedding(F):
@@ -323,8 +323,8 @@ def _higher_components(higher, degree):
 def _extend_over_trees(phi, psi, degree, part0, part1, higher, rhs, name):
     """Shared worker for the two coderivation extensions.
 
-    rhs is a list of (sign, coderivation or None); on every tree root the
-    arity-one value is solved from
+    rhs is a list of (sign, coderivation); on every tree root the
+    arity-one value is solved by resolve_at_root from
 
         b_root(u1) = (-1)^deg(u) (insertion sum - sum of rhs) - tail.
     """
@@ -341,24 +341,15 @@ def _extend_over_trees(phi, psi, degree, part0, part1, higher, rhs, name):
                 raise ValueError("value on %r has the wrong hom or degree"
                                  % (gname,))
     for _, beta in rhs:
-        if beta is not None and (beta.source is not phi or beta.target is not psi
-                                 or beta.degree != degree + 1):
+        if (beta.source is not phi or beta.target is not psi
+                or beta.degree != degree + 1):
             raise ValueError("%r must go from the source to the target "
                              "functor with degree %d" % (beta, degree + 1))
-    sgn = -1 if degree % 2 else 1
-
-    def head(k, objs, names):
-        acc = theta_value([r], k, objs, names)
-        for s, beta in rhs:
-            if beta is not None:
-                term = beta.component_value(k, objs, names)
-                acc = acc.sub(term) if s > 0 else acc.add(term)
-        return acc.scale(sgn)
 
     def u1_rule(objs, names):
         label = names[0]
         if label[0] != LEAF:
-            return resolve_at_root(r, label, head)
+            return resolve_at_root(r, label, rhs)
         X, Y = objs
         el = part1.get((X, Y), {}).get(label[2][0])
         if el is None:
@@ -387,19 +378,19 @@ def extend_transformation(phi, psi, degree, part0=None, part1=None,
     the whole coderivation.
     """
     return _extend_over_trees(phi, psi, degree, part0, part1, higher,
-                              [(1, image_d)], name)
+                              () if image_d is None else [(1, image_d)], name)
 
 
 def extend_homotopy(phi, psi, degree, target, part0=None, part1=None,
-                    higher=None, image_d=None, name="h"):
+                    higher=None, name="h"):
     """Extend homotopy data whose differential must land on a target.
 
-    Same data as extend_transformation plus the prescribed target: the
-    result h satisfies d(h) = target - image_d componentwise on tree
-    names (image_d again optional).
+    Same data as extend_transformation, with the target in place of
+    image_d and required: the result h satisfies d(h) = target
+    componentwise on tree names.
     """
     return _extend_over_trees(phi, psi, degree, part0, part1, higher,
-                              [(1, target), (-1, image_d)], name)
+                              [(1, target)], name)
 
 
 def _contexts(F, k, X, Y, budget, walks):

@@ -15,6 +15,7 @@ of B1 and Bn all read it through _chain_into.
 import random
 
 from .category import sampled_cases
+from .graded import accumulate
 from .quiver import (MultiOp, QuiverMap, Stage, bounded_tensors,
                      apply_stage, insertion_sum, state_element, tensor_degree)
 from .report import Report, unless_zero
@@ -325,51 +326,46 @@ def unit_transformation(g):
     return Coderivation(g, g, -1, {}, r0=r0, arity_bound=0, name=g.name + "u")
 
 
-def _commutator_tail(r, k, objs, names):
-    """The source-side half of the differential: operations fed into r."""
-    A = r.cat_source
-    qa, qb = A.quiver, r.cat_target.quiver
-    base = {(tuple(objs), tuple(names)): qa.ring.one}
-    degree = tensor_degree(qa, objs, names) + r.degree + 1
-    pair = (r.source.obj_map(objs[0]), r.target.obj_map(objs[-1]))
-    return state_element(qb, insertion_sum(A.b, r.component, k, base, {}),
-                         pair, degree)
-
-
-def resolve_at_root(f, label, head=None):
+def resolve_at_root(f, label, rhs=()):
     """The arity-one value of a functor or coderivation on a grafted tree
     name, solved from its equation at the root.
 
     The name is eps times the root operation on its factors (see
     trees.root_split), and on the factors the equation holds the unknown
     only in its root term, the arity-one component after the root
-    operation.  So the value is eps times head minus the source
-    operations fed into the stored components, that term left out; with
-    no component above arity one that sum is empty and is not walked.
-    head(k, objs, names) is the rest of the equation on the factors; for
-    a functor it defaults to the component blocks fed into a target
-    operation.  The source must be a tree category over a base, and the
-    name must have a root operation: a one-leaf or unary-rooted name
-    raises ValueError (trees.root_split).
+    operation.  So the value is eps times the rest of the equation, one
+    state: for a functor f the component blocks fed into a target
+    operation; for a coderivation r: phi -> psi, (-1)^deg(r) times its
+    insertion sum between phi and psi, minus s times the arity-k
+    component of beta for each (s, beta) of rhs, the coderivations its
+    differential must equal.  The source operations fed into the stored
+    components are then subtracted, the root term left out; with no
+    component above arity one that sum is empty and is not walked.  The
+    source must be a tree category over a base, and the name must have a
+    root operation: a one-leaf or unary-rooted name raises ValueError
+    (trees.root_split).
     """
     if isinstance(f, Coderivation):
         A, B = f.cat_source, f.cat_target
+        chain, rs = [f.source, f.target], [f]
         lmap, rmap, shift = f.source.obj_map, f.target.obj_map, f.degree
     else:
         A, B = f.source, f.target
+        chain, rs = [f], ()
         lmap = rmap = f.obj_map
         shift = 0
-    k, chain, fnames, eps = root_split(A.base.quiver, label)
-    key, normalize = (chain, fnames), A.quiver.ring.normalize
-    pair = (lmap(chain[0]), rmap(chain[-1]))
-    degree = A.quiver.degree(chain[0], chain[-1], label) + shift
-    if head is None:
-        out = _chain_into([f], (), B.b, {key: normalize(eps)}, {})
-    else:
-        out = {(pair, (nm,)): c
-               for nm, c in head(k, chain, fnames).scale(eps).items()}
+    k, objs, fnames, eps = root_split(A.base.quiver, label)
+    key, ring = (objs, fnames), A.quiver.ring
+    pair = (lmap(objs[0]), rmap(objs[-1]))
+    degree = A.quiver.degree(objs[0], objs[-1], label) + shift
+    c = -eps if shift % 2 else eps
+    out = _chain_into(chain, rs, B.b, {key: ring.normalize(c)}, {})
+    for s, beta in rhs:
+        accumulate(ring, out, (((pair, (nm,)), v) for nm, v in
+                               beta.component_value(k, objs, fnames).items()),
+                   ring.normalize(-s * c))
     if any(n > 1 for n in f.components):
-        insertion_sum(A.b, f.component, k, {key: normalize(-eps)}, out,
+        insertion_sum(A.b, f.component, k, {key: ring.normalize(-eps)}, out,
                       root=False)
     return state_element(B.quiver, out, pair, degree)
 
@@ -406,9 +402,12 @@ def theta_value(rs, k, objs, names, chain=None):
 def Bn(rs, category=None, arity_bound=None, name=None):
     """Composition of several coderivations: insertion, then operations.
 
-    With a single coderivation the source-side commutator term is added,
-    so the result is its differential (B1).  With none this is the
-    structure of the given category carried by its identity functor.
+    With a single coderivation the source-side commutator term, the
+    source operations fed into it times -(-1)^deg, is added into the
+    same state, so the result is its differential (B1).  With none this
+    is the structure of the given category carried by its identity
+    functor.  Each component value is one state through _chain_into
+    (and insertion_sum), read out once.
     """
     rs = list(rs)
     if not rs:
@@ -422,17 +421,21 @@ def Bn(rs, category=None, arity_bound=None, name=None):
     degree = sum(r.degree for r in rs) + 1
     if arity_bound is None:
         arity_bound = max([r.arity_bound for r in rs], default=A.max_arity)
+    ring = A.quiver.ring
     flip = None
     if len(rs) == 1:
-        flip = -1 if rs[0].degree % 2 == 0 else 1
+        flip = ring.normalize(-1 if rs[0].degree % 2 == 0 else 1)
     label = name or ("B%d(%s)" % (len(rs), ",".join(r.name for r in rs)))
     comps = {}
     for n in range(1, arity_bound + 1):
         def rule(objs, names, n=n):
-            total = theta_value(rs, n, objs, names, chain=chain)
+            key = (tuple(objs), tuple(names))
+            out = _chain_into(chain, rs, B.b, {key: ring.one}, {})
             if flip is not None:
-                total = total.add(_commutator_tail(rs[0], n, objs, names).scale(flip))
-            return total
+                insertion_sum(A.b, rs[0].component, n, {key: flip}, out)
+            pair = (fsrc.obj_map(objs[0]), ftgt.obj_map(objs[-1]))
+            return state_element(B.quiver, out, pair,
+                                 tensor_degree(A.quiver, objs, names) + degree)
 
         comps[n] = MultiOp(A.quiver, B.quiver, n, degree, rule=rule,
                            lmap=fsrc.obj_map, rmap=ftgt.obj_map,

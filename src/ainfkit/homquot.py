@@ -40,8 +40,8 @@ from .category import AInfCategory, verify_unit_homotopy
 from .functors import strict_functor
 from .graded import GradedModule, accumulate, linear_combination
 from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
-                     apply_stage, bounded_tensors, evaluate, insert,
-                     insertion_sum, state_element, tensor_degree)
+                     bounded_tensors, evaluate, insertion_sum, state_element,
+                     tensor_degree)
 from .report import Report, unless_zero
 from .trees import (LEAF, embed_leaf, interned, leaf_count, name_degree,
                     root_split, shape_counts, shape_table, tree_pipeline,
@@ -212,17 +212,15 @@ def _build(C, bobjs, leaf_bound, reduced, name):
             return embed_leaf(squiver, (X, Y),
                               inner.on_basis((X, Y), (label[2][0],)))
         if len(t) == 1:
-            inner_label = (t[0], label[1], label[2])
-            db = ops[1].on_basis((X, Y), (inner_label,))
-            out = {((X, Y), (inner_label,)): ring.one}
-            apply_stage(insert(hop, 0, 0),
-                        {((X, Y), (nm,)): ring.neg(c) for nm, c in db.items()},
-                        out)
-            return state_element(squiver, out, (X, Y), degree)
-        k, chain, fnames, eps = root_split(gen, label)
-        out = insertion_sum(ops.get, ops.get, k,
-                            {(chain, fnames): ring.normalize(-eps)}, {},
-                            root=False)
+            # b1(h(s)) = s - h(b1(s)): one sum fed into the homotopy
+            key = ((X, Y), ((t[0], label[1], label[2]),))
+            out = insertion_sum(ops.get, {1: hop}.get, 1,
+                                {key: ring.normalize(-1)}, {key: ring.one})
+        else:
+            k, chain, fnames, eps = root_split(gen, label)
+            out = insertion_sum(ops.get, ops.get, k,
+                                {(chain, fnames): ring.normalize(-eps)}, {},
+                                root=False)
         return state_element(squiver, out, (X, Y), degree)
 
     ops[1] = MultiOp(squiver, squiver, 1, 1, rule=b1_rule, name="tree_b1")
@@ -476,13 +474,13 @@ def term_degree(key):
 
 def _collect(ring, pieces):
     """Canonicalize (coeff, stages, width, gobjs) pieces into a term."""
-    out = OperadTerm(ring)
+    terms = {}
     for coeff, stages, width, gobjs in pieces:
         tree, caps = stages_to_tree(stages, width)
         sign = staging_sign(stages) * staging_sign(tree_stages(tree, caps))
-        out = out.add(OperadTerm(ring, {(tree, tuple(gobjs), caps):
-                                        ring.mul(coeff, sign)}))
-    return out
+        accumulate(ring, terms, [((tree, tuple(gobjs), caps),
+                                  ring.mul(coeff, sign))])
+    return OperadTerm(ring, terms)
 
 
 def operad_d(term):
@@ -584,7 +582,7 @@ def unit_conjugation(term):
     slot of a capped operation, minus the capped operation fed into the
     term's last slot."""
     ring = term.ring
-    total = OperadTerm(ring)
+    terms = {}
     for key, coeff in term.data.items():
         tree, gobjs, caps = key
         if caps:
@@ -592,12 +590,13 @@ def unit_conjugation(term):
         one = OperadTerm(ring, {key: coeff})
         lam_out = OperadTerm.basis(ring, (LEAF, LEAF),
                                    (gobjs[0], gobjs[-1], gobjs[-1]), caps=(1,))
-        total = total.add(compose_terms(one, lam_out, 0))
+        accumulate(ring, terms, compose_terms(one, lam_out, 0).data.items())
         n = leaf_count(tree)
         lam_in = OperadTerm.basis(ring, (LEAF, LEAF),
                                   (gobjs[n - 1], gobjs[n], gobjs[n]), caps=(1,))
-        total = total.sub(compose_terms(lam_in, one, n - 1))
-    return total
+        accumulate(ring, terms, compose_terms(lam_in, one, n - 1).data.items(),
+                   ring.normalize(-1))
+    return OperadTerm(ring, terms)
 
 
 def strand_objects(gobjs, caps):
@@ -772,21 +771,23 @@ def check_action_chain(E, samples=40, seed=0):
             def run():
                 val = term_value(E, term, objs, names)
                 lhs = evaluate(b1, (objs[0], objs[-1]), (val,))
-                rhs = q.hom(objs[0], objs[-1]).zero(lhs.degree)
+                # lhs minus the right side, as one sum
+                parts = [(lhs, 1)]
                 dterm = operad_d(term)
                 if not dterm.is_zero:
-                    rhs = rhs.add(term_value(E, dterm, objs, names))
+                    parts.append((term_value(E, dterm, objs, names), -1))
                 degs = [q.degree(objs[i], objs[i + 1], names[i])
                         for i in range(len(names))]
                 for i in range(len(names)):
                     img = b1.on_basis((objs[i], objs[i + 1]), (names[i],))
                     suffix = sum(degs[i + 1:]) + term_degree(key)
                     sgn = -1 if suffix % 2 else 1
-                    for nm2, c in img.items():
-                        piece = term_value(E, term, objs,
-                                           names[:i] + (nm2,) + names[i + 1:])
-                        rhs = rhs.add(piece.scale(ring.mul(sgn, c)))
-                return unless_zero(lhs.sub(rhs))
+                    parts.extend(
+                        (term_value(E, term, objs,
+                                    names[:i] + (nm2,) + names[i + 1:]),
+                         ring.mul(-sgn, c)) for nm2, c in img.items())
+                return unless_zero(linear_combination(
+                    q.hom(objs[0], objs[-1]), lhs.degree, parts))
             yield (term, names), run
 
     return rep.tally("chain action", cases(), "terms", exhaustive=False)
@@ -860,10 +861,7 @@ def _unit_homotopy(D, left):
     return PartialHomotopy(D, matrices)
 
 
-def check_unit_homotopies(D, h, hp, max_size=None):
-    """verify_unit_homotopy on the names of at most max_size leaves, by
-    default one less than the leaf bound, so that every value the laws
-    need stays under the bound."""
-    if max_size is None:
-        max_size = D.leaf_bound - 1
-    return verify_unit_homotopy(D, h, hp, max_size)
+def check_unit_homotopies(D, h, hp):
+    """verify_unit_homotopy on the names of fewer leaves than the leaf
+    bound, so that every value the laws need stays under the bound."""
+    return verify_unit_homotopy(D, h, hp, D.leaf_bound - 1)

@@ -242,11 +242,9 @@ def combine_ops(weighted, name=None):
             raise ValueError("combined operations differ in arity or degree")
 
     def rule(objs, names):
-        out = None
-        for op, c in weighted:
-            term = op.on_basis(objs, names).scale(c)
-            out = term if out is None else out.add(term)
-        return out
+        return linear_combination(
+            first.out_module(objs), tensor_degree(first.source, objs, names)
+            + first.degree, ((op.on_basis(objs, names), c) for op, c in weighted))
 
     return MultiOp(first.source, first.target, first.arity, first.degree,
                    rule=rule, lmap=first.lmap, rmap=first.rmap, name=name)
@@ -339,17 +337,13 @@ def _padded(source, blocks, a, c, shifts=(0,), outer=None):
 
 
 def insert(op, a, c):
-    """The stage 1^a tensor op tensor 1^c (op: MultiOp or unfed Stage).
+    """The stage 1^a tensor op tensor 1^c of a MultiOp.
 
-    Stages of a MultiOp are built once and kept on it, so repeated
-    insertions of one operation share their plan.
+    Stages are built once and kept on op, so repeated insertions of one
+    operation share their plan.
     """
     if a < 0 or c < 0:
         raise ValueError("negative identity width")
-    if isinstance(op, Stage):
-        if op.outer is not None:
-            raise ValueError("a fed stage gives one factor; pad its blocks")
-        return _padded(op.source, op.blocks, a, c, op.shifts)
     stage = op.stages.get((a, c))
     if stage is None:
         stage = op.stages[(a, c)] = _padded(op.source, [("op", op)], a, c)

@@ -158,10 +158,10 @@ def _hom_chains(q, length):
     return out
 
 
-def _random_factor(mod, rng, density=0.8):
+def _random_factor(mod, rng):
     degs = sorted(set(mod.degrees.values()))
     for _ in range(4):
-        el = mod.random_element(rng.choice(degs), rng, density)
+        el = mod.random_element(rng.choice(degs), rng, 0.8)
         if not el.is_zero:
             return el
     return mod.basis_element(rng.choice(mod.names))

@@ -7,14 +7,15 @@ from ainfkit.barquot import (bar_quotient, check_comparison,
                              check_contraction, comparison_map,
                              extend_functor, unit_contraction,
                              word_embedding)
-from ainfkit.category import check_stasheff, check_strict_unit, dg_to_ainf
+from ainfkit.category import (check_stasheff, check_strict_unit,
+                              complexes_category, dg_to_ainf)
 from ainfkit.freecat import LEAF
-from ainfkit.graded import GradedModule
+from ainfkit.graded import GradedModule, Ring
 from ainfkit.functors import AInfFunctor, check_functor, resolve_at_root
 from ainfkit.homquot import homotopy_quotient
 from ainfkit.quiver import (BoundError, evaluate, insert, run_stages,
                             state_element)
-from test_category import QQ, arrow_with_differential, path3
+from test_category import QQ, arrow_with_differential, augmented_point, path3
 
 ONE = (LEAF,)
 
@@ -52,6 +53,45 @@ def test_word_census():
     assert sum(len(D.hom(X, Y).names) for X, Y in D.quiver.pairs()) == 14
     assert D.quiver.degree(0, 2, ((0, 1, 1, 2), ("f", "e1", "g"))) == -3
     assert D.quiver.degree(0, 2, ((0, 2), ("fg",))) == -1
+
+
+def two_small_complexes():
+    """M = (a -> b) and N = (c) over F_7: nine arrows, few enough to
+    list the words of four letters with every object marked."""
+    return complexes_category(Ring("Fp", 7), {
+        "M": ([("a", 0), ("b", 1)], {"a": {"b": 3}}),
+        "N": ([("c", 0)], {}),
+    })
+
+
+def level_walk_words(C, bobjs, word_bound):
+    """The words of bar_quotient per end pair, grown one letter at a time
+    from the words ending at a marked object, each level in order."""
+    gen = C.quiver
+    rows = {}
+    level = [((X, Y), (nm,)) for X, Y in gen.pairs() for nm in gen.hom(X, Y).names]
+    for _ in range(word_bound):
+        for gobjs, gnames in level:
+            rows.setdefault((gobjs[0], gobjs[-1]), []).append((gobjs, gnames))
+        level = [(gobjs + (Y,), gnames + (nm,))
+                 for gobjs, gnames in level if gobjs[-1] in bobjs
+                 for X, Y in gen.pairs() if X == gobjs[-1]
+                 for nm in gen.hom(X, Y).names]
+    return rows
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("marked", ["none", "first", "last", "all"])
+@pytest.mark.parametrize("make", [path3, arrow_with_differential,
+                                  augmented_point, two_small_complexes])
+def test_words_keep_the_level_walk_order(make, marked, bound):
+    C = make()
+    objects = C.quiver.objects
+    bobjs = {"none": (), "first": objects[:1], "last": objects[-1:],
+             "all": objects}[marked]
+    D = bar_quotient(C, frozenset(bobjs), bound)
+    want = level_walk_words(C, frozenset(bobjs), bound)
+    assert {pair: list(D.hom(*pair).names) for pair in D.quiver.pairs()} == want
 
 
 def test_differential_windows():

@@ -7,14 +7,15 @@ import pytest
 
 from ainfkit.category import AInfCategory, dg_to_ainf, opposite
 from ainfkit.functors import (AInfFunctor, Bn, B1, Coderivation,
-                              _commutator_tail, check_b1_square, check_functor,
+                              check_b1_square, check_functor,
                               coderivations_equal, compose_functors,
                               functor_defect, identity_functor,
                               random_coderivation, strict_functor,
                               theta_value, unit_transformation)
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.quiver import (MultiOp, Stage, bounded_tensors, evaluate, insert,
-                            run_stages, state_element, tensor_degree)
+                            insertion_sum, run_stages, state_element,
+                            tensor_degree)
 from ainfkit.report import Report, unless_zero
 from test_category import arrow_with_differential, one_object_unit, path3
 
@@ -239,8 +240,13 @@ def b1_value(r, k, objs, names):
     sum of its own: the insertion sum of r alone, then minus
     (-1)^deg(r) times the source-side sum."""
     flip = -1 if r.degree % 2 == 0 else 1
-    return theta_value([r], k, objs, names).add(
-        _commutator_tail(r, k, objs, names).scale(flip))
+    A = r.cat_source
+    base = {(tuple(objs), tuple(names)): A.quiver.ring.one}
+    tail = state_element(
+        r.cat_target.quiver, insertion_sum(A.b, r.component, k, base, {}),
+        (r.source.obj_map(objs[0]), r.target.obj_map(objs[-1])),
+        tensor_degree(A.quiver, objs, names) + r.degree + 1)
+    return theta_value([r], k, objs, names).add(tail.scale(flip))
 
 
 def summed_b1(r):

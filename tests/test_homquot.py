@@ -87,7 +87,7 @@ def test_stasheff_sweep_work_is_pinned(monkeypatch):
             tensors += 1
             assert stasheff_defect(A, k, objs, names).is_zero, names
     assert tensors == 550
-    assert counts == {"stages": 1193, "whole": 689, "on_basis": 824}
+    assert counts == {"stages": 1193, "whole": 689, "on_basis": 686}
 
 
 def test_unit_homotopy_and_contraction_work_is_pinned(monkeypatch):
@@ -117,9 +117,9 @@ def test_unit_homotopy_and_contraction_work_is_pinned(monkeypatch):
                 monkeypatch.setattr(module, attr, counted_evaluate)
     monkeypatch.setattr(MultiOp, "on_basis", counted_on_basis)
     assert check_unit_homotopies(D, h, hp).ok
-    assert counts == {"evaluate": 124, "on_basis": 350}
+    assert counts == {"evaluate": 124, "on_basis": 310}
     assert check_contraction(W, chi).ok
-    assert counts == {"evaluate": 136, "on_basis": 362}
+    assert counts == {"evaluate": 136, "on_basis": 322}
 
 
 def interned_down(t):

@@ -231,16 +231,6 @@ def test_stage_cache_does_not_leak_into_copies():
     assert before == {(("*",) * 3, ("a", "z")): 1}
 
 
-def test_insert_nesting_is_concentric():
-    q = loop_quiver()
-    t = op_t(q)
-    inner = insert(t, 1, 0)
-    nested = insert(inner, 1, 1)
-    flat = insert(t, 2, 1)
-    s = state_of(q, ("a", "a", "a", "a"))
-    assert apply_stage(nested, s) == apply_stage(flat, s)
-
-
 def test_disjoint_insertions_commute_up_to_sign():
     q = loop_quiver()
     t, u = op_t(q), op_u(q)
@@ -888,5 +878,3 @@ def test_fed_stages_are_kept_per_outer_op():
     fed = insertions(t, 1, u)
     assert fed.whole and fed.outer is u and fed.arity_out == 1
     assert fed.degree == t.degree + u.degree
-    with pytest.raises(ValueError, match="fed stage"):
-        insert(fed, 1, 0)

@@ -6,8 +6,9 @@ context walk, one null-homotopy solve, one per-pair map and one
 per-name commutator, one shape of a complex and one read-back of
 elementary-map coordinates, builds tree categories only in their
 constructors, writes functor and coderivation components and category
-operations only there too, and feeds no whole outer stage with another
-stage's output."""
+operations only there too, feeds no whole outer stage a middle state
+(another stage's output, or a copy of an operation's value), and copies
+no partial sum in a loop."""
 
 import ast
 import pathlib
@@ -431,16 +432,29 @@ def _whole_insert(node):
                     for a in node.args[1:]))
 
 
+COMPREHENSIONS = (ast.DictComp, ast.ListComp, ast.SetComp, ast.GeneratorExp)
+
+
+def _reads_a_value(state, readings):
+    """A comprehension over an on_basis(...) value, or over a name in
+    readings (names assigned one)."""
+    return isinstance(state, COMPREHENSIONS) and any(
+        _called(n, "on_basis") or getattr(n, "id", None) in readings
+        for gen in state.generators for n in ast.walk(gen.iter))
+
+
 def stage_fed_wholes(tree, module):
     """(module, top-level definition) for every apply_stage of a whole
-    stage (insert(x, 0, 0), or a name assigned one) whose input is another
-    apply_stage's output: that call, a name assigned it, or a name some
-    apply_stage adds into.  A fed stage does that in one call."""
+    stage (insert(x, 0, 0), or a name assigned one) whose input is a
+    middle state: another apply_stage's output (that call, a name
+    assigned it, or a name some apply_stage adds into), or a
+    comprehension over an operation's value (_reads_a_value).  A fed
+    stage does that in one call."""
     found = set()
     for top in tree.body:
         nodes = list(ast.walk(top))
         calls = [n for n in nodes if _called(n, "apply_stage")]
-        wholes, outputs = set(), set()
+        wholes, outputs, readings = set(), set(), set()
         for n in nodes:
             if isinstance(n, ast.Assign):
                 names = {t.id for t in n.targets if isinstance(t, ast.Name)}
@@ -448,6 +462,8 @@ def stage_fed_wholes(tree, module):
                     wholes |= names
                 if _called(n.value, "apply_stage"):
                     outputs |= names
+                if _called(n.value, "on_basis"):
+                    readings |= names
         outputs |= {c.args[2].id for c in calls
                     if len(c.args) > 2 and isinstance(c.args[2], ast.Name)}
         for c in calls:
@@ -456,7 +472,8 @@ def stage_fed_wholes(tree, module):
             stage, state = c.args[:2]
             if not (_whole_insert(stage) or getattr(stage, "id", None) in wholes):
                 continue
-            if _called(state, "apply_stage") or getattr(state, "id", None) in outputs:
+            if (_called(state, "apply_stage") or _reads_a_value(state, readings)
+                    or getattr(state, "id", None) in outputs):
                 found.add((module, getattr(top, "name", None)))
     return found
 
@@ -475,7 +492,66 @@ def test_no_whole_stage_reads_a_middle_state():
                  "    apply_stage(whole, mid, out)"):
         tree = ast.parse("def g(op, ins, base, group, out):\n    %s\n" % body)
         assert stage_fed_wholes(tree, "m") == {("m", "g")}, body
+    # and the middle state of an operation's value, read directly or
+    # through a name, that a fed stage replaced too
+    for body in ("db = ins.on_basis(objs, names)\n    apply_stage(insert("
+                 "op, 0, 0), {k: -c for k, c in db.items()}, out)",
+                 "apply_stage(insert(op, 0, 0), {k: -c for k, c in "
+                 "ins.on_basis(objs, names).items()}, out)"):
+        tree = ast.parse("def g(op, ins, objs, names, out):\n    %s\n" % body)
+        assert stage_fed_wholes(tree, "m") == {("m", "g")}, body
     # and passes a whole stage fed a state built otherwise
     tree = ast.parse("def g(op, db, out):\n    apply_stage(insert(op, 0, 0), "
                      "{k: -c for k, c in db.items()}, out)\n")
     assert not stage_fed_wholes(tree, "m")
+
+
+def _shallow(nodes):
+    """Every node under nodes, not descending into a nested def, lambda
+    or class."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _copies_a_sum(node):
+    """x = <a value holding x.add(...) or x.sub(...)>: the partial sum x
+    copied into a new one."""
+    if not isinstance(node, ast.Assign):
+        return False
+    targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr in ("add", "sub")
+               and getattr(n.func.value, "id", None) in targets
+               for n in _shallow([node.value]))
+
+
+def partial_sum_copies(tree, module):
+    """(module, top-level definition) for every for or while loop whose
+    body, nested defs and lambdas aside, copies a partial sum."""
+    return {(module, getattr(top, "name", None))
+            for top in tree.body for loop in ast.walk(top)
+            if isinstance(loop, (ast.For, ast.While))
+            and any(_copies_a_sum(n) for n in _shallow(loop.body + loop.orelse))}
+
+
+def test_no_partial_sum_copies():
+    found = set()
+    for module, tree in package_trees():
+        found |= partial_sum_copies(tree, module)
+    assert not found, "loops that copy a partial sum: %r" % (sorted(found),)
+    # the guard sees the rebinding, in a conditional expression too
+    tree = ast.parse("def g(xs, z):\n    for x in xs:\n"
+                     "        z = z.sub(x) if x else z.add(x)\n")
+    assert partial_sum_copies(tree, "m") == {("m", "g")}
+    # and passes a sum into another name, or inside a nested def or lambda
+    tree = ast.parse("def g(xs, z):\n    while xs:\n"
+                     "        y = z.add(xs.pop())\n"
+                     "        h = lambda z: z.add(y)\n"
+                     "        def k(z):\n            z = z.add(y)\n"
+                     "            return z\n")
+    assert not partial_sum_copies(tree, "m")
