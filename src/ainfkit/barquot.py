@@ -44,7 +44,9 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
     word of length 1 up to word_bound whose interior objects all lie in
     bobjs; one-letter words are the arrows of C.  Each hom lists its
     words by length, then in the order of the quiver.bounded_tensors
-    walk, which keeps the words of each length.  The differential
+    walk through bobjs, which steps only onto marked objects before a
+    word's last letter and so yields exactly the words of each length,
+    in the order an unrestricted walk would keep them.  The differential
     applies every operation of C to every consecutive window of a word.
     An operation of arity two or more concatenates its arguments and
     applies the windows that start inside the first word and end inside
@@ -63,10 +65,8 @@ def bar_quotient(C, bobjs, word_bound=3, name=None):
 
     rows = {}
     for n in range(1, word_bound + 1):
-        for gobjs, gnames in bounded_tensors(gen, n):
-            if all(X in bobjs for X in gobjs[1:-1]):
-                rows.setdefault((gobjs[0], gobjs[-1]), []).append(
-                    (gobjs, gnames))
+        for gobjs, gnames in bounded_tensors(gen, n, through=bobjs):
+            rows.setdefault((gobjs[0], gobjs[-1]), []).append((gobjs, gnames))
     homs = {pair: GradedModule(ring, [(w, tensor_degree(gen, *w))
                                       for w in words])
             for pair, words in rows.items()}

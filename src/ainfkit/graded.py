@@ -24,6 +24,7 @@ map_boundary(H) = F for H; it serves the contractible-functor check and
 the unit defect of the Yoneda family.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 
@@ -164,15 +165,21 @@ class GradedModule:
     """Free graded module with a finite named basis."""
 
     def __init__(self, ring, basis):
+        """basis is a {name: degree} mapping, which cannot repeat a name,
+        or any iterable of (name, degree) pairs, of which the first
+        repeated name is refused."""
         self.ring = ring
-        basis = list(basis)  # any iterable of (name, degree) pairs
-        self.degrees = dict(basis)
-        if len(self.degrees) != len(basis):
-            seen = set()
-            for name, _ in basis:
-                if name in seen:
-                    raise ValueError("duplicate basis name %r" % (name,))
-                seen.add(name)
+        if isinstance(basis, Mapping):
+            self.degrees = dict(basis)
+        else:
+            basis = list(basis)
+            self.degrees = dict(basis)
+            if len(self.degrees) != len(basis):
+                seen = set()
+                for name, _ in basis:
+                    if name in seen:
+                        raise ValueError("duplicate basis name %r" % (name,))
+                    seen.add(name)
         self.names = tuple(self.degrees)
 
     def degree(self, name):

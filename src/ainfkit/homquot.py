@@ -17,7 +17,13 @@ quiver.bounded_tensors walk (objects, targets, hom names, depth first),
 then by shape in tree_shapes order, keeping the admissible (and, for
 the reduced flavour, reduced) shapes.  A name's degree is the flat
 degree of its label tensor plus its shape's offset, wide minus unary
-vertices; the samplers and enumerators downstream rely on both.
+vertices; the samplers and enumerators downstream rely on both.  The
+admissible shapes of a label tensor are one trees.admissible_rows call:
+row bitsets of the shape table's needs, ORed over the needs the
+tensor's marked positions miss, pick the kept rows in table order with
+no per-row test in Python.  Nothing is cached per mask of marked
+positions, since each cached selection would hold its own copy of a
+table's rows (at bound 5 about a megabyte of peak memory).
 
 The second half of the module is the calculus of formal operations
 (unary homotopies, higher operations, unit insertions) acting on the
@@ -35,6 +41,7 @@ arity-0 unit step.
 """
 
 import random
+from itertools import repeat
 
 from .category import AInfCategory, verify_unit_homotopy
 from .functors import strict_functor
@@ -43,8 +50,8 @@ from .quiver import (BoundError, GradedQuiver, MultiOp, QuiverMap,
                      bounded_tensors, evaluate, insertion_sum, state_element,
                      tensor_degree)
 from .report import Report, unless_zero
-from .trees import (LEAF, embed_leaf, interned, leaf_count, name_degree,
-                    root_split, shape_counts, shape_table, tree_pipeline,
+from .trees import (LEAF, admissible_rows, embed_leaf, interned, leaf_count,
+                    name_degree, root_split, shape_counts, tree_pipeline,
                     tree_shapes, tree_stages, unary_count, wide_count)
 
 _CAP = "cap"
@@ -105,10 +112,13 @@ def _walk_path(sub, on_path, flags):
 
 def _build(C, bobjs, leaf_bound, reduced, name):
     """The tree category of C over bobjs up to leaf_bound leaves, with
-    the basis order and degrees the module docstring states.  Shape data
-    come once per leaf count from trees.shape_table; per label tensor
-    there is one mask of marked positions and one flat degree, and a
-    shape is admissible iff the mask meets each of its needs.
+    the basis order and degrees the module docstring states.  Per label
+    tensor there is one mask of marked positions, one flat degree and
+    one trees.admissible_rows call, which keeps, in table order, the
+    shapes whose every need the mask meets; their names and degrees go
+    into the hom's {name: degree} dict in one update.  A mask that misses
+    no need keeps the whole table (always so with no marked object,
+    whose tables have no unary vertex).
     """
     gen = C.quiver
     ring = gen.ring
@@ -124,13 +134,14 @@ def _build(C, bobjs, leaf_bound, reduced, name):
     # shapes without them rather than filter them out.
     unary = bool(bobjs)
     basis = {}
-    # Degrees are shared ints, one list per flat degree (most lie below
-    # CPython's small ints): ladder[offset] is the degree at an offset,
-    # negative offsets indexing from the end.
     for n in range(1, leaf_bound + 1):
-        table = shape_table(n, unary, reduced)
-        offsets = [row[1] for row in table] or [0]
-        steps = list(range(max(offsets) + 1)) + list(range(min(offsets), 0))
+        # Degrees are shared ints, one list per flat degree (most lie
+        # below CPython's small ints): ladder[offset] is the degree at an
+        # offset, negative offsets indexing from the end.  An n-leaf
+        # shape's offset lies in [-n, n - 1]: it has at most n - 1 wide
+        # vertices, and at most one unary vertex on each wide vertex or
+        # leaf.
+        steps = list(range(n)) + list(range(-n, 0))
         ladders = {}
         for gobjs, gnames in bounded_tensors(gen, n):
             mask = sum(1 << i for i, X in enumerate(gobjs) if X in bobjs)
@@ -138,16 +149,13 @@ def _build(C, bobjs, leaf_bound, reduced, name):
             ladder = ladders.get(flat)
             if ladder is None:
                 ladder = ladders[flat] = [flat + o for o in steps]
-            names, degrees = basis.setdefault((gobjs[0], gobjs[-1]), ([], []))
-            for t, offset, needs in table:
-                for need in needs:
-                    if not mask & need:
-                        break
-                else:
-                    names.append((t, gobjs, gnames))
-                    degrees.append(ladder[offset])
-    # Zipped one pair at a time: no (name, degree) tuple per name is kept.
-    homs = {pair: GradedModule(ring, zip(*cols)) for pair, cols in basis.items()}
+            shapes, offsets = admissible_rows(n, unary, reduced, mask)
+            basis.setdefault((gobjs[0], gobjs[-1]), {}).update(zip(
+                zip(shapes, repeat(gobjs), repeat(gnames)),
+                map(ladder.__getitem__, offsets)))
+    # Each build dict is dropped once its module has copied it, so that
+    # only one hom is held twice at a time.
+    homs = {pair: GradedModule(ring, basis.pop(pair)) for pair in list(basis)}
     squiver = GradedQuiver(ring, list(gen.objects), homs)
 
     ops = {}

@@ -730,17 +730,20 @@ def _arrow_index(quiver, size_of):
 
 
 def bounded_tensors(quiver, length, size_of=None, budget=None, start=None,
-                    end=None):
+                    end=None, through=None):
     """Yield (objs, names) for every composable basis tensor of a length
-    whose sizes sum to at most budget, from start and to end if given.
+    whose sizes sum to at most budget, from start and to end if given,
+    and with every interior object in through if given.
 
     size_of(X, Y, name) gives an arrow's size, and budget None bounds
     nothing.  Arrows are walked depth first in size order, and a branch
     ends at the first arrow that does not fit with the smallest arrows
     still to come; with size_of None every size is 0, and the order is
     objects, then targets, then hom names.  With an end object the last
-    step walks only the arrows into it.  A tensor of length zero is one
-    object.
+    step walks only the arrows into it; with through, the other steps
+    walk only the arrows into its objects, so the walk yields, in the
+    same order, exactly the tensors an unrestricted walk would keep.  A
+    tensor of length zero is one object.
     """
     starts = [start] if start is not None else quiver.objects
     if length == 0:
@@ -751,29 +754,32 @@ def bounded_tensors(quiver, length, size_of=None, budget=None, start=None,
     out, into, least = _arrow_index(quiver, size_of)
     if budget is None:
         budget = float("inf")
+    last = out if end is None else {
+        X: into.get((X, end), ()) for X in quiver.objects}
+    steps = out if through is None else {
+        X: [arrow for arrow in arrows if arrow[1] in through]
+        for X, arrows in out.items()}
     for X in starts:
-        yield from _walk_tensors(out, None if end is None else into, least,
-                                 (X,), (), 0, length, budget, end)
+        yield from _walk_tensors(steps, last, least, (X,), (), 0, length,
+                                 budget)
 
 
-def _walk_tensors(out, into, least, objs, names, used, length, budget, end):
+def _walk_tensors(steps, last, least, objs, names, used, length, budget):
     # A module-level walker, not a closure that calls itself (a reference
-    # cycle per call).
-    if len(names) == length:
-        yield objs, names
-        return
-    if into is not None and len(names) == length - 1:
-        for size, Y, nm in into.get((objs[-1], end), ()):
+    # cycle per call).  steps[X] lists the arrows out of X that may lead
+    # to an interior object, last[X] those that may end the tensor.
+    if len(names) == length - 1:
+        for size, Y, nm in last[objs[-1]]:
             if used + size > budget:
                 break
             yield objs + (Y,), names + (nm,)
         return
     slack = least * (length - len(names) - 1)
-    for size, Y, nm in out[objs[-1]]:
+    for size, Y, nm in steps[objs[-1]]:
         if used + size + slack > budget:
             break
-        yield from _walk_tensors(out, into, least, objs + (Y,), names + (nm,),
-                                 used + size, length, budget, end)
+        yield from _walk_tensors(steps, last, least, objs + (Y,),
+                                 names + (nm,), used + size, length, budget)
 
 
 class CountedTensors:

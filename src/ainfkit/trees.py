@@ -95,10 +95,13 @@ def shape_table(n, unary=True, reduced=False):
     offset is wide minus unary vertices: a name's degree is its leaves'
     degrees plus the offset.  needs holds (1 << i) | (1 << j) for each
     unary vertex whose strand runs from object i to object j; equal
-    needs share one tuple.  reduced keeps, in order, only the shapes in
-    which every vertex with only leaf children is unary.  Built once,
-    from the rows of fewer leaves: wide roots over products of their
-    children's rows, then the unary copies of those.
+    needs share one tuple.  A row is admissible over a label tensor iff
+    each need meets the tensor's mask of marked positions;
+    admissible_rows selects those rows by need bitsets, and no module
+    but this one reads the needs.  reduced keeps, in order, only the
+    shapes in which every vertex with only leaf children is unary.
+    Built once, from the rows of fewer leaves: wide roots over products
+    of their children's rows, then the unary copies of those.
     """
     key = (n, unary, reduced)
     rows = _TABLES.get(key)
@@ -127,6 +130,56 @@ def shape_table(n, unary=True, reduced=False):
                              shared.setdefault(needs, needs)))
         rows = _TABLES[key] = tuple(rows)
     return rows
+
+
+# '0' and '1', a dropped-row bitset's binary digits, to keep flags
+_KEEP = bytes.maketrans(b"01", b"\x01\x00")
+_SELECTORS = {}
+
+
+def admissible_rows(n, unary, reduced, mask):
+    """The shapes and offsets of the shape_table(n, unary, reduced) rows
+    whose every need meets mask, as two iterables in table order.
+
+    mask has bit i set when the label tensor's i-th object is marked, so
+    a row is admissible iff mask & need is nonzero for each of its
+    needs.  Kept once per table: the shapes and the offsets as two
+    tuples, and for each distinct need a row bitset, an int whose bit r
+    is set when row r has that need (at most n(n+1)/2 needs).  The
+    dropped rows are the OR of the bitsets of the needs mask misses;
+    their binary digits, in row order, are the 0/1 selector with which
+    itertools.compress picks the kept rows, so no row is tested in
+    Python.  A mask that misses no need gets the two tuples themselves.
+    Nothing is kept per mask: a cached selection would hold a copy of a
+    table's rows for each mask seen.
+    """
+    key = (n, unary, reduced)
+    selector = _SELECTORS.get(key)
+    if selector is None:
+        rows = shape_table(n, unary, reduced)
+        where = {}
+        for r, row in enumerate(rows):
+            for need in row[2]:
+                where.setdefault(need, []).append(r)
+        bitsets = []
+        for need, found in where.items():
+            digits = bytearray(b"0") * len(rows)
+            for r in found:
+                digits[r] = 49  # "1"
+            bitsets.append((need, int(digits[::-1], 2)))
+        selector = _SELECTORS[key] = (
+            tuple([row[0] for row in rows]), tuple([row[1] for row in rows]),
+            "0%db" % len(rows), tuple(bitsets))
+    shapes, offsets, spec, bitsets = selector
+    dropped = 0
+    for need, bits in bitsets:
+        if not mask & need:
+            dropped |= bits
+    if not dropped:
+        return shapes, offsets
+    keep = format(dropped, spec)[::-1].encode().translate(_KEEP)
+    return (itertools.compress(shapes, keep),
+            itertools.compress(offsets, keep))
 
 
 _COUNTS = {}

@@ -13,8 +13,8 @@ from ainfkit.freecat import LEAF
 from ainfkit.graded import GradedModule, Ring
 from ainfkit.functors import AInfFunctor, check_functor, resolve_at_root
 from ainfkit.homquot import homotopy_quotient
-from ainfkit.quiver import (BoundError, evaluate, insert, run_stages,
-                            state_element)
+from ainfkit.quiver import (BoundError, bounded_tensors, evaluate, insert,
+                            run_stages, state_element)
 from test_category import QQ, arrow_with_differential, augmented_point, path3
 
 ONE = (LEAF,)
@@ -92,6 +92,35 @@ def test_words_keep_the_level_walk_order(make, marked, bound):
     D = bar_quotient(C, frozenset(bobjs), bound)
     want = level_walk_words(C, frozenset(bobjs), bound)
     assert {pair: list(D.hom(*pair).names) for pair in D.quiver.pairs()} == want
+
+
+def three_complexes():
+    """M = (a, b -> c), N = (x -> y) and P = (p) over F_7: every hom is
+    nonzero, 36 arrows in all."""
+    return complexes_category(Ring("Fp", 7), {
+        "M": ([("a", 0), ("b", 0), ("c", 1)], {"a": {"c": 1}}),
+        "N": ([("x", 0), ("y", 1)], {"x": {"y": 2}}),
+        "P": ([("p", 0)], {}),
+    })
+
+
+@pytest.mark.parametrize("marked", [(), ("P",), ("M",)])
+def test_walk_through_marked_objects_yields_the_kept_words(marked):
+    # the walk steps onto a marked object only, so it yields exactly the
+    # tensors an unrestricted walk would keep, in its order
+    C = three_complexes()
+    gen = C.quiver
+    marked = frozenset(marked)
+    for n in range(1, 4):
+        everything = list(bounded_tensors(gen, n))
+        kept = [t for t in everything
+                if all(X in marked for X in t[0][1:-1])]
+        assert list(bounded_tensors(gen, n, through=marked)) == kept
+        if n > 1:
+            assert len(kept) < len(everything)
+    D = bar_quotient(C, marked, 3)
+    assert ({pair: list(D.hom(*pair).names) for pair in D.quiver.pairs()}
+            == level_walk_words(C, marked, 3))
 
 
 def test_differential_windows():

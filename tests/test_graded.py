@@ -226,6 +226,13 @@ def test_module_basis_order_and_duplicates():
     assert M.names == tuple(names)
     assert M.degrees == {"z": 2, "a": 0, ("t", 1): -1, "m": 0}
     assert GradedModule(QQ, iter([])).names == ()
+    # a {name: degree} mapping keeps its order, names and degrees
+    degrees = dict(zip(names, [2, 0, -1, 0]))
+    M = GradedModule(QQ, degrees)
+    assert M.names == tuple(names)
+    assert M.degrees == {"z": 2, "a": 0, ("t", 1): -1, "m": 0}
+    assert M.degrees is not degrees
+    assert GradedModule(QQ, {}).names == ()
     # the first repeated name is reported, from a generator as from a list
     pairs = [("x", 0), ("y", 1), ("x", 1), ("y", 1)]
     for basis in (pairs, (p for p in pairs)):

@@ -458,6 +458,25 @@ def test_bounded_walk_is_the_filtered_nested_loop():
                     assert sorted(got) == want, (n, budget, start, end)
 
 
+def test_walk_through_is_the_filtered_walk():
+    # with through, the sized and end-anchored walks yield, in order, the
+    # tensors of the unrestricted walk whose interior objects lie in it
+    q, size_of = sized_quiver()
+    ends = [None, 0, 1]
+    for through in (frozenset(), frozenset([0]), frozenset([1])):
+        for n in range(5):
+            for budget in (None, 1, 3):
+                for start in ends:
+                    for end in ends:
+                        walk = bounded_tensors(q, n, size_of, budget, start,
+                                               end)
+                        want = [t for t in walk
+                                if all(X in through for X in t[0][1:-1])]
+                        got = list(bounded_tensors(q, n, size_of, budget,
+                                                   start, end, through))
+                        assert got == want, (through, n, budget, start, end)
+
+
 def test_counted_tensors_are_the_walk_by_position():
     # the counts follow the walk's size order and early stop, so position
     # i is the i-th tensor it yields; sizes shifted by one make the stop

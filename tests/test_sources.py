@@ -7,8 +7,9 @@ per-name commutator, one shape of a complex and one read-back of
 elementary-map coordinates, builds tree categories only in their
 constructors, writes functor and coderivation components and category
 operations only there too, feeds no whole outer stage a middle state
-(another stage's output, or a copy of an operation's value), and copies
-no partial sum in a loop."""
+(another stage's output, or a copy of an operation's value), copies no
+partial sum in a loop, and has one admissibility filter of tree
+shapes."""
 
 import ast
 import pathlib
@@ -107,6 +108,17 @@ CHAIN_LISTERS = {
     ("yoneda", "check_hX"),
     ("yoneda", "check_Y"),
 }
+
+# The top-level definitions that read a shape table's rows, by (module,
+# name): trees.admissible_rows is the one admissibility filter, and the
+# only reader of the rows' needs, which it keeps as row bitsets.
+TABLE_READERS = {
+    ("trees", "shape_table"),
+    ("trees", "tree_shapes"),
+    ("trees", "admissible_rows"),
+}
+# The calls that hand out a shape table or a selection of its rows.
+SHAPE_SOURCES = ("shape_table", "tree_shapes", "admissible_rows")
 
 # The names a module imports only for its callers, by (module, name).
 RE_EXPORTS = {
@@ -555,3 +567,75 @@ def test_no_partial_sum_copies():
                      "        def k(z):\n            z = z.add(y)\n"
                      "            return z\n")
     assert not partial_sum_copies(tree, "m")
+
+
+def _shape_source(node):
+    return any(_called(node, name) for name in SHAPE_SOURCES)
+
+
+def _shape_loops(nodes, tables):
+    """Whether a for loop or a comprehension under nodes iterates a shape
+    source call or a name bound to one (in tables)."""
+    return any(_shape_source(it) or getattr(it, "id", None) in tables
+               for it in _loop_iterables(nodes))
+
+
+def _loop_iterables(nodes):
+    """The iterables of every for loop and comprehension under nodes."""
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.For, ast.AsyncFor, ast.comprehension)):
+                yield sub.iter
+
+
+def per_tensor_shape_loops(tree, module):
+    """(module, top-level definition) for every loop over shapes nested in
+    a loop over bounded_tensors: a shape test per label tensor."""
+    found = set()
+    for top in tree.body:
+        tables = {t.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                  and _shape_source(node.value)
+                  for target in node.targets
+                  for t in (target.elts if isinstance(target, ast.Tuple)
+                            else [target]) if isinstance(t, ast.Name)}
+        for node in ast.walk(top):
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                if (_called(node.iter, "bounded_tensors")
+                        and _shape_loops(node.body, tables)):
+                    found.add((module, getattr(top, "name", None)))
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):
+                gens = node.generators
+                for i, gen in enumerate(gens):
+                    if (_called(gen.iter, "bounded_tensors")
+                            and _shape_loops(gens[i + 1:], tables)):
+                        found.add((module, getattr(top, "name", None)))
+    return found
+
+
+def test_one_admissibility_filter():
+    # no module but trees reads a shape table's rows (so their needs)
+    assert _callers("shape_table") == TABLE_READERS, "shape tables read outside"
+    found = set()
+    for module, tree in package_trees():
+        if module != "trees":
+            found |= per_tensor_shape_loops(tree, module)
+    assert not found, "shape loops per label tensor: %r" % (sorted(found),)
+    # the guard sees a row loop per tensor, over a name or a call, in a
+    # statement or a comprehension
+    for body in ("table = shape_table(n)\n    for g in bounded_tensors(q, n):"
+                 "\n        for t, o, needs in table:\n            pass",
+                 "for g in bounded_tensors(q, n):\n"
+                 "        keep = [t for t in tree_shapes(n) if t]",
+                 "keep = [(g, t) for g in bounded_tensors(q, n)\n"
+                 "            for t in tree_shapes(n)]"):
+        tree = ast.parse("def g(q, n):\n    %s\n" % body)
+        assert per_tensor_shape_loops(tree, "m") == {("m", "g")}, body
+    # and passes one selection per tensor consumed in C, or a loop over
+    # the shapes outside the tensor walk
+    for body in ("for g in bounded_tensors(q, n):\n"
+                 "        shapes, offsets = admissible_rows(n, 1, 0, 3)\n"
+                 "        out.update(zip(shapes, offsets))",
+                 "for t in tree_shapes(n):\n        out[t] = n"):
+        tree = ast.parse("def g(q, n, out):\n    %s\n" % body)
+        assert not per_tensor_shape_loops(tree, "m"), body

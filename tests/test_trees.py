@@ -15,8 +15,8 @@ from ainfkit.homquot import (homotopy_quotient, path_flags, stages_to_tree,
                              tree_category)
 from ainfkit.quiver import (GradedQuiver, bounded_tensors, evaluate,
                             tensor_degree)
-from ainfkit.trees import (LEAF, interned, leaf_count, root_split,
-                           shape_counts, shape_table, tree_shapes,
+from ainfkit.trees import (LEAF, admissible_rows, interned, leaf_count,
+                           root_split, shape_counts, shape_table, tree_shapes,
                            tree_stages, unary_count)
 from test_category import arrow_with_differential, path3
 
@@ -216,3 +216,51 @@ def test_literal_names_match_interned_names():
         assert repr(name) == repr(basis_name)
         assert hom.degrees[name] == hom.degrees[basis_name]
         assert hom.basis_element(name) == hom.basis_element(basis_name)
+
+
+def test_admissible_rows_are_the_filtered_table():
+    # for every table flavour of 1-5 leaves and every mask of marked
+    # positions, the selected rows are the table's rows whose every need
+    # the mask meets, in table order
+    for n in range(1, 6):
+        for unary in (False, True):
+            for reduced in (False, True):
+                rows = shape_table(n, unary, reduced)
+                kinds = {needs for _, _, needs in rows}
+                for mask in range(1 << (n + 1)):
+                    meets = {needs: all(mask & need for need in needs)
+                             for needs in kinds}
+                    want = [(t, offset) for t, offset, needs in rows
+                            if meets[needs]]
+                    shapes, offsets = admissible_rows(n, unary, reduced, mask)
+                    assert list(zip(shapes, offsets)) == want, (
+                        n, unary, reduced, mask)
+    # a mask that misses no need is given the whole table
+    shapes, offsets = admissible_rows(5, True, True, (1 << 6) - 1)
+    assert shapes is admissible_rows(5, True, True, (1 << 6) - 1)[0]
+    assert list(shapes) == [row[0] for row in shape_table(5, True, True)]
+
+
+def test_bound_five_basis_is_the_row_by_row_filter():
+    # the bound-5 reduced tree quotient of path3 over {1}, checked against
+    # a test of every shape_table row's needs on every label tensor
+    C = path3()
+    A = homotopy_quotient(C, {1}, 5)
+    counts = {pair: len(A.hom(*pair).names) for pair in A.quiver.pairs()}
+    assert counts == {(0, 0): 1, (0, 1): 17478, (0, 2): 11505,
+                      (1, 1): 10602, (1, 2): 17478, (2, 2): 1}
+    assert sum(counts.values()) == 57065
+    gen = C.quiver
+    want = {}
+    for n in range(1, 6):
+        for gobjs, gnames in bounded_tensors(gen, n):
+            mask = sum(1 << i for i, X in enumerate(gobjs) if X == 1)
+            flat = tensor_degree(gen, gobjs, gnames)
+            want.setdefault((gobjs[0], gobjs[-1]), []).extend(
+                ((t, gobjs, gnames), flat + offset)
+                for t, offset, needs in shape_table(n, True, True)
+                if all(mask & need for need in needs))
+    assert set(counts) == set(want)
+    for pair, rows in want.items():
+        mod = A.hom(*pair)
+        assert [(nm, mod.degrees[nm]) for nm in mod.names] == rows, pair
