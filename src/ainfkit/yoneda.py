@@ -27,6 +27,15 @@ composite is one sparse product (ChainMap.compose); and each residual
 collects its terms with their signs as coefficients and sums them once
 (map_combination).  Whether a residual had content is read from its
 terms before that sum cancels.
+
+A family has a component on a tensor only where the operation it is
+read from exists: the value on k z-factors with an x block of n factors
+is built from the arity n+k+1 operation, and on a category without that
+operation it is the zero map.  Each residual asks the family first (a
+presence test on the tensor's object chain) and builds only the terms
+whose every family factor is present; a skipped term is exactly the zero
+map it would have been, so residuals and content flags are unchanged.
+On a DG source, which has no operation above arity 2, most terms go.
 """
 
 import itertools
@@ -103,8 +112,9 @@ class RepresentedFunctor:
     An object Z goes to the hom module out of the base carrying minus
     the arity-1 operation as its differential; a tensor of k composable
     factors goes to the stored map built from the arity k+1 operation.
-    Components exist at every arity, the declared bound only limits how
-    far the componentwise checks run.
+    A tensor has a component only where that operation exists (has);
+    elsewhere its value is the zero map.  The declared bound only limits
+    how far the componentwise checks run.
     """
 
     def __init__(self, A, X, arity_bound=None):
@@ -130,6 +140,10 @@ class RepresentedFunctor:
 
     def complex_at(self, Z):
         return Complex(self.module_at(Z), self.d_at(Z).matrix)
+
+    def has(self, objs):
+        """Whether the tensor along objs has a component at all."""
+        return self.category.b(len(objs)) is not None
 
     def value(self, objs, factors):
         """The stored map of one tensor; objs lists the k+1 objects."""
@@ -167,12 +181,19 @@ def _random_factor(mod, rng):
     return mod.basis_element(rng.choice(mod.names))
 
 
-def _apply_inner(A, objs, factors):
+def _everywhere(objs):
+    """The presence test of a family with a component on every tensor."""
+    return True
+
+
+def _apply_inner(A, objs, factors, has):
     """Every nonzero insertion of an operation into a tensor of elements.
 
     Yields (sign, objs, factors) with the engine's suffix sign, one per
-    arity t and offset p whose operation exists and whose value on the
-    t factors from p is nonzero.
+    arity t and offset p whose operation exists, whose consumer has a
+    component on the resulting chain (has(objs)) and whose value on the
+    t factors from p is nonzero.  An insertion into an absent component
+    is fed to the zero map, so it is not evaluated.
     """
     k = len(factors)
     for t in range(1, k + 1):
@@ -180,11 +201,14 @@ def _apply_inner(A, objs, factors):
         if op is None:
             continue
         for p in range(0, k - t + 1):
+            nobjs = tuple(objs[:p + 1]) + tuple(objs[p + t:])
+            if not has(nobjs):
+                continue
             mid = evaluate(op, tuple(objs[p:p + t + 1]), tuple(factors[p:p + t]))
             if mid.is_zero:
                 continue
             sign = -1 if sum(f.degree for f in factors[p + t:]) % 2 else 1
-            yield (sign, tuple(objs[:p + 1]) + tuple(objs[p + t:]),
+            yield (sign, nobjs,
                    tuple(factors[:p]) + (mid,) + tuple(factors[p + t:]))
 
 
@@ -201,12 +225,14 @@ def _hx_residual(A, h, zobjs, zfactors):
     X = h.base
     degree = sum(f.degree for f in zfactors) + 2
     terms = [(h.value(nobjs, nfacs), sign)
-             for sign, nobjs, nfacs in _apply_inner(A, zobjs, zfactors)]
-    terms.append((map_boundary(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
-                               h.d_at(zobjs[-1])), -1))
+             for sign, nobjs, nfacs in _apply_inner(A, zobjs, zfactors, h.has)]
+    if h.has(zobjs):
+        terms.append((map_boundary(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
+                                   h.d_at(zobjs[-1])), -1))
     for i in range(1, k):
-        terms.append(_composite(h.value(zobjs[:i + 1], zfactors[:i]),
-                                h.value(zobjs[i:], zfactors[i:]), -1))
+        if h.has(zobjs[:i + 1]) and h.has(zobjs[i:]):
+            terms.append(_composite(h.value(zobjs[:i + 1], zfactors[:i]),
+                                    h.value(zobjs[i:], zfactors[i:]), -1))
     return _signed_sum(A.hom(X, zobjs[0]), A.hom(X, zobjs[-1]), degree, terms)
 
 
@@ -289,34 +315,42 @@ def yoneda_components(A, n, k):
     return component
 
 
-def _transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors):
+def _transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors, has=None):
     """Boundary of a transformation-shaped family at one z-tensor.
 
     hsrc and htgt are the represented functors flanking the family,
     value(zobjs, zfactors) gives its stored map at a tensor of elements,
-    and r is the family's degree.  Four groups of terms: the top
-    component followed by the target differential, the source functor
-    composed in from the left, the family composed with the target
-    functor on the right (crossing sign r against the tail), and the
-    family fed every inner insertion (suffix signs, global parity of r).
-    Returns (total, content), content meaning some term was nonzero.
+    r is the family's degree, and has(zobjs) says whether the family has
+    a component along a chain (None: on every chain).  Four groups of
+    terms: the top component followed by the target differential, the
+    source functor composed in from the left, the family composed with
+    the target functor on the right (crossing sign r against the tail),
+    and the family fed every inner insertion (suffix signs, global
+    parity of r).  A term with an absent factor, of the family or of a
+    functor, is the zero map and is not built.  Returns (total,
+    content), content meaning some term was nonzero.
     """
     k = len(zfactors)
     X, W = hsrc.base, htgt.base
+    has = _everywhere if has is None else has
     degree = sum(f.degree for f in zfactors) + r + 2
-    terms = [(map_boundary(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
-                           htgt.d_at(zobjs[-1])), 1)]
+    terms = []
+    if has(zobjs):
+        terms.append((map_boundary(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
+                                   htgt.d_at(zobjs[-1])), 1))
     for i in range(1, k + 1):
-        terms.append(_composite(hsrc.value(zobjs[:i + 1], zfactors[:i]),
-                                value(zobjs[i:], zfactors[i:])))
+        if hsrc.has(zobjs[:i + 1]) and has(zobjs[i:]):
+            terms.append(_composite(hsrc.value(zobjs[:i + 1], zfactors[:i]),
+                                    value(zobjs[i:], zfactors[i:])))
     for i in range(0, k):
-        cross = r % 2 and sum(f.degree for f in zfactors[i:]) % 2
-        terms.append(_composite(value(zobjs[:i + 1], zfactors[:i]),
-                                htgt.value(zobjs[i:], zfactors[i:]),
-                                -1 if cross else 1))
+        if has(zobjs[:i + 1]) and htgt.has(zobjs[i:]):
+            cross = r % 2 and sum(f.degree for f in zfactors[i:]) % 2
+            terms.append(_composite(value(zobjs[:i + 1], zfactors[:i]),
+                                    htgt.value(zobjs[i:], zfactors[i:]),
+                                    -1 if cross else 1))
     rsgn = -1 if r % 2 else 1
     terms.extend((value(nobjs, nfacs), -sign * rsgn)
-                 for sign, nobjs, nfacs in _apply_inner(A, zobjs, zfactors))
+                 for sign, nobjs, nfacs in _apply_inner(A, zobjs, zfactors, has))
     return _signed_sum(A.hom(X, zobjs[0]), A.hom(W, zobjs[-1]), degree, terms)
 
 
@@ -327,7 +361,9 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
     plus all two-block splittings of the x block.  Right side: the
     family with one reversed-operation value contracted into the x
     block.  Returns (residual, content); content means some term of
-    either side was nonzero before cancellation.
+    either side was nonzero before cancellation.  A family value on p
+    x-factors and i z-factors exists only where the arity p+i+1
+    operation does, and no term with an absent value is built.
     """
     n, k = len(xfactors), len(zfactors)
     r = sum(f.degree for f in xfactors)
@@ -335,12 +371,17 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
     def value(zo, zf):
         return _y_value(A, zo, zf, xobjs, xfactors)
 
-    lhs, content = _transform_b1_terms(A, hsrc, htgt, value, r,
-                                       zobjs, zfactors)
+    def present(arity):
+        return A.b(arity) is not None
+
+    lhs, content = _transform_b1_terms(A, hsrc, htgt, value, r, zobjs,
+                                       zfactors, lambda zo: present(n + len(zo)))
     terms = []
     for p in range(1, n):
         front = sum(f.degree for f in xfactors[:p])
         for i in range(0, k + 1):
+            if not (present(p + i + 1) and present(n - p + k - i + 1)):
+                continue
             F = _y_value(A, zobjs[:i + 1], zfactors[:i],
                          xobjs[:p + 1], xfactors[:p])
             G = _y_value(A, zobjs[i:], zfactors[i:],
@@ -348,7 +389,8 @@ def _y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
             cross = front % 2 and sum(f.degree for f in zfactors[i:]) % 2
             terms.append(_composite(F, G, -1 if cross else 1))
     terms.extend((_y_value(A, zobjs, zfactors, nxobjs, nxfacs), -sign)
-                 for sign, nxobjs, nxfacs in _apply_inner(Aop, xobjs, xfactors))
+                 for sign, nxobjs, nxfacs in _apply_inner(
+                     Aop, xobjs, xfactors, lambda xo: present(len(xo) + k)))
     total = map_combination(lhs._smod, lhs._tmod, lhs.degree,
                             [(lhs, 1)] + terms)
     return total, content or any(term.matrix for term, _ in terms)
@@ -403,8 +445,11 @@ class TruncatedTransComplex:
     modules at the chain's ends gives the generator (k, chain, znames,
     w, t), the cochain whose component at that z-chain sends the named
     basis tensor to the elementary map w -> t and everything else to
-    zero; value_of reads a cochain back through unflatten_map.  The
-    complex is the pair (module, differential).  The boundary never
+    zero; value_of reads a cochain back through unflatten_map.  A
+    generator has a component only on its own chain, and that is the
+    presence test its boundary is built with, so no term at another
+    chain of the window is built.  The complex is the pair (module,
+    differential).  The boundary never
     consults components above the input's index, so its restriction to
     the window is exact and squares to zero on the nose; components
     above the bound are not stored, and the report says untested, not
@@ -461,11 +506,14 @@ class TruncatedTransComplex:
             def value(zo, zf, _single=single):
                 return self.value_of(_single, zo, zf)
 
+            def has(zo, _chain=key[1]):
+                return tuple(zo) == _chain
+
             terms = {}
             for k, chain, znames, mods in self._slots:
                 zf = tuple(mods[i].basis_element(znames[i]) for i in range(k))
                 val, _ = _transform_b1_terms(A, self.source, self.target,
-                                             value, r, chain, zf)
+                                             value, r, chain, zf, has)
                 for w, el in val.matrix.items():
                     accumulate(q.ring, terms, (((k, chain, znames, w, t), c)
                                                for t, c in el.items()))

@@ -5,17 +5,21 @@ import random
 
 import pytest
 
+from ainfkit import yoneda
 from ainfkit.category import (AInfCategory, check_stasheff,
                               complexes_category, dg_to_ainf, opposite)
 from ainfkit.freecat import free_category
-from ainfkit.graded import (ChainMap, GradedModule, Ring, flatten_map,
-                            in_image, map_module)
+from ainfkit.graded import (ChainMap, GradedModule, Ring, accumulate,
+                            flatten_map, in_image, map_boundary,
+                            map_combination, map_module)
 from ainfkit.quiver import GradedQuiver, MultiOp, evaluate
 from ainfkit.yoneda import (RepresentedFunctor, TruncatedTransComplex,
                             check_hX, check_Y, h_functor,
                             hom_differential, map_differential, opposite_facts,
                             unit_defect_preimage, yoneda_components,
-                            _hx_residual, _transform_b1_terms, _y_residual)
+                            _composite, _hom_chains, _hx_residual,
+                            _random_factor, _signed_sum, _transform_b1_terms,
+                            _y_residual, _y_value)
 from test_category import (arrow_with_differential,
                            assert_contractible_matches_reference,
                            assert_hom_dg_matches_reference, augmented_point,
@@ -23,6 +27,7 @@ from test_category import (arrow_with_differential,
 
 QQ = Ring("QQ")
 F5 = Ring("Fp", 5)
+F7 = Ring("Fp", 7)
 
 
 # Two complexes; the second has composable differentials that cancel.
@@ -322,6 +327,176 @@ def test_yoneda_line_details_are_pinned():
             assert detail_counts(rep, "arity %d" % k) == {
                 "tensors": 40, "nonzero": count, "skipped": 0}
         assert len(rep.checks) == 2
+    # the one fixture with an arity-3 operation, where a family value on
+    # three factors in all exists
+    H = homotopy_path(QQ)
+    rep = check_Y(H, bounds=(3, 3), samples=25, seed=4)
+    nonzero = {(1, 1): 1, (2, 0): 1}
+    for n in (1, 2, 3):
+        for k in (0, 1, 2, 3):
+            assert detail_counts(rep, "component (%d, %d)" % (n, k)) == {
+                "tensors": 25, "nonzero": nonzero.get((n, k), 0),
+                "skipped": 0}
+    for X in H.objects:
+        rep = check_hX(H, X, arity_bound=3, samples=30, seed=2)
+        for k, count in zip((1, 2, 3), (0, 8, 0) if X == 0 else (0, 0, 0)):
+            assert detail_counts(rep, "arity %d" % k) == {
+                "tensors": 30, "nonzero": count, "skipped": 0}
+        assert len(rep.checks) == 3
+
+
+def test_yoneda_work_is_pinned(monkeypatch):
+    # the evaluations and family values of the yoneda-fp checks, counted
+    # without a clock: a term built for a family component that does not
+    # exist (no operation above arity 2 on a DG source) changes a count.
+    # Building every term, absent ones included, counted 1 076 evaluate
+    # and 843 slot_values calls here.
+    counts = {"evaluate": 0, "slot_values": 0}
+    evaluate_fn, slot_values = yoneda.evaluate, yoneda.slot_values
+
+    def counted_evaluate(*args):
+        counts["evaluate"] += 1
+        return evaluate_fn(*args)
+
+    def counted_slot_values(*args, **kwargs):
+        counts["slot_values"] += 1
+        return slot_values(*args, **kwargs)
+
+    monkeypatch.setattr(yoneda, "evaluate", counted_evaluate)
+    monkeypatch.setattr(yoneda, "slot_values", counted_slot_values)
+    A = two_complexes(F7)
+    assert check_Y(A, bounds=(3, 3), samples=12, seed=0).ok
+    for X in A.objects:
+        assert check_hX(A, X, samples=40, seed=0).ok
+    assert counts == {"evaluate": 184, "slot_values": 435}
+
+
+# The residual builders with no presence test: every insertion is
+# evaluated and every term built, absent family components included,
+# and their zero maps are summed with the rest.  The library skips the
+# terms with an absent factor and must give the same residuals.
+
+def all_terms_apply_inner(A, objs, factors):
+    k = len(factors)
+    for t in range(1, k + 1):
+        op = A.b(t)
+        if op is None:
+            continue
+        for p in range(0, k - t + 1):
+            mid = evaluate(op, tuple(objs[p:p + t + 1]), tuple(factors[p:p + t]))
+            if mid.is_zero:
+                continue
+            sign = -1 if sum(f.degree for f in factors[p + t:]) % 2 else 1
+            yield (sign, tuple(objs[:p + 1]) + tuple(objs[p + t:]),
+                   tuple(factors[:p]) + (mid,) + tuple(factors[p + t:]))
+
+
+def all_terms_hx_residual(A, h, zobjs, zfactors):
+    k = len(zfactors)
+    degree = sum(f.degree for f in zfactors) + 2
+    terms = [(h.value(nobjs, nfacs), sign)
+             for sign, nobjs, nfacs in all_terms_apply_inner(A, zobjs, zfactors)]
+    terms.append((map_boundary(h.value(zobjs, zfactors), h.d_at(zobjs[0]),
+                               h.d_at(zobjs[-1])), -1))
+    for i in range(1, k):
+        terms.append(_composite(h.value(zobjs[:i + 1], zfactors[:i]),
+                                h.value(zobjs[i:], zfactors[i:]), -1))
+    return _signed_sum(A.hom(h.base, zobjs[0]), A.hom(h.base, zobjs[-1]),
+                       degree, terms)
+
+
+def all_terms_transform_b1_terms(A, hsrc, htgt, value, r, zobjs, zfactors):
+    k = len(zfactors)
+    degree = sum(f.degree for f in zfactors) + r + 2
+    terms = [(map_boundary(value(zobjs, zfactors), hsrc.d_at(zobjs[0]),
+                           htgt.d_at(zobjs[-1])), 1)]
+    for i in range(1, k + 1):
+        terms.append(_composite(hsrc.value(zobjs[:i + 1], zfactors[:i]),
+                                value(zobjs[i:], zfactors[i:])))
+    for i in range(0, k):
+        cross = r % 2 and sum(f.degree for f in zfactors[i:]) % 2
+        terms.append(_composite(value(zobjs[:i + 1], zfactors[:i]),
+                                htgt.value(zobjs[i:], zfactors[i:]),
+                                -1 if cross else 1))
+    rsgn = -1 if r % 2 else 1
+    terms.extend((value(nobjs, nfacs), -sign * rsgn)
+                 for sign, nobjs, nfacs in all_terms_apply_inner(A, zobjs, zfactors))
+    return _signed_sum(A.hom(hsrc.base, zobjs[0]), A.hom(htgt.base, zobjs[-1]),
+                       degree, terms)
+
+
+def all_terms_y_residual(A, Aop, hsrc, htgt, zobjs, zfactors, xobjs, xfactors):
+    n, k = len(xfactors), len(zfactors)
+    r = sum(f.degree for f in xfactors)
+    lhs, content = all_terms_transform_b1_terms(
+        A, hsrc, htgt, lambda zo, zf: _y_value(A, zo, zf, xobjs, xfactors),
+        r, zobjs, zfactors)
+    terms = []
+    for p in range(1, n):
+        front = sum(f.degree for f in xfactors[:p])
+        for i in range(0, k + 1):
+            F = _y_value(A, zobjs[:i + 1], zfactors[:i],
+                         xobjs[:p + 1], xfactors[:p])
+            G = _y_value(A, zobjs[i:], zfactors[i:],
+                         xobjs[p:], xfactors[p:])
+            cross = front % 2 and sum(f.degree for f in zfactors[i:]) % 2
+            terms.append(_composite(F, G, -1 if cross else 1))
+    terms.extend((_y_value(A, zobjs, zfactors, nxobjs, nxfacs), -sign)
+                 for sign, nxobjs, nxfacs in all_terms_apply_inner(
+                     Aop, xobjs, xfactors))
+    total = map_combination(lhs._smod, lhs._tmod, lhs.degree,
+                            [(lhs, 1)] + terms)
+    return total, content or any(term.matrix for term, _ in terms)
+
+
+def residual_pairs(A, rng, draws):
+    """(library, all-terms) (residual, content) pairs at every (n, k)
+    with n, k <= 3 and n + k >= 1, draws seeded tensors each; n = 0 is
+    the represented functor's own equation."""
+    q, Aop = A.quiver, opposite(A)
+    for n in range(4):
+        xchains = [tuple(reversed(c)) for c in _hom_chains(q, n)]
+        for k in range(0 if n else 1, 4):
+            zchains = _hom_chains(q, k)
+            for _ in range(draws if xchains and zchains else 0):
+                xc, zc = rng.choice(xchains), rng.choice(zchains)
+                xf = tuple(_random_factor(q.hom(xc[i], xc[i - 1]), rng)
+                           for i in range(1, n + 1))
+                zf = tuple(_random_factor(q.hom(zc[i], zc[i + 1]), rng)
+                           for i in range(k))
+                if n:
+                    args = (A, Aop, RepresentedFunctor(A, xc[0]),
+                            RepresentedFunctor(A, xc[-1]), zc, zf, xc, xf)
+                    yield (n, k), _y_residual(*args), all_terms_y_residual(*args)
+                else:
+                    h = RepresentedFunctor(A, xc[0])
+                    yield ((0, k), _hx_residual(A, h, zc, zf),
+                           all_terms_hx_residual(A, h, zc, zf))
+
+
+@pytest.mark.parametrize("fixture", [
+    "cpx QQ", "cpx F5", "cpx F7", "homotopy path", "path3", "arrow",
+    "augmented point", "tampered path3"])
+def test_residuals_match_the_all_terms_build(fixture):
+    A = {"cpx QQ": lambda: two_complexes(QQ), "cpx F5": lambda: two_complexes(F5),
+         "cpx F7": lambda: two_complexes(F7),
+         "homotopy path": lambda: homotopy_path(QQ), "path3": path3,
+         "arrow": arrow_with_differential, "augmented point": augmented_point,
+         "tampered path3": tampered_path3}[fixture]()
+    seen, nonzero, contents = set(), 0, 0
+    for nk, (res, content), (want, want_content) in residual_pairs(
+            A, random.Random(29), 12):
+        seen.add(nk)
+        assert res.degree == want.degree, nk
+        assert res.matrix == want.matrix and content == want_content, nk
+        nonzero += bool(res.matrix)
+        contents += content
+    assert seen == {(n, k) for n in range(4) for k in range(4) if n + k}
+    assert contents, "some compared residual must have content"
+    if fixture == "tampered path3":
+        assert nonzero, "tampering must leave residuals to compare"
+    else:
+        assert not nonzero
 
 
 def test_check_Y_deterministic():
@@ -435,6 +610,44 @@ def test_window_walk_agrees_with_a_chain_major_listing():
         got = T.differential.matrix.get(key)
         assert (got.terms if got else {}) == want, key
     assert any(T.differential.matrix.values())
+
+
+def all_terms_boundary(T):
+    """The window boundary with every term built at every tensor, as
+    {generator: terms}, in the library's order."""
+    A, q = T.category, T.category.quiver
+    out = {}
+    for key in T.module.names:
+        r = T.module.degrees[key]
+        unit = T.module.basis_element(key)
+        terms = {}
+        for k, chain, znames, mods in T._slots:
+            zf = tuple(mods[i].basis_element(znames[i]) for i in range(k))
+            val, _ = all_terms_transform_b1_terms(
+                A, T.source, T.target,
+                lambda zo, z: T.value_of(unit, zo, z), r, chain, zf)
+            for w, el in val.matrix.items():
+                accumulate(q.ring, terms, (((k, chain, znames, w, t), c)
+                                           for t, c in el.items()))
+        out[key] = terms
+    return out
+
+
+@pytest.mark.parametrize("window", [
+    ("path3", 0, 0, 1), ("path3", 0, 0, 2), ("path3", 0, 0, 3),
+    ("augmented point", "Q", "Q", 1), ("augmented point", "Q", "Q", 2)])
+def test_sparse_window_boundary_is_the_all_terms_boundary(window):
+    # a generator's boundary reads only the terms on its own chain; the
+    # matrix, entry order included, is the one from every term
+    name, X, W, bound = window
+    A = {"path3": path3, "augmented point": augmented_point}[name]()
+    T = TruncatedTransComplex(A, X, W, bound)
+    want = all_terms_boundary(T)
+    got = T.differential.matrix
+    for key, terms in want.items():
+        el = got.get(key)
+        assert list((el.terms if el else {}).items()) == list(terms.items()), key
+    assert set(got) <= set(want) and any(want.values())
 
 
 def test_unit_lands_on_identity_exactly_when_strict():
